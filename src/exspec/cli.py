@@ -173,6 +173,9 @@ def cmd_verify(args) -> int:
 def cmd_tail(args) -> int:
     manifest = _apply_manifest(args)
     comparison = args.comparison
+    if comparison in ("s2", "degree-event") and args.delta is None:
+        print(f"error: tail {comparison} requires --delta", file=sys.stderr)
+        return EXIT_USAGE
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     grid = _grid(args.grid)

@@ -5,7 +5,9 @@ Conventions: internally everything is 0-based numpy; error messages use
 All objects are immutable after construction and safe to share.
 """
 
+import io
 import json
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -177,7 +179,8 @@ def matrix_to_csv(M: SquareMatrix) -> str:
     return "\n".join(lines) + "\n"
 
 
-def matrix_from_csv(text: str, zero_diagonal: bool = False) -> SquareMatrix:
+def _csv_rows_by_line(text: str) -> np.ndarray:
+    """Reference parser: float() on every field, errors name the line."""
     rows = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
@@ -192,4 +195,29 @@ def matrix_from_csv(text: str, zero_diagonal: bool = False) -> SquareMatrix:
     for lineno, r in enumerate(rows, start=1):
         if len(r) != width:
             raise ValueError(f"parse error at line {lineno}: expected {width} values, got {len(r)}")
-    return SquareMatrix(np.array(rows), zero_diagonal=zero_diagonal)
+    return np.array(rows)
+
+
+# Line breaks of str.splitlines() that loadtxt reads as plain whitespace.
+_SPLITLINES_ONLY_ASCII = "\x0b\x0c\x1c\x1d\x1e"
+
+
+def _csv_rows(text: str) -> np.ndarray:
+    """np.loadtxt on well-formed files; anything it rejects or finds empty
+    goes through the line parser, which accepts what float() accepts (e.g.
+    ``1_0`` and whitespace-only lines) and names the offending line. Text
+    where the two could split lines differently goes there directly."""
+    if text.isascii() and not any(c in text for c in _SPLITLINES_ONLY_ASCII):
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
+                a = np.loadtxt(io.StringIO(text), delimiter=",", comments=None, ndmin=2)
+            if a.size:
+                return a
+        except ValueError:
+            pass
+    return _csv_rows_by_line(text)
+
+
+def matrix_from_csv(text: str, zero_diagonal: bool = False) -> SquareMatrix:
+    return SquareMatrix(_csv_rows(text), zero_diagonal=zero_diagonal)

@@ -135,7 +135,8 @@ def _regular_digraph(n: int, d: int, rng: np.random.Generator) -> np.ndarray:
                 A[np.arange(n), p] = 1.0
                 break
         else:
-            raise RuntimeError(
+            # A parameter problem (d too close to n), hence ValueError.
+            raise ValueError(
                 f"could not place {d} disjoint derangements on n={n} in "
                 f"{_REJECTION_CAP} attempts each; increase the n/d gap"
             )

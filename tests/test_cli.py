@@ -7,6 +7,7 @@ import pytest
 
 from exspec.cli import main
 from exspec.core import SquareMatrix, matrix_to_csv, matrix_to_json
+from exspec.ensembles import EnsembleSpec, sample
 
 
 def run_cli(args, capsys):
@@ -199,16 +200,45 @@ def test_console_entry_point_subprocess(tmp_path):
 def test_threads_env_does_not_change_output(tmp_path):
     import os
 
-    outs = []
-    for workers in ("1", "4", "8"):
-        env = dict(os.environ, EXSPEC_THREADS=workers)
-        out = tmp_path / f"w{workers}"
-        proc = subprocess.run(
-            [sys.executable, "-m", "exspec.cli", "tail", "norm", "--n", "16",
-             "--d", "2", "--zero-diagonal", "--trials", "100", "--seed", "13",
-             "--out", str(out)],
-            capture_output=True, text=True, env=env,
-        )
-        assert proc.returncode == 0
-        outs.append((out / "curve.csv").read_bytes() + (out / "curve.json").read_bytes())
-    assert outs[0] == outs[1] == outs[2]
+    # The s2 case runs 520x520 and 260x260 kernels, so byte-identity across
+    # worker counts is checked on large matrices too.
+    base = tmp_path / "base.csv"
+    base.write_text(matrix_to_csv(sample(EnsembleSpec("perm_sum_regular", 520, 4, seed=3), 0)))
+    commands = {
+        "norm": ["tail", "norm", "--n", "16", "--d", "2", "--zero-diagonal",
+                 "--trials", "100", "--seed", "13"],
+        "s2": ["tail", "s2", "--ensemble", "permuted_base", "--base", str(base),
+               "--n", "520", "--d", "4", "--delta", "1.0", "--trials", "3", "--seed", "13"],
+    }
+    for name, args in commands.items():
+        outs = []
+        for workers in ("1", "4", "8"):
+            env = dict(os.environ, EXSPEC_THREADS=workers)
+            out = tmp_path / f"{name}-w{workers}"
+            proc = subprocess.run(
+                [sys.executable, "-m", "exspec.cli", *args, "--out", str(out)],
+                capture_output=True, text=True, env=env,
+            )
+            assert proc.returncode == 0, proc.stderr
+            outs.append((out / "curve.csv").read_bytes() + (out / "curve.json").read_bytes())
+        assert outs[0] == outs[1] == outs[2], name
+
+
+def test_tail_s2_without_delta_is_usage_error(tmp_path, capsys):
+    code, _, err = run_cli(
+        ["tail", "s2", "--n", "8", "--d", "2", "--trials", "2", "--out", str(tmp_path / "o")],
+        capsys,
+    )
+    assert code == 2
+    assert err == "error: tail s2 requires --delta\n"
+
+
+def test_gen_regular_digraph_without_room_is_usage_error(tmp_path, capsys):
+    code, _, err = run_cli(
+        ["gen", "--ensemble", "regular_digraph", "--n", "10", "--d", "8",
+         "--out", str(tmp_path / "g")],
+        capsys,
+    )
+    assert code == 2
+    assert err.startswith("error: could not place 8 disjoint derangements")
+    assert len(err.splitlines()) == 1

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +9,8 @@ from hypothesis import strategies as st
 from exspec.core import (
     Permutation,
     SquareMatrix,
+    _csv_rows,
+    _csv_rows_by_line,
     apply_permutation,
     block_decompose,
     column_sums,
@@ -187,3 +190,68 @@ def test_csv_roundtrip_and_parse_error_line():
     assert np.array_equal(back.entries, M.entries)
     with pytest.raises(ValueError, match="line 2"):
         matrix_from_csv("1.0,2.0\n3.0,oops\n")
+
+
+def _parse_outcome(parse, text):
+    try:
+        a = parse(text)
+    except ValueError as e:
+        return "error", str(e)
+    return a.shape, a.dtype.str, a.tobytes()
+
+
+_CSV_FIELDS = st.one_of(
+    st.floats().map(repr),
+    st.floats(allow_nan=False, width=32).map(lambda x: f" {x!r}\t"),
+    st.integers(-10**6, 10**6).map(str),
+    st.sampled_from([
+        "", " ", "1_0", "1__0", "_1", "nan", "-nan", "+NaN", "inf", "-Infinity",
+        "infinity", "1e400", "-0", "0x10", "1d5", "oops", "1 2", "\u0661", "\x0c1",
+        "1\x0b", "\x1c2", "1\x85", "\u20282", "\u00a01",
+    ]),
+    st.text(alphabet="0123456789.-+eE_ naif", max_size=6),
+)
+_CSV_LINES = st.one_of(
+    st.lists(_CSV_FIELDS, min_size=1, max_size=4).map(",".join),
+    st.sampled_from(["", "   ", "\t"]),
+)
+
+
+@st.composite
+def _csv_texts(draw):
+    if draw(st.booleans()):
+        # Rectangular rows of float reprs: mostly the loadtxt path.
+        rows = draw(st.integers(1, 4))
+        cols = draw(st.integers(1, 4))
+        field = st.floats().map(repr)
+        lines = [
+            ",".join(draw(st.lists(field, min_size=cols, max_size=cols))) for _ in range(rows)
+        ]
+    else:
+        lines = draw(st.lists(_CSV_LINES, max_size=5))
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return newline.join(lines) + draw(st.sampled_from(["", newline]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_csv_texts())
+def test_csv_fast_path_matches_line_parser(text):
+    assert _parse_outcome(_csv_rows, text) == _parse_outcome(_csv_rows_by_line, text)
+
+
+def test_csv_loader_edge_cases():
+    # float() accepts underscores and loadtxt does not: the line parser takes it.
+    assert matrix_from_csv("1_0,2\n3,4\n").entries[0, 0] == 10.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for text in ("", "\n\n", "  \n"):
+            with pytest.raises(ValueError, match="^empty matrix file$"):
+                matrix_from_csv(text)
+    with pytest.raises(ValueError, match="line 2: expected 2 values, got 3"):
+        matrix_from_csv("1,2\n3,4,5\n")
+    # A well-formed file that is not a valid matrix fails in SquareMatrix, not
+    # in a parser.
+    with pytest.raises(ValueError, match="expected a square matrix"):
+        matrix_from_csv("1,2\n3,4\n5,6\n")
+    with pytest.raises(ValueError, match="finite"):
+        matrix_from_csv("nan\n")

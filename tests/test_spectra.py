@@ -12,7 +12,6 @@ from exspec.spectra import (
     singular_values,
     spectral_norm,
     spectral_radius,
-    top_two_singular,
 )
 
 
@@ -169,21 +168,20 @@ def test_norm_dominates_random_unit_vectors():
         assert np.linalg.norm(E @ x) <= norm + 1e-9
 
 
-def test_top_two_iteration_matches_svd():
-    rng = stream(29)
-    E = rng.normal(size=(60, 60))
-    s_full = singular_values(E).values
-    s1, s2 = top_two_singular(E, tol=1e-12)
-    assert s1 == pytest.approx(s_full[0], rel=1e-8)
-    assert s2 == pytest.approx(s_full[1], rel=1e-6)
-
-
-def test_large_matrix_uses_iterative_path():
+def test_large_matrix_matches_lapack():
     rng = stream(30)
     E = rng.normal(size=(600, 600)) / np.sqrt(600)
     s_full = np.linalg.svd(E, compute_uv=False)
     assert spectral_norm(E) == pytest.approx(s_full[0], rel=1e-6)
     assert second_singular(E) == pytest.approx(s_full[1], rel=1e-5)
+
+
+@pytest.mark.parametrize("n", [1, 2, 513])
+def test_kernels_are_exactly_lapack_at_every_size(n):
+    E = stream(31, n).normal(size=(n, n))
+    s = np.linalg.svd(E, compute_uv=False)
+    assert spectral_norm(E) == s[0]
+    assert second_singular(E) == (s[1] if n > 1 else 0.0)
 
 
 def test_tol_must_be_positive():
