@@ -34,7 +34,7 @@ from .core import (
 from .degrees import DegreeProfile, RegularityParams, deg_membership
 from .ensembles import KINDS, EnsembleSpec, sample
 from .scaling import scaling_reduction
-from .spectra import s2_via_centering, singular_values
+from .spectra import s2_via_centering, second_singular, spectral_norm
 from .tails import (
     block_bound_curve,
     corner_capture_fraction,
@@ -122,17 +122,13 @@ def cmd_gen(args) -> int:
 def cmd_analyze(args) -> int:
     manifest = _apply_manifest(args)
     M = _load_matrix(args.matrix)
-    spectrum = singular_values(M)
-    s1 = float(spectrum.values[0])
-    s2 = float(spectrum.values[1]) if M.n > 1 else 0.0
     u = column_sums(M)
     v = row_sums(M)
     report = {
         "manifest": manifest,
         "n": M.n,
-        "s1": s1,
-        "s2": s2,
-        "tol": spectrum.tol,
+        "s1": spectral_norm(M),
+        "s2": second_singular(M),
         "u": u.tolist(),
         "v": v.tolist(),
     }
@@ -170,6 +166,14 @@ def cmd_verify(args) -> int:
     return EXIT_OK if passed else EXIT_ASSERT
 
 
+def _write_outputs(out: Path, files: dict) -> None:
+    """Create ``out`` only when there is a result to write, so a run that
+    fails (bad input, an estimator's ValueError) leaves no empty directory."""
+    out.mkdir(parents=True, exist_ok=True)
+    for name, text in files.items():
+        (out / name).write_text(text)
+
+
 def cmd_tail(args) -> int:
     manifest = _apply_manifest(args)
     comparison = args.comparison
@@ -177,7 +181,6 @@ def cmd_tail(args) -> int:
         print(f"error: tail {comparison} requires --delta", file=sys.stderr)
         return EXIT_USAGE
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     grid = _grid(args.grid)
 
     if comparison == "corner-capture":
@@ -194,11 +197,11 @@ def cmd_tail(args) -> int:
             "best_c": res["best_c"],
             "m_norm": res["m_norm"],
         }
-        (out / "curve.json").write_text(json.dumps(payload, sort_keys=True))
         lines = ["c,p_hat,ci"]
         for c, p, ci in zip(res["c_grid"], res["p_hat"], res["ci"]):
             lines.append(",".join(repr(float(x)) for x in (c, p, ci)))
-        (out / "curve.csv").write_text("\n".join(lines) + "\n")
+        _write_outputs(out, {"curve.json": json.dumps(payload, sort_keys=True),
+                             "curve.csv": "\n".join(lines) + "\n"})
         print(json.dumps({"best_c": res["best_c"]}))
         return EXIT_OK
 
@@ -212,7 +215,7 @@ def cmd_tail(args) -> int:
         params = RegularityParams(d=float(args.d), delta=args.delta)
         res = corner_degree_event_frequency(spec, params, trials=args.trials, seed=args.seed)
         payload = {"manifest": manifest, **res}
-        (out / "curve.json").write_text(json.dumps(payload, sort_keys=True))
+        _write_outputs(out, {"curve.json": json.dumps(payload, sort_keys=True)})
         print(json.dumps({"p_E": res["p_E"], "ci": res["ci"]}))
         return EXIT_OK
 
@@ -237,8 +240,8 @@ def cmd_tail(args) -> int:
         return EXIT_USAGE
 
     payload = {"manifest": manifest, **curve.to_dict()}
-    (out / "curve.json").write_text(json.dumps(payload, sort_keys=True))
-    (out / "curve.csv").write_text(curve.to_csv())
+    _write_outputs(out, {"curve.json": json.dumps(payload, sort_keys=True),
+                         "curve.csv": curve.to_csv()})
     print(json.dumps({"all_hold": curve.all_hold(), "meta": curve.meta}, sort_keys=True))
     return EXIT_OK if curve.all_hold() else EXIT_ASSERT
 

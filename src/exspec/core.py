@@ -180,8 +180,9 @@ def matrix_to_csv(M: SquareMatrix) -> str:
 
 
 def _csv_rows_by_line(text: str) -> np.ndarray:
-    """Reference parser: float() on every field, errors name the line."""
+    """Reference parser: float() on every field, errors name the file line."""
     rows = []
+    linenos = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
@@ -189,10 +190,11 @@ def _csv_rows_by_line(text: str) -> np.ndarray:
             rows.append([float(tok) for tok in line.split(",")])
         except ValueError as e:
             raise ValueError(f"parse error at line {lineno}: {e}") from None
+        linenos.append(lineno)
     if not rows:
         raise ValueError("empty matrix file")
     width = len(rows[0])
-    for lineno, r in enumerate(rows, start=1):
+    for lineno, r in zip(linenos, rows):
         if len(r) != width:
             raise ValueError(f"parse error at line {lineno}: expected {width} values, got {len(r)}")
     return np.array(rows)

@@ -30,6 +30,7 @@ __all__ = [
     "EnsembleSpec",
     "KINDS",
     "sample",
+    "relabeling",
     "uniform_permutation",
     "random_derangement",
     "permutation_matrix",
@@ -37,6 +38,7 @@ __all__ = [
 
 KINDS = ("permuted_base", "separately_exchangeable", "perm_sum_regular", "regular_digraph")
 _REGULAR_KINDS = ("perm_sum_regular", "regular_digraph")
+_BASE_KINDS = ("permuted_base", "separately_exchangeable")
 _REJECTION_CAP = 1000
 
 
@@ -56,11 +58,14 @@ class EnsembleSpec:
             raise ValueError("n must be >= 1")
         if self.kind in _REGULAR_KINDS and not 1 <= self.d < self.n:
             raise ValueError(f"regular ensembles need 1 <= d < n, got d={self.d}, n={self.n}")
-        if self.kind in ("permuted_base", "separately_exchangeable"):
+        if self.kind in _BASE_KINDS:
             if self.base is None:
                 raise ValueError(f"{self.kind} requires a base matrix")
             if self.base.n != self.n:
                 raise ValueError("base matrix dimension does not match n")
+        elif self.base is not None:
+            # Estimators read ``base is not None`` as "relabels a fixed base".
+            raise ValueError(f"{self.kind} takes no base matrix")
 
     def to_json(self) -> str:
         obj = {
@@ -100,9 +105,10 @@ def random_derangement(n: int, rng: np.random.Generator) -> np.ndarray:
     """Fixed-point-free permutation by rejection (acceptance ~ 1/e)."""
     if n < 2:
         raise ValueError("derangements require n >= 2")
+    idx = np.arange(n)
     while True:
         p = rng.permutation(n)
-        if not np.any(p == np.arange(n)):
+        if not (p == idx).any():
             return p
 
 
@@ -115,9 +121,10 @@ def permutation_matrix(p: np.ndarray) -> np.ndarray:
 
 def _perm_sum(n: int, d: int, zero_diagonal: bool, rng: np.random.Generator) -> np.ndarray:
     A = np.zeros((n, n))
+    idx = np.arange(n)
     for _ in range(d):
         p = random_derangement(n, rng) if zero_diagonal else rng.permutation(n)
-        A[np.arange(n), p] += 1.0
+        A[idx, p] += 1.0
     return A
 
 
@@ -128,11 +135,12 @@ def _regular_digraph(n: int, d: int, rng: np.random.Generator) -> np.ndarray:
     # draws for the last one and the final uniform relabeling restores joint
     # exchangeability either way.
     A = np.zeros((n, n))
+    idx = np.arange(n)
     for _ in range(d):
         for _ in range(_REJECTION_CAP):
             p = random_derangement(n, rng)
-            if not np.any(A[np.arange(n), p]):
-                A[np.arange(n), p] = 1.0
+            if not A[idx, p].any():
+                A[idx, p] = 1.0
                 break
         else:
             # A parameter problem (d too close to n), hence ValueError.
@@ -144,17 +152,30 @@ def _regular_digraph(n: int, d: int, rng: np.random.Generator) -> np.ndarray:
     return A[np.ix_(s, s)]
 
 
+def relabeling(spec: EnsembleSpec, index: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column permutations of sample ``index`` of a base-relabeling
+    kind: ``sample(spec, index).entries == spec.base.entries[np.ix_(rows, cols)]``.
+
+    Both are drawn from ``stream(spec.seed, index)``, the row permutation
+    first; ``permuted_base`` relabels rows and columns alike.
+    """
+    if spec.base is None:
+        raise ValueError(f"{spec.kind} does not relabel a base matrix")
+    rng = stream(spec.seed, index)
+    rows = rng.permutation(spec.n)
+    if spec.kind == "permuted_base":
+        return rows, rows
+    return rows, rng.permutation(spec.n)
+
+
 def sample(spec: EnsembleSpec, index: int) -> SquareMatrix:
     """Draw sample ``index`` of the ensemble; pure in (spec.seed, index)."""
+    if spec.base is not None:
+        rows, cols = relabeling(spec, index)
+        # A simultaneous relabeling keeps the diagonal on the diagonal.
+        zero_diagonal = spec.kind == "permuted_base" and spec.base.zero_diagonal
+        return SquareMatrix(spec.base.entries[np.ix_(rows, cols)], zero_diagonal=zero_diagonal)
     rng = stream(spec.seed, index)
-    if spec.kind == "permuted_base":
-        s = rng.permutation(spec.n)
-        out = spec.base.entries[np.ix_(s, s)]
-        return SquareMatrix(out, zero_diagonal=spec.base.zero_diagonal)
-    if spec.kind == "separately_exchangeable":
-        s = rng.permutation(spec.n)
-        p = rng.permutation(spec.n)
-        return SquareMatrix(spec.base.entries[np.ix_(s, p)])
     if spec.kind == "perm_sum_regular":
         A = _perm_sum(spec.n, spec.d, spec.zero_diagonal, rng)
         return SquareMatrix(A, zero_diagonal=spec.zero_diagonal)

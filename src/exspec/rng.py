@@ -20,11 +20,12 @@ def stream(seed: int, *index: int) -> np.random.Generator:
 
 
 def worker_count() -> int:
-    """Worker cap from EXSPEC_THREADS (default 1)."""
+    """Worker cap from EXSPEC_THREADS (default 1), at most os.cpu_count()."""
     try:
-        return max(1, int(os.environ.get("EXSPEC_THREADS", "1")))
+        requested = int(os.environ.get("EXSPEC_THREADS", "1"))
     except ValueError:
         return 1
+    return max(1, min(requested, os.cpu_count() or 1))
 
 
 def parallel_map(fn, count: int) -> list:

@@ -26,20 +26,17 @@ __all__ = [
 @dataclass(frozen=True)
 class SingularSpectrum:
     values: np.ndarray  # nonincreasing, >= 0
-    tol: float
 
 
 def _ent(M) -> np.ndarray:
     return M.entries if hasattr(M, "entries") else np.asarray(M, dtype=np.float64)
 
 
-def singular_values(M, tol: float = 1e-10) -> SingularSpectrum:
+def singular_values(M) -> SingularSpectrum:
     """All singular values in nonincreasing order."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     s = np.linalg.svd(_ent(M), compute_uv=False)
     s = np.clip(s, 0.0, None)
-    return SingularSpectrum(values=s, tol=tol)
+    return SingularSpectrum(values=s)
 
 
 # s1 and s2 come from the full dense SVD at every size: subspace iteration on

@@ -8,6 +8,12 @@ use (CI suites) should pass a conservative fixed c such as 0.01.
 All estimators are pure in (seed, trials): trial i derives its generator
 from (seed, i) alone, results are merged in index order, and output is
 identical at any worker count.
+
+Ensembles that relabel a fixed base B (``spec.base is not None``) are never
+formed per trial. Relabelings preserve singular values and the multisets of
+row and column norms, so ||M||, s2(M) and the row/column l2 maxima are
+computed on B once per call; each trial gathers only the entries it reads
+from B through the drawn row and column permutations.
 """
 
 import math
@@ -15,9 +21,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import CornerMatrix, SquareMatrix, block_decompose
+from .core import CornerMatrix, SquareMatrix
 from .degrees import DegreeProfile, RegularityParams, corner_degree_event, deg_membership
-from .ensembles import EnsembleSpec, sample
+from .ensembles import EnsembleSpec, relabeling, sample
 from .rng import parallel_map, stream
 from .spectra import second_singular, spectral_norm
 
@@ -112,11 +118,40 @@ class TailCurve:
         return "\n".join(lines) + "\n"
 
 
-def _corner_of_relabeled(entries: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Top-right corner of sigma(M) without forming the full relabeling."""
+def _corner_of_relabeled(entries: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Top-right corner of entries[np.ix_(rows, cols)] without forming it."""
     n = entries.shape[0]
     m = n // 2
-    return entries[np.ix_(s[:m], s[n - m:])]
+    return entries[np.ix_(rows[:m], cols[n - m:])]
+
+
+def _draw(spec: EnsembleSpec, i: int):
+    """Sample i as (entries, rows, cols): it equals entries[np.ix_(rows, cols)].
+
+    For a relabeled base, entries is the base itself and nothing is copied.
+    """
+    if spec.base is not None:
+        return (spec.base.entries, *relabeling(spec, i))
+    idx = np.arange(spec.n)
+    return sample(spec, i).entries, idx, idx
+
+
+def _whole(spec: EnsembleSpec, stat):
+    """fn(entries) -> stat of the sample that _draw returned entries for.
+
+    ``stat`` must be invariant under row and column permutations; for a
+    relabeled base it is then evaluated on the base once.
+    """
+    if spec.base is None:
+        return stat
+    value = stat(spec.base.entries)
+    return lambda entries: value
+
+
+def _max_l2(entries: np.ndarray) -> float:
+    """Largest row or column l2 norm."""
+    return max(float(np.max(np.linalg.norm(entries, axis=1))),
+               float(np.max(np.linalg.norm(entries, axis=0))))
 
 
 def _tail_probs(stat: np.ndarray, thresholds: np.ndarray):
@@ -153,7 +188,7 @@ def corner_capture_fraction(M: SquareMatrix, trials: int, seed: int = 0, c_grid=
 
     def one(i: int) -> float:
         s = stream(seed, i).permutation(M.n)
-        return spectral_norm(_corner_of_relabeled(M.entries, s))
+        return spectral_norm(_corner_of_relabeled(M.entries, s, s))
 
     t_norms = np.array(parallel_map(one, trials))
     p_hat = np.empty(c_grid.size)
@@ -194,17 +229,19 @@ def norm_tail_curve(
     if not 0 < c <= 1:
         raise ValueError("c must lie in (0, 1]")
     n = spec.n
+    norm_of = _whole(spec, spectral_norm)
 
     def one(i: int):
-        M = sample(spec, i)
-        if np.any(np.diag(M.entries) != 0.0):
+        entries, rows, cols = _draw(spec, i)
+        # The sample's diagonal; a separate relabeling moves entries onto it.
+        if np.any(entries[rows, cols] != 0.0):
             raise ValueError("the tail comparison assumes zero-diagonal samples")
         s = stream(seed, i).permutation(n)
-        T = _corner_of_relabeled(M.entries, s)
+        T = _corner_of_relabeled(entries, rows[s], cols[s])
         ev = True
         if event is not None:
             ev = corner_degree_event(CornerMatrix(T, parent_n=n), event, n)
-        return spectral_norm(M), spectral_norm(T), ev
+        return norm_of(entries), spectral_norm(T), ev
 
     rows = parallel_map(one, trials)
     m_norms = np.array([r[0] for r in rows])
@@ -248,11 +285,18 @@ def norm_tail_curve(
 def block_bound_curve(
     spec: EnsembleSpec, trials: int, seed: int = 0, thresholds=None
 ) -> TailCurve:
-    """Separately exchangeable control: P{||M|| >= t} <= 4 P{||M12|| >= t/4}."""
+    """Separately exchangeable control: P{||M|| >= t} <= 4 P{||M12|| >= t/4}.
+
+    M12 is the block of core.block_decompose: floor(n/2) x ceil(n/2).
+    """
+    if spec.n < 2:
+        raise ValueError("block decomposition requires n >= 2")
+    m = spec.n // 2
+    norm_of = _whole(spec, spectral_norm)
+
     def one(i: int):
-        M = sample(spec, i)
-        _, m12, _, _ = block_decompose(M)
-        return spectral_norm(M), spectral_norm(m12)
+        entries, rows, cols = _draw(spec, i)
+        return norm_of(entries), spectral_norm(entries[np.ix_(rows[:m], cols[m:])])
 
     rows = parallel_map(one, trials)
     m_norms = np.array([r[0] for r in rows])
@@ -284,15 +328,14 @@ def corner_degree_event_frequency(
     configured C.
     """
     n = spec.n
+    l2_of = _whole(spec, _max_l2)
 
     def one(i: int):
-        A = sample(spec, i)
+        entries, rows, cols = _draw(spec, i)
         s = stream(seed, i).permutation(n)
-        T = CornerMatrix(_corner_of_relabeled(A.entries, s), parent_n=n)
+        T = CornerMatrix(_corner_of_relabeled(entries, rows[s], cols[s]), parent_n=n)
         ev = corner_degree_event(T, params, n)
-        row_l2 = float(np.max(np.linalg.norm(A.entries, axis=1)))
-        col_l2 = float(np.max(np.linalg.norm(A.entries, axis=0)))
-        hyp = hyp_C * max(row_l2, col_l2) <= params.delta
+        hyp = hyp_C * l2_of(entries) <= params.delta
         return ev, hyp
 
     rows = parallel_map(one, trials)
@@ -327,17 +370,15 @@ def s2_tail_curve(
     d/sqrt(ln n) >= C delta is evaluated and reported, not enforced.
     """
     n = spec.n
-    m = n // 2
     half = RegularityParams(d=params.d / 2.0, delta=params.delta)
+    s2_of = _whole(spec, second_singular)
 
     def one(i: int):
-        A = sample(spec, i)
-        s2A = second_singular(A)
-        T = A.entries[:m, n - m:]
-        s2T = second_singular(T)
+        entries, rows, cols = _draw(spec, i)
+        T = _corner_of_relabeled(entries, rows, cols)
         prof = DegreeProfile(np.abs(T).sum(axis=0), np.abs(T).sum(axis=1))
         member = deg_membership(prof, half)["member"]
-        return s2A, s2T, member
+        return s2_of(entries), second_singular(T), member
 
     rows = parallel_map(one, trials)
     s2A = np.array([r[0] for r in rows])

@@ -177,8 +177,10 @@ def test_criterion_08_four_block_bound():
     base = SquareMatrix(rng.normal(size=(32, 32)))
     spec = EnsembleSpec(kind="separately_exchangeable", n=32, seed=109, base=base)
     curve = block_bound_curve(spec, trials=10000, seed=109)
+    # Relabeling preserves ||M||, so its deciles are one threshold, ||B||.
+    one_threshold = curve.thresholds.tolist() == [spectral_norm(base)]
     report("separately exchangeable four-block tail bound",
-           curve.all_hold(),
+           curve.all_hold() and one_threshold,
            f"{int(np.sum(curve.holds))}/{curve.holds.size} thresholds hold")
 
 

@@ -64,6 +64,7 @@ def test_analyze_identity_permutation_matrix(tmp_path, capsys):
     assert rep["u"] == [1.0] * n
     assert rep["deg_membership"]["member"] is True
     assert rep["s2_via_centering"] == pytest.approx(1.0)
+    assert "tol" not in rep
     assert rep["scaling"]["hypotheses_ok"] is True
 
 
@@ -132,6 +133,25 @@ def test_tail_corner_capture(tmp_path, capsys):
     assert code == 0
     assert json.loads(stdout)["best_c"] > 0.0
     assert (out / "curve.csv").read_text().startswith("c,p_hat,ci")
+
+
+def test_tail_usage_error_creates_no_out_dir(tmp_path, capsys):
+    small = tmp_path / "m4.csv"
+    small.write_text(matrix_to_csv(SquareMatrix(np.ones((4, 4)) - np.eye(4))))
+    cases = {
+        "small": (["tail", "corner-capture", "--matrix", str(small)],
+                  "error: the corner-capture statement assumes n >= 8\n"),
+        "corner-capture": (["tail", "corner-capture", "--trials", "2"],
+                           "error: corner-capture requires --matrix\n"),
+        "no-base": (["tail", "norm", "--ensemble", "permuted_base", "--n", "8"],
+                    "error: permuted_base requires a base matrix\n"),
+    }
+    for name, (args, message) in cases.items():
+        out = tmp_path / name
+        code, _, err = run_cli(args + ["--out", str(out)], capsys)
+        assert code == 2
+        assert err == message
+        assert not out.exists()
 
 
 def test_tail_degree_event(tmp_path, capsys):

@@ -249,6 +249,9 @@ def test_csv_loader_edge_cases():
                 matrix_from_csv(text)
     with pytest.raises(ValueError, match="line 2: expected 2 values, got 3"):
         matrix_from_csv("1,2\n3,4,5\n")
+    # Blank lines are skipped but still counted: the error names the file line.
+    with pytest.raises(ValueError, match="line 3: expected 2 values, got 3"):
+        matrix_from_csv("1,2\n\n3,4,5\n")
     # A well-formed file that is not a valid matrix fails in SquareMatrix, not
     # in a parser.
     with pytest.raises(ValueError, match="expected a square matrix"):

@@ -112,6 +112,8 @@ def test_spec_validation():
         EnsembleSpec(kind="bogus", n=5)
     with pytest.raises(ValueError, match="base"):
         EnsembleSpec(kind="permuted_base", n=5)
+    with pytest.raises(ValueError, match="perm_sum_regular takes no base matrix"):
+        EnsembleSpec(kind="perm_sum_regular", n=5, d=2, base=SquareMatrix(np.zeros((5, 5))))
 
 
 def test_rejection_cap_error():

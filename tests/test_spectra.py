@@ -183,7 +183,3 @@ def test_kernels_are_exactly_lapack_at_every_size(n):
     assert spectral_norm(E) == s[0]
     assert second_singular(E) == (s[1] if n > 1 else 0.0)
 
-
-def test_tol_must_be_positive():
-    with pytest.raises(ValueError):
-        singular_values(np.eye(2), tol=0.0)

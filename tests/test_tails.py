@@ -1,14 +1,18 @@
 import math
+import os
 
 import numpy as np
 import pytest
 
-from exspec.core import SquareMatrix
-from exspec.degrees import RegularityParams
-from exspec.ensembles import EnsembleSpec
-from exspec.rng import stream
+from exspec.core import SquareMatrix, block_decompose
+from exspec.degrees import DegreeProfile, RegularityParams, deg_membership
+from exspec.ensembles import EnsembleSpec, relabeling, sample
+from exspec.rng import stream, worker_count
+from exspec.spectra import second_singular, spectral_norm
 from exspec.tails import (
     TailCurve,
+    _corner_of_relabeled,
+    _tail_probs,
     block_bound_curve,
     corner_capture_fraction,
     corner_degree_event_frequency,
@@ -218,3 +222,95 @@ def test_curves_identical_across_worker_counts(monkeypatch):
         curve = norm_tail_curve(spec, c=0.05, trials=200, seed=86)
         results.append((curve.p_left.tolist(), curve.p_right.tolist()))
     assert results[0] == results[1]
+
+
+def test_worker_count_capped_at_cpu_count(monkeypatch):
+    # Only reads the cap; no pool is started at this value.
+    monkeypatch.setenv("EXSPEC_THREADS", str(10**6))
+    assert worker_count() == (os.cpu_count() or 1)
+
+
+def _relabeled_specs(n, seed):
+    rng = stream(seed)
+    base = SquareMatrix(rng.normal(size=(n, n)))
+    return [EnsembleSpec(kind=kind, n=n, seed=seed, base=base)
+            for kind in ("permuted_base", "separately_exchangeable")]
+
+
+@pytest.mark.parametrize("n", [9, 10])
+def test_relabeled_corner_gathers_the_sampled_corner(n):
+    m = n // 2
+    for spec in _relabeled_specs(n, 90):
+        for i in (0, 1, 7, 123):
+            A = sample(spec, i).entries
+            rows, cols = relabeling(spec, i)
+            assert np.array_equal(spec.base.entries[np.ix_(rows, cols)], A)
+            corner = _corner_of_relabeled(spec.base.entries, rows, cols)
+            assert corner.tobytes() == A[:m, n - m:].tobytes()
+            # The norm comparison composes the draw with an independent sigma.
+            s = stream(91, i).permutation(n)
+            composed = _corner_of_relabeled(spec.base.entries, rows[s], cols[s])
+            assert composed.tobytes() == _corner_of_relabeled(A, s, s).tobytes()
+
+
+def test_relabeling_requires_a_base():
+    spec = EnsembleSpec(kind="perm_sum_regular", n=8, d=2, seed=1)
+    with pytest.raises(ValueError, match="does not relabel"):
+        relabeling(spec, 0)
+
+
+def test_s2_tail_curve_relabeled_base_matches_per_sample_reference():
+    n, m = 32, 16
+    base = sample(EnsembleSpec(kind="perm_sum_regular", n=n, d=3, seed=92), 0)
+    spec = EnsembleSpec(kind="permuted_base", n=n, seed=93, base=base)
+    params = RegularityParams(d=3.0, delta=1.0)
+    half = RegularityParams(d=1.5, delta=1.0)
+    # s2(base) = 2.76; the corner's s2 spans 1.62-2.37 over these trials.
+    L_grid = [1.5, 1.8, 2.0, 2.2, 2.5, 3.0]
+    c, trials = 1.0, 120
+    s2A, s2T, members = [], [], []
+    for i in range(trials):
+        A = sample(spec, i).entries
+        T = A[:m, n - m:]
+        s2A.append(second_singular(A))
+        s2T.append(second_singular(T))
+        prof = DegreeProfile(np.abs(T).sum(axis=0), np.abs(T).sum(axis=1))
+        members.append(deg_membership(prof, half)["member"])
+    thresholds = np.asarray(L_grid) * params.delta
+    p_left, ci_left = _tail_probs(np.array(s2A), thresholds)
+    p_right, ci_right = _tail_probs(np.where(members, s2T, -np.inf), c * thresholds)
+
+    curve = s2_tail_curve(spec, params, L_grid, trials=trials, seed=93, c=c)
+    assert np.unique(curve.p_right).size >= 4  # the grid cuts the corner tail
+    assert np.array_equal(curve.p_left, p_left)
+    assert np.array_equal(curve.ci_left, ci_left)
+    assert np.array_equal(curve.p_right, p_right)
+    assert np.array_equal(curve.ci_right, ci_right)
+    assert curve.meta["member_fraction"] == float(np.mean(members))
+
+
+def test_block_bound_relabeled_odd_n_matches_per_sample_blocks():
+    spec = _relabeled_specs(9, 94)[1]
+    b_norms = np.array([spectral_norm(block_decompose(sample(spec, i))[1]) for i in range(60)])
+    thresholds = 4.0 * np.quantile(b_norms, [0.2, 0.5, 0.8])
+    curve = block_bound_curve(spec, trials=60, seed=94, thresholds=thresholds)
+    assert np.array_equal(curve.p_right, _tail_probs(b_norms, thresholds / 4.0)[0])
+    assert np.all(curve.p_left == (spectral_norm(spec.base) >= thresholds))
+
+
+def test_norm_tail_curve_rejects_relabeled_base_with_nonzero_diagonal():
+    E = np.ones((8, 8)) - np.eye(8)
+    E[3, 3] = 1.0
+    spec = EnsembleSpec(kind="permuted_base", n=8, seed=95, base=SquareMatrix(E))
+    with pytest.raises(ValueError, match="zero-diagonal"):
+        norm_tail_curve(spec, c=0.5, trials=5)
+
+
+def test_norm_tail_curve_relabeled_base_has_one_threshold():
+    E = stream(96).normal(size=(16, 16))
+    np.fill_diagonal(E, 0.0)
+    base = SquareMatrix(E, zero_diagonal=True)
+    spec = EnsembleSpec(kind="permuted_base", n=16, seed=96, base=base)
+    curve = norm_tail_curve(spec, c=0.1, trials=50, seed=97)
+    assert curve.thresholds.tolist() == [spectral_norm(base)]
+    assert curve.p_left.tolist() == [1.0]
