@@ -61,8 +61,18 @@ def _apply_manifest(args: argparse.Namespace) -> dict:
     """Merge a manifest file over parsed flags; returns the effective manifest."""
     if getattr(args, "manifest", None):
         overrides = json.loads(Path(args.manifest).read_text())
+        if not isinstance(overrides, dict):
+            raise ValueError("a manifest must be a JSON object")
+        # Only the subcommand's own flags; any other key would be echoed into
+        # the output as if it had taken effect.
+        known = set(vars(args)) - {"func", "manifest", "out"}
         for key, value in overrides.items():
-            setattr(args, key.replace("-", "_"), value)
+            dest = key.replace("-", "_")
+            if dest not in known:
+                raise ValueError(f"unknown manifest key {key!r}")
+            if dest == "command" and value != args.command:
+                raise ValueError(f"manifest is for {value!r}, not {args.command!r}")
+            setattr(args, dest, value)
     # The destination path is not an input to the computation; leaving it out
     # keeps reruns into different directories byte-identical.
     manifest = {
@@ -179,6 +189,9 @@ def cmd_tail(args) -> int:
     comparison = args.comparison
     if comparison in ("s2", "degree-event") and args.delta is None:
         print(f"error: tail {comparison} requires --delta", file=sys.stderr)
+        return EXIT_USAGE
+    if comparison in ("degree-event", "corner-capture") and args.grid is not None:
+        print(f"error: tail {comparison} takes no --grid", file=sys.stderr)
         return EXIT_USAGE
     out = Path(args.out)
     grid = _grid(args.grid)

@@ -7,6 +7,7 @@ oracle, and seeded Monte Carlo estimators for anti-concentration and
 Hoeffding-type tails.
 """
 
+import functools
 import hashlib
 import itertools
 import json
@@ -120,6 +121,32 @@ def moment_report(p: SubsetSumProblem, enumerate_fourth: bool = False) -> Subset
     )
 
 
+# Index entries (8 bytes each) in one table. A k-subset table up to this size
+# (1 MiB) is built once and cached; a larger one, up to 38 x 962598 entries
+# (279 MiB, for C(43,38)) under the cap, is built and summed block by block
+# and not kept.
+TABLE_ENTRIES = 2**17
+
+
+def _table(combs, rows: int, k: int) -> np.ndarray:
+    table = np.fromiter(
+        itertools.chain.from_iterable(combs), dtype=np.intp, count=rows * k
+    ).reshape(rows, k)
+    table.setflags(write=False)
+    return table
+
+
+@functools.lru_cache(maxsize=64)
+def _combinations(m: int, k: int) -> np.ndarray:
+    """Read-only C(m,k) x k table of every k-subset of range(m), one sorted
+    row each, in itertools.combinations (lexicographic) order.
+
+    The cache holds 64 tables, more than the 41 (m, k) pairs that
+    ``verify subset`` draws.
+    """
+    return _table(itertools.combinations(range(m), k), math.comb(m, k), k)
+
+
 def _subset_sums(p: SubsetSumProblem) -> np.ndarray:
     count = math.comb(p.m, p.k)
     if count > ENUMERATION_CAP:
@@ -127,10 +154,15 @@ def _subset_sums(p: SubsetSumProblem) -> np.ndarray:
             f"C({p.m},{p.k}) = {count} subsets exceed the enumeration cap "
             f"({ENUMERATION_CAP}); use the Monte Carlo estimators instead"
         )
+    # Each row is reduced exactly as the 1-D a[list(comb)].sum() was.
+    if count * p.k <= TABLE_ENTRIES:
+        return p.a[_combinations(p.m, p.k)].sum(axis=1)
     out = np.empty(count)
-    a = p.a
-    for idx, comb in enumerate(itertools.combinations(range(p.m), p.k)):
-        out[idx] = a[list(comb)].sum()
+    combs = itertools.combinations(range(p.m), p.k)
+    rows = max(1, TABLE_ENTRIES // p.k)
+    for start in range(0, count, rows):
+        n = min(rows, count - start)
+        out[start:start + n] = p.a[_table(itertools.islice(combs, n), n, p.k)].sum(axis=1)
     return out
 
 

@@ -5,9 +5,11 @@ passes iff every record does. Fixed seed gives a deterministic pass/fail
 set.
 """
 
+import math
+
 import numpy as np
 
-from . import scaling, subset
+from . import ensembles, scaling, subset
 from .core import CornerMatrix, SquareMatrix, column_sums, row_sums
 from .degrees import DegreeProfile, RegularityParams, corner_degree_event, deg_membership
 from .rng import stream
@@ -25,6 +27,15 @@ def _random_problem(rng) -> subset.SubsetSumProblem:
     k = int(rng.integers(1, max(2, (m + 1) // 2 + 1)))
     a = rng.normal(0.0, 2.0, size=m)
     return subset.SubsetSumProblem(a=a, k=k)
+
+
+def _prefix_hits(m: int, k: int, u: int) -> int:
+    """Number of k-subsets of [m] that contain [u], counted over every
+    enumerated subset. Rows are sorted, so a row contains {0..u-1} exactly
+    when its u-th entry is u-1."""
+    if u > k:
+        return 0
+    return int(np.count_nonzero(subset._combinations(m, k)[:, u - 1] == u - 1))
 
 
 def verify_subset(seed: int = 0, cases: int = 200) -> list[dict]:
@@ -49,14 +60,7 @@ def verify_subset(seed: int = 0, cases: int = 200) -> list[dict]:
         for u in range(1, 5):
             if u > p.m:
                 continue
-            import itertools
-            import math
-            hits = sum(
-                1
-                for comb in itertools.combinations(range(p.m), p.k)
-                if set(range(u)) <= set(comb)
-            )
-            if abs(hits / math.comb(p.m, p.k) - t[u - 1]) > 1e-12:
+            if abs(_prefix_hits(p.m, p.k, u) / math.comb(p.m, p.k) - t[u - 1]) > 1e-12:
                 tu_ok = False
         # Centered second moment: E eta^2 = E(sum_S)^2 - (k/m sum a)^2 <= (k/m) sum a^2.
         mean = (p.k / p.m) * float(np.sum(p.a))
@@ -120,12 +124,10 @@ def verify_perron(seed: int = 0, cases: int = 50) -> list[dict]:
     out.append(_rec("positive_perron_vector_matches_radius", ok))
 
     # Doubly regular: the all-ones vector carries eigenvalue d = radius.
-    from .ensembles import EnsembleSpec, sample
-
     reg_ok = True
-    spec = EnsembleSpec(kind="perm_sum_regular", n=20, d=4, seed=seed)
+    spec = ensembles.EnsembleSpec(kind="perm_sum_regular", n=20, d=4, seed=seed)
     for i in range(10):
-        A = sample(spec, i)
+        A = ensembles.sample(spec, i)
         r = perron_check(A.entries, np.ones(20), tol=1e-8)
         if not (r["is_eigen"] and r["matches_radius"] and abs(r["rho"] - 4.0) < 1e-8):
             reg_ok = False

@@ -145,6 +145,12 @@ def test_tail_usage_error_creates_no_out_dir(tmp_path, capsys):
                            "error: corner-capture requires --matrix\n"),
         "no-base": (["tail", "norm", "--ensemble", "permuted_base", "--n", "8"],
                     "error: permuted_base requires a base matrix\n"),
+        "degree-event-grid": (["tail", "degree-event", "--n", "20", "--d", "3",
+                               "--delta", "3.0", "--grid", "1,2"],
+                              "error: tail degree-event takes no --grid\n"),
+        "corner-capture-grid": (["tail", "corner-capture", "--matrix", str(small),
+                                 "--grid", "0.1"],
+                                "error: tail corner-capture takes no --grid\n"),
     }
     for name, (args, message) in cases.items():
         out = tmp_path / name
@@ -194,6 +200,36 @@ def test_manifest_file_overrides_flags(tmp_path, capsys):
     assert effective["n"] == 12 and effective["d"] == 2 and effective["seed"] == 21
     first = (out / "sample_0000.csv").read_text()
     assert len(first.strip().split("\n")) == 12
+
+
+def test_manifest_keys_must_be_flags_of_the_command(tmp_path, capsys):
+    mf = tmp_path / "manifest.json"
+    cases = [
+        (["verify", "deg"], {"trails": 5}, "error: unknown manifest key 'trails'\n"),
+        (["tail", "norm"], {"trails": 5}, "error: unknown manifest key 'trails'\n"),
+        (["gen"], {"c": 0.01}, "error: unknown manifest key 'c'\n"),
+        (["verify", "deg"], {"command": "tail"}, "error: manifest is for 'tail', not 'verify'\n"),
+        (["verify", "deg"], [1], "error: a manifest must be a JSON object\n"),
+    ]
+    for i, (args, manifest, message) in enumerate(cases):
+        mf.write_text(json.dumps(manifest))
+        out = tmp_path / f"out{i}"
+        code, stdout, err = run_cli(args + ["--manifest", str(mf), "--out", str(out)], capsys)
+        assert (code, stdout, err) == (2, "", message)
+        assert not out.exists()
+
+
+def test_echoed_manifest_reruns_the_command(tmp_path, capsys):
+    first = tmp_path / "first"
+    code, _, _ = run_cli(["tail", "norm", "--n", "12", "--d", "2", "--zero-diagonal",
+                          "--trials", "20", "--seed", "5", "--out", str(first)], capsys)
+    assert code == 0
+    mf = tmp_path / "manifest.json"
+    mf.write_text(json.dumps(json.loads((first / "curve.json").read_text())["manifest"]))
+    again = tmp_path / "again"
+    code, _, _ = run_cli(["tail", "norm", "--manifest", str(mf), "--out", str(again)], capsys)
+    assert code == 0
+    assert (again / "curve.json").read_bytes() == (first / "curve.json").read_bytes()
 
 
 def test_missing_out_is_usage_error():

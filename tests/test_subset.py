@@ -1,14 +1,19 @@
+import itertools
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from exspec import subset
 from exspec.rng import stream
 from exspec.subset import (
+    ENUMERATION_CAP,
     SubsetSumProblem,
+    _combinations,
     anticonc_constant_sweep,
     anticoncentration_probability,
     enumerate_exact,
@@ -20,6 +25,7 @@ from exspec.subset import (
     sample_k_subset,
     second_moment_exact,
 )
+from exspec.verify import _prefix_hits
 
 
 def test_second_moment_two_singletons():
@@ -70,8 +76,6 @@ def test_closed_forms_match_enumeration(m, seed):
 
 
 def test_inclusion_probabilities_by_counting():
-    import itertools
-
     p = SubsetSumProblem(a=np.zeros(9), k=4)
     t = inclusion_probabilities(p)
     total = math.comb(9, 4)
@@ -81,6 +85,15 @@ def test_inclusion_probabilities_by_counting():
         )
         assert t[u - 1] == pytest.approx(hits / total, abs=1e-15)
     assert t[0] >= t[1] >= t[2] >= t[3] >= 0.0
+
+
+def test_table_prefix_count_matches_set_count():
+    for m in range(1, 13):
+        for k in range(1, m + 1):
+            combs = list(itertools.combinations(range(m), k))
+            for u in range(1, min(m, 4) + 1):
+                expected = sum(1 for comb in combs if set(range(u)) <= set(comb))
+                assert _prefix_hits(m, k, u) == expected
 
 
 def test_inclusion_probabilities_vanish_beyond_k():
@@ -110,8 +123,73 @@ def test_enumerate_anticonc_flat_vector():
 
 def test_enumeration_cap():
     p = SubsetSumProblem(a=np.zeros(40), k=20)
-    with pytest.raises(ValueError, match="Monte Carlo"):
+    built = _combinations.cache_info().misses
+    with pytest.raises(ValueError) as exc:
         enumerate_exact(p, "moment", 2)
+    assert str(exc.value) == (
+        f"C(40,20) = 137846528820 subsets exceed the enumeration cap "
+        f"({ENUMERATION_CAP}); use the Monte Carlo estimators instead"
+    )
+    assert _combinations.cache_info().misses == built  # no table was built
+
+
+def test_combinations_table_is_lexicographic_and_read_only():
+    for m, k in [(1, 1), (5, 2), (7, 7), (9, 4), (12, 6)]:
+        table = _combinations(m, k)
+        assert table.dtype == np.intp and table.shape == (math.comb(m, k), k)
+        assert [tuple(row) for row in table.tolist()] == list(
+            itertools.combinations(range(m), k)
+        )
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0, 0] = 1
+        assert _combinations(m, k) is table
+
+
+def _reference_sums(a, m, k):
+    # The per-subset loop the table replaced; enumeration must match it bit for bit.
+    out = np.empty(math.comb(m, k))
+    for idx, comb in enumerate(itertools.combinations(range(m), k)):
+        out[idx] = a[list(comb)].sum()
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_enumerate_exact_matches_per_subset_loop_bitwise(data):
+    m = data.draw(st.integers(min_value=1, max_value=18), label="m")
+    k = data.draw(st.integers(min_value=1, max_value=m), label="k")
+    a = np.array(data.draw(st.lists(
+        st.floats(min_value=-1e6, max_value=1e6, allow_nan=False), min_size=m, max_size=m,
+    )))
+    t = data.draw(st.floats(min_value=0.0, max_value=1e6), label="t")
+    c = data.draw(st.floats(min_value=1e-3, max_value=2.0), label="c")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # k > ceil(m/2) is allowed here
+        p = SubsetSumProblem(a=a, k=k)
+    sums = _reference_sums(p.a, m, k)
+    assert subset._subset_sums(p).tobytes() == sums.tobytes()
+    for r in (1, 2, 4):
+        assert enumerate_exact(p, "moment", r) == float(np.mean(sums**r))
+    mean = (k / m) * float(np.sum(p.a))
+    assert enumerate_exact(p, "tail", t) == float(np.mean(np.abs(sums - mean) >= t))
+    thr = (c * k / m) * abs(float(np.sum(p.a)))
+    assert enumerate_exact(p, "anticonc", c) == float(np.mean(np.abs(sums) >= thr))
+
+
+@pytest.mark.parametrize("entries", [subset.TABLE_ENTRIES, 100, 7])
+def test_enumerate_exact_matches_per_subset_loop_at_large_k(entries, monkeypatch):
+    # Rows of 8 or more entries go through numpy's unrolled pairwise sum, and
+    # tables above TABLE_ENTRIES (here (18, 9) by default) are summed in blocks.
+    monkeypatch.setattr(subset, "TABLE_ENTRIES", entries)
+    rng = stream(34)
+    for m, k in [(16, 8), (17, 12), (18, 9), (18, 17)]:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            p = SubsetSumProblem(a=rng.normal(0, 1e3, size=m), k=k)
+        sums = _reference_sums(p.a, m, k)
+        assert subset._subset_sums(p).tobytes() == sums.tobytes()
+        assert enumerate_exact(p, "moment", 2) == float(np.mean(sums**2))
 
 
 def test_sampler_is_uniform_over_subsets():
