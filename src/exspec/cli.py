@@ -57,8 +57,45 @@ def _load_matrix(path: str) -> SquareMatrix:
     return matrix_from_csv(text)
 
 
+def _command_actions(command: str) -> dict:
+    """The argparse actions of a subcommand, by destination."""
+    commands = next(a for a in build_parser()._actions if a.dest == "command")
+    return {a.dest: a for a in commands.choices[command]._actions}
+
+
+def _manifest_value(key: str, action: argparse.Action, value):
+    """``value`` as the parser would have set it from the command line;
+    ValueError naming the key for a value the parser would reject."""
+    if value is None and action.default is None and not action.required:
+        return None
+    if action.nargs == 0:  # a store_true flag
+        if isinstance(value, bool):
+            return value
+        raise ValueError(f"manifest key {key!r}: expected true or false, got {value!r}")
+    if action.dest == "grid" and isinstance(value, list):  # _grid also takes a list
+        try:
+            [float(x) for x in value]
+        except (TypeError, ValueError):
+            raise ValueError(f"manifest key {key!r}: invalid grid {value!r}") from None
+        return value
+    kind = f"{action.type.__name__} " if action.type else ""
+    invalid = ValueError(f"manifest key {key!r}: invalid {kind}value: {value!r}")
+    if isinstance(value, (bool, list, dict)):  # no command-line text parses to these
+        raise invalid
+    try:
+        converted = action.type(str(value)) if action.type else str(value)
+    except ValueError:
+        raise invalid from None
+    if action.choices is not None and converted not in action.choices:
+        raise ValueError(f"manifest key {key!r}: invalid choice: {value!r}")
+    return converted
+
+
 def _apply_manifest(args: argparse.Namespace) -> dict:
-    """Merge a manifest file over parsed flags; returns the effective manifest."""
+    """Merge a manifest file over parsed flags; returns the effective manifest.
+
+    Each value goes through its flag's type and choices, as on the command
+    line."""
     if getattr(args, "manifest", None):
         overrides = json.loads(Path(args.manifest).read_text())
         if not isinstance(overrides, dict):
@@ -66,13 +103,16 @@ def _apply_manifest(args: argparse.Namespace) -> dict:
         # Only the subcommand's own flags; any other key would be echoed into
         # the output as if it had taken effect.
         known = set(vars(args)) - {"func", "manifest", "out"}
+        actions = _command_actions(args.command)
         for key, value in overrides.items():
             dest = key.replace("-", "_")
             if dest not in known:
                 raise ValueError(f"unknown manifest key {key!r}")
-            if dest == "command" and value != args.command:
-                raise ValueError(f"manifest is for {value!r}, not {args.command!r}")
-            setattr(args, dest, value)
+            if dest == "command":
+                if value != args.command:
+                    raise ValueError(f"manifest is for {value!r}, not {args.command!r}")
+                continue
+            setattr(args, dest, _manifest_value(key, actions[dest], value))
     # The destination path is not an input to the computation; leaving it out
     # keeps reruns into different directories byte-identical.
     manifest = {

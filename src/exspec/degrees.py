@@ -1,13 +1,16 @@
 """Degree-profile regularity: the Deg_m(d, delta) membership test and the
 near-constant-corner-degree event.
 
-Both tests share one kernel: for a vector w, a target value and a deviation
-scale delta, require |{i : |w_i - target| > k*delta}| <= scale * e^{-k^2}
-for every natural k. The membership test uses scale = m and target = d; the
-corner event uses scale = n (the parent dimension) and target = d/2. The
-quantifier over all k is truncated at the first k with scale * e^{-k^2} < 1,
-where the condition degenerates to "no exceedances at all" and stays
-satisfied for every larger k because the exceedance sets shrink.
+Both tests share one kernel, ``exceedance_rows``: for a vector w, a target
+value and a deviation scale delta, require
+|{i : |w_i - target| > k*delta}| <= scale * e^{-k^2} for every natural k.
+The membership test uses scale = m and target = d; the corner event uses
+scale = n (the parent dimension) and target = d/2. The quantifier over all
+k is truncated at the first k with scale * e^{-k^2} < 1, where the
+condition degenerates to "no exceedances at all" and stays satisfied for
+every larger k because the exceedance sets shrink. The kernel tests every
+row of a matrix at once, so a stack of corners is tested in one call; the
+one-profile functions are that call on a single row.
 """
 
 import math
@@ -15,14 +18,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CornerMatrix, column_sums, row_sums
+from .core import CornerMatrix
 
 __all__ = [
     "RegularityParams",
     "DegreeProfile",
     "deg_membership",
+    "membership_rows",
     "corner_degree_event",
+    "corner_degree_events",
     "exceedance_profile_ok",
+    "exceedance_rows",
 ]
 
 
@@ -67,17 +73,48 @@ class DegreeProfile:
         return self.u.size
 
 
+def exceedance_rows(W: np.ndarray, target: float, delta: float, scale: float):
+    """The truncated all-k exceedance test on each row of W.
+
+    Returns (ok, worst_k, k_max), one entry per row: worst_k is the first
+    failing k (0 for a passing row), and k_max is the k the test stopped at.
+    """
+    limits = [scale * math.exp(-1)]  # scale * e^{-k^2} for k = 1, 2, ...
+    while limits[-1] >= 1.0:
+        limits.append(scale * math.exp(-(len(limits) + 1) ** 2))
+    dev = np.abs(np.asarray(W, dtype=np.float64) - target)
+    ks = np.arange(1, len(limits) + 1)
+    failed = (dev[:, :, None] > ks * delta).sum(axis=1) > np.array(limits)
+    ok = ~failed.any(axis=1)
+    worst_k = np.where(ok, 0, failed.argmax(axis=1) + 1)
+    return ok, worst_k, np.where(ok, len(limits), worst_k)
+
+
 def exceedance_profile_ok(w: np.ndarray, target: float, delta: float, scale: float):
     """Returns (ok, worst_k, k_max) for the truncated all-k exceedance test."""
-    dev = np.abs(np.asarray(w, dtype=np.float64) - target)
-    k = 1
-    while True:
-        threshold = scale * math.exp(-k * k)
-        if np.count_nonzero(dev > k * delta) > threshold:
-            return False, k, k
-        if threshold < 1.0:
-            return True, 0, k
-        k += 1
+    ok, worst_k, k_max = exceedance_rows(np.asarray(w, dtype=np.float64)[None, :],
+                                         target, delta, scale)
+    return bool(ok[0]), int(worst_k[0]), int(k_max[0])
+
+
+def membership_rows(U: np.ndarray, V: np.ndarray, params: RegularityParams):
+    """deg_membership for the profiles (U[t], V[t]) of each row t.
+
+    Returns (member, worst_k, l1_gap, k_max), one entry per row.
+    """
+    U = np.asarray(U, dtype=np.float64)
+    V = np.asarray(V, dtype=np.float64)
+    rows, m = U.shape
+    l1_gap = np.abs(np.sum(np.abs(U), axis=1) - np.sum(np.abs(V), axis=1))
+    l1_ok = ~(l1_gap > 1e-8 * m * max(1.0, params.d))
+    ok, worst, k_max = exceedance_rows(np.concatenate([U, V]), params.d, params.delta, m)
+    ok_u, ok_v = ok[:rows], ok[rows:]
+    member = l1_ok & ok_u & ok_v
+    # The first failing k on either side; 0 for members and for an l1 gap.
+    first = np.minimum(np.where(ok_u, worst[rows:], worst[:rows]),
+                       np.where(ok_v, worst[:rows], worst[rows:]))
+    worst_k = np.where(member | ~l1_ok, 0, first)
+    return member, worst_k, l1_gap, np.maximum(k_max[:rows], k_max[rows:])
 
 
 def deg_membership(profile: DegreeProfile, params: RegularityParams) -> dict:
@@ -86,21 +123,19 @@ def deg_membership(profile: DegreeProfile, params: RegularityParams) -> dict:
     Requires ||u||_1 = ||v||_1 (relative tolerance, profiles come from
     floating-point matrices) and the exceedance condition on both u and v.
     """
-    m = profile.m
-    l1_u = float(np.sum(np.abs(profile.u)))
-    l1_v = float(np.sum(np.abs(profile.v)))
-    l1_gap = abs(l1_u - l1_v)
-    l1_tol = 1e-8 * m * max(1.0, params.d)
+    member, worst_k, l1_gap, k_max = membership_rows(profile.u[None, :], profile.v[None, :],
+                                                     params)
+    return {"member": bool(member[0]), "worst_k": int(worst_k[0]),
+            "l1_gap": float(l1_gap[0]), "k_max": int(k_max[0])}
 
-    ok_u, worst_u, kmax_u = exceedance_profile_ok(profile.u, params.d, params.delta, m)
-    ok_v, worst_v, kmax_v = exceedance_profile_ok(profile.v, params.d, params.delta, m)
-    k_max = max(kmax_u, kmax_v)
 
-    if l1_gap > l1_tol:
-        return {"member": False, "worst_k": 0, "l1_gap": l1_gap, "k_max": k_max}
-    member = ok_u and ok_v
-    worst_k = 0 if member else min(k for k in (worst_u, worst_v) if k > 0)
-    return {"member": member, "worst_k": worst_k, "l1_gap": l1_gap, "k_max": k_max}
+def corner_degree_events(T: np.ndarray, params: RegularityParams, n_parent: int) -> np.ndarray:
+    """corner_degree_event for each corner of a (trials, m, m) stack."""
+    A = np.abs(np.asarray(T, dtype=np.float64))
+    # Column sums u(T) and row sums v(T) of each corner, tested as rows at once.
+    ok = exceedance_rows(np.concatenate([A.sum(axis=1), A.sum(axis=2)]),
+                         params.d / 2.0, params.delta, n_parent)[0]
+    return ok[:len(A)] & ok[len(A):]
 
 
 def corner_degree_event(T: CornerMatrix, params: RegularityParams, n_parent: int) -> bool:
@@ -110,8 +145,5 @@ def corner_degree_event(T: CornerMatrix, params: RegularityParams, n_parent: int
     Note the asymmetry with deg_membership: the threshold scale is the
     parent dimension n and the target is d/2.
     """
-    u = column_sums(T)
-    v = row_sums(T)
-    ok_u, _, _ = exceedance_profile_ok(u, params.d / 2.0, params.delta, n_parent)
-    ok_v, _, _ = exceedance_profile_ok(v, params.d / 2.0, params.delta, n_parent)
-    return ok_u and ok_v
+    E = getattr(T, "entries", T)
+    return bool(corner_degree_events(np.asarray(E, dtype=np.float64)[None], params, n_parent)[0])

@@ -25,7 +25,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SingularSpectrum:
-    values: np.ndarray  # nonincreasing, >= 0
+    values: np.ndarray  # nonincreasing along the last axis, >= 0
 
 
 def _ent(M) -> np.ndarray:
@@ -33,7 +33,8 @@ def _ent(M) -> np.ndarray:
 
 
 def singular_values(M) -> SingularSpectrum:
-    """All singular values in nonincreasing order."""
+    """All singular values in nonincreasing order; one row per matrix for a
+    (count, rows, cols) stack, each bit-identical to that matrix's own SVD."""
     s = np.linalg.svd(_ent(M), compute_uv=False)
     s = np.clip(s, 0.0, None)
     return SingularSpectrum(values=s)

@@ -6,14 +6,21 @@ the strongest constant consistent with the data is reported. Assertion-style
 use (CI suites) should pass a conservative fixed c such as 0.01.
 
 All estimators are pure in (seed, trials): trial i derives its generator
-from (seed, i) alone, results are merged in index order, and output is
-identical at any worker count.
+from (seed, i) alone, and output is identical at any worker count.
 
-Ensembles that relabel a fixed base B (``spec.base is not None``) are never
-formed per trial. Relabelings preserve singular values and the multisets of
-row and column norms, so ||M||, s2(M) and the row/column l2 maxima are
-computed on B once per call; each trial gathers only the entries it reads
-from B through the drawn row and column permutations.
+The five estimators share one chunked engine, ``_run_trials``: trials are
+drawn in index order, each trial's corner (or M12 block) goes into a
+(chunk, rows, cols) stack, and each chunk gets one batched SVD and one
+row-wise degree test. A chunk holds at most CHUNK_FLOATS stacked floats and
+at least one trial; chunks, not trials, are spread over workers.
+
+||M|| is the same for every sample and is computed once per call: it is d
+for the doubly regular kinds (Schur test), and ||B|| for ensembles that
+relabel a fixed base B (``spec.base is not None``). Those are never formed
+per trial: relabelings preserve singular values and the multisets of row
+and column norms, so s2(M) and the row/column l2 maxima also come from B
+once per call, and each trial gathers only the entries it reads from B
+through the drawn row and column permutations.
 """
 
 import math
@@ -21,8 +28,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import CornerMatrix, SquareMatrix
-from .degrees import DegreeProfile, RegularityParams, corner_degree_event, deg_membership
+from . import spectra
+from .core import SquareMatrix
+from .degrees import RegularityParams, corner_degree_events, membership_rows
 from .ensembles import EnsembleSpec, relabeling, sample
 from .rng import parallel_map, stream
 from .spectra import second_singular, spectral_norm
@@ -118,6 +126,10 @@ class TailCurve:
         return "\n".join(lines) + "\n"
 
 
+# Stacked floats per chunk of trials (1 MiB, like subset.TABLE_ENTRIES).
+CHUNK_FLOATS = 2**17
+
+
 def _corner_of_relabeled(entries: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """Top-right corner of entries[np.ix_(rows, cols)] without forming it."""
     n = entries.shape[0]
@@ -136,22 +148,64 @@ def _draw(spec: EnsembleSpec, i: int):
     return sample(spec, i).entries, idx, idx
 
 
-def _whole(spec: EnsembleSpec, stat):
-    """fn(entries) -> stat of the sample that _draw returned entries for.
+def _run_trials(trials: int, draw, cuts, finish, seed=None) -> list:
+    """Per-trial columns of a Monte Carlo estimator, computed chunk by chunk.
 
-    ``stat`` must be invariant under row and column permutations; for a
-    relabeled base it is then evaluated on the base once.
+    ``draw(i)`` returns trial i as (entries, rows, cols), standing for
+    entries[np.ix_(rows, cols)]; with a ``seed`` it is first relabeled by an
+    independent sigma from stream(seed, i). Each (shape, cut) in ``cuts``
+    fills one (chunk, *shape) stack with cut(entries, rows, cols) per trial,
+    and ``finish(*stacks)`` turns a chunk's stacks into a tuple of per-trial
+    arrays, which are concatenated in trial order.
     """
-    if spec.base is None:
-        return stat
-    value = stat(spec.base.entries)
-    return lambda entries: value
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    size = max(1, CHUNK_FLOATS // max(1, sum(math.prod(shape) for shape, _ in cuts)))
+
+    def chunk(k: int):
+        lo, hi = k * size, min(trials, (k + 1) * size)
+        stacks = [np.empty((hi - lo, *shape)) for shape, _ in cuts]
+        for j, i in enumerate(range(lo, hi)):
+            entries, rows, cols = draw(i)
+            if seed is not None:
+                s = stream(seed, i).permutation(rows.size)
+                rows, cols = rows[s], cols[s]
+            for stack, (_, cut) in zip(stacks, cuts):
+                stack[j] = cut(entries, rows, cols)
+        return finish(*stacks)
+
+    parts = parallel_map(chunk, -(-trials // size))
+    return [np.concatenate(column) for column in zip(*parts)]
+
+
+def _singular(stack: np.ndarray, index: int) -> np.ndarray:
+    """Singular value ``index`` of each matrix of a stack, 0.0 where a matrix
+    has fewer; equal to spectral_norm (0) or second_singular (1) of each."""
+    s = spectra.singular_values(stack).values
+    return s[:, index] if s.shape[1] > index else np.zeros(len(stack))
+
+
+def _norms(spec: EnsembleSpec, trials: int, thresholds):
+    """||M|| of each trial, and the thresholds, by default ||M|| itself: it is
+    one value for every sample, and so every decile."""
+    if spec.base is not None:
+        m_norm = spectral_norm(spec.base)
+    else:
+        m_norm = float(spec.d)  # Schur test: ||M|| <= sqrt(||M||_1 ||M||_inf) = d; M1 = d1.
+    thresholds = [m_norm] if thresholds is None else thresholds
+    return np.full(trials, m_norm), np.asarray(thresholds, dtype=np.float64)
 
 
 def _max_l2(entries: np.ndarray) -> float:
     """Largest row or column l2 norm."""
     return max(float(np.max(np.linalg.norm(entries, axis=1))),
                float(np.max(np.linalg.norm(entries, axis=0))))
+
+
+def _c_grid(c_grid) -> np.ndarray:
+    if c_grid is None:
+        return np.round(np.arange(0.01, 1.001, 0.01), 2)
+    return np.asarray(c_grid, dtype=np.float64)
 
 
 def _tail_probs(stat: np.ndarray, thresholds: np.ndarray):
@@ -165,9 +219,24 @@ def _tail_probs(stat: np.ndarray, thresholds: np.ndarray):
     return p, ci
 
 
-def _decile_thresholds(stat: np.ndarray) -> np.ndarray:
-    qs = np.quantile(stat, np.linspace(0.1, 0.9, 9))
-    return np.unique(qs)
+def _compare(left: np.ndarray, right: np.ndarray, thresholds: np.ndarray, c: float, c_grid):
+    """P{left >= tau} against (1/c) P{right >= c tau} at every threshold tau.
+
+    Returns the TailCurve columns p_left, ci_left, p_right, ci_right and
+    holds, and best_c: the largest grid constant at which the comparison
+    holds at every threshold.
+    """
+    p_left, ci_left = _tail_probs(left, thresholds)
+
+    def at(cc):
+        p_right, ci_right = _tail_probs(right, cc * thresholds)
+        return p_right, ci_right, p_left <= p_right / cc + ci_left + ci_right / cc
+
+    p_right, ci_right, holds = at(c)
+    best_c = max([0.0] + [float(cc) for cc in _c_grid(c_grid) if np.all(at(cc)[2])])
+    columns = {"p_left": p_left, "ci_left": ci_left, "p_right": p_right,
+               "ci_right": ci_right, "holds": holds}
+    return columns, best_c
 
 
 def corner_capture_fraction(M: SquareMatrix, trials: int, seed: int = 0, c_grid=None) -> dict:
@@ -181,22 +250,14 @@ def corner_capture_fraction(M: SquareMatrix, trials: int, seed: int = 0, c_grid=
         raise ValueError("the corner-capture statement assumes n >= 8")
     if np.any(np.diag(M.entries) != 0.0):
         raise ValueError("the corner-capture statement assumes zero diagonal")
-    if c_grid is None:
-        c_grid = np.round(np.arange(0.01, 1.001, 0.01), 2)
-    c_grid = np.asarray(c_grid, dtype=np.float64)
+    c_grid = _c_grid(c_grid)
     m_norm = spectral_norm(M)
-
-    def one(i: int) -> float:
-        s = stream(seed, i).permutation(M.n)
-        return spectral_norm(_corner_of_relabeled(M.entries, s, s))
-
-    t_norms = np.array(parallel_map(one, trials))
-    p_hat = np.empty(c_grid.size)
-    ci = np.empty(c_grid.size)
-    for i, c in enumerate(c_grid):
-        hits = int(np.count_nonzero(t_norms >= c * m_norm))
-        p_hat[i] = hits / trials
-        ci[i] = wilson_halfwidth(hits, trials)
+    m = M.n // 2
+    idx = np.arange(M.n)
+    (t_norms,) = _run_trials(trials, lambda i: (M.entries, idx, idx),
+                             [((m, m), _corner_of_relabeled)],
+                             lambda T: (_singular(T, 0),), seed=seed)
+    p_hat, ci = _tail_probs(t_norms, c_grid * m_norm)
     ok = p_hat >= c_grid - ci
     best_c = float(c_grid[ok][-1]) if np.any(ok) else 0.0
     return {
@@ -229,50 +290,25 @@ def norm_tail_curve(
     if not 0 < c <= 1:
         raise ValueError("c must lie in (0, 1]")
     n = spec.n
-    norm_of = _whole(spec, spectral_norm)
+    m = n // 2
 
-    def one(i: int):
+    def draw(i: int):
         entries, rows, cols = _draw(spec, i)
         # The sample's diagonal; a separate relabeling moves entries onto it.
         if np.any(entries[rows, cols] != 0.0):
             raise ValueError("the tail comparison assumes zero-diagonal samples")
-        s = stream(seed, i).permutation(n)
-        T = _corner_of_relabeled(entries, rows[s], cols[s])
-        ev = True
-        if event is not None:
-            ev = corner_degree_event(CornerMatrix(T, parent_n=n), event, n)
-        return norm_of(entries), spectral_norm(T), ev
+        return entries, rows, cols
 
-    rows = parallel_map(one, trials)
-    m_norms = np.array([r[0] for r in rows])
-    t_norms = np.array([r[1] for r in rows])
-    events = np.array([r[2] for r in rows], dtype=bool)
+    def finish(T):
+        met = np.ones(len(T), dtype=bool) if event is None else corner_degree_events(T, event, n)
+        return _singular(T, 0), met
 
-    if thresholds is None:
-        thresholds = _decile_thresholds(m_norms)
-    thresholds = np.asarray(thresholds, dtype=np.float64)
-
-    p_left, ci_left = _tail_probs(m_norms, thresholds)
-    right_stat = np.where(events, t_norms, -np.inf)
-
-    def right_at(cc: float):
-        return _tail_probs(right_stat, cc * thresholds)
-
-    p_right, ci_right = right_at(c)
-    holds = p_left <= p_right / c + ci_left + ci_right / c
-
-    if c_grid is None:
-        c_grid = np.round(np.arange(0.01, 1.001, 0.01), 2)
-    best_c = 0.0
-    for cc in np.asarray(c_grid, dtype=np.float64):
-        pr, cir = right_at(cc)
-        if np.all(p_left <= pr / cc + ci_left + cir / cc):
-            best_c = max(best_c, float(cc))
-
+    t_norms, events = _run_trials(trials, draw, [((m, m), _corner_of_relabeled)], finish,
+                                  seed=seed)
+    m_norms, thresholds = _norms(spec, trials, thresholds)
+    columns, best_c = _compare(m_norms, np.where(events, t_norms, -np.inf), thresholds, c, c_grid)
     return TailCurve(
-        thresholds=thresholds, p_left=p_left, p_right=p_right,
-        ci_left=ci_left, ci_right=ci_right, trials=trials, seed=seed, c=c,
-        holds=holds,
+        thresholds=thresholds, **columns, trials=trials, seed=seed, c=c,
         meta={
             "comparison": "norm_vs_corner",
             "event": "trivial" if event is None else
@@ -292,26 +328,14 @@ def block_bound_curve(
     if spec.n < 2:
         raise ValueError("block decomposition requires n >= 2")
     m = spec.n // 2
-    norm_of = _whole(spec, spectral_norm)
-
-    def one(i: int):
-        entries, rows, cols = _draw(spec, i)
-        return norm_of(entries), spectral_norm(entries[np.ix_(rows[:m], cols[m:])])
-
-    rows = parallel_map(one, trials)
-    m_norms = np.array([r[0] for r in rows])
-    b_norms = np.array([r[1] for r in rows])
-    if thresholds is None:
-        thresholds = _decile_thresholds(m_norms)
-    thresholds = np.asarray(thresholds, dtype=np.float64)
-    p_left, ci_left = _tail_probs(m_norms, thresholds)
-    p_right, ci_right = _tail_probs(b_norms, thresholds / 4.0)
-    holds = p_left <= 4.0 * p_right + ci_left + 4.0 * ci_right
-    return TailCurve(
-        thresholds=thresholds, p_left=p_left, p_right=p_right,
-        ci_left=ci_left, ci_right=ci_right, trials=trials, seed=seed, c=0.25,
-        holds=holds, meta={"comparison": "four_block_triangle"},
-    )
+    (b_norms,) = _run_trials(trials, lambda i: _draw(spec, i),
+                             [((m, spec.n - m), lambda e, r, c: e[np.ix_(r[:m], c[m:])])],
+                             lambda B: (_singular(B, 0),))
+    m_norms, thresholds = _norms(spec, trials, thresholds)
+    # The norm comparison at c = 1/4, with no constant sweep.
+    columns, _ = _compare(m_norms, b_norms, thresholds, 0.25, c_grid=[])
+    return TailCurve(thresholds=thresholds, **columns, trials=trials, seed=seed, c=0.25,
+                     meta={"comparison": "four_block_triangle"})
 
 
 def corner_degree_event_frequency(
@@ -328,23 +352,19 @@ def corner_degree_event_frequency(
     configured C.
     """
     n = spec.n
-    l2_of = _whole(spec, _max_l2)
-
-    def one(i: int):
-        entries, rows, cols = _draw(spec, i)
-        s = stream(seed, i).permutation(n)
-        T = CornerMatrix(_corner_of_relabeled(entries, rows[s], cols[s]), parent_n=n)
-        ev = corner_degree_event(T, params, n)
-        hyp = hyp_C * l2_of(entries) <= params.delta
-        return ev, hyp
-
-    rows = parallel_map(one, trials)
-    hits = sum(1 for r in rows if r[0])
-    hyp_frac = sum(1 for r in rows if r[1]) / trials
+    m = n // 2
+    l2 = None if spec.base is None else _max_l2(spec.base.entries)
+    events, hyp = _run_trials(
+        trials, lambda i: _draw(spec, i),
+        [((m, m), _corner_of_relabeled),
+         ((), lambda e, r, c: _max_l2(e) if l2 is None else l2)],
+        lambda T, l2s: (corner_degree_events(T, params, n), hyp_C * l2s <= params.delta),
+        seed=seed)
+    hits = int(np.count_nonzero(events))
     return {
         "p_E": hits / trials,
         "ci": wilson_halfwidth(hits, trials),
-        "hypothesis_fraction": hyp_frac,
+        "hypothesis_fraction": int(np.count_nonzero(hyp)) / trials,
         "trials": trials,
         "seed": seed,
     }
@@ -370,43 +390,24 @@ def s2_tail_curve(
     d/sqrt(ln n) >= C delta is evaluated and reported, not enforced.
     """
     n = spec.n
+    m = n // 2
     half = RegularityParams(d=params.d / 2.0, delta=params.delta)
-    s2_of = _whole(spec, second_singular)
+    cuts = [((m, m), _corner_of_relabeled)]
+    if spec.base is None:
+        cuts.append(((n, n), lambda e, r, c: e))  # a per-sample draw is e itself
+    s2B = None if spec.base is None else second_singular(spec.base)
 
-    def one(i: int):
-        entries, rows, cols = _draw(spec, i)
-        T = _corner_of_relabeled(entries, rows, cols)
-        prof = DegreeProfile(np.abs(T).sum(axis=0), np.abs(T).sum(axis=1))
-        member = deg_membership(prof, half)["member"]
-        return s2_of(entries), second_singular(T), member
+    def finish(T, A=None):
+        s2A = np.full(len(T), s2B) if A is None else _singular(A, 1)
+        absT = np.abs(T)
+        member = membership_rows(absT.sum(axis=1), absT.sum(axis=2), half)[0]
+        return s2A, _singular(T, 1), member
 
-    rows = parallel_map(one, trials)
-    s2A = np.array([r[0] for r in rows])
-    s2T = np.array([r[1] for r in rows])
-    members = np.array([r[2] for r in rows], dtype=bool)
-
+    s2A, s2T, members = _run_trials(trials, lambda i: _draw(spec, i), cuts, finish)
     thresholds = np.asarray(L_grid, dtype=np.float64) * params.delta
-    p_left, ci_left = _tail_probs(s2A, thresholds)
-    right_stat = np.where(members, s2T, -np.inf)
-
-    def right_at(cc: float):
-        return _tail_probs(right_stat, cc * thresholds)
-
-    p_right, ci_right = right_at(c)
-    holds = p_left <= p_right / c + ci_left + ci_right / c
-
-    if c_grid is None:
-        c_grid = np.round(np.arange(0.01, 1.001, 0.01), 2)
-    best_c = 0.0
-    for cc in np.asarray(c_grid, dtype=np.float64):
-        pr, cir = right_at(cc)
-        if np.all(p_left <= pr / cc + ci_left + cir / cc):
-            best_c = max(best_c, float(cc))
-
+    columns, best_c = _compare(s2A, np.where(members, s2T, -np.inf), thresholds, c, c_grid)
     return TailCurve(
-        thresholds=thresholds, p_left=p_left, p_right=p_right,
-        ci_left=ci_left, ci_right=ci_right, trials=trials, seed=seed, c=c,
-        holds=holds,
+        thresholds=thresholds, **columns, trials=trials, seed=seed, c=c,
         meta={
             "comparison": "second_singular_vs_corner",
             "d": params.d,

@@ -167,8 +167,10 @@ def test_criterion_07_norm_tail_comparison():
         spec, c=0.01, trials=10000, seed=108,
         event=RegularityParams(d=4.0, delta=2.0), c_grid=[0.01],
     )
+    # ||M|| = d for a doubly regular M, so its deciles are one threshold, d.
+    one_threshold = curve.thresholds.tolist() == [4.0]
     report("norm tail comparison with corner-degree event at every decile",
-           curve.all_hold(),
+           curve.all_hold() and one_threshold,
            f"{int(np.sum(curve.holds))}/{curve.holds.size} thresholds hold")
 
 

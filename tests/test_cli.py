@@ -151,7 +151,12 @@ def test_tail_usage_error_creates_no_out_dir(tmp_path, capsys):
         "corner-capture-grid": (["tail", "corner-capture", "--matrix", str(small),
                                  "--grid", "0.1"],
                                 "error: tail corner-capture takes no --grid\n"),
+        "no-trials": (["tail", "s2", "--n", "8", "--d", "2", "--delta", "1", "--trials", "0"],
+                      "error: trials must be >= 1\n"),
+        "negative-trials": (["tail", "corner-capture", "--matrix", str(tmp_path / "m8.csv"),
+                             "--trials", "-3"], "error: trials must be >= 1\n"),
     }
+    (tmp_path / "m8.csv").write_text(matrix_to_csv(SquareMatrix(np.ones((8, 8)) - np.eye(8))))
     for name, (args, message) in cases.items():
         out = tmp_path / name
         code, _, err = run_cli(args + ["--out", str(out)], capsys)
@@ -298,3 +303,47 @@ def test_gen_regular_digraph_without_room_is_usage_error(tmp_path, capsys):
     assert code == 2
     assert err.startswith("error: could not place 8 disjoint derangements")
     assert len(err.splitlines()) == 1
+
+
+def test_manifest_values_go_through_the_flag_types(tmp_path, capsys):
+    mf = tmp_path / "manifest.json"
+    accepted = [
+        (["gen", "--d", "2"], {"n": "12"}, "n", 12),
+        (["tail", "norm", "--n", "12", "--d", "2", "--zero-diagonal"], {"trials": "20"},
+         "trials", 20),
+        (["tail", "norm", "--n", "12", "--d", "2", "--zero-diagonal", "--trials", "20"],
+         {"c": 1}, "c", 1.0),
+        (["tail", "norm", "--n", "12", "--d", "2", "--zero-diagonal", "--trials", "20"],
+         {"grid": [1, 2.5]}, "grid", [1, 2.5]),
+    ]
+    for i, (args, manifest, key, value) in enumerate(accepted):
+        mf.write_text(json.dumps(manifest))
+        out = tmp_path / f"ok{i}"
+        code, stdout, err = run_cli(args + ["--manifest", str(mf), "--out", str(out)], capsys)
+        assert code in (0, 1) and err == ""
+        echoed = json.loads((out / ("manifest.json" if args[0] == "gen" else "curve.json"))
+                            .read_text())
+        echoed = echoed.get("manifest", echoed)
+        assert echoed[key] == value and type(echoed[key]) is type(value)
+    rejected = [
+        (["gen"], {"n": "twelve"}, "error: manifest key 'n': invalid int value: 'twelve'\n"),
+        (["gen"], {"n": 12.5}, "error: manifest key 'n': invalid int value: 12.5\n"),
+        (["gen"], {"count": True}, "error: manifest key 'count': invalid int value: True\n"),
+        (["gen"], {"format": "xml"}, "error: manifest key 'format': invalid choice: 'xml'\n"),
+        (["tail", "norm"], {"trials": "50x"},
+         "error: manifest key 'trials': invalid int value: '50x'\n"),
+        (["tail", "norm"], {"zero_diagonal": "yes"},
+         "error: manifest key 'zero_diagonal': expected true or false, got 'yes'\n"),
+        (["tail", "norm"], {"grid": [1, "x"]},
+         "error: manifest key 'grid': invalid grid [1, 'x']\n"),
+        (["tail", "norm"], {"base": ["a.csv"]},
+         "error: manifest key 'base': invalid value: ['a.csv']\n"),
+        (["tail", "norm"], {"comparison": None},
+         "error: manifest key 'comparison': invalid choice: None\n"),
+    ]
+    for i, (args, manifest, message) in enumerate(rejected):
+        mf.write_text(json.dumps(manifest))
+        out = tmp_path / f"bad{i}"
+        code, stdout, err = run_cli(args + ["--manifest", str(mf), "--out", str(out)], capsys)
+        assert (code, stdout, err) == (2, "", message)
+        assert not out.exists()

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -6,8 +8,11 @@ from exspec.degrees import (
     DegreeProfile,
     RegularityParams,
     corner_degree_event,
+    corner_degree_events,
     deg_membership,
     exceedance_profile_ok,
+    exceedance_rows,
+    membership_rows,
 )
 from exspec.rng import stream
 
@@ -120,3 +125,53 @@ def test_ratio_hypothesis():
     p = RegularityParams(d=10.0, delta=0.5)
     assert p.ratio_hypothesis_ok(100, C=2.0)
     assert not p.ratio_hypothesis_ok(100, C=100.0)
+
+
+def _scalar_exceedance(w, target, delta, scale):
+    """The one-vector exceedance loop the row-wise kernel replaced."""
+    dev = np.abs(w - target)
+    k = 1
+    while True:
+        threshold = scale * math.exp(-k * k)
+        if np.count_nonzero(dev > k * delta) > threshold:
+            return False, k, k
+        if threshold < 1.0:
+            return True, 0, k
+        k += 1
+
+
+def test_row_wise_kernels_match_the_one_vector_definitions():
+    rng = stream(45)
+    for _ in range(40):
+        rows, m = int(rng.integers(1, 30)), int(rng.integers(1, 25))
+        d = float(rng.uniform(1.0, 6.0))
+        delta = float(rng.uniform(0.05, 2.0))
+        scale = float(rng.choice([m, 2 * m, 0.5]))
+        W = d + rng.normal(0.0, float(rng.uniform(0.1, 3.0)), size=(rows, m))
+        ok, worst_k, k_max = exceedance_rows(W, d, delta, scale)
+        assert [(bool(a), int(b), int(c)) for a, b, c in zip(ok, worst_k, k_max)] == [
+            _scalar_exceedance(w, d, delta, scale) for w in W]
+
+        U = np.abs(W)
+        V = np.abs(W[:, ::-1]) * rng.choice([1.0, 1.0 + 1e-6], size=(rows, 1))
+        params = RegularityParams(d=d, delta=delta)
+        member, worst_k, l1_gap, k_max = membership_rows(U, V, params)
+        for t in range(rows):
+            ok_u, worst_u, kmax_u = _scalar_exceedance(U[t], d, delta, m)
+            ok_v, worst_v, kmax_v = _scalar_exceedance(V[t], d, delta, m)
+            gap = abs(float(np.sum(U[t])) - float(np.sum(V[t])))
+            expect = ok_u and ok_v and not gap > 1e-8 * m * max(1.0, d)
+            worst = 0 if expect or gap > 1e-8 * m * max(1.0, d) else min(
+                k for k in (worst_u, worst_v) if k > 0)
+            assert (member[t], worst_k[t], l1_gap[t], k_max[t]) == (
+                expect, worst, gap, max(kmax_u, kmax_v))
+            assert deg_membership(DegreeProfile(U[t], V[t]), params) == {
+                "member": expect, "worst_k": worst, "l1_gap": gap, "k_max": max(kmax_u, kmax_v)}
+
+        T = rng.uniform(0.0, 2.0, size=(rows, m, m))
+        n = 2 * m + int(rng.integers(0, 2))
+        events = corner_degree_events(T, params, n)
+        assert events.tolist() == [corner_degree_event(CornerMatrix(t), params, n) for t in T]
+        assert events.tolist() == [
+            _scalar_exceedance(t.sum(axis=0), d / 2, delta, n)[0]
+            and _scalar_exceedance(t.sum(axis=1), d / 2, delta, n)[0] for t in T]

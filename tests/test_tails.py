@@ -3,9 +3,11 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from exspec.core import SquareMatrix, block_decompose
-from exspec.degrees import DegreeProfile, RegularityParams, deg_membership
+from exspec.core import CornerMatrix, SquareMatrix, block_decompose
+from exspec.degrees import DegreeProfile, RegularityParams, corner_degree_event, deg_membership
 from exspec.ensembles import EnsembleSpec, relabeling, sample
 from exspec.rng import stream, worker_count
 from exspec.spectra import second_singular, spectral_norm
@@ -314,3 +316,140 @@ def test_norm_tail_curve_relabeled_base_has_one_threshold():
     curve = norm_tail_curve(spec, c=0.1, trials=50, seed=97)
     assert curve.thresholds.tolist() == [spectral_norm(base)]
     assert curve.p_left.tolist() == [1.0]
+
+
+# --- the chunked engine against a per-trial reference -------------------------
+
+def _reference_columns(spec, seed, trials, event, half, hyp_C, delta):
+    """Per-trial statistics from whole samples, one trial at a time."""
+    n, m = spec.n, spec.n // 2
+    cols = {k: [] for k in ("t", "ev", "s2A", "s2T", "member", "block", "hyp")}
+    for i in range(trials):
+        A = sample(spec, i).entries
+        s = stream(seed, i).permutation(n)
+        T = A[np.ix_(s, s)][:m, n - m:]
+        cols["t"].append(spectral_norm(T))
+        cols["ev"].append(corner_degree_event(CornerMatrix(T, parent_n=n), event, n))
+        C = A[:m, n - m:]
+        cols["s2A"].append(second_singular(A))
+        cols["s2T"].append(second_singular(C))
+        prof = DegreeProfile(np.abs(C).sum(axis=0), np.abs(C).sum(axis=1))
+        cols["member"].append(deg_membership(prof, half)["member"])
+        cols["block"].append(spectral_norm(A[:m, m:]))
+        cols["hyp"].append(hyp_C * max(np.linalg.norm(A, axis=1).max(),
+                                       np.linalg.norm(A, axis=0).max()) <= delta)
+    return {k: np.array(v) for k, v in cols.items()}
+
+
+def _engine_specs(n):
+    """(spec, d, delta) with d and delta chosen so that, over the trials of
+    the reference test, both the corner event and membership are mixed."""
+    E = stream(200 + n).normal(size=(n, n))
+    np.fill_diagonal(E, 0.0)
+    base = SquareMatrix(E, zero_diagonal=True)
+    return [
+        (EnsembleSpec(kind="permuted_base", n=n, seed=201, base=base), 4.0, 1.5),
+        (EnsembleSpec(kind="separately_exchangeable", n=n, seed=202,
+                      base=SquareMatrix(stream(203).normal(size=(n, n)))), 4.0, 1.5),
+        (EnsembleSpec(kind="perm_sum_regular", n=n, d=3, zero_diagonal=True, seed=204),
+         2.5, 0.8),
+        (EnsembleSpec(kind="regular_digraph", n=n, d=3, seed=205), 2.5, 0.8),
+    ]
+
+
+@pytest.mark.parametrize("cap", [1, 100, None])
+def test_engine_matches_per_trial_reference(monkeypatch, cap):
+    from exspec import tails
+
+    n = 9  # odd: the M12 block is 4 x 5
+    if cap is not None:  # 1: one matrix per chunk; 100: a partial last chunk
+        monkeypatch.setattr(tails, "CHUNK_FLOATS", cap)
+    # The columns passed to _tail_probs, merged in trial order at any worker count.
+    stats = []
+    real_tail_probs = tails._tail_probs
+    monkeypatch.setattr(tails, "_tail_probs",
+                        lambda stat, thr: stats.append(stat.copy()) or real_tail_probs(stat, thr))
+    trials, seed, hyp_C = 23, 206, 0.5
+    for spec, d, delta in _engine_specs(n):
+        event = RegularityParams(d=d, delta=delta)
+        half = RegularityParams(d=d / 2.0, delta=delta)
+        ref = _reference_columns(spec, seed, trials, event, half, hyp_C, delta)
+        assert 0 < ref["ev"].mean() < 1 and 0 < ref["member"].mean() < 1
+        ev_stat = np.where(ref["ev"], ref["t"], -np.inf)
+        m_norm = float(spec.d) if spec.base is None else spectral_norm(spec.base)
+
+        if spec.kind != "separately_exchangeable":  # only zero-diagonal samples
+            thresholds = np.quantile(ref["t"], [0.2, 0.5, 0.8])
+            for ev, right in ((None, ref["t"]), (event, ev_stat)):
+                stats.clear()
+                curve = norm_tail_curve(spec, c=1.0, trials=trials, seed=seed,
+                                        thresholds=thresholds, event=ev, c_grid=[0.5, 1.0])
+                assert stats[0].tobytes() == np.full(trials, m_norm).tobytes()
+                assert stats[1].tobytes() == right.tobytes()
+                p_right, ci_right = real_tail_probs(right, thresholds)
+                assert curve.p_right.tobytes() == p_right.tobytes()
+                assert curve.ci_right.tobytes() == ci_right.tobytes()
+
+        stats.clear()
+        curve = block_bound_curve(spec, trials=trials, seed=seed,
+                                  thresholds=4.0 * np.quantile(ref["block"], [0.2, 0.5, 0.8]))
+        assert stats[1].tobytes() == ref["block"].tobytes()
+        p_right, ci_right = real_tail_probs(ref["block"], curve.thresholds / 4.0)
+        assert curve.p_right.tobytes() == p_right.tobytes()
+        assert curve.ci_right.tobytes() == ci_right.tobytes()
+
+        # Its per-trial events are those of the norm comparison's right column.
+        res = corner_degree_event_frequency(spec, event, trials=trials, seed=seed, hyp_C=hyp_C)
+        hits = int(np.count_nonzero(ref["ev"]))
+        assert (res["p_E"], res["ci"]) == (hits / trials, wilson_halfwidth(hits, trials))
+        assert res["hypothesis_fraction"] == float(np.mean(ref["hyp"]))
+
+        stats.clear()
+        L_grid = np.quantile(ref["s2T"], [0.2, 0.5, 0.8]) / delta
+        curve = s2_tail_curve(spec, event, L_grid, trials=trials, seed=seed, c=1.0)
+        s2A = ref["s2A"] if spec.base is None else np.full(trials, second_singular(spec.base))
+        right = np.where(ref["member"], ref["s2T"], -np.inf)
+        assert stats[0].tobytes() == s2A.tobytes()
+        assert stats[1].tobytes() == right.tobytes()
+        p_left, ci_left = real_tail_probs(s2A, curve.thresholds)
+        p_right, ci_right = real_tail_probs(right, curve.thresholds)
+        assert curve.p_left.tobytes() == p_left.tobytes()
+        assert curve.ci_left.tobytes() == ci_left.tobytes()
+        assert curve.p_right.tobytes() == p_right.tobytes()
+        assert curve.ci_right.tobytes() == ci_right.tobytes()
+        assert curve.meta["member_fraction"] == float(np.mean(ref["member"]))
+
+    M = _engine_specs(n)[0][0].base
+    res = corner_capture_fraction(M, trials=trials, seed=seed, c_grid=[0.3, 0.5, 0.7])
+    ref_t = []
+    for i in range(trials):
+        s = stream(seed, i).permutation(n)
+        ref_t.append(spectral_norm(M.entries[np.ix_(s, s)][: n // 2, n - n // 2:]))
+    ref_t = np.array(ref_t)
+    assert res["corner_norms"].tobytes() == ref_t.tobytes()
+    p_hat, ci = real_tail_probs(ref_t, np.array([0.3, 0.5, 0.7]) * spectral_norm(M))
+    assert res["p_hat"].tobytes() == p_hat.tobytes()
+    assert res["ci"].tobytes() == ci.tobytes()
+
+
+# --- ||M|| = d for the doubly regular kinds ---------------------------------
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(["perm_sum_regular", "regular_digraph"]), st.integers(2, 24),
+       st.integers(1, 12), st.booleans(), st.integers(0, 10**6), st.integers(0, 50))
+def test_regular_sample_norm_is_d(kind, n, d, zero_diagonal, seed, index):
+    # Schur test: ||M|| <= sqrt(||M||_1 ||M||_inf) = d, and M1 = d1.
+    # regular_digraph places edge-disjoint derangements by rejection; keep d
+    # small enough that its rejection cap is never reached.
+    d = min(d, max(1, n // 2 if kind == "perm_sum_regular" else min(n // 4, 4)))
+    spec = EnsembleSpec(kind=kind, n=n, d=d, zero_diagonal=zero_diagonal, seed=seed)
+    assert abs(spectral_norm(sample(spec, index)) - d) <= 1e-12 * d
+
+
+@pytest.mark.parametrize("kind", ["perm_sum_regular", "regular_digraph"])
+def test_regular_kinds_have_one_threshold_d(kind):
+    spec = EnsembleSpec(kind=kind, n=16, d=3, zero_diagonal=True, seed=98)
+    for curve in (norm_tail_curve(spec, c=0.1, trials=40, seed=99),
+                  block_bound_curve(spec, trials=40, seed=99)):
+        assert curve.thresholds.tolist() == [3.0]
+        assert curve.p_left.tolist() == [1.0]
