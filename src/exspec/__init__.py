@@ -13,7 +13,7 @@ from .core import (
     top_right_corner,
 )
 from .degrees import DegreeProfile, RegularityParams, corner_degree_event, deg_membership
-from .ensembles import EnsembleSpec, sample, uniform_permutation
+from .ensembles import EnsembleSpec, sample
 from .scaling import ScalingReport, scaling_reduction, unit_margin_svd_facts
 from .spectra import (
     SingularSpectrum,
@@ -24,17 +24,8 @@ from .spectra import (
     singular_values,
     spectral_norm,
 )
-from .subset import (
-    SubsetMomentReport,
-    SubsetSumProblem,
-    anticoncentration_probability,
-    enumerate_exact,
-    fourth_moment_bound,
-    hoeffding_tail_check,
-    second_moment_exact,
-)
+from .subset import SubsetSumProblem, enumerate_exact, fourth_moment_bound, second_moment_exact
 from .tails import (
-    ConstantEstimate,
     TailCurve,
     block_bound_curve,
     corner_capture_fraction,

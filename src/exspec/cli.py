@@ -8,14 +8,15 @@ Commands:
 
 Every command is a pure function of its effective manifest: flags fill in
 defaults, a --manifest file overrides flags, and the effective manifest is
-echoed into the output. Reruns produce byte-identical files at any value of
-EXSPEC_THREADS.
+echoed into the output. Reruns produce byte-identical files. Trials run
+serially; the EXSPEC_THREADS environment variable has no effect.
 
 Exit codes: 0 ok, 1 assertion/suite failure, 2 usage, 3 I/O.
 """
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -126,8 +127,12 @@ def _grid(text):
     if text is None:
         return None
     if isinstance(text, (list, tuple)):
-        return [float(x) for x in text]
-    return [float(tok) for tok in str(text).split(",") if tok.strip()]
+        grid = [float(x) for x in text]
+    else:
+        grid = [float(tok) for tok in str(text).split(",") if tok.strip()]
+    if not grid or not all(math.isfinite(x) for x in grid):
+        raise ValueError(f"--grid must be one or more finite numbers, got {text!r}")
+    return grid
 
 
 def _build_spec(args) -> EnsembleSpec:
@@ -146,6 +151,8 @@ def _build_spec(args) -> EnsembleSpec:
 
 def cmd_gen(args) -> int:
     manifest = _apply_manifest(args)
+    if args.count < 1:
+        raise ValueError("count must be >= 1")
     try:
         spec = _build_spec(args)
     except ValueError as e:
@@ -171,6 +178,8 @@ def cmd_gen(args) -> int:
 
 def cmd_analyze(args) -> int:
     manifest = _apply_manifest(args)
+    if args.delta is not None and args.d is None:
+        raise ValueError("analyze --delta requires --d")
     M = _load_matrix(args.matrix)
     u = column_sums(M)
     v = row_sums(M)

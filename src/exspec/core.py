@@ -19,6 +19,7 @@ __all__ = [
     "apply_permutation",
     "top_right_corner",
     "block_decompose",
+    "as_entries",
     "column_sums",
     "row_sums",
     "matrix_to_json",
@@ -141,18 +142,19 @@ def block_decompose(M: SquareMatrix):
     return a[:m, :m], a[:m, m:], a[m:, :m], a[m:, m:]
 
 
-def _entries(M) -> np.ndarray:
+def as_entries(M) -> np.ndarray:
+    """The entries of a SquareMatrix or CornerMatrix; any other array as float64."""
     return M.entries if hasattr(M, "entries") else np.asarray(M, dtype=np.float64)
 
 
 def column_sums(M) -> np.ndarray:
     """u_i = l1 norm of column i (plain sum for nonnegative matrices)."""
-    return np.abs(_entries(M)).sum(axis=0)
+    return np.abs(as_entries(M)).sum(axis=0)
 
 
 def row_sums(M) -> np.ndarray:
     """v_i = l1 norm of row i."""
-    return np.abs(_entries(M)).sum(axis=1)
+    return np.abs(as_entries(M)).sum(axis=1)
 
 
 # --- serialization -------------------------------------------------------

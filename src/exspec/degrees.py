@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CornerMatrix
+from .core import CornerMatrix, as_entries
 
 __all__ = [
     "RegularityParams",
@@ -27,7 +27,6 @@ __all__ = [
     "membership_rows",
     "corner_degree_event",
     "corner_degree_events",
-    "exceedance_profile_ok",
     "exceedance_rows",
 ]
 
@@ -90,13 +89,6 @@ def exceedance_rows(W: np.ndarray, target: float, delta: float, scale: float):
     return ok, worst_k, np.where(ok, len(limits), worst_k)
 
 
-def exceedance_profile_ok(w: np.ndarray, target: float, delta: float, scale: float):
-    """Returns (ok, worst_k, k_max) for the truncated all-k exceedance test."""
-    ok, worst_k, k_max = exceedance_rows(np.asarray(w, dtype=np.float64)[None, :],
-                                         target, delta, scale)
-    return bool(ok[0]), int(worst_k[0]), int(k_max[0])
-
-
 def membership_rows(U: np.ndarray, V: np.ndarray, params: RegularityParams):
     """deg_membership for the profiles (U[t], V[t]) of each row t.
 
@@ -145,5 +137,4 @@ def corner_degree_event(T: CornerMatrix, params: RegularityParams, n_parent: int
     Note the asymmetry with deg_membership: the threshold scale is the
     parent dimension n and the target is d/2.
     """
-    E = getattr(T, "entries", T)
-    return bool(corner_degree_events(np.asarray(E, dtype=np.float64)[None], params, n_parent)[0])
+    return bool(corner_degree_events(as_entries(T)[None], params, n_parent)[0])

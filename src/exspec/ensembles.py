@@ -1,7 +1,7 @@
 """Seeded generators for the matrix models the comparisons quantify over.
 
 All generators are pure in (spec.seed, index): sampling the same index
-twice gives the same matrix, and trials can be generated in parallel with
+twice gives the same matrix, and trials can be generated in any order with
 no shared state.
 
 Kinds:
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Permutation, SquareMatrix, matrix_from_json, matrix_to_json
+from .core import SquareMatrix, matrix_from_json, matrix_to_json
 from .rng import stream
 
 __all__ = [
@@ -31,7 +31,6 @@ __all__ = [
     "KINDS",
     "sample",
     "relabeling",
-    "uniform_permutation",
     "random_derangement",
     "permutation_matrix",
 ]
@@ -92,13 +91,6 @@ class EnsembleSpec:
             seed=int(obj.get("seed", 0)),
             base=base,
         )
-
-
-def uniform_permutation(n: int, seed: int, index: int) -> Permutation:
-    """Uniform permutation of {1..n}, deterministic in (seed, index)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return Permutation(stream(seed, index).permutation(n))
 
 
 def random_derangement(n: int, rng: np.random.Generator) -> np.ndarray:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import column_sums, row_sums
+from .core import as_entries, column_sums, row_sums
 from .spectra import second_singular, singular_values, spectral_norm
 
 __all__ = [
@@ -54,10 +54,6 @@ class ScalingReport:
         }
 
 
-def _ent(M) -> np.ndarray:
-    return M.entries if hasattr(M, "entries") else np.asarray(M, dtype=np.float64)
-
-
 def rank_two_norm(y1, z1, y2, z2) -> float:
     """Spectral norm of y1 z1^t + y2 z2^t without forming the dense matrix."""
     Y = np.column_stack([y1, y2])
@@ -89,7 +85,7 @@ def unit_margin_svd_facts(A, u=None, v=None) -> dict:
     Checks that s1 of D_v^{-1/2} A D_u^{-1/2} is 1 and that sqrt(u), sqrt(v)
     are the corresponding right/left singular vectors (residuals returned).
     """
-    E = _ent(A)
+    E = as_entries(A)
     if u is None or v is None:
         u, v = _check_margins(E)
     u = np.asarray(u, dtype=np.float64)
@@ -119,7 +115,7 @@ def scaling_reduction(A, d: float, delta: float) -> ScalingReport:
     """
     if not (d > 0 and delta > 0):
         raise ValueError("d and delta must be positive")
-    E = _ent(A)
+    E = as_entries(A)
     m = E.shape[0]
     u, v = _check_margins(E)
     ones = np.ones(m)
@@ -185,7 +181,7 @@ def scaling_reduction(A, d: float, delta: float) -> ScalingReport:
 def fit_margins(base, u, v, tol: float = 1e-10, max_iter: int = 20_000) -> np.ndarray:
     """Iterative proportional fitting of a positive base matrix to the
     prescribed column sums u and row sums v (equal total mass required)."""
-    E = np.asarray(_ent(base), dtype=np.float64).copy()
+    E = as_entries(base).copy()
     u = np.asarray(u, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
     if np.any(E <= 0):

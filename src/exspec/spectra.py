@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SquareMatrix, column_sums, row_sums
+from .core import SquareMatrix, as_entries, column_sums, row_sums
 
 __all__ = [
     "SingularSpectrum",
@@ -28,14 +28,10 @@ class SingularSpectrum:
     values: np.ndarray  # nonincreasing along the last axis, >= 0
 
 
-def _ent(M) -> np.ndarray:
-    return M.entries if hasattr(M, "entries") else np.asarray(M, dtype=np.float64)
-
-
 def singular_values(M) -> SingularSpectrum:
     """All singular values in nonincreasing order; one row per matrix for a
     (count, rows, cols) stack, each bit-identical to that matrix's own SVD."""
-    s = np.linalg.svd(_ent(M), compute_uv=False)
+    s = np.linalg.svd(as_entries(M), compute_uv=False)
     s = np.clip(s, 0.0, None)
     return SingularSpectrum(values=s)
 
@@ -60,7 +56,7 @@ def s2_via_centering(A, d: float, tol: float = 1e-8) -> float:
     Requires all row and column sums to equal d (within tol * max(1, d));
     raises naming the first offending row or column otherwise.
     """
-    E = _ent(A)
+    E = as_entries(A)
     n = E.shape[0]
     atol = tol * max(1.0, abs(d))
     u = column_sums(E)
@@ -76,7 +72,7 @@ def s2_via_centering(A, d: float, tol: float = 1e-8) -> float:
 
 def centered_offdiag(A, d: float) -> SquareMatrix:
     """B = A - (d/n) 11^t minus its own diagonal; always zero-diagonal."""
-    E = _ent(A)
+    E = as_entries(A)
     n = E.shape[0]
     B = E - (d / n) * np.ones((n, n))
     np.fill_diagonal(B, 0.0)
@@ -84,7 +80,7 @@ def centered_offdiag(A, d: float) -> SquareMatrix:
 
 
 def spectral_radius(M) -> float:
-    return float(np.max(np.abs(np.linalg.eigvals(_ent(M)))))
+    return float(np.max(np.abs(np.linalg.eigvals(as_entries(M)))))
 
 
 def perron_check(M, x, tol: float = 1e-8) -> dict:
@@ -94,7 +90,7 @@ def perron_check(M, x, tol: float = 1e-8) -> dict:
     rho is estimated as the median of the componentwise ratios (Mx)_i/x_i,
     robust to one noisy coordinate; the residual test is authoritative.
     """
-    E = _ent(M)
+    E = as_entries(M)
     x = np.asarray(x, dtype=np.float64)
     if np.any(E < 0):
         raise ValueError("matrix must be entrywise nonnegative")

@@ -1,37 +1,26 @@
-"""Exact and empirical statistics of a sum over a uniform random k-subset.
+"""Exact statistics of a sum over a uniform random k-subset.
 
 Given reals a_1..a_m and a uniform random subset S of [m] with |S| = k,
 this module provides the closed-form second moment of sum_{i in S} a_i,
-a four-term upper bound on its fourth moment, a brute-force enumeration
-oracle, and seeded Monte Carlo estimators for anti-concentration and
-Hoeffding-type tails.
+a four-term upper bound on its fourth moment, and an oracle that computes
+moments, Hoeffding-type tails and anti-concentration probabilities exactly
+by enumerating every k-subset (up to ENUMERATION_CAP of them).
 """
 
 import functools
-import hashlib
 import itertools
-import json
 import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .rng import stream
-
 __all__ = [
     "SubsetSumProblem",
-    "SubsetMomentReport",
     "inclusion_probabilities",
     "second_moment_exact",
     "fourth_moment_bound",
-    "moment_report",
     "enumerate_exact",
-    "sample_k_subset",
-    "anticoncentration_probability",
-    "hoeffding_tail_check",
-    "anticonc_constant_sweep",
-    "report_json",
 ]
 
 ENUMERATION_CAP = 10**6
@@ -59,15 +48,6 @@ class SubsetSumProblem:
     @property
     def m(self) -> int:
         return self.a.size
-
-
-@dataclass(frozen=True)
-class SubsetMomentReport:
-    second_moment_exact: float
-    fourth_moment_bound: float
-    t_u: np.ndarray  # inclusion probabilities t_1..t_4
-    mean: float
-    fourth_moment_exact: float | None = None
 
 
 def inclusion_probabilities(p: SubsetSumProblem) -> np.ndarray:
@@ -108,19 +88,6 @@ def fourth_moment_bound(p: SubsetSumProblem) -> float:
     )
 
 
-def moment_report(p: SubsetSumProblem, enumerate_fourth: bool = False) -> SubsetMomentReport:
-    exact4 = None
-    if enumerate_fourth:
-        exact4 = enumerate_exact(p, "moment", 4)
-    return SubsetMomentReport(
-        second_moment_exact=second_moment_exact(p),
-        fourth_moment_bound=fourth_moment_bound(p),
-        t_u=inclusion_probabilities(p),
-        mean=(p.k / p.m) * float(np.sum(p.a)),
-        fourth_moment_exact=exact4,
-    )
-
-
 # Index entries (8 bytes each) in one table. A k-subset table up to this size
 # (1 MiB) is built once and cached; a larger one, up to 38 x 962598 entries
 # (279 MiB, for C(43,38)) under the cap, is built and summed block by block
@@ -152,7 +119,7 @@ def _subset_sums(p: SubsetSumProblem) -> np.ndarray:
     if count > ENUMERATION_CAP:
         raise ValueError(
             f"C({p.m},{p.k}) = {count} subsets exceed the enumeration cap "
-            f"({ENUMERATION_CAP}); use the Monte Carlo estimators instead"
+            f"({ENUMERATION_CAP}); choose a smaller m or k"
         )
     # Each row is reduced exactly as the 1-D a[list(comb)].sum() was.
     if count * p.k <= TABLE_ENTRIES:
@@ -190,97 +157,3 @@ def enumerate_exact(p: SubsetSumProblem, statistic: str, param: float | int | No
         thr = (param * p.k / p.m) * abs(float(np.sum(p.a)))
         return float(np.mean(np.abs(sums) >= thr))
     raise ValueError(f"unknown statistic {statistic!r}")
-
-
-def sample_k_subset(m: int, k: int, rng: np.random.Generator) -> np.ndarray:
-    """Uniform k-subset of {0..m-1} by partial Fisher-Yates."""
-    idx = np.arange(m)
-    for i in range(k):
-        j = i + int(rng.integers(m - i))
-        idx[i], idx[j] = idx[j], idx[i]
-    return idx[:k]
-
-
-def _ci_halfwidth(p_hat: float, trials: int) -> float:
-    # Normal-approx 95% with a 1/trials continuity floor at p in {0, 1}.
-    return max(1.959964 * math.sqrt(p_hat * (1.0 - p_hat) / trials), 1.0 / trials)
-
-
-def _mc_probability(p: SubsetSumProblem, event, trials: int, seed: int) -> tuple[float, float]:
-    hits = 0
-    for j in range(trials):
-        rng = stream(seed, j)
-        s = float(p.a[sample_k_subset(p.m, p.k, rng)].sum())
-        if event(s):
-            hits += 1
-    p_hat = hits / trials
-    return p_hat, _ci_halfwidth(p_hat, trials)
-
-
-def anticoncentration_probability(
-    p: SubsetSumProblem, c: float, trials: int, seed: int = 0
-) -> dict:
-    """Monte Carlo estimate of P{|sum_S| >= (c k/m)|sum a|}."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    if c <= 0:
-        raise ValueError("c must be positive")
-    thr = (c * p.k / p.m) * abs(float(np.sum(p.a)))
-    p_hat, ci = _mc_probability(p, lambda s: abs(s) >= thr, trials, seed)
-    return {"p_hat": p_hat, "ci_halfwidth": ci}
-
-
-def hoeffding_tail_check(p: SubsetSumProblem, t: float, trials: int, seed: int = 0) -> dict:
-    """Estimated tail P{|sum_S - (k/m) sum a| >= t} against 2 exp(-2t^2/||a||_2^2)."""
-    if t < 0:
-        raise ValueError("t must be >= 0")
-    mean = (p.k / p.m) * float(np.sum(p.a))
-    p_hat, ci = _mc_probability(p, lambda s: abs(s - mean) >= t, trials, seed)
-    norm_sq = float(np.sum(p.a**2))
-    if norm_sq == 0:
-        bound = 2.0 if t == 0 else 0.0
-    else:
-        bound = 2.0 * math.exp(-2.0 * t**2 / norm_sq)
-    return {"p_hat": p_hat, "bound": bound, "satisfied": bool(p_hat <= bound + 3 * ci)}
-
-
-def anticonc_constant_sweep(
-    problems: list[SubsetSumProblem], c_grid, trials: int, seed: int = 0
-) -> dict:
-    """Largest grid c with p_hat >= c*k/m across every problem.
-
-    The anti-concentration constant is unspecified in closed form; this
-    measures the best value supported by the given instances.
-    """
-    best = 0.0
-    curves = []
-    for c in c_grid:
-        ok = True
-        row = []
-        for i, p in enumerate(problems):
-            r = anticoncentration_probability(p, c, trials, seed + 7919 * i)
-            row.append(r["p_hat"])
-            if r["p_hat"] < c * p.k / p.m:
-                ok = False
-        curves.append({"c": float(c), "p_hat": row})
-        if ok:
-            best = max(best, float(c))
-    return {"best_c": best, "curves": curves, "trials": trials, "seed": seed}
-
-
-def report_json(p: SubsetSumProblem, statistic: str, value: float, exact: bool,
-                trials: int = 0, seed: int = 0, ci: float = 0.0) -> str:
-    a_hash = hashlib.sha256(p.a.tobytes()).hexdigest()[:16]
-    return json.dumps(
-        {
-            "m": p.m,
-            "k": p.k,
-            "a_hash": a_hash,
-            "statistic": statistic,
-            "value": value,
-            "exact": exact,
-            "trials": trials,
-            "seed": seed,
-            "ci": ci,
-        }
-    )

@@ -6,13 +6,13 @@ the strongest constant consistent with the data is reported. Assertion-style
 use (CI suites) should pass a conservative fixed c such as 0.01.
 
 All estimators are pure in (seed, trials): trial i derives its generator
-from (seed, i) alone, and output is identical at any worker count.
+from (seed, i) alone.
 
 The five estimators share one chunked engine, ``_run_trials``: trials are
 drawn in index order, each trial's corner (or M12 block) goes into a
 (chunk, rows, cols) stack, and each chunk gets one batched SVD and one
 row-wise degree test. A chunk holds at most CHUNK_FLOATS stacked floats and
-at least one trial; chunks, not trials, are spread over workers.
+at least one trial; chunks run one after another, in index order.
 
 ||M|| is the same for every sample and is computed once per call: it is d
 for the doubly regular kinds (Schur test), and ||B|| for ensembles that
@@ -32,12 +32,11 @@ from . import spectra
 from .core import SquareMatrix
 from .degrees import RegularityParams, corner_degree_events, membership_rows
 from .ensembles import EnsembleSpec, relabeling, sample
-from .rng import parallel_map, stream
+from .rng import stream
 from .spectra import second_singular, spectral_norm
 
 __all__ = [
     "TailCurve",
-    "ConstantEstimate",
     "wilson_halfwidth",
     "ks_two_sample",
     "corner_capture_fraction",
@@ -68,14 +67,6 @@ def ks_two_sample(x, y, alpha: float = 0.01) -> dict:
     c_alpha = math.sqrt(-math.log(alpha / 2.0) / 2.0)
     critical = c_alpha * math.sqrt((x.size + y.size) / (x.size * y.size))
     return {"statistic": stat, "critical": critical, "below": bool(stat < critical)}
-
-
-@dataclass(frozen=True)
-class ConstantEstimate:
-    name: str
-    value: float
-    method: str
-    trials: int
 
 
 @dataclass(frozen=True)
@@ -162,8 +153,9 @@ def _run_trials(trials: int, draw, cuts, finish, seed=None) -> list:
         raise ValueError("trials must be >= 1")
     size = max(1, CHUNK_FLOATS // max(1, sum(math.prod(shape) for shape, _ in cuts)))
 
-    def chunk(k: int):
-        lo, hi = k * size, min(trials, (k + 1) * size)
+    parts = []
+    for lo in range(0, trials, size):
+        hi = min(trials, lo + size)
         stacks = [np.empty((hi - lo, *shape)) for shape, _ in cuts]
         for j, i in enumerate(range(lo, hi)):
             entries, rows, cols = draw(i)
@@ -172,9 +164,7 @@ def _run_trials(trials: int, draw, cuts, finish, seed=None) -> list:
                 rows, cols = rows[s], cols[s]
             for stack, (_, cut) in zip(stacks, cuts):
                 stack[j] = cut(entries, rows, cols)
-        return finish(*stacks)
-
-    parts = parallel_map(chunk, -(-trials // size))
+        parts.append(finish(*stacks))
     return [np.concatenate(column) for column in zip(*parts)]
 
 

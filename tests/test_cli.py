@@ -44,11 +44,18 @@ def test_gen_rerun_is_byte_identical(tmp_path, capsys):
 
 
 def test_gen_invalid_d_exits_2(tmp_path, capsys):
-    code, _, err = run_cli(
-        ["gen", "--n", "4", "--d", "9", "--out", str(tmp_path / "x")], capsys
-    )
-    assert code == 2
-    assert "error" in err
+    cases = {
+        "d": (["--n", "4", "--d", "9"],
+              "error: regular ensembles need 1 <= d < n, got d=9, n=4\n"),
+        "no-count": (["--d", "2", "--count", "0"], "error: count must be >= 1\n"),
+        "negative-count": (["--d", "2", "--count", "-2"], "error: count must be >= 1\n"),
+    }
+    for name, (args, message) in cases.items():
+        out = tmp_path / name
+        code, _, err = run_cli(["gen", *args, "--out", str(out)], capsys)
+        assert code == 2
+        assert err == message
+        assert not out.exists()
 
 
 def test_analyze_identity_permutation_matrix(tmp_path, capsys):
@@ -66,6 +73,16 @@ def test_analyze_identity_permutation_matrix(tmp_path, capsys):
     assert rep["s2_via_centering"] == pytest.approx(1.0)
     assert "tol" not in rep
     assert rep["scaling"]["hypotheses_ok"] is True
+
+
+def test_analyze_delta_without_d_is_usage_error(tmp_path, capsys):
+    f = tmp_path / "m.csv"
+    f.write_text(matrix_to_csv(SquareMatrix(np.eye(3))))
+    out = tmp_path / "report.json"
+    code, stdout, err = run_cli(["analyze", str(f), "--delta", "0.5", "--out", str(out)], capsys)
+    assert code == 2
+    assert err == "error: analyze --delta requires --d\n"
+    assert stdout == "" and not out.exists()
 
 
 def test_analyze_reads_csv_and_writes_out(tmp_path, capsys):
@@ -155,6 +172,16 @@ def test_tail_usage_error_creates_no_out_dir(tmp_path, capsys):
                       "error: trials must be >= 1\n"),
         "negative-trials": (["tail", "corner-capture", "--matrix", str(tmp_path / "m8.csv"),
                              "--trials", "-3"], "error: trials must be >= 1\n"),
+        "empty-grid": (["tail", "norm", "--n", "8", "--d", "2", "--zero-diagonal",
+                        "--grid", ""],
+                       "error: --grid must be one or more finite numbers, got ''\n"),
+        "commas-grid": (["tail", "blocks", "--n", "8", "--d", "2", "--grid", ","],
+                        "error: --grid must be one or more finite numbers, got ','\n"),
+        "empty-s2-grid": (["tail", "s2", "--n", "8", "--d", "2", "--delta", "1", "--grid", " "],
+                          "error: --grid must be one or more finite numbers, got ' '\n"),
+        "nonfinite-grid": (["tail", "norm", "--n", "8", "--d", "2", "--zero-diagonal",
+                            "--grid", "nan,inf"],
+                           "error: --grid must be one or more finite numbers, got 'nan,inf'\n"),
     }
     (tmp_path / "m8.csv").write_text(matrix_to_csv(SquareMatrix(np.ones((8, 8)) - np.eye(8))))
     for name, (args, message) in cases.items():

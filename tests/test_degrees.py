@@ -10,7 +10,6 @@ from exspec.degrees import (
     corner_degree_event,
     corner_degree_events,
     deg_membership,
-    exceedance_profile_ok,
     exceedance_rows,
     membership_rows,
 )
@@ -65,7 +64,7 @@ def test_exceedance_kernel_truncation_matches_direct_loop():
         m = int(rng.integers(3, 25))
         w = rng.normal(3.0, 2.0, size=m)
         delta = float(rng.uniform(0.2, 2.0))
-        ok, worst, k_max = exceedance_profile_ok(w, 3.0, delta, m)
+        (ok,), _, (k_max,) = exceedance_rows(w[None, :], 3.0, delta, m)
         # Direct check over a generous range of k.
         direct_ok = all(
             np.count_nonzero(np.abs(w - 3.0) > k * delta) <= m * np.exp(-k * k)

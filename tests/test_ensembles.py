@@ -1,5 +1,4 @@
 import json
-import math
 
 import numpy as np
 import pytest
@@ -10,7 +9,6 @@ from exspec.ensembles import (
     permutation_matrix,
     random_derangement,
     sample,
-    uniform_permutation,
 )
 from exspec.rng import stream
 
@@ -67,29 +65,6 @@ def test_sampling_is_deterministic_in_seed_and_index():
     c = sample(spec, 8).entries
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
-
-
-def test_uniform_permutation_n1_and_frequencies():
-    assert np.array_equal(uniform_permutation(1, 0, 0).map, [0])
-    counts = {}
-    trials = 60000
-    for i in range(trials):
-        p = tuple(uniform_permutation(3, 10, i).map)
-        counts[p] = counts.get(p, 0) + 1
-    assert len(counts) == 6
-    for v in counts.values():
-        assert abs(v / trials - 1 / 6) < 0.01
-
-
-def test_uniform_permutation_marginal_uniformity():
-    n = 8
-    trials = 20000
-    first = np.zeros(n)
-    for i in range(trials):
-        first[uniform_permutation(n, 11, i).map[0]] += 1
-    p = 1 / n
-    band = 3 * math.sqrt(trials * p * (1 - p))
-    assert np.all(np.abs(first - trials * p) < band)
 
 
 def test_derangement_has_no_fixed_points():

@@ -1,5 +1,4 @@
 import math
-import os
 
 import numpy as np
 import pytest
@@ -9,7 +8,7 @@ from hypothesis import strategies as st
 from exspec.core import CornerMatrix, SquareMatrix, block_decompose
 from exspec.degrees import DegreeProfile, RegularityParams, corner_degree_event, deg_membership
 from exspec.ensembles import EnsembleSpec, relabeling, sample
-from exspec.rng import stream, worker_count
+from exspec.rng import stream
 from exspec.spectra import second_singular, spectral_norm
 from exspec.tails import (
     TailCurve,
@@ -224,12 +223,6 @@ def test_curves_identical_across_worker_counts(monkeypatch):
         curve = norm_tail_curve(spec, c=0.05, trials=200, seed=86)
         results.append((curve.p_left.tolist(), curve.p_right.tolist()))
     assert results[0] == results[1]
-
-
-def test_worker_count_capped_at_cpu_count(monkeypatch):
-    # Only reads the cap; no pool is started at this value.
-    monkeypatch.setenv("EXSPEC_THREADS", str(10**6))
-    assert worker_count() == (os.cpu_count() or 1)
 
 
 def _relabeled_specs(n, seed):
