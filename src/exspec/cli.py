@@ -15,6 +15,7 @@ Exit codes: 0 ok, 1 assertion/suite failure, 2 usage, 3 I/O.
 """
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -32,7 +33,7 @@ from .core import (
     matrix_to_json,
     row_sums,
 )
-from .degrees import DegreeProfile, RegularityParams, deg_membership
+from .degrees import RegularityParams, deg_membership
 from .ensembles import KINDS, EnsembleSpec, sample
 from .scaling import scaling_reduction
 from .spectra import s2_via_centering, second_singular, spectral_norm
@@ -153,11 +154,7 @@ def cmd_gen(args) -> int:
     manifest = _apply_manifest(args)
     if args.count < 1:
         raise ValueError("count must be >= 1")
-    try:
-        spec = _build_spec(args)
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
+    spec = _build_spec(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for i in range(args.count):
@@ -167,7 +164,7 @@ def cmd_gen(args) -> int:
             stem.with_suffix(".json").write_text(matrix_to_json(M))
         else:
             stem.with_suffix(".csv").write_text(matrix_to_csv(M))
-        sidecar = {"seed": spec.seed, "index": i, "spec": json.loads(spec.to_json())}
+        sidecar = {"seed": spec.seed, "index": i, "spec": spec.to_dict()}
         (out / f"sample_{i:04d}.provenance.json").write_text(
             json.dumps(sidecar, sort_keys=True)
         )
@@ -194,14 +191,14 @@ def cmd_analyze(args) -> int:
     if args.d is not None:
         delta = args.delta if args.delta is not None else 1.0
         params = RegularityParams(d=args.d, delta=delta)
-        report["deg_membership"] = deg_membership(DegreeProfile(u, v), params)
+        report["deg_membership"] = deg_membership(u, v, params)
         try:
             report["s2_via_centering"] = s2_via_centering(M, args.d)
         except ValueError as e:
             report["s2_via_centering_error"] = str(e)
         if np.all(u > 0) and np.all(v > 0):
             try:
-                report["scaling"] = scaling_reduction(M, args.d, delta).to_dict()
+                report["scaling"] = dataclasses.asdict(scaling_reduction(M, args.d, delta))
             except (ValueError, RuntimeError) as e:
                 report["scaling_error"] = str(e)
     text = json.dumps(report, sort_keys=True)
@@ -237,18 +234,15 @@ def cmd_tail(args) -> int:
     manifest = _apply_manifest(args)
     comparison = args.comparison
     if comparison in ("s2", "degree-event") and args.delta is None:
-        print(f"error: tail {comparison} requires --delta", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError(f"tail {comparison} requires --delta")
     if comparison in ("degree-event", "corner-capture") and args.grid is not None:
-        print(f"error: tail {comparison} takes no --grid", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError(f"tail {comparison} takes no --grid")
     out = Path(args.out)
     grid = _grid(args.grid)
 
     if comparison == "corner-capture":
         if not args.matrix:
-            print("error: corner-capture requires --matrix", file=sys.stderr)
-            return EXIT_USAGE
+            raise ValueError("corner-capture requires --matrix")
         M = _load_matrix(args.matrix)
         res = corner_capture_fraction(M, trials=args.trials, seed=args.seed)
         payload = {
@@ -267,12 +261,7 @@ def cmd_tail(args) -> int:
         print(json.dumps({"best_c": res["best_c"]}))
         return EXIT_OK
 
-    try:
-        spec = _build_spec(args)
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-
+    spec = _build_spec(args)
     if comparison == "degree-event":
         params = RegularityParams(d=float(args.d), delta=args.delta)
         res = corner_degree_event_frequency(spec, params, trials=args.trials, seed=args.seed)
@@ -295,11 +284,8 @@ def cmd_tail(args) -> int:
         curve = s2_tail_curve(
             spec, params, L_grid, trials=args.trials, seed=args.seed, c=args.c
         )
-    elif comparison == "blocks":
+    else:  # blocks
         curve = block_bound_curve(spec, trials=args.trials, seed=args.seed, thresholds=grid)
-    else:
-        print(f"error: unknown comparison {comparison!r}", file=sys.stderr)
-        return EXIT_USAGE
 
     payload = {"manifest": manifest, **curve.to_dict()}
     _write_outputs(out, {"curve.json": json.dumps(payload, sort_keys=True),

@@ -2,20 +2,20 @@
 
 Conventions: internally everything is 0-based numpy; error messages use
 1-based indices. Entries are float64, including 0/1 adjacency matrices.
-All objects are immutable after construction and safe to share.
+All objects are immutable after construction and safe to share. Corners
+and blocks are plain read-only views of a matrix's entries.
 """
 
 import io
 import json
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "SquareMatrix",
     "Permutation",
-    "CornerMatrix",
     "apply_permutation",
     "top_right_corner",
     "block_decompose",
@@ -29,15 +29,6 @@ __all__ = [
 ]
 
 
-def _as_float_matrix(entries) -> np.ndarray:
-    a = np.asarray(entries, dtype=np.float64)
-    if a.ndim != 2:
-        raise ValueError("entries must be a 2-d array")
-    a = a.copy()
-    a.setflags(write=False)
-    return a
-
-
 @dataclass(frozen=True)
 class SquareMatrix:
     """Real n x n matrix, optionally tagged as having zero diagonal."""
@@ -46,7 +37,9 @@ class SquareMatrix:
     zero_diagonal: bool = False
 
     def __post_init__(self):
-        a = _as_float_matrix(self.entries)
+        a = np.asarray(self.entries, dtype=np.float64).copy()
+        if a.ndim != 2:
+            raise ValueError("entries must be a 2-d array")
         if a.shape[0] != a.shape[1] or a.shape[0] < 1:
             raise ValueError(f"expected a square matrix with n >= 1, got shape {a.shape}")
         if not np.all(np.isfinite(a)):
@@ -54,6 +47,7 @@ class SquareMatrix:
         if self.zero_diagonal and np.any(np.diag(a) != 0.0):
             i = int(np.nonzero(np.diag(a))[0][0])
             raise ValueError(f"zero-diagonal tag but entry ({i + 1},{i + 1}) is nonzero")
+        a.setflags(write=False)
         object.__setattr__(self, "entries", a)
 
     @property
@@ -91,24 +85,6 @@ class Permutation:
         return Permutation(inv)
 
 
-@dataclass(frozen=True)
-class CornerMatrix:
-    """Square floor(n/2) x floor(n/2) top-right corner of a parent matrix."""
-
-    entries: np.ndarray
-    parent_n: int = field(default=0)
-
-    def __post_init__(self):
-        a = _as_float_matrix(self.entries)
-        if a.shape[0] != a.shape[1]:
-            raise ValueError(f"corner must be square, got shape {a.shape}")
-        object.__setattr__(self, "entries", a)
-
-    @property
-    def m(self) -> int:
-        return self.entries.shape[0]
-
-
 def apply_permutation(M: SquareMatrix, sigma: Permutation) -> SquareMatrix:
     """Simultaneous relabeling: result[i][j] = M[sigma(i)][sigma(j)]."""
     if sigma.n != M.n:
@@ -117,13 +93,14 @@ def apply_permutation(M: SquareMatrix, sigma: Permutation) -> SquareMatrix:
     return SquareMatrix(out, zero_diagonal=M.zero_diagonal)
 
 
-def top_right_corner(M: SquareMatrix) -> CornerMatrix:
-    """Rows 1..floor(n/2), last floor(n/2) columns (1-based)."""
+def top_right_corner(M: SquareMatrix) -> np.ndarray:
+    """Rows 1..floor(n/2), last floor(n/2) columns (1-based): a read-only
+    floor(n/2) x floor(n/2) view of M.entries."""
     n = M.n
     if n < 2:
         raise ValueError("top-right corner requires n >= 2")
     m = n // 2
-    return CornerMatrix(M.entries[:m, n - m:], parent_n=n)
+    return M.entries[:m, n - m:]
 
 
 def block_decompose(M: SquareMatrix):
@@ -143,7 +120,7 @@ def block_decompose(M: SquareMatrix):
 
 
 def as_entries(M) -> np.ndarray:
-    """The entries of a SquareMatrix or CornerMatrix; any other array as float64."""
+    """The entries of a SquareMatrix; any other array as float64."""
     return M.entries if hasattr(M, "entries") else np.asarray(M, dtype=np.float64)
 
 

@@ -9,8 +9,11 @@ scale = n (the parent dimension) and target = d/2. The quantifier over all
 k is truncated at the first k with scale * e^{-k^2} < 1, where the
 condition degenerates to "no exceedances at all" and stays satisfied for
 every larger k because the exceedance sets shrink. The kernel tests every
-row of a matrix at once, so a stack of corners is tested in one call; the
-one-profile functions are that call on a single row.
+row of a matrix at once, so a stack of corners is tested in one call.
+
+Profiles are plain vectors: u holds the column sums and v the row sums.
+``deg_membership(u, v, params)`` tests one profile; a single corner T is
+the one-corner stack ``T[None]`` of ``corner_degree_events``.
 """
 
 import math
@@ -18,14 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CornerMatrix, as_entries
-
 __all__ = [
     "RegularityParams",
-    "DegreeProfile",
     "deg_membership",
     "membership_rows",
-    "corner_degree_event",
     "corner_degree_events",
     "exceedance_rows",
 ]
@@ -48,28 +47,6 @@ class RegularityParams:
         if n < 3:
             return True
         return self.d / math.sqrt(math.log(n)) >= C * self.delta
-
-
-@dataclass(frozen=True)
-class DegreeProfile:
-    u: np.ndarray  # column sums
-    v: np.ndarray  # row sums
-
-    def __post_init__(self):
-        u = np.asarray(self.u, dtype=np.float64).copy()
-        v = np.asarray(self.v, dtype=np.float64).copy()
-        if u.ndim != 1 or v.ndim != 1:
-            raise ValueError("u and v must be vectors")
-        if u.size != v.size:
-            raise ValueError(f"length mismatch: |u|={u.size}, |v|={v.size}")
-        u.setflags(write=False)
-        v.setflags(write=False)
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "v", v)
-
-    @property
-    def m(self) -> int:
-        return self.u.size
 
 
 def exceedance_rows(W: np.ndarray, target: float, delta: float, scale: float):
@@ -109,32 +86,33 @@ def membership_rows(U: np.ndarray, V: np.ndarray, params: RegularityParams):
     return member, worst_k, l1_gap, np.maximum(k_max[:rows], k_max[rows:])
 
 
-def deg_membership(profile: DegreeProfile, params: RegularityParams) -> dict:
-    """Membership in the set of profiles with near-constant sums.
+def deg_membership(u, v, params: RegularityParams) -> dict:
+    """Membership of the profile (u, v) in the set of profiles with
+    near-constant sums; u and v are vectors of one length.
 
     Requires ||u||_1 = ||v||_1 (relative tolerance, profiles come from
     floating-point matrices) and the exceedance condition on both u and v.
     """
-    member, worst_k, l1_gap, k_max = membership_rows(profile.u[None, :], profile.v[None, :],
-                                                     params)
+    u = np.asarray(u, dtype=np.float64)
+    v = np.asarray(v, dtype=np.float64)
+    if u.size != v.size:
+        raise ValueError(f"length mismatch: |u|={u.size}, |v|={v.size}")
+    member, worst_k, l1_gap, k_max = membership_rows(u[None, :], v[None, :], params)
     return {"member": bool(member[0]), "worst_k": int(worst_k[0]),
             "l1_gap": float(l1_gap[0]), "k_max": int(k_max[0])}
 
 
 def corner_degree_events(T: np.ndarray, params: RegularityParams, n_parent: int) -> np.ndarray:
-    """corner_degree_event for each corner of a (trials, m, m) stack."""
+    """Near-constant corner degrees, for each corner of a (trials, m, m)
+    stack: both u(T) and v(T) deviate from d/2 by more than k*delta for at
+    most n_parent * e^{-k^2} indices, all k.
+
+    Note the asymmetry with deg_membership: the threshold scale is the
+    parent dimension n and the target is d/2.
+    """
     A = np.abs(np.asarray(T, dtype=np.float64))
     # Column sums u(T) and row sums v(T) of each corner, tested as rows at once.
     ok = exceedance_rows(np.concatenate([A.sum(axis=1), A.sum(axis=2)]),
                          params.d / 2.0, params.delta, n_parent)[0]
     return ok[:len(A)] & ok[len(A):]
 
-
-def corner_degree_event(T: CornerMatrix, params: RegularityParams, n_parent: int) -> bool:
-    """Near-constant corner degrees: both u(T) and v(T) deviate from d/2 by
-    more than k*delta for at most n_parent * e^{-k^2} indices, all k.
-
-    Note the asymmetry with deg_membership: the threshold scale is the
-    parent dimension n and the target is d/2.
-    """
-    return bool(corner_degree_events(as_entries(T)[None], params, n_parent)[0])

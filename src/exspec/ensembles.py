@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SquareMatrix, matrix_from_json, matrix_to_json
+from .core import SquareMatrix, matrix_to_json
 from .rng import stream
 
 __all__ = [
@@ -66,8 +66,9 @@ class EnsembleSpec:
             # Estimators read ``base is not None`` as "relabels a fixed base".
             raise ValueError(f"{self.kind} takes no base matrix")
 
-    def to_json(self) -> str:
-        obj = {
+    def to_dict(self) -> dict:
+        """The spec as JSON-ready values; the base as matrix_to_json's object."""
+        return {
             "kind": self.kind,
             "n": self.n,
             "d": self.d,
@@ -75,22 +76,6 @@ class EnsembleSpec:
             "seed": self.seed,
             "base": None if self.base is None else json.loads(matrix_to_json(self.base)),
         }
-        return json.dumps(obj)
-
-    @staticmethod
-    def from_json(text: str) -> "EnsembleSpec":
-        obj = json.loads(text)
-        base = None
-        if obj.get("base") is not None:
-            base = matrix_from_json(json.dumps(obj["base"]))
-        return EnsembleSpec(
-            kind=obj["kind"],
-            n=int(obj["n"]),
-            d=int(obj.get("d", 0)),
-            zero_diagonal=bool(obj.get("zero_diagonal", False)),
-            seed=int(obj.get("seed", 0)),
-            base=base,
-        )
 
 
 def random_derangement(n: int, rng: np.random.Generator) -> np.ndarray:

@@ -41,18 +41,6 @@ class ScalingReport:
     d: float = 0.0
     delta: float = 0.0
 
-    def to_dict(self) -> dict:
-        return {
-            "lhs": self.lhs,
-            "s2": self.s2,
-            "beta": self.beta,
-            "bound": self.bound,
-            "hypotheses_ok": self.hypotheses_ok,
-            "margin_checks": self.margin_checks,
-            "d": self.d,
-            "delta": self.delta,
-        }
-
 
 def rank_two_norm(y1, z1, y2, z2) -> float:
     """Spectral norm of y1 z1^t + y2 z2^t without forming the dense matrix."""
@@ -150,7 +138,7 @@ def scaling_reduction(A, d: float, delta: float) -> ScalingReport:
     ru = np.sqrt(u)
     if np.linalg.norm(G @ ru - ru) > 1e-8 * np.linalg.norm(ru):
         raise RuntimeError("scaled Gram matrix does not fix sqrt(u)")
-    lam_max = float(np.max(singular_values(G).values))
+    lam_max = float(np.max(singular_values(G)))
     if abs(lam_max - 1.0) > 1e-8:
         raise RuntimeError(f"scaled Gram spectral radius is {lam_max!r}, expected 1")
 

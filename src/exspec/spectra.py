@@ -5,14 +5,11 @@ singular value satisfies s2(A) = ||A - (d/n) 11^t||, which this module
 exposes both as a computation and as a checkable identity.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .core import SquareMatrix, as_entries, column_sums, row_sums
 
 __all__ = [
-    "SingularSpectrum",
     "singular_values",
     "spectral_norm",
     "second_singular",
@@ -23,17 +20,11 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SingularSpectrum:
-    values: np.ndarray  # nonincreasing along the last axis, >= 0
-
-
-def singular_values(M) -> SingularSpectrum:
-    """All singular values in nonincreasing order; one row per matrix for a
-    (count, rows, cols) stack, each bit-identical to that matrix's own SVD."""
-    s = np.linalg.svd(as_entries(M), compute_uv=False)
-    s = np.clip(s, 0.0, None)
-    return SingularSpectrum(values=s)
+def singular_values(M) -> np.ndarray:
+    """All singular values in nonincreasing order, clipped at 0; one row per
+    matrix for a (count, rows, cols) stack, each bit-identical to that
+    matrix's own SVD."""
+    return np.clip(np.linalg.svd(as_entries(M), compute_uv=False), 0.0, None)
 
 
 # s1 and s2 come from the full dense SVD at every size: subspace iteration on
@@ -41,12 +32,12 @@ def singular_values(M) -> SingularSpectrum:
 # scipy's sparse Lanczos solver costs more time and memory than it saves on
 # matrices of a few hundred rows.
 def spectral_norm(M) -> float:
-    return float(singular_values(M).values[0])
+    return float(singular_values(M)[0])
 
 
 def second_singular(M) -> float:
     """s2, or 0.0 when there is only one singular value (or none)."""
-    s = singular_values(M).values
+    s = singular_values(M)
     return float(s[1]) if s.size > 1 else 0.0
 
 

@@ -38,7 +38,6 @@ from .spectra import second_singular, spectral_norm
 __all__ = [
     "TailCurve",
     "wilson_halfwidth",
-    "ks_two_sample",
     "corner_capture_fraction",
     "norm_tail_curve",
     "block_bound_curve",
@@ -54,19 +53,6 @@ def wilson_halfwidth(successes: int, trials: int, z: float = 1.959964) -> float:
     p = successes / trials
     denom = 1.0 + z * z / trials
     return (z / denom) * math.sqrt(p * (1.0 - p) / trials + z * z / (4.0 * trials * trials))
-
-
-def ks_two_sample(x, y, alpha: float = 0.01) -> dict:
-    """Two-sample Kolmogorov-Smirnov statistic against the asymptotic
-    critical value at level alpha."""
-    from scipy.stats import ks_2samp
-
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    stat = float(ks_2samp(x, y).statistic)
-    c_alpha = math.sqrt(-math.log(alpha / 2.0) / 2.0)
-    critical = c_alpha * math.sqrt((x.size + y.size) / (x.size * y.size))
-    return {"statistic": stat, "critical": critical, "below": bool(stat < critical)}
 
 
 @dataclass(frozen=True)
@@ -171,7 +157,7 @@ def _run_trials(trials: int, draw, cuts, finish, seed=None) -> list:
 def _singular(stack: np.ndarray, index: int) -> np.ndarray:
     """Singular value ``index`` of each matrix of a stack, 0.0 where a matrix
     has fewer; equal to spectral_norm (0) or second_singular (1) of each."""
-    s = spectra.singular_values(stack).values
+    s = spectra.singular_values(stack)
     return s[:, index] if s.shape[1] > index else np.zeros(len(stack))
 
 

@@ -12,7 +12,7 @@ import subprocess
 import sys
 
 import numpy as np
-import pytest
+from ks_helper import ks_two_sample
 
 from exspec.core import SquareMatrix, block_decompose
 from exspec.degrees import RegularityParams
@@ -30,7 +30,7 @@ from exspec.subset import (
     fourth_moment_bound,
     second_moment_exact,
 )
-from exspec.tails import block_bound_curve, corner_capture_fraction, ks_two_sample, norm_tail_curve
+from exspec.tails import block_bound_curve, corner_capture_fraction, norm_tail_curve
 
 
 def report(name: str, ok: bool, detail: str = ""):

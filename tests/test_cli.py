@@ -374,3 +374,37 @@ def test_manifest_values_go_through_the_flag_types(tmp_path, capsys):
         code, stdout, err = run_cli(args + ["--manifest", str(mf), "--out", str(out)], capsys)
         assert (code, stdout, err) == (2, "", message)
         assert not out.exists()
+
+
+def test_commands_run_without_scipy(tmp_path):
+    # scipy is a test dependency only: with it blocked, every command runs
+    # and exits with its documented code, and no scipy module gets loaded.
+    script = """
+import json, sys
+sys.modules["scipy"] = None
+from exspec.cli import main
+codes = [main(argv) for argv in json.loads(sys.argv[1])]
+print(json.dumps({"codes": codes, "scipy": sorted(m for m in sys.modules if "scipy" in m)}))
+"""
+    commands = [
+        (["gen", "--n", "12", "--d", "3", "--seed", "5", "--out", str(tmp_path / "gen")], 0),
+        (["analyze", str(tmp_path / "gen" / "sample_0000.csv"), "--d", "3", "--delta", "1.0",
+          "--out", str(tmp_path / "analyze.json")], 0),
+        (["verify", "all", "--out", str(tmp_path / "verify.json")], 0),
+        (["tail", "norm", "--n", "16", "--d", "4", "--zero-diagonal", "--delta", "2.0",
+          "--trials", "50", "--seed", "1", "--out", str(tmp_path / "norm")], 0),
+        (["tail", "s2", "--n", "16", "--d", "4", "--delta", "1.0", "--trials", "50",
+          "--seed", "1", "--out", str(tmp_path / "s2")], 0),
+        (["tail", "s2", "--n", "16", "--d", "4", "--out", str(tmp_path / "bad")], 2),
+    ]
+    proc = subprocess.run(
+        [sys.executable, "-c", script, json.dumps([argv for argv, _ in commands])],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == {
+        "codes": [code for _, code in commands], "scipy": ["scipy"]}
+    report = json.loads((tmp_path / "analyze.json").read_text())
+    assert report["deg_membership"]["member"] and report["scaling"]["hypotheses_ok"]
+    assert (tmp_path / "norm" / "curve.csv").exists() and (tmp_path / "s2" / "curve.csv").exists()
+    assert not (tmp_path / "bad").exists()

@@ -74,14 +74,16 @@ def test_zero_diagonal_preserved_by_relabeling():
 def test_corner_n4_index_arithmetic():
     M = SquareMatrix(np.array([[4 * i + j + 1 for j in range(4)] for i in range(4)], dtype=float))
     T = top_right_corner(M)
-    assert np.array_equal(T.entries, [[3.0, 4.0], [7.0, 8.0]])
+    assert np.array_equal(T, [[3.0, 4.0], [7.0, 8.0]])
 
 
 def test_corner_odd_n_is_square_floor_half():
     M = SquareMatrix(np.arange(25.0).reshape(5, 5))
     T = top_right_corner(M)
-    assert T.m == 2
-    assert np.array_equal(T.entries, M.entries[:2, 3:])
+    assert T.shape == (2, 2)
+    assert np.array_equal(T, M.entries[:2, 3:])
+    # A read-only view of the parent's entries, not a copy.
+    assert np.shares_memory(T, M.entries) and not T.flags.writeable
 
 
 def test_corner_never_touches_the_diagonal():
@@ -93,7 +95,7 @@ def test_corner_never_touches_the_diagonal():
     E = np.zeros((n, n))
     np.fill_diagonal(E, np.arange(1, n + 1))
     T = top_right_corner(SquareMatrix(E))
-    assert np.all(T.entries == 0.0)
+    assert np.all(T == 0.0)
 
 
 def test_corner_requires_n_at_least_2():
@@ -115,7 +117,7 @@ def test_block_reassembly_and_corner_match():
         top = np.hstack([b11, b12])
         bottom = np.hstack([b21, b22])
         assert np.array_equal(np.vstack([top, bottom]), M.entries)
-        assert np.array_equal(b12, top_right_corner(M).entries)
+        assert np.array_equal(b12, top_right_corner(M))
 
 
 def test_block_decompose_odd_shapes():
@@ -159,7 +161,7 @@ def test_corner_of_relabeled_index_identity():
     for _ in range(20):
         i = int(rng.integers(m))
         j = int(rng.integers(m))
-        assert T.entries[i, j] == M.entries[sigma.map[i], sigma.map[n - m + j]]
+        assert T[i, j] == M.entries[sigma.map[i], sigma.map[n - m + j]]
 
 
 def test_invalid_matrices_rejected():

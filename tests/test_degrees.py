@@ -3,11 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from exspec.core import CornerMatrix, SquareMatrix, top_right_corner
+from exspec.core import SquareMatrix, top_right_corner
 from exspec.degrees import (
-    DegreeProfile,
     RegularityParams,
-    corner_degree_event,
     corner_degree_events,
     deg_membership,
     exceedance_rows,
@@ -18,8 +16,8 @@ from exspec.rng import stream
 
 def test_flat_profile_is_member_for_any_delta():
     for delta in (1e-6, 0.1, 10.0):
-        prof = DegreeProfile(np.full(12, 4.0), np.full(12, 4.0))
-        r = deg_membership(prof, RegularityParams(d=4.0, delta=delta))
+        r = deg_membership(np.full(12, 4.0), np.full(12, 4.0),
+                           RegularityParams(d=4.0, delta=delta))
         assert r["member"] and r["worst_k"] == 0 and r["l1_gap"] == 0.0
 
 
@@ -29,8 +27,7 @@ def test_single_outlier_violates_at_first_small_threshold():
     # exceedance violates there first.
     u = np.full(8, 4.0)
     u[0] = 14.0
-    prof = DegreeProfile(u, u)
-    r = deg_membership(prof, RegularityParams(d=4.0, delta=1.0))
+    r = deg_membership(u, u, RegularityParams(d=4.0, delta=1.0))
     assert not r["member"]
     assert r["worst_k"] == 2
 
@@ -39,7 +36,7 @@ def test_l1_mismatch_fails_regardless_of_counts():
     u = np.full(6, 3.0)
     v = u.copy()
     v[0] += 1.0
-    r = deg_membership(DegreeProfile(u, v), RegularityParams(d=3.0, delta=0.5))
+    r = deg_membership(u, v, RegularityParams(d=3.0, delta=0.5))
     assert not r["member"]
     assert r["worst_k"] == 0
     assert r["l1_gap"] == pytest.approx(1.0)
@@ -51,10 +48,10 @@ def test_membership_monotone_in_delta():
         m = int(rng.integers(4, 30))
         d = float(rng.uniform(1, 8))
         u = np.abs(d + rng.normal(0, 1, size=m))
-        prof = DegreeProfile(u, np.flip(u))
+        v = np.flip(u)
         delta = float(rng.uniform(0.05, 1.5))
-        small = deg_membership(prof, RegularityParams(d=d, delta=delta))
-        large = deg_membership(prof, RegularityParams(d=d, delta=2 * delta))
+        small = deg_membership(u, v, RegularityParams(d=d, delta=delta))
+        large = deg_membership(u, v, RegularityParams(d=d, delta=2 * delta))
         assert large["member"] or not small["member"]
 
 
@@ -76,24 +73,29 @@ def test_exceedance_kernel_truncation_matches_direct_loop():
             assert m * np.exp(-k_max * k_max) < 1.0
 
 
+def _corner_event(T, params, n_parent) -> bool:
+    """The corner event of one corner: a one-corner stack."""
+    return bool(corner_degree_events(T[None], params, n_parent)[0])
+
+
 def test_corner_event_flat_corner():
-    T = CornerMatrix(np.full((5, 5), 0.4))  # u=v=2 everywhere
-    assert corner_degree_event(T, RegularityParams(d=4.0, delta=0.1), n_parent=10)
+    T = np.full((5, 5), 0.4)  # u=v=2 everywhere
+    assert _corner_event(T, RegularityParams(d=4.0, delta=0.1), n_parent=10)
 
 
 def test_corner_event_of_flat_parent_matrix():
     n, d = 10, 3.0
     A = SquareMatrix((d / n) * np.ones((n, n)))
     T = top_right_corner(A)
-    assert corner_degree_event(T, RegularityParams(d=d, delta=0.01), n_parent=n)
+    assert _corner_event(T, RegularityParams(d=d, delta=0.01), n_parent=n)
 
 
 def test_corner_event_fails_as_delta_shrinks():
     rng = stream(43)
-    T = CornerMatrix(rng.uniform(0, 1, size=(8, 8)))
-    d = 2.0 * float(T.entries.sum(axis=0).mean())
+    T = rng.uniform(0, 1, size=(8, 8))
+    d = 2.0 * float(T.sum(axis=0).mean())
     held = [
-        corner_degree_event(T, RegularityParams(d=d, delta=delta), n_parent=16)
+        _corner_event(T, RegularityParams(d=d, delta=delta), n_parent=16)
         for delta in (2.0, 0.5, 0.1, 1e-4, 1e-9)
     ]
     # Monotone in delta, and a nondegenerate corner must fail eventually.
@@ -106,9 +108,7 @@ def test_corner_event_invariant_under_joint_relabeling():
     T = rng.uniform(0, 1, size=(7, 7))
     params = RegularityParams(d=7.0, delta=0.6)
     p = rng.permutation(7)
-    assert corner_degree_event(CornerMatrix(T), params, 14) == corner_degree_event(
-        CornerMatrix(T[np.ix_(p, p)]), params, 14
-    )
+    assert _corner_event(T, params, 14) == _corner_event(T[np.ix_(p, p)], params, 14)
 
 
 def test_profile_and_params_validation():
@@ -117,7 +117,7 @@ def test_profile_and_params_validation():
     with pytest.raises(ValueError):
         RegularityParams(d=1.0, delta=-1.0)
     with pytest.raises(ValueError, match="length mismatch"):
-        DegreeProfile(np.ones(3), np.ones(4))
+        deg_membership(np.ones(3), np.ones(4), RegularityParams(d=1.0, delta=1.0))
 
 
 def test_ratio_hypothesis():
@@ -164,13 +164,13 @@ def test_row_wise_kernels_match_the_one_vector_definitions():
                 k for k in (worst_u, worst_v) if k > 0)
             assert (member[t], worst_k[t], l1_gap[t], k_max[t]) == (
                 expect, worst, gap, max(kmax_u, kmax_v))
-            assert deg_membership(DegreeProfile(U[t], V[t]), params) == {
+            assert deg_membership(U[t], V[t], params) == {
                 "member": expect, "worst_k": worst, "l1_gap": gap, "k_max": max(kmax_u, kmax_v)}
 
         T = rng.uniform(0.0, 2.0, size=(rows, m, m))
         n = 2 * m + int(rng.integers(0, 2))
         events = corner_degree_events(T, params, n)
-        assert events.tolist() == [corner_degree_event(CornerMatrix(t), params, n) for t in T]
+        assert events.tolist() == [_corner_event(t, params, n) for t in T]
         assert events.tolist() == [
             _scalar_exceedance(t.sum(axis=0), d / 2, delta, n)[0]
             and _scalar_exceedance(t.sum(axis=1), d / 2, delta, n)[0] for t in T]

@@ -1,12 +1,11 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from ks_helper import ks_two_sample
 
-from exspec.core import CornerMatrix, SquareMatrix, block_decompose
-from exspec.degrees import DegreeProfile, RegularityParams, corner_degree_event, deg_membership
+from exspec.core import SquareMatrix, block_decompose
+from exspec.degrees import RegularityParams, corner_degree_events, deg_membership
 from exspec.ensembles import EnsembleSpec, relabeling, sample
 from exspec.rng import stream
 from exspec.spectra import second_singular, spectral_norm
@@ -17,7 +16,6 @@ from exspec.tails import (
     block_bound_curve,
     corner_capture_fraction,
     corner_degree_event_frequency,
-    ks_two_sample,
     norm_tail_curve,
     s2_tail_curve,
     wilson_halfwidth,
@@ -269,8 +267,8 @@ def test_s2_tail_curve_relabeled_base_matches_per_sample_reference():
         T = A[:m, n - m:]
         s2A.append(second_singular(A))
         s2T.append(second_singular(T))
-        prof = DegreeProfile(np.abs(T).sum(axis=0), np.abs(T).sum(axis=1))
-        members.append(deg_membership(prof, half)["member"])
+        members.append(deg_membership(np.abs(T).sum(axis=0), np.abs(T).sum(axis=1),
+                                      half)["member"])
     thresholds = np.asarray(L_grid) * params.delta
     p_left, ci_left = _tail_probs(np.array(s2A), thresholds)
     p_right, ci_right = _tail_probs(np.where(members, s2T, -np.inf), c * thresholds)
@@ -322,12 +320,12 @@ def _reference_columns(spec, seed, trials, event, half, hyp_C, delta):
         s = stream(seed, i).permutation(n)
         T = A[np.ix_(s, s)][:m, n - m:]
         cols["t"].append(spectral_norm(T))
-        cols["ev"].append(corner_degree_event(CornerMatrix(T, parent_n=n), event, n))
+        cols["ev"].append(corner_degree_events(T[None], event, n)[0])
         C = A[:m, n - m:]
         cols["s2A"].append(second_singular(A))
         cols["s2T"].append(second_singular(C))
-        prof = DegreeProfile(np.abs(C).sum(axis=0), np.abs(C).sum(axis=1))
-        cols["member"].append(deg_membership(prof, half)["member"])
+        cols["member"].append(deg_membership(np.abs(C).sum(axis=0), np.abs(C).sum(axis=1),
+                                             half)["member"])
         cols["block"].append(spectral_norm(A[:m, m:]))
         cols["hyp"].append(hyp_C * max(np.linalg.norm(A, axis=1).max(),
                                        np.linalg.norm(A, axis=0).max()) <= delta)
