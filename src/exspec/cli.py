@@ -157,6 +157,7 @@ def cmd_gen(args) -> int:
     spec = _build_spec(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+    spec_dict = spec.to_dict()  # serialises the base, if any, once
     for i in range(args.count):
         M = sample(spec, i)
         stem = out / f"sample_{i:04d}"
@@ -164,7 +165,7 @@ def cmd_gen(args) -> int:
             stem.with_suffix(".json").write_text(matrix_to_json(M))
         else:
             stem.with_suffix(".csv").write_text(matrix_to_csv(M))
-        sidecar = {"seed": spec.seed, "index": i, "spec": spec.to_dict()}
+        sidecar = {"seed": spec.seed, "index": i, "spec": spec_dict}
         (out / f"sample_{i:04d}.provenance.json").write_text(
             json.dumps(sidecar, sort_keys=True)
         )

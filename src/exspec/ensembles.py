@@ -16,9 +16,27 @@ Kinds:
                            diagonal, by derangement superposition with
                            rejection of repeated edges, then a uniform
                            relabeling to make the law exchangeable
+
+A sample of a base kind is described by its relabeling (``relabeling``). A
+sample of a doubly regular kind is its (d, n) permutation table Q
+(``sample(spec, index, table=True)``): A = sum_j P(q_j), that is
+A[i, Q[j, i]] += 1 for every j and i. ``table_block`` scatters any block of
+the relabeled matrices of a stack of tables with one ``bincount``, and
+``sample`` densifies a table the same way.
+
+Every sample of index i draws from its own generator ``stream(spec.seed,
+i)``. perm_sum_regular draws its candidate permutations in batches with one
+``Generator.permuted`` call, whose rows are bit for bit those of successive
+``Generator.permutation`` calls; it keeps the first d derangements (all d
+rows without zero diagonal), so its tables equal those of drawing one
+permutation at a time. Nothing draws from that generator afterwards, so the
+candidates a batch draws beyond the last one kept change nothing.
+regular_digraph draws its relabeling from the generator after its last
+candidate, so it draws candidates one at a time.
 """
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +49,7 @@ __all__ = [
     "KINDS",
     "sample",
     "relabeling",
+    "table_block",
     "random_derangement",
     "permutation_matrix",
 ]
@@ -96,28 +115,43 @@ def permutation_matrix(p: np.ndarray) -> np.ndarray:
     return P
 
 
-def _perm_sum(n: int, d: int, zero_diagonal: bool, rng: np.random.Generator) -> np.ndarray:
-    A = np.zeros((n, n))
+def _candidates(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
+    """``count`` uniform permutations of range(n) as rows, in one call: bit
+    for bit the rows of ``count`` successive ``rng.permutation(n)`` calls."""
+    return rng.permuted(np.broadcast_to(np.arange(n), (count, n)), axis=1)
+
+
+def _perm_sum_table(n: int, d: int, zero_diagonal: bool, rng: np.random.Generator):
+    if not zero_diagonal:
+        return _candidates(n, d, rng)
     idx = np.arange(n)
-    for _ in range(d):
-        p = random_derangement(n, rng) if zero_diagonal else rng.permutation(n)
-        A[idx, p] += 1.0
-    return A
+    kept = []
+    need = d
+    while need:
+        # A uniform permutation is a derangement with probability ~1/e, so
+        # `need` of them take need*e candidates on average, with variance
+        # need*e*(e-1); a batch of the mean plus one standard deviation
+        # rarely falls short.
+        count = math.ceil(need * math.e + math.sqrt(need * math.e * (math.e - 1.0)))
+        batch = _candidates(n, count, rng)
+        batch = batch[(batch != idx).all(axis=1)][:need]
+        kept.append(batch)
+        need -= len(batch)
+    return kept[0] if len(kept) == 1 else np.concatenate(kept)
 
 
-def _regular_digraph(n: int, d: int, rng: np.random.Generator) -> np.ndarray:
+def _regular_digraph_table(n: int, d: int, rng: np.random.Generator) -> np.ndarray:
     # Place derangements one at a time, redrawing any that reuses an edge.
     # Rejecting the whole d-tuple at once has acceptance ~ e^{-d(d-1)/2},
     # hopeless already at moderate d; per-derangement rejection costs ~ e^{d}
     # draws for the last one and the final uniform relabeling restores joint
     # exchangeability either way.
-    A = np.zeros((n, n))
-    idx = np.arange(n)
-    for _ in range(d):
+    P = np.empty((d, n), dtype=np.int64)
+    for j in range(d):
         for _ in range(_REJECTION_CAP):
             p = random_derangement(n, rng)
-            if not A[idx, p].any():
-                A[idx, p] = 1.0
+            if not (P[:j] == p).any():  # edge (i, p[i]) is new for every i
+                P[j] = p
                 break
         else:
             # A parameter problem (d too close to n), hence ValueError.
@@ -125,8 +159,36 @@ def _regular_digraph(n: int, d: int, rng: np.random.Generator) -> np.ndarray:
                 f"could not place {d} disjoint derangements on n={n} in "
                 f"{_REJECTION_CAP} attempts each; increase the n/d gap"
             )
+    # Relabeling A by s, A[np.ix_(s, s)], turns each p_j into s^-1 . p_j . s.
     s = rng.permutation(n)
-    return A[np.ix_(s, s)]
+    inverse = np.empty_like(s)
+    inverse[s] = np.arange(n)
+    return inverse[P[:, s]]
+
+
+def table_block(tables: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """The block A_t[np.ix_(rows[t], cols[t])] of the matrix A_t of each table.
+
+    ``tables`` is a (trials, d, n) stack of permutation tables, and ``rows``
+    and ``cols`` are (trials, h) and (trials, w) arrays of distinct indices.
+    Entry (a, b) counts the j with Q[t, j, rows[t, a]] == cols[t, b]; the
+    whole (trials, h, w) stack is one bincount over flat indices, and no
+    n x n matrix is formed unless the block is the whole matrix.
+    """
+    trials, d, n = tables.shape
+    h, w = rows.shape[1], cols.shape[1]
+    # pos[t, k] is the position of column k in cols[t], or -1.
+    pos = np.full((trials, n), -1)
+    np.put_along_axis(pos, cols, np.broadcast_to(np.arange(w), cols.shape), axis=1)
+    targets = np.take_along_axis(tables, rows[:, None, :], axis=2)  # (trials, d, h)
+    b = np.take_along_axis(pos, targets.reshape(trials, d * h), axis=1).reshape(trials, d, h)
+    flat = (np.arange(trials)[:, None, None] * h + np.arange(h)) * w + b
+    flat = flat[b >= 0]
+    # Weighted, so the counts come out as floats: several times faster than
+    # counting integers and converting the (trials, h, w) result. (With no
+    # entries at all, bincount returns integers even so.)
+    counts = np.bincount(flat, np.ones(flat.size), trials * h * w)
+    return counts.astype(np.float64, copy=False).reshape(trials, h, w)
 
 
 def relabeling(spec: EnsembleSpec, index: int) -> tuple[np.ndarray, np.ndarray]:
@@ -145,17 +207,27 @@ def relabeling(spec: EnsembleSpec, index: int) -> tuple[np.ndarray, np.ndarray]:
     return rows, rng.permutation(spec.n)
 
 
-def sample(spec: EnsembleSpec, index: int) -> SquareMatrix:
-    """Draw sample ``index`` of the ensemble; pure in (spec.seed, index)."""
+def sample(spec: EnsembleSpec, index: int, *, table: bool = False):
+    """Draw sample ``index`` of the ensemble; pure in (spec.seed, index).
+
+    With ``table``, a doubly regular kind returns the sample as its (d, n)
+    permutation table Q instead of a SquareMatrix: the matrix is the sum of
+    the permutation matrices of the rows, A[i, Q[j, i]] += 1.
+    """
     if spec.base is not None:
+        if table:
+            raise ValueError(f"{spec.kind} is not a sum of permutation matrices")
         rows, cols = relabeling(spec, index)
         # A simultaneous relabeling keeps the diagonal on the diagonal.
         zero_diagonal = spec.kind == "permuted_base" and spec.base.zero_diagonal
         return SquareMatrix(spec.base.entries[np.ix_(rows, cols)], zero_diagonal=zero_diagonal)
     rng = stream(spec.seed, index)
     if spec.kind == "perm_sum_regular":
-        A = _perm_sum(spec.n, spec.d, spec.zero_diagonal, rng)
-        return SquareMatrix(A, zero_diagonal=spec.zero_diagonal)
-    if spec.kind == "regular_digraph":
-        return SquareMatrix(_regular_digraph(spec.n, spec.d, rng), zero_diagonal=True)
-    raise AssertionError(spec.kind)
+        Q = _perm_sum_table(spec.n, spec.d, spec.zero_diagonal, rng)
+    else:
+        Q = _regular_digraph_table(spec.n, spec.d, rng)
+    if table:
+        return Q
+    idx = np.arange(spec.n)[None]
+    A = table_block(Q[None], idx, idx)[0]
+    return SquareMatrix(A, zero_diagonal=spec.zero_diagonal or spec.kind == "regular_digraph")

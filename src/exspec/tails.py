@@ -8,19 +8,28 @@ use (CI suites) should pass a conservative fixed c such as 0.01.
 All estimators are pure in (seed, trials): trial i derives its generator
 from (seed, i) alone.
 
-The five estimators share one chunked engine, ``_run_trials``: trials are
-drawn in index order, each trial's corner (or M12 block) goes into a
-(chunk, rows, cols) stack, and each chunk gets one batched SVD and one
-row-wise degree test. A chunk holds at most CHUNK_FLOATS stacked floats and
-at least one trial; chunks run one after another, in index order.
+The five estimators share one chunked engine, ``_run_trials``. A chunk of
+consecutive trials is drawn as a whole: the relabelings of a fixed base B
+(``spec.base is not None``), or the (d, n) permutation tables of a doubly
+regular kind, plus one independent sigma per trial for the comparisons that
+relabel the sample. Each block a comparison reads (the m x m corner, the
+M12 block, or the whole matrix) becomes one (chunk, rows, cols) stack, and
+each chunk gets one batched SVD and one row-wise degree test. Corners and
+blocks of a relabeled base are gathered from B through the drawn row and
+column permutations; those of a doubly regular kind are scattered from the
+tables with one bincount per stack (``ensembles.table_block``), so no trial
+forms its n x n matrix unless it needs s2(M) or the row/column l2 norms. A
+chunk holds at most CHUNK_FLOATS stacked floats and at least one trial;
+chunks run one after another, in index order.
 
 ||M|| is the same for every sample and is computed once per call: it is d
-for the doubly regular kinds (Schur test), and ||B|| for ensembles that
-relabel a fixed base B (``spec.base is not None``). Those are never formed
-per trial: relabelings preserve singular values and the multisets of row
-and column norms, so s2(M) and the row/column l2 maxima also come from B
-once per call, and each trial gathers only the entries it reads from B
-through the drawn row and column permutations.
+for the doubly regular kinds (Schur test), and ||B|| for a relabeled base.
+Relabelings preserve singular values and the multisets of row and column
+norms, so s2(M) and the row/column l2 maxima of a relabeled base also come
+from B once per call.
+
+Each comparison sorts each of its two per-trial columns once and counts
+the exceedances of every threshold and every grid constant at once.
 """
 
 import math
@@ -31,7 +40,7 @@ import numpy as np
 from . import spectra
 from .core import SquareMatrix
 from .degrees import RegularityParams, corner_degree_events, membership_rows
-from .ensembles import EnsembleSpec, relabeling, sample
+from .ensembles import EnsembleSpec, relabeling, sample, table_block
 from .rng import stream
 from .spectra import second_singular, spectral_norm
 
@@ -107,50 +116,55 @@ class TailCurve:
 CHUNK_FLOATS = 2**17
 
 
-def _corner_of_relabeled(entries: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Top-right corner of entries[np.ix_(rows, cols)] without forming it."""
-    n = entries.shape[0]
+def _corner(n: int):
+    """Rows and columns of the top-right m x m corner, m = n // 2."""
     m = n // 2
-    return entries[np.ix_(rows[:m], cols[n - m:])]
+    return slice(0, m), slice(n - m, n)
 
 
-def _draw(spec: EnsembleSpec, i: int):
-    """Sample i as (entries, rows, cols): it equals entries[np.ix_(rows, cols)].
-
-    For a relabeled base, entries is the base itself and nothing is copied.
+def _draw(spec: EnsembleSpec, lo: int, hi: int):
+    """Samples lo..hi-1 as (base, tables, rows, cols): sample t is
+    A_t[np.ix_(rows[t], cols[t])], where A_t is the base itself (tables is
+    None) or the matrix of the permutation table tables[t] (base is None).
     """
     if spec.base is not None:
-        return (spec.base.entries, *relabeling(spec, i))
-    idx = np.arange(spec.n)
-    return sample(spec, i).entries, idx, idx
+        rows, cols = zip(*(relabeling(spec, i) for i in range(lo, hi)))
+        return spec.base.entries, None, np.array(rows), np.array(cols)
+    tables = np.array([sample(spec, i, table=True) for i in range(lo, hi)])
+    idx = np.broadcast_to(np.arange(spec.n), (hi - lo, spec.n))
+    return None, tables, idx, idx
 
 
-def _run_trials(trials: int, draw, cuts, finish, seed=None) -> list:
+def _stack(base, tables, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """The blocks A_t[np.ix_(rows[t], cols[t])] of samples drawn as by _draw:
+    gathered from the base, or scattered from the tables."""
+    if tables is None:
+        return base[rows[:, :, None], cols[:, None, :]]
+    return table_block(tables, rows, cols)
+
+
+def _run_trials(trials: int, draw, blocks, finish, seed=None) -> list:
     """Per-trial columns of a Monte Carlo estimator, computed chunk by chunk.
 
-    ``draw(i)`` returns trial i as (entries, rows, cols), standing for
-    entries[np.ix_(rows, cols)]; with a ``seed`` it is first relabeled by an
-    independent sigma from stream(seed, i). Each (shape, cut) in ``cuts``
-    fills one (chunk, *shape) stack with cut(entries, rows, cols) per trial,
-    and ``finish(*stacks)`` turns a chunk's stacks into a tuple of per-trial
-    arrays, which are concatenated in trial order.
+    ``draw(lo, hi)`` returns trials lo..hi-1 as _draw does; with a ``seed``,
+    trial i is first relabeled by an independent sigma from stream(seed, i).
+    Each (row slice, column slice) in ``blocks`` gives the stack of that
+    block of every trial of the chunk, and ``finish(*stacks)`` turns them
+    into a tuple of per-trial arrays, which are concatenated in trial order.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    size = max(1, CHUNK_FLOATS // max(1, sum(math.prod(shape) for shape, _ in cuts)))
+    floats = sum((r.stop - r.start) * (c.stop - c.start) for r, c in blocks)
+    size = max(1, CHUNK_FLOATS // max(1, floats))
 
     parts = []
     for lo in range(0, trials, size):
         hi = min(trials, lo + size)
-        stacks = [np.empty((hi - lo, *shape)) for shape, _ in cuts]
-        for j, i in enumerate(range(lo, hi)):
-            entries, rows, cols = draw(i)
-            if seed is not None:
-                s = stream(seed, i).permutation(rows.size)
-                rows, cols = rows[s], cols[s]
-            for stack, (_, cut) in zip(stacks, cuts):
-                stack[j] = cut(entries, rows, cols)
-        parts.append(finish(*stacks))
+        base, tables, rows, cols = draw(lo, hi)
+        if seed is not None:
+            s = np.array([stream(seed, i).permutation(rows.shape[1]) for i in range(lo, hi)])
+            rows, cols = np.take_along_axis(rows, s, 1), np.take_along_axis(cols, s, 1)
+        parts.append(finish(*(_stack(base, tables, rows[:, r], cols[:, c]) for r, c in blocks)))
     return [np.concatenate(column) for column in zip(*parts)]
 
 
@@ -172,10 +186,10 @@ def _norms(spec: EnsembleSpec, trials: int, thresholds):
     return np.full(trials, m_norm), np.asarray(thresholds, dtype=np.float64)
 
 
-def _max_l2(entries: np.ndarray) -> float:
-    """Largest row or column l2 norm."""
-    return max(float(np.max(np.linalg.norm(entries, axis=1))),
-               float(np.max(np.linalg.norm(entries, axis=0))))
+def _max_l2(entries: np.ndarray):
+    """Largest row or column l2 norm of a matrix, or of each of a stack."""
+    return np.maximum(np.linalg.norm(entries, axis=-1).max(axis=-1),
+                      np.linalg.norm(entries, axis=-2).max(axis=-1))
 
 
 def _c_grid(c_grid) -> np.ndarray:
@@ -184,15 +198,19 @@ def _c_grid(c_grid) -> np.ndarray:
     return np.asarray(c_grid, dtype=np.float64)
 
 
+def _wilson_halfwidths(hits: np.ndarray, trials: int, z: float = 1.959964) -> np.ndarray:
+    """wilson_halfwidth of every hit count, in its operation order, so that
+    each entry equals the scalar bit for bit."""
+    p = hits / trials
+    denom = 1.0 + z * z / trials
+    return (z / denom) * np.sqrt(p * (1.0 - p) / trials + z * z / (4.0 * trials * trials))
+
+
 def _tail_probs(stat: np.ndarray, thresholds: np.ndarray):
+    """P{stat >= tau} and its Wilson half-width, for thresholds of any shape."""
     trials = stat.size
-    p = np.empty(thresholds.size)
-    ci = np.empty(thresholds.size)
-    for i, tau in enumerate(thresholds):
-        hits = int(np.count_nonzero(stat >= tau))
-        p[i] = hits / trials
-        ci[i] = wilson_halfwidth(hits, trials)
-    return p, ci
+    hits = trials - np.searchsorted(np.sort(stat), thresholds, side="left")
+    return hits / trials, _wilson_halfwidths(hits, trials)
 
 
 def _compare(left: np.ndarray, right: np.ndarray, thresholds: np.ndarray, c: float, c_grid):
@@ -203,15 +221,13 @@ def _compare(left: np.ndarray, right: np.ndarray, thresholds: np.ndarray, c: flo
     holds at every threshold.
     """
     p_left, ci_left = _tail_probs(left, thresholds)
-
-    def at(cc):
-        p_right, ci_right = _tail_probs(right, cc * thresholds)
-        return p_right, ci_right, p_left <= p_right / cc + ci_left + ci_right / cc
-
-    p_right, ci_right, holds = at(c)
-    best_c = max([0.0] + [float(cc) for cc in _c_grid(c_grid) if np.all(at(cc)[2])])
-    columns = {"p_left": p_left, "ci_left": ci_left, "p_right": p_right,
-               "ci_right": ci_right, "holds": holds}
+    # Row 0 compares at c, row k at the k-th grid constant.
+    cs = np.concatenate([[c], _c_grid(c_grid)])[:, None]
+    p_right, ci_right = _tail_probs(right, cs * thresholds)
+    holds = p_left <= p_right / cs + ci_left + ci_right / cs
+    best_c = max([0.0] + cs[1:, 0][holds[1:].all(axis=1)].tolist())
+    columns = {"p_left": p_left, "ci_left": ci_left, "p_right": p_right[0],
+               "ci_right": ci_right[0], "holds": holds[0]}
     return columns, best_c
 
 
@@ -228,11 +244,13 @@ def corner_capture_fraction(M: SquareMatrix, trials: int, seed: int = 0, c_grid=
         raise ValueError("the corner-capture statement assumes zero diagonal")
     c_grid = _c_grid(c_grid)
     m_norm = spectral_norm(M)
-    m = M.n // 2
-    idx = np.arange(M.n)
-    (t_norms,) = _run_trials(trials, lambda i: (M.entries, idx, idx),
-                             [((m, m), _corner_of_relabeled)],
-                             lambda T: (_singular(T, 0),), seed=seed)
+
+    def draw(lo, hi):
+        idx = np.broadcast_to(np.arange(M.n), (hi - lo, M.n))
+        return M.entries, None, idx, idx
+
+    (t_norms,) = _run_trials(trials, draw, [_corner(M.n)], lambda T: (_singular(T, 0),),
+                             seed=seed)
     p_hat, ci = _tail_probs(t_norms, c_grid * m_norm)
     ok = p_hat >= c_grid - ci
     best_c = float(c_grid[ok][-1]) if np.any(ok) else 0.0
@@ -266,21 +284,23 @@ def norm_tail_curve(
     if not 0 < c <= 1:
         raise ValueError("c must lie in (0, 1]")
     n = spec.n
-    m = n // 2
 
-    def draw(i: int):
-        entries, rows, cols = _draw(spec, i)
-        # The sample's diagonal; a separate relabeling moves entries onto it.
-        if np.any(entries[rows, cols] != 0.0):
+    def draw(lo, hi):
+        base, tables, rows, cols = _draw(spec, lo, hi)
+        # The samples' diagonals; a separate relabeling moves entries onto them.
+        if tables is None:
+            fixed = base[rows, cols] != 0.0
+        else:
+            fixed = tables == np.arange(n)  # Q[j, i] == i puts a 1 at (i, i)
+        if np.any(fixed):
             raise ValueError("the tail comparison assumes zero-diagonal samples")
-        return entries, rows, cols
+        return base, tables, rows, cols
 
     def finish(T):
         met = np.ones(len(T), dtype=bool) if event is None else corner_degree_events(T, event, n)
         return _singular(T, 0), met
 
-    t_norms, events = _run_trials(trials, draw, [((m, m), _corner_of_relabeled)], finish,
-                                  seed=seed)
+    t_norms, events = _run_trials(trials, draw, [_corner(n)], finish, seed=seed)
     m_norms, thresholds = _norms(spec, trials, thresholds)
     columns, best_c = _compare(m_norms, np.where(events, t_norms, -np.inf), thresholds, c, c_grid)
     return TailCurve(
@@ -304,9 +324,8 @@ def block_bound_curve(
     if spec.n < 2:
         raise ValueError("block decomposition requires n >= 2")
     m = spec.n // 2
-    (b_norms,) = _run_trials(trials, lambda i: _draw(spec, i),
-                             [((m, spec.n - m), lambda e, r, c: e[np.ix_(r[:m], c[m:])])],
-                             lambda B: (_singular(B, 0),))
+    (b_norms,) = _run_trials(trials, lambda lo, hi: _draw(spec, lo, hi),
+                             [(slice(0, m), slice(m, spec.n))], lambda B: (_singular(B, 0),))
     m_norms, thresholds = _norms(spec, trials, thresholds)
     # The norm comparison at c = 1/4, with no constant sweep.
     columns, _ = _compare(m_norms, b_norms, thresholds, 0.25, c_grid=[])
@@ -328,14 +347,19 @@ def corner_degree_event_frequency(
     configured C.
     """
     n = spec.n
-    m = n // 2
-    l2 = None if spec.base is None else _max_l2(spec.base.entries)
-    events, hyp = _run_trials(
-        trials, lambda i: _draw(spec, i),
-        [((m, m), _corner_of_relabeled),
-         ((), lambda e, r, c: _max_l2(e) if l2 is None else l2)],
-        lambda T, l2s: (corner_degree_events(T, params, n), hyp_C * l2s <= params.delta),
-        seed=seed)
+    blocks = [_corner(n)]
+    if spec.base is None:
+        # The whole sample, relabeled by sigma, which keeps its l2 maxima.
+        blocks.append((slice(0, n), slice(0, n)))
+    else:
+        l2 = _max_l2(spec.base.entries)
+
+    def finish(T, A=None):
+        l2s = np.full(len(T), l2) if A is None else _max_l2(A)
+        return corner_degree_events(T, params, n), hyp_C * l2s <= params.delta
+
+    events, hyp = _run_trials(trials, lambda lo, hi: _draw(spec, lo, hi), blocks, finish,
+                              seed=seed)
     hits = int(np.count_nonzero(events))
     return {
         "p_E": hits / trials,
@@ -366,11 +390,10 @@ def s2_tail_curve(
     d/sqrt(ln n) >= C delta is evaluated and reported, not enforced.
     """
     n = spec.n
-    m = n // 2
     half = RegularityParams(d=params.d / 2.0, delta=params.delta)
-    cuts = [((m, m), _corner_of_relabeled)]
+    blocks = [_corner(n)]
     if spec.base is None:
-        cuts.append(((n, n), lambda e, r, c: e))  # a per-sample draw is e itself
+        blocks.append((slice(0, n), slice(0, n)))  # the whole sample, for s2(A)
     s2B = None if spec.base is None else second_singular(spec.base)
 
     def finish(T, A=None):
@@ -379,7 +402,7 @@ def s2_tail_curve(
         member = membership_rows(absT.sum(axis=1), absT.sum(axis=2), half)[0]
         return s2A, _singular(T, 1), member
 
-    s2A, s2T, members = _run_trials(trials, lambda i: _draw(spec, i), cuts, finish)
+    s2A, s2T, members = _run_trials(trials, lambda lo, hi: _draw(spec, lo, hi), blocks, finish)
     thresholds = np.asarray(L_grid, dtype=np.float64) * params.delta
     columns, best_c = _compare(s2A, np.where(members, s2T, -np.inf), thresholds, c, c_grid)
     return TailCurve(

@@ -192,6 +192,22 @@ def test_tail_usage_error_creates_no_out_dir(tmp_path, capsys):
         assert not out.exists()
 
 
+def test_tail_norm_rejects_samples_with_a_fixed_point(tmp_path, capsys):
+    # Without --zero-diagonal a sum of permutation matrices may put entries
+    # on the diagonal; sample 0 at this seed does.
+    spec = EnsembleSpec("perm_sum_regular", 16, 3, seed=1)
+    assert np.trace(sample(spec, 0).entries) > 0
+    out = tmp_path / "norm"
+    code, stdout, err = run_cli(
+        ["tail", "norm", "--ensemble", "perm_sum_regular", "--n", "16", "--d", "3",
+         "--trials", "50", "--seed", "1", "--out", str(out)],
+        capsys,
+    )
+    assert (code, stdout) == (2, "")
+    assert err == "error: the tail comparison assumes zero-diagonal samples\n"
+    assert not out.exists()
+
+
 def test_tail_degree_event(tmp_path, capsys):
     out = tmp_path / "de"
     code, stdout, _ = run_cli(

@@ -2,13 +2,17 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from exspec import ensembles
 from exspec.core import SquareMatrix, column_sums, matrix_from_json, row_sums
 from exspec.ensembles import (
     EnsembleSpec,
     permutation_matrix,
     random_derangement,
     sample,
+    table_block,
 )
 from exspec.rng import stream
 
@@ -110,3 +114,109 @@ def test_spec_json_roundtrip():
     assert np.array_equal(matrix_from_json(json.dumps(obj["base"])).entries, base.entries)
     plain = EnsembleSpec(kind="perm_sum_regular", n=10, d=2).to_dict()
     assert plain["d"] == 2 and plain["base"] is None
+
+
+# --- permutation tables against the one-permutation-at-a-time loops ----------
+
+def _reference_perm_sum(n, d, zero_diagonal, rng):
+    """Dense sum of d permutation matrices, one candidate per draw."""
+    A = np.zeros((n, n))
+    idx = np.arange(n)
+    for _ in range(d):
+        p = random_derangement(n, rng) if zero_diagonal else rng.permutation(n)
+        A[idx, p] += 1.0
+    return A
+
+
+def _reference_regular_digraph(n, d, rng, cap=1000):
+    """Dense d edge-disjoint derangements by rejection, then a relabeling."""
+    A = np.zeros((n, n))
+    idx = np.arange(n)
+    for _ in range(d):
+        for _ in range(cap):
+            p = random_derangement(n, rng)
+            if not A[idx, p].any():
+                A[idx, p] = 1.0
+                break
+        else:
+            raise ValueError(
+                f"could not place {d} disjoint derangements on n={n} in "
+                f"{cap} attempts each; increase the n/d gap"
+            )
+    s = rng.permutation(n)
+    return A[np.ix_(s, s)]
+
+
+def _reference_sample(spec, index):
+    rng = stream(spec.seed, index)
+    if spec.kind == "perm_sum_regular":
+        return _reference_perm_sum(spec.n, spec.d, spec.zero_diagonal, rng)
+    return _reference_regular_digraph(spec.n, spec.d, rng)
+
+
+def _check_against_reference(spec, index):
+    try:
+        want = _reference_sample(spec, index)
+    except ValueError as e:
+        with pytest.raises(ValueError, match=str(e)):
+            sample(spec, index)
+        return
+    A = sample(spec, index)
+    assert A.entries.tobytes() == want.tobytes()
+    table = sample(spec, index, table=True)
+    assert table.shape == (spec.d, spec.n)
+    assert np.array_equal(np.sort(table, axis=1), np.broadcast_to(np.arange(spec.n), table.shape))
+    assert A.zero_diagonal == (spec.zero_diagonal or spec.kind == "regular_digraph")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(["perm_sum_regular", "regular_digraph"]), st.integers(2, 40),
+       st.integers(1, 39), st.booleans(), st.integers(0, 10**6), st.integers(0, 50))
+def test_tables_densify_to_the_reference_samples(kind, n, d, zero_diagonal, seed, index):
+    # regular_digraph keeps d small enough that the reference loop stays fast.
+    d = min(d, n - 1 if kind == "perm_sum_regular" else max(1, n // 3))
+    _check_against_reference(EnsembleSpec(kind, n, d, zero_diagonal, seed), index)
+
+
+@pytest.mark.parametrize("n, d", [(2, 1), (3, 2), (4, 3), (5, 4), (7, 6)])
+def test_short_first_batches_continue_on_the_same_generator(monkeypatch, n, d):
+    # With d close to n the first batch often holds fewer than d derangements.
+    calls = []
+    real = ensembles._candidates
+    monkeypatch.setattr(ensembles, "_candidates",
+                        lambda n, count, rng: calls.append(count) or real(n, count, rng))
+    short = 0
+    for index in range(40):
+        calls.clear()
+        _check_against_reference(EnsembleSpec("perm_sum_regular", n, d, True, 74), index)
+        short += len(calls) > 2  # the matrix and the table both draw
+    assert short > 0
+
+
+def test_base_kinds_have_no_table():
+    base = SquareMatrix(np.eye(4))
+    for kind in ("permuted_base", "separately_exchangeable"):
+        with pytest.raises(ValueError, match="not a sum of permutation matrices"):
+            sample(EnsembleSpec(kind, 4, base=base), 0, table=True)
+
+
+def test_regular_digraph_rejection_cap_matches_the_reference():
+    _check_against_reference(EnsembleSpec("regular_digraph", 10, 8, seed=75), 0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(["perm_sum_regular", "regular_digraph"]), st.integers(2, 30),
+       st.integers(1, 4), st.integers(1, 5), st.integers(0, 10**6))
+def test_table_block_gathers_from_the_dense_samples(kind, n, d, trials, seed):
+    d = min(d, n - 1 if kind == "perm_sum_regular" else max(1, n // 3))
+    spec = EnsembleSpec(kind, n, d, zero_diagonal=False, seed=seed)
+    tables = np.array([sample(spec, i, table=True) for i in range(trials)])
+    rng = stream(seed, 1)
+    h, w = (int(x) for x in rng.integers(0, n + 1, size=2))
+    rows = np.array([rng.permutation(n)[:h] for _ in range(trials)]).reshape(trials, h)
+    cols = np.array([rng.permutation(n)[:w] for _ in range(trials)]).reshape(trials, w)
+    blocks = table_block(tables, rows, cols)
+    assert blocks.shape == (trials, h, w) and blocks.dtype == np.float64
+    for t in range(trials):
+        A = sample(spec, t).entries
+        assert blocks[t].tobytes() == A[np.ix_(rows[t], cols[t])].tobytes()

@@ -1,0 +1,104 @@
+"""Golden output bytes: the SHA-256 of the files small CLI runs write.
+
+A change to sampling, the trial engine or the comparisons that is meant to
+keep every output byte must leave these digests as they are. A change that
+alters output on purpose updates them and says so in CHANGES.md.
+"""
+
+import hashlib
+
+import pytest
+
+from exspec.cli import main
+
+TAIL = {
+    "norm-perm-sum-delta": ["norm", "--ensemble", "perm_sum_regular", "--n", "64", "--d", "4",
+                            "--zero-diagonal", "--delta", "2.0", "--trials", "300",
+                            "--seed", "3"],
+    "norm-digraph": ["norm", "--ensemble", "regular_digraph", "--n", "17", "--d", "3",
+                     "--trials", "200", "--seed", "7"],
+    "s2-per-sample": ["s2", "--ensemble", "perm_sum_regular", "--n", "16", "--d", "3",
+                      "--delta", "1.0", "--trials", "120", "--seed", "10",
+                      "--grid", "0.5,1,1.5,2,2.5"],
+    "blocks": ["blocks", "--ensemble", "perm_sum_regular", "--n", "15", "--d", "3",
+               "--trials", "100", "--seed", "13"],
+    "degree-event": ["degree-event", "--ensemble", "regular_digraph", "--n", "21", "--d", "3",
+                     "--delta", "1.0", "--trials", "100", "--seed", "17"],
+}
+
+GEN = {
+    "gen-perm-sum": ["--ensemble", "perm_sum_regular", "--n", "13", "--d", "3",
+                     "--zero-diagonal", "--count", "3", "--seed", "3"],
+    "gen-perm-sum-diagonal": ["--ensemble", "perm_sum_regular", "--n", "10", "--d", "4",
+                              "--count", "2", "--seed", "4"],
+    "gen-digraph": ["--ensemble", "regular_digraph", "--n", "12", "--d", "3",
+                    "--count", "3", "--seed", "5", "--format", "json"],
+}
+
+GOLDEN = {
+    "blocks": {
+        "curve.csv": "bd24282726a5ae4ad2309b1a2d40c1f56f75ffa646fbae6ef780cb7047d0c5c7",
+        "curve.json": "e2c9f426b619bfcfca39cd3f9e903cc7c40cfbaafca73d549a7c2603480e86dc",
+    },
+    "degree-event": {
+        "curve.json": "04826d27b719c0c27ce75d78304b702eb05b72157b1c32aa7dccf5581f93a033",
+    },
+    "gen-digraph": {
+        "manifest.json": "0bc4cb357a69442461902e2b71e2ad37eb95240731e3648652b93e5354ec5cb4",
+        "sample_0000.json": "6dd1383cc5b89be13512d7a2cbe0b49287c5a599b6b7b41d638465cd4823baca",
+        "sample_0000.provenance.json": "3a9eef8f76fa5f5314f0ce4f9128e2c3b2d278af116fbfd160ec10f6c7c14761",
+        "sample_0001.json": "fcd75b5c354cdc1840bb68597cb1641836f0a2b984e6c472e74b5b7784a9cc4d",
+        "sample_0001.provenance.json": "3b780c01dd06493435ca4709d58cf479eaf20abf7cba07388bacec141d46312e",
+        "sample_0002.json": "86cb4d56b4caea6ca2dd7711ac411963e3d70a3ffe7a06678353f4f7fe1c0428",
+        "sample_0002.provenance.json": "8721adcc1f70f43a92e005b5b62acaba3f7553f835d9bbea7f8823febd659317",
+    },
+    "gen-perm-sum": {
+        "manifest.json": "337d90a6d4551ba4dcb3092e70bbc4f467f81a9aec6e062486d8ff14dedd023f",
+        "sample_0000.csv": "600a2bb49632fe2e290fb0c5b97554d470255662747b9e8a901f162741514292",
+        "sample_0000.provenance.json": "c5c63f87e4b89f2717aa135e948a40ebfcebf7511248abb72272eaed31558a87",
+        "sample_0001.csv": "55bb0c8054f7d781e3caf4b4013c02388f62f6f1f786ca14801f6ed6b35945cb",
+        "sample_0001.provenance.json": "4fcdf0b082ccd5005280a270e09d65506b7d2f216118111e11bb1d7de202ec90",
+        "sample_0002.csv": "2f7642f668e0be71bd6d2f3c852f05313f4f50a847a8acec8ca4de79b4afcdcf",
+        "sample_0002.provenance.json": "3c800d6fb8daa23ff03964b2b1f68407f6473f05c803ee0af7557c4a5742eaad",
+    },
+    "gen-perm-sum-diagonal": {
+        "manifest.json": "5166c8e85f722c57446ef3314fd4da012b0348ee1e48f3df94c45301d0a477d3",
+        "sample_0000.csv": "c25db06860cd3f104820077727b631cb49d7a890e0af34a6db1ac4ee504bc522",
+        "sample_0000.provenance.json": "41a585966b4fc90ab349aac1801b891a0908e3c1c24b7ec8ae0a43c6756eb61a",
+        "sample_0001.csv": "3e9243697aff789031572bf5e37671d615227e99bbfc66ac7eca8194187cff81",
+        "sample_0001.provenance.json": "b3f8455e6425a4c66c800c23f661f249edd2c3d1876ef9ff2cae2e0734244658",
+    },
+    "norm-digraph": {
+        "curve.csv": "307fa0300f3ac360faacbf2ecf607ded6907cb3abb08ca4045ea8ddf34e7ded5",
+        "curve.json": "ac534c9eebd6fda5d9871cf0d2616ddc4b2616e65c59b0e5010aee5fd675bcf0",
+    },
+    "norm-perm-sum-delta": {
+        "curve.csv": "4227c90fe3a762348e18ce3a0edd6c9c888a77c8dacb00dfd380664a2fe22bbe",
+        "curve.json": "8524fcc58332466a7f30cc527a24a23689dda9caabe3bf91339b58b8638210a7",
+    },
+    "s2-per-sample": {
+        "curve.csv": "6eafadd29036912b19e4bbb126b6a37e4c66a5c54b48049e1b0b7bdfa11a80e5",
+        "curve.json": "6a3ad0202acc5d712f0390458c3c3ffc96cfd1cd8f6debbd1854a9ca9e2d15ab",
+    },
+}
+
+
+def _digests(out):
+    return {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in sorted(out.iterdir())}
+
+
+@pytest.mark.parametrize("name", sorted(TAIL))
+def test_tail_output_bytes(name, tmp_path, capsys):
+    out = tmp_path / name
+    assert main(["tail", *TAIL[name], "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert _digests(out) == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(GEN))
+def test_gen_output_bytes(name, tmp_path, capsys):
+    out = tmp_path / name
+    assert main(["gen", *GEN[name], "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert _digests(out) == GOLDEN[name]

@@ -11,8 +11,11 @@ from exspec.rng import stream
 from exspec.spectra import second_singular, spectral_norm
 from exspec.tails import (
     TailCurve,
-    _corner_of_relabeled,
+    _compare,
+    _draw,
+    _stack,
     _tail_probs,
+    _wilson_halfwidths,
     block_bound_curve,
     corner_capture_fraction,
     corner_degree_event_frequency,
@@ -34,6 +37,60 @@ def test_wilson_halfwidth_basics():
     assert wilson_halfwidth(500, 1000) < wilson_halfwidth(50, 100)
     with pytest.raises(ValueError):
         wilson_halfwidth(0, 0)
+
+
+def _scalar_tail_probs(stat, thresholds):
+    """The reference definition: one exceedance count per threshold."""
+    p = np.empty(thresholds.size)
+    ci = np.empty(thresholds.size)
+    for i, tau in enumerate(thresholds):
+        hits = int(np.count_nonzero(stat >= tau))
+        p[i] = hits / stat.size
+        ci[i] = wilson_halfwidth(hits, stat.size)
+    return p, ci
+
+
+def _scalar_compare(left, right, thresholds, c, c_grid):
+    """The reference comparison: one pass over the thresholds per constant."""
+    p_left, ci_left = _scalar_tail_probs(left, thresholds)
+
+    def at(cc):
+        p_right, ci_right = _scalar_tail_probs(right, cc * thresholds)
+        return p_right, ci_right, p_left <= p_right / cc + ci_left + ci_right / cc
+
+    p_right, ci_right, holds = at(c)
+    best_c = max([0.0] + [float(cc) for cc in c_grid if np.all(at(cc)[2])])
+    return (p_left, ci_left, p_right, ci_right, holds), best_c
+
+
+def test_wilson_halfwidths_match_the_scalar_bit_for_bit():
+    for trials in [*range(1, 301), 1000, 4096, 9999, 10000]:
+        hits = np.arange(trials + 1)
+        scalar = np.array([wilson_halfwidth(int(h), trials) for h in hits])
+        assert _wilson_halfwidths(hits, trials).tobytes() == scalar.tobytes(), trials
+
+
+def test_tail_probs_and_compare_match_the_scalar_loops():
+    rng = stream(73)
+    c_grid = np.round(np.arange(0.01, 1.001, 0.01), 2)
+    for trials in (1, 2, 7, 100, 1000):
+        # Few distinct values, so thresholds tie with many entries.
+        left = rng.integers(0, 6, size=trials).astype(np.float64)
+        right = rng.integers(0, 6, size=trials) * 0.5
+        right[rng.random(trials) < 0.3] = -np.inf  # trials that miss the event
+        thresholds = np.concatenate([np.arange(0.0, 6.5, 0.5), rng.uniform(-1, 7, size=5)])
+        for stat in (left, right):
+            for got, want in zip(_tail_probs(stat, thresholds),
+                                 _scalar_tail_probs(stat, thresholds)):
+                assert got.tobytes() == want.tobytes()
+        for c in (0.05, 0.5, 1.0):
+            columns, best_c = _compare(left, right, thresholds, c, c_grid)
+            want, want_best = _scalar_compare(left, right, thresholds, c, c_grid)
+            got = [columns[k] for k in ("p_left", "ci_left", "p_right", "ci_right", "holds")]
+            assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+            assert best_c == want_best
+    columns, best_c = _compare(left, right, thresholds, 0.25, [])
+    assert best_c == 0.0 and columns["p_right"].shape == thresholds.shape
 
 
 def test_ks_same_distribution_below_critical():
@@ -238,12 +295,15 @@ def test_relabeled_corner_gathers_the_sampled_corner(n):
             A = sample(spec, i).entries
             rows, cols = relabeling(spec, i)
             assert np.array_equal(spec.base.entries[np.ix_(rows, cols)], A)
-            corner = _corner_of_relabeled(spec.base.entries, rows, cols)
+            base, tables, chunk_rows, chunk_cols = _draw(spec, i, i + 1)
+            assert tables is None and base is spec.base.entries
+            assert np.array_equal(chunk_rows, [rows]) and np.array_equal(chunk_cols, [cols])
+            corner = _stack(base, None, chunk_rows[:, :m], chunk_cols[:, n - m:])[0]
             assert corner.tobytes() == A[:m, n - m:].tobytes()
             # The norm comparison composes the draw with an independent sigma.
             s = stream(91, i).permutation(n)
-            composed = _corner_of_relabeled(spec.base.entries, rows[s], cols[s])
-            assert composed.tobytes() == _corner_of_relabeled(A, s, s).tobytes()
+            composed = _stack(base, None, chunk_rows[:, s[:m]], chunk_cols[:, s[n - m:]])[0]
+            assert composed.tobytes() == A[np.ix_(s, s)][:m, n - m:].tobytes()
 
 
 def test_relabeling_requires_a_base():
