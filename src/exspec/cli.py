@@ -50,6 +50,10 @@ EXIT_ASSERT = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
 
+# The constant of the norm and s2 comparisons; the manifest of every tail
+# comparison echoes it, and those that read no c accept no other value.
+DEFAULT_C = 0.01
+
 
 def _load_matrix(path: str) -> SquareMatrix:
     p = Path(path)
@@ -238,6 +242,8 @@ def cmd_tail(args) -> int:
         raise ValueError(f"tail {comparison} requires --delta")
     if comparison in ("degree-event", "corner-capture") and args.grid is not None:
         raise ValueError(f"tail {comparison} takes no --grid")
+    if comparison not in ("norm", "s2") and args.c != DEFAULT_C:
+        raise ValueError(f"tail {comparison} takes no --c")
     out = Path(args.out)
     grid = _grid(args.grid)
 
@@ -265,7 +271,7 @@ def cmd_tail(args) -> int:
     spec = _build_spec(args)
     if comparison == "degree-event":
         params = RegularityParams(d=float(args.d), delta=args.delta)
-        res = corner_degree_event_frequency(spec, params, trials=args.trials, seed=args.seed)
+        res = corner_degree_event_frequency(spec, params, trials=args.trials)
         payload = {"manifest": manifest, **res}
         _write_outputs(out, {"curve.json": json.dumps(payload, sort_keys=True)})
         print(json.dumps({"p_E": res["p_E"], "ci": res["ci"]}))
@@ -275,18 +281,13 @@ def cmd_tail(args) -> int:
         event = None
         if args.delta is not None:
             event = RegularityParams(d=float(args.d), delta=args.delta)
-        curve = norm_tail_curve(
-            spec, c=args.c, trials=args.trials, seed=args.seed,
-            thresholds=grid, event=event,
-        )
+        curve = norm_tail_curve(spec, c=args.c, trials=args.trials, thresholds=grid, event=event)
     elif comparison == "s2":
         params = RegularityParams(d=float(args.d), delta=args.delta)
         L_grid = grid if grid else list(range(2, 41, 2))
-        curve = s2_tail_curve(
-            spec, params, L_grid, trials=args.trials, seed=args.seed, c=args.c
-        )
+        curve = s2_tail_curve(spec, params, L_grid, trials=args.trials, c=args.c)
     else:  # blocks
-        curve = block_bound_curve(spec, trials=args.trials, seed=args.seed, thresholds=grid)
+        curve = block_bound_curve(spec, trials=args.trials, thresholds=grid)
 
     payload = {"manifest": manifest, **curve.to_dict()}
     _write_outputs(out, {"curve.json": json.dumps(payload, sort_keys=True),
@@ -343,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--base", help="base matrix file for permuted ensembles")
     t.add_argument("--matrix", help="matrix file for corner-capture")
     t.add_argument("--trials", type=int, default=1000)
-    t.add_argument("--c", type=float, default=0.01)
+    t.add_argument("--c", type=float, default=DEFAULT_C)
     t.add_argument("--grid", help="comma-separated thresholds or L values")
     common(t)
     t.set_defaults(func=cmd_tail)

@@ -20,9 +20,9 @@ Kinds:
 A sample of a base kind is described by its relabeling (``relabeling``). A
 sample of a doubly regular kind is its (d, n) permutation table Q
 (``sample(spec, index, table=True)``): A = sum_j P(q_j), that is
-A[i, Q[j, i]] += 1 for every j and i. ``table_block`` scatters any block of
-the relabeled matrices of a stack of tables with one ``bincount``, and
-``sample`` densifies a table the same way.
+A[i, Q[j, i]] += 1 for every j and i. ``table_block`` scatters one block, a
+range of rows by a range of columns, of the matrices of a stack of tables
+with one ``bincount``, and ``sample`` densifies a table the same way.
 
 Every sample of index i draws from its own generator ``stream(spec.seed,
 i)``. perm_sum_regular draws its candidate permutations in batches with one
@@ -166,24 +166,21 @@ def _regular_digraph_table(n: int, d: int, rng: np.random.Generator) -> np.ndarr
     return inverse[P[:, s]]
 
 
-def table_block(tables: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """The block A_t[np.ix_(rows[t], cols[t])] of the matrix A_t of each table.
+def table_block(tables: np.ndarray, rows: slice, cols: slice) -> np.ndarray:
+    """The block A_t[rows, cols] of the matrix A_t of each table.
 
     ``tables`` is a (trials, d, n) stack of permutation tables, and ``rows``
-    and ``cols`` are (trials, h) and (trials, w) arrays of distinct indices.
-    Entry (a, b) counts the j with Q[t, j, rows[t, a]] == cols[t, b]; the
-    whole (trials, h, w) stack is one bincount over flat indices, and no
-    n x n matrix is formed unless the block is the whole matrix.
+    and ``cols`` are ranges of indices (slices of step 1). Entry (a, b)
+    counts the j with Q[t, j, rows.start + a] == cols.start + b; the whole
+    (trials, h, w) stack is one bincount over flat indices, and no n x n
+    matrix is formed unless the block is the whole matrix.
     """
     trials, d, n = tables.shape
-    h, w = rows.shape[1], cols.shape[1]
-    # pos[t, k] is the position of column k in cols[t], or -1.
-    pos = np.full((trials, n), -1)
-    np.put_along_axis(pos, cols, np.broadcast_to(np.arange(w), cols.shape), axis=1)
-    targets = np.take_along_axis(tables, rows[:, None, :], axis=2)  # (trials, d, h)
-    b = np.take_along_axis(pos, targets.reshape(trials, d * h), axis=1).reshape(trials, d, h)
+    rows, cols = range(n)[rows], range(n)[cols]
+    h, w = len(rows), len(cols)
+    b = tables[:, :, rows.start:rows.stop] - cols.start  # (trials, d, h)
     flat = (np.arange(trials)[:, None, None] * h + np.arange(h)) * w + b
-    flat = flat[b >= 0]
+    flat = flat[(b >= 0) & (b < w)]
     # Weighted, so the counts come out as floats: several times faster than
     # counting integers and converting the (trials, h, w) result. (With no
     # entries at all, bincount returns integers even so.)
@@ -228,6 +225,5 @@ def sample(spec: EnsembleSpec, index: int, *, table: bool = False):
         Q = _regular_digraph_table(spec.n, spec.d, rng)
     if table:
         return Q
-    idx = np.arange(spec.n)[None]
-    A = table_block(Q[None], idx, idx)[0]
+    A = table_block(Q[None], slice(None), slice(None))[0]
     return SquareMatrix(A, zero_diagonal=spec.zero_diagonal or spec.kind == "regular_digraph")

@@ -5,22 +5,26 @@ the harness treats them as outputs: each curve is estimated on a grid and
 the strongest constant consistent with the data is reported. Assertion-style
 use (CI suites) should pass a conservative fixed c such as 0.01.
 
-All estimators are pure in (seed, trials): trial i derives its generator
-from (seed, i) alone.
+Trial i of an estimator is sample i of its ensemble, so every estimator is
+pure in (spec.seed, trials). Every kind is jointly exchangeable in law, so
+each comparison reads the corner (or block) of the sample itself: relabeling
+it by a further uniform permutation would not change the law.
+corner_capture_fraction relabels its one matrix M through the permuted_base
+ensemble of M.
 
 The five estimators share one chunked engine, ``_run_trials``. A chunk of
 consecutive trials is drawn as a whole: the relabelings of a fixed base B
 (``spec.base is not None``), or the (d, n) permutation tables of a doubly
-regular kind, plus one independent sigma per trial for the comparisons that
-relabel the sample. Each block a comparison reads (the m x m corner, the
-M12 block, or the whole matrix) becomes one (chunk, rows, cols) stack, and
-each chunk gets one batched SVD and one row-wise degree test. Corners and
-blocks of a relabeled base are gathered from B through the drawn row and
-column permutations; those of a doubly regular kind are scattered from the
-tables with one bincount per stack (``ensembles.table_block``), so no trial
-forms its n x n matrix unless it needs s2(M) or the row/column l2 norms. A
-chunk holds at most CHUNK_FLOATS stacked floats and at least one trial;
-chunks run one after another, in index order.
+regular kind. Each block a comparison reads (the m x m corner, the M12
+block, or the whole matrix) is a range of rows by a range of columns and
+becomes one (chunk, rows, cols) stack, and each chunk gets one batched SVD
+and one row-wise degree test. Blocks of a relabeled base are gathered from
+B through the drawn row and column permutations; those of a doubly regular
+kind are scattered from the tables with one bincount per stack
+(``ensembles.table_block``), so no trial forms its n x n matrix unless it
+needs s2(M) or the row/column l2 norms. A chunk holds at most CHUNK_FLOATS
+stacked floats and at least one trial; chunks run one after another, in
+index order.
 
 ||M|| is the same for every sample and is computed once per call: it is d
 for the doubly regular kinds (Schur test), and ||B|| for a relabeled base.
@@ -41,7 +45,6 @@ from . import spectra
 from .core import SquareMatrix
 from .degrees import RegularityParams, corner_degree_events, membership_rows
 from .ensembles import EnsembleSpec, relabeling, sample, table_block
-from .rng import stream
 from .spectra import second_singular, spectral_norm
 
 __all__ = [
@@ -122,35 +125,13 @@ def _corner(n: int):
     return slice(0, m), slice(n - m, n)
 
 
-def _draw(spec: EnsembleSpec, lo: int, hi: int):
-    """Samples lo..hi-1 as (base, tables, rows, cols): sample t is
-    A_t[np.ix_(rows[t], cols[t])], where A_t is the base itself (tables is
-    None) or the matrix of the permutation table tables[t] (base is None).
-    """
-    if spec.base is not None:
-        rows, cols = zip(*(relabeling(spec, i) for i in range(lo, hi)))
-        return spec.base.entries, None, np.array(rows), np.array(cols)
-    tables = np.array([sample(spec, i, table=True) for i in range(lo, hi)])
-    idx = np.broadcast_to(np.arange(spec.n), (hi - lo, spec.n))
-    return None, tables, idx, idx
-
-
-def _stack(base, tables, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """The blocks A_t[np.ix_(rows[t], cols[t])] of samples drawn as by _draw:
-    gathered from the base, or scattered from the tables."""
-    if tables is None:
-        return base[rows[:, :, None], cols[:, None, :]]
-    return table_block(tables, rows, cols)
-
-
-def _run_trials(trials: int, draw, blocks, finish, seed=None) -> list:
+def _run_trials(spec: EnsembleSpec, trials: int, blocks, finish) -> list:
     """Per-trial columns of a Monte Carlo estimator, computed chunk by chunk.
 
-    ``draw(lo, hi)`` returns trials lo..hi-1 as _draw does; with a ``seed``,
-    trial i is first relabeled by an independent sigma from stream(seed, i).
-    Each (row slice, column slice) in ``blocks`` gives the stack of that
-    block of every trial of the chunk, and ``finish(*stacks)`` turns them
-    into a tuple of per-trial arrays, which are concatenated in trial order.
+    Trial i is sample i of ``spec``. Each (row slice, column slice) in
+    ``blocks`` gives the stack of that block of every sample of the chunk,
+    and ``finish(*stacks)`` turns them into a tuple of per-trial arrays,
+    which are concatenated in trial order.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -160,12 +141,26 @@ def _run_trials(trials: int, draw, blocks, finish, seed=None) -> list:
     parts = []
     for lo in range(0, trials, size):
         hi = min(trials, lo + size)
-        base, tables, rows, cols = draw(lo, hi)
-        if seed is not None:
-            s = np.array([stream(seed, i).permutation(rows.shape[1]) for i in range(lo, hi)])
-            rows, cols = np.take_along_axis(rows, s, 1), np.take_along_axis(cols, s, 1)
-        parts.append(finish(*(_stack(base, tables, rows[:, r], cols[:, c]) for r, c in blocks)))
+        if spec.base is None:
+            tables = np.array([sample(spec, i, table=True) for i in range(lo, hi)])
+            stacks = [table_block(tables, r, c) for r, c in blocks]
+        else:
+            # Sample t is base[np.ix_(rows[t], cols[t])].
+            rows, cols = map(np.array, zip(*(relabeling(spec, i) for i in range(lo, hi))))
+            stacks = [spec.base.entries[rows[:, r, None], cols[:, None, c]] for r, c in blocks]
+        parts.append(finish(*stacks))
     return [np.concatenate(column) for column in zip(*parts)]
+
+
+def _zero_diagonal(spec: EnsembleSpec) -> bool:
+    """Whether every sample of the ensemble has zero diagonal."""
+    if spec.kind == "regular_digraph":
+        return True
+    if spec.kind == "perm_sum_regular":
+        return spec.zero_diagonal
+    if spec.kind == "permuted_base":  # a joint relabeling keeps the diagonal
+        return not np.any(np.diag(spec.base.entries))
+    return not np.any(spec.base.entries)  # any entry can land on the diagonal
 
 
 def _singular(stack: np.ndarray, index: int) -> np.ndarray:
@@ -244,13 +239,8 @@ def corner_capture_fraction(M: SquareMatrix, trials: int, seed: int = 0, c_grid=
         raise ValueError("the corner-capture statement assumes zero diagonal")
     c_grid = _c_grid(c_grid)
     m_norm = spectral_norm(M)
-
-    def draw(lo, hi):
-        idx = np.broadcast_to(np.arange(M.n), (hi - lo, M.n))
-        return M.entries, None, idx, idx
-
-    (t_norms,) = _run_trials(trials, draw, [_corner(M.n)], lambda T: (_singular(T, 0),),
-                             seed=seed)
+    spec = EnsembleSpec("permuted_base", M.n, seed=seed, base=M)
+    (t_norms,) = _run_trials(spec, trials, [_corner(M.n)], lambda T: (_singular(T, 0),))
     p_hat, ci = _tail_probs(t_norms, c_grid * m_norm)
     ok = p_hat >= c_grid - ci
     best_c = float(c_grid[ok][-1]) if np.any(ok) else 0.0
@@ -268,55 +258,44 @@ def norm_tail_curve(
     spec: EnsembleSpec,
     c: float,
     trials: int,
-    seed: int = 0,
     thresholds=None,
     event: RegularityParams | None = None,
     c_grid=None,
 ) -> TailCurve:
     """Tail comparison P{||M|| >= tau} vs (1/c) P{||T|| >= c tau AND event}.
 
-    T is the corner of sigma(M) for an independent uniform sigma. The event
-    is either trivial (None) or the near-constant-corner-degree event with
-    the given (d, delta). Requires a zero-diagonal ensemble with n >= 8.
+    T is the corner of M itself. The event is either trivial (None) or the
+    near-constant-corner-degree event with the given (d, delta). Requires an
+    ensemble whose samples all have zero diagonal, and n >= 8.
     """
     if spec.n < 8:
         raise ValueError("the tail comparison assumes n >= 8")
     if not 0 < c <= 1:
         raise ValueError("c must lie in (0, 1]")
+    if not _zero_diagonal(spec):
+        raise ValueError("the tail comparison assumes zero-diagonal samples")
     n = spec.n
-
-    def draw(lo, hi):
-        base, tables, rows, cols = _draw(spec, lo, hi)
-        # The samples' diagonals; a separate relabeling moves entries onto them.
-        if tables is None:
-            fixed = base[rows, cols] != 0.0
-        else:
-            fixed = tables == np.arange(n)  # Q[j, i] == i puts a 1 at (i, i)
-        if np.any(fixed):
-            raise ValueError("the tail comparison assumes zero-diagonal samples")
-        return base, tables, rows, cols
 
     def finish(T):
         met = np.ones(len(T), dtype=bool) if event is None else corner_degree_events(T, event, n)
         return _singular(T, 0), met
 
-    t_norms, events = _run_trials(trials, draw, [_corner(n)], finish, seed=seed)
+    t_norms, events = _run_trials(spec, trials, [_corner(n)], finish)
     m_norms, thresholds = _norms(spec, trials, thresholds)
     columns, best_c = _compare(m_norms, np.where(events, t_norms, -np.inf), thresholds, c, c_grid)
     return TailCurve(
-        thresholds=thresholds, **columns, trials=trials, seed=seed, c=c,
+        thresholds=thresholds, **columns, trials=trials, seed=spec.seed, c=c,
         meta={
             "comparison": "norm_vs_corner",
             "event": "trivial" if event is None else
                      {"kind": "corner_degrees", "d": event.d, "delta": event.delta},
             "best_c": best_c,
+            "event_fraction": float(np.mean(events)),
         },
     )
 
 
-def block_bound_curve(
-    spec: EnsembleSpec, trials: int, seed: int = 0, thresholds=None
-) -> TailCurve:
+def block_bound_curve(spec: EnsembleSpec, trials: int, thresholds=None) -> TailCurve:
     """Separately exchangeable control: P{||M|| >= t} <= 4 P{||M12|| >= t/4}.
 
     M12 is the block of core.block_decompose: floor(n/2) x ceil(n/2).
@@ -324,12 +303,12 @@ def block_bound_curve(
     if spec.n < 2:
         raise ValueError("block decomposition requires n >= 2")
     m = spec.n // 2
-    (b_norms,) = _run_trials(trials, lambda lo, hi: _draw(spec, lo, hi),
-                             [(slice(0, m), slice(m, spec.n))], lambda B: (_singular(B, 0),))
+    (b_norms,) = _run_trials(spec, trials, [(slice(0, m), slice(m, spec.n))],
+                             lambda B: (_singular(B, 0),))
     m_norms, thresholds = _norms(spec, trials, thresholds)
     # The norm comparison at c = 1/4, with no constant sweep.
     columns, _ = _compare(m_norms, b_norms, thresholds, 0.25, c_grid=[])
-    return TailCurve(thresholds=thresholds, **columns, trials=trials, seed=seed, c=0.25,
+    return TailCurve(thresholds=thresholds, **columns, trials=trials, seed=spec.seed, c=0.25,
                      meta={"comparison": "four_block_triangle"})
 
 
@@ -337,10 +316,9 @@ def corner_degree_event_frequency(
     spec: EnsembleSpec,
     params: RegularityParams,
     trials: int,
-    seed: int = 0,
     hyp_C: float = 1.0,
 ) -> dict:
-    """Frequency of the near-constant-corner-degree event over (A, sigma).
+    """Frequency of the near-constant-corner-degree event of the corner of A.
 
     Also reports the fraction of samples meeting the row/column l2
     hypothesis C * max_i ||row_i||_2, C * max_i ||col_i||_2 <= delta at the
@@ -349,8 +327,7 @@ def corner_degree_event_frequency(
     n = spec.n
     blocks = [_corner(n)]
     if spec.base is None:
-        # The whole sample, relabeled by sigma, which keeps its l2 maxima.
-        blocks.append((slice(0, n), slice(0, n)))
+        blocks.append((slice(0, n), slice(0, n)))  # the whole sample, for its l2 maxima
     else:
         l2 = _max_l2(spec.base.entries)
 
@@ -358,15 +335,14 @@ def corner_degree_event_frequency(
         l2s = np.full(len(T), l2) if A is None else _max_l2(A)
         return corner_degree_events(T, params, n), hyp_C * l2s <= params.delta
 
-    events, hyp = _run_trials(trials, lambda lo, hi: _draw(spec, lo, hi), blocks, finish,
-                              seed=seed)
+    events, hyp = _run_trials(spec, trials, blocks, finish)
     hits = int(np.count_nonzero(events))
     return {
         "p_E": hits / trials,
         "ci": wilson_halfwidth(hits, trials),
         "hypothesis_fraction": int(np.count_nonzero(hyp)) / trials,
         "trials": trials,
-        "seed": seed,
+        "seed": spec.seed,
     }
 
 
@@ -375,7 +351,6 @@ def s2_tail_curve(
     params: RegularityParams,
     L_grid,
     trials: int,
-    seed: int = 0,
     c: float = 0.01,
     c_grid=None,
     hyp_C: float = 1.0,
@@ -402,11 +377,11 @@ def s2_tail_curve(
         member = membership_rows(absT.sum(axis=1), absT.sum(axis=2), half)[0]
         return s2A, _singular(T, 1), member
 
-    s2A, s2T, members = _run_trials(trials, lambda lo, hi: _draw(spec, lo, hi), blocks, finish)
+    s2A, s2T, members = _run_trials(spec, trials, blocks, finish)
     thresholds = np.asarray(L_grid, dtype=np.float64) * params.delta
     columns, best_c = _compare(s2A, np.where(members, s2T, -np.inf), thresholds, c, c_grid)
     return TailCurve(
-        thresholds=thresholds, **columns, trials=trials, seed=seed, c=c,
+        thresholds=thresholds, **columns, trials=trials, seed=spec.seed, c=c,
         meta={
             "comparison": "second_singular_vs_corner",
             "d": params.d,

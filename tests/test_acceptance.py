@@ -164,7 +164,7 @@ def test_criterion_06_corner_capture_desk_scale():
 def test_criterion_07_norm_tail_comparison():
     spec = EnsembleSpec(kind="perm_sum_regular", n=64, d=4, zero_diagonal=True, seed=108)
     curve = norm_tail_curve(
-        spec, c=0.01, trials=10000, seed=108,
+        spec, c=0.01, trials=10000,
         event=RegularityParams(d=4.0, delta=2.0), c_grid=[0.01],
     )
     # ||M|| = d for a doubly regular M, so its deciles are one threshold, d.
@@ -178,7 +178,7 @@ def test_criterion_08_four_block_bound():
     rng = stream(109)
     base = SquareMatrix(rng.normal(size=(32, 32)))
     spec = EnsembleSpec(kind="separately_exchangeable", n=32, seed=109, base=base)
-    curve = block_bound_curve(spec, trials=10000, seed=109)
+    curve = block_bound_curve(spec, trials=10000)
     # Relabeling preserves ||M||, so its deciles are one threshold, ||B||.
     one_threshold = curve.thresholds.tolist() == [spectral_norm(base)]
     report("separately exchangeable four-block tail bound",

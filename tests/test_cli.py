@@ -208,6 +208,64 @@ def test_tail_norm_rejects_samples_with_a_fixed_point(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_tail_norm_zero_diagonal_guard_is_on_the_spec(tmp_path, capsys):
+    # A perm_sum_regular sample with d = 1 may or may not have a fixed point
+    # (at seeds 0 and 3 the first one has none); the ensemble is rejected at
+    # every seed, before any sample is drawn.
+    message = "error: the tail comparison assumes zero-diagonal samples\n"
+    for seed in range(8):
+        out = tmp_path / f"d1-{seed}"
+        code, stdout, err = run_cli(
+            ["tail", "norm", "--ensemble", "perm_sum_regular", "--n", "64", "--d", "1",
+             "--trials", "1", "--seed", str(seed), "--out", str(out)],
+            capsys,
+        )
+        assert (code, stdout, err) == (2, "", message), seed
+        assert not out.exists()
+    # Separately exchangeable samples have zero diagonal only for a zero base.
+    for entries, expected in ((np.eye(8, k=1), 2), (np.zeros((8, 8)), 0)):
+        f = tmp_path / "base.csv"
+        f.write_text(matrix_to_csv(SquareMatrix(entries)))
+        out = tmp_path / f"sep{expected}"
+        code, _, err = run_cli(
+            ["tail", "norm", "--ensemble", "separately_exchangeable", "--n", "8",
+             "--base", str(f), "--trials", "20", "--out", str(out)],
+            capsys,
+        )
+        assert code == expected
+        assert err == ("" if expected == 0 else message)
+
+
+def _assert_rejects_c(args, tmp_path, capsys):
+    """``tail`` with ``args`` runs, and exits 2 with a non-default c given by
+    the flag or by a manifest key."""
+    comparison = args[0]
+    assert run_cli(["tail", *args, "--out", str(tmp_path / "ok")], capsys)[0] == 0
+    mf = tmp_path / "manifest.json"
+    mf.write_text(json.dumps({"c": 0.5}))
+    for i, extra in enumerate((["--c", "0.5"], ["--manifest", str(mf)])):
+        out = tmp_path / f"c{i}"
+        code, stdout, err = run_cli(["tail", *args, *extra, "--out", str(out)], capsys)
+        assert (code, stdout, err) == (2, "", f"error: tail {comparison} takes no --c\n")
+        assert not out.exists()
+
+
+def test_tail_blocks_rejects_c(tmp_path, capsys):
+    _assert_rejects_c(["blocks", "--n", "8", "--d", "2", "--trials", "20"], tmp_path, capsys)
+
+
+def test_tail_degree_event_rejects_c(tmp_path, capsys):
+    _assert_rejects_c(["degree-event", "--n", "20", "--d", "3", "--delta", "3.0",
+                       "--zero-diagonal", "--trials", "20"], tmp_path, capsys)
+
+
+def test_tail_corner_capture_rejects_c(tmp_path, capsys):
+    f = tmp_path / "m8.csv"
+    f.write_text(matrix_to_csv(SquareMatrix(np.ones((8, 8)) - np.eye(8))))
+    _assert_rejects_c(["corner-capture", "--matrix", str(f), "--trials", "20"],
+                      tmp_path, capsys)
+
+
 def test_tail_degree_event(tmp_path, capsys):
     out = tmp_path / "de"
     code, stdout, _ = run_cli(

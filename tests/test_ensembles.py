@@ -206,17 +206,18 @@ def test_regular_digraph_rejection_cap_matches_the_reference():
 
 @settings(max_examples=100, deadline=None)
 @given(st.sampled_from(["perm_sum_regular", "regular_digraph"]), st.integers(2, 30),
-       st.integers(1, 4), st.integers(1, 5), st.integers(0, 10**6))
-def test_table_block_gathers_from_the_dense_samples(kind, n, d, trials, seed):
+       st.integers(1, 4), st.integers(1, 5), st.integers(0, 10**6), st.data())
+def test_table_block_gathers_from_the_dense_samples(kind, n, d, trials, seed, data):
     d = min(d, n - 1 if kind == "perm_sum_regular" else max(1, n // 3))
     spec = EnsembleSpec(kind, n, d, zero_diagonal=False, seed=seed)
     tables = np.array([sample(spec, i, table=True) for i in range(trials)])
-    rng = stream(seed, 1)
-    h, w = (int(x) for x in rng.integers(0, n + 1, size=2))
-    rows = np.array([rng.permutation(n)[:h] for _ in range(trials)]).reshape(trials, h)
-    cols = np.array([rng.permutation(n)[:w] for _ in range(trials)]).reshape(trials, w)
+    # Ranges of 0..n indices, empty ones (start == stop) included.
+    bounds = st.lists(st.integers(0, n), min_size=2, max_size=2).map(sorted)
+    r0, r1 = data.draw(bounds)
+    c0, c1 = data.draw(bounds)
+    rows, cols = slice(r0, r1), slice(c0, c1)
     blocks = table_block(tables, rows, cols)
-    assert blocks.shape == (trials, h, w) and blocks.dtype == np.float64
+    assert blocks.shape == (trials, r1 - r0, c1 - c0) and blocks.dtype == np.float64
     for t in range(trials):
         A = sample(spec, t).entries
-        assert blocks[t].tobytes() == A[np.ix_(rows[t], cols[t])].tobytes()
+        assert blocks[t].tobytes() == A[rows, cols].tobytes()

@@ -7,9 +7,11 @@ alters output on purpose updates them and says so in CHANGES.md.
 
 import hashlib
 
+import numpy as np
 import pytest
 
 from exspec.cli import main
+from exspec.core import SquareMatrix, matrix_to_csv
 
 TAIL = {
     "norm-perm-sum-delta": ["norm", "--ensemble", "perm_sum_regular", "--n", "64", "--d", "4",
@@ -24,7 +26,24 @@ TAIL = {
                "--trials", "100", "--seed", "13"],
     "degree-event": ["degree-event", "--ensemble", "regular_digraph", "--n", "21", "--d", "3",
                      "--delta", "1.0", "--trials", "100", "--seed", "17"],
+    "corner-capture": ["corner-capture", "--matrix", "m8.csv", "--trials", "200",
+                       "--seed", "19"],
+    "norm-permuted-base": ["norm", "--ensemble", "permuted_base", "--n", "10",
+                           "--base", "b10.csv", "--c", "0.5", "--grid", "54,56,58",
+                           "--trials", "150", "--seed", "23"],
 }
+
+
+def _zero_diagonal(n):
+    """A fixed n x n matrix of small integers with zero diagonal."""
+    E = (np.arange(n * n).reshape(n, n) * 7 % 11).astype(np.float64)
+    np.fill_diagonal(E, 0.0)
+    return SquareMatrix(E, zero_diagonal=True)
+
+
+# Matrix files the tail runs read, written to the working directory so that
+# the paths echoed in the manifest are the same on every run.
+FILES = {"m8.csv": _zero_diagonal(8), "b10.csv": _zero_diagonal(10)}
 
 GEN = {
     "gen-perm-sum": ["--ensemble", "perm_sum_regular", "--n", "13", "--d", "3",
@@ -39,6 +58,10 @@ GOLDEN = {
     "blocks": {
         "curve.csv": "bd24282726a5ae4ad2309b1a2d40c1f56f75ffa646fbae6ef780cb7047d0c5c7",
         "curve.json": "e2c9f426b619bfcfca39cd3f9e903cc7c40cfbaafca73d549a7c2603480e86dc",
+    },
+    "corner-capture": {
+        "curve.csv": "4854ab764ea278b70c38cd7673fde568b41990ac3bbac9092da67bf3425fba19",
+        "curve.json": "ec2f69fdace57cc5ce827417f01e7075bd0a4c734433ba6e286038f112cf3074",
     },
     "degree-event": {
         "curve.json": "04826d27b719c0c27ce75d78304b702eb05b72157b1c32aa7dccf5581f93a033",
@@ -70,11 +93,15 @@ GOLDEN = {
     },
     "norm-digraph": {
         "curve.csv": "307fa0300f3ac360faacbf2ecf607ded6907cb3abb08ca4045ea8ddf34e7ded5",
-        "curve.json": "ac534c9eebd6fda5d9871cf0d2616ddc4b2616e65c59b0e5010aee5fd675bcf0",
+        "curve.json": "64c9cbee9dd755bb069eb56a5da9a6191aecf9c7fe307449987028dbc94ab7e0",
     },
     "norm-perm-sum-delta": {
         "curve.csv": "4227c90fe3a762348e18ce3a0edd6c9c888a77c8dacb00dfd380664a2fe22bbe",
-        "curve.json": "8524fcc58332466a7f30cc527a24a23689dda9caabe3bf91339b58b8638210a7",
+        "curve.json": "bb15860459d8ecbe394ddef28ac041ae7e0ed2b892d9b94e7adebe077adfc3c2",
+    },
+    "norm-permuted-base": {
+        "curve.csv": "33257b13b1651f5853097d3adf688b20859d8e1f63ae1431b2096e946f3a7e0d",
+        "curve.json": "57f6d1b8f0572c42df6ebce3362bff036ce1cf5a13a5041b3ea5abc21395d759",
     },
     "s2-per-sample": {
         "curve.csv": "6eafadd29036912b19e4bbb126b6a37e4c66a5c54b48049e1b0b7bdfa11a80e5",
@@ -89,7 +116,10 @@ def _digests(out):
 
 
 @pytest.mark.parametrize("name", sorted(TAIL))
-def test_tail_output_bytes(name, tmp_path, capsys):
+def test_tail_output_bytes(name, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for file, M in FILES.items():
+        (tmp_path / file).write_text(matrix_to_csv(M))
     out = tmp_path / name
     assert main(["tail", *TAIL[name], "--out", str(out)]) == 0
     capsys.readouterr()

@@ -12,8 +12,8 @@ from exspec.spectra import second_singular, spectral_norm
 from exspec.tails import (
     TailCurve,
     _compare,
-    _draw,
-    _stack,
+    _corner,
+    _run_trials,
     _tail_probs,
     _wilson_halfwidths,
     block_bound_curve,
@@ -148,7 +148,7 @@ def test_corner_capture_reproducible():
 
 def test_norm_tail_curve_holds_for_perm_sum():
     spec = EnsembleSpec(kind="perm_sum_regular", n=32, d=3, zero_diagonal=True, seed=76)
-    curve = norm_tail_curve(spec, c=0.01, trials=400, seed=76)
+    curve = norm_tail_curve(spec, c=0.01, trials=400)
     assert curve.all_hold()
     assert curve.meta["best_c"] >= 0.01
     assert curve.meta["event"] == "trivial"
@@ -159,7 +159,7 @@ def test_norm_tail_curve_with_degree_event():
     # Generous delta: corner degrees of a d-regular matrix concentrate near
     # d/2, so the event holds every trial and the comparison still passes.
     curve = norm_tail_curve(
-        spec, c=0.01, trials=300, seed=77,
+        spec, c=0.01, trials=300,
         event=RegularityParams(d=4.0, delta=4.0),
     )
     assert curve.all_hold()
@@ -182,7 +182,7 @@ def test_block_bound_curve_separately_exchangeable():
     rng = stream(78)
     base = SquareMatrix(rng.normal(size=(32, 32)))
     spec = EnsembleSpec(kind="separately_exchangeable", n=32, seed=78, base=base)
-    curve = block_bound_curve(spec, trials=400, seed=78)
+    curve = block_bound_curve(spec, trials=400)
     assert curve.all_hold()
     assert curve.meta["comparison"] == "four_block_triangle"
 
@@ -190,7 +190,7 @@ def test_block_bound_curve_separately_exchangeable():
 def test_block_bound_trivial_on_degenerate_base():
     base = SquareMatrix(np.zeros((8, 8)))
     spec = EnsembleSpec(kind="separately_exchangeable", n=8, seed=79, base=base)
-    curve = block_bound_curve(spec, trials=50, seed=79, thresholds=[0.5, 1.0])
+    curve = block_bound_curve(spec, trials=50, thresholds=[0.5, 1.0])
     assert np.all(curve.p_left == 0.0)
     assert curve.all_hold()
 
@@ -198,7 +198,7 @@ def test_block_bound_trivial_on_degenerate_base():
 def test_corner_degree_event_frequency_regular_ensemble():
     spec = EnsembleSpec(kind="perm_sum_regular", n=40, d=4, zero_diagonal=True, seed=80)
     res = corner_degree_event_frequency(
-        spec, RegularityParams(d=4.0, delta=4.0), trials=300, seed=80
+        spec, RegularityParams(d=4.0, delta=4.0), trials=300
     )
     assert res["p_E"] == 1.0
     assert 0.0 <= res["hypothesis_fraction"] <= 1.0
@@ -207,7 +207,7 @@ def test_corner_degree_event_frequency_regular_ensemble():
 def test_corner_degree_event_frequency_tiny_delta():
     spec = EnsembleSpec(kind="perm_sum_regular", n=40, d=4, zero_diagonal=True, seed=81)
     res = corner_degree_event_frequency(
-        spec, RegularityParams(d=4.0, delta=1e-9), trials=100, seed=81
+        spec, RegularityParams(d=4.0, delta=1e-9), trials=100
     )
     assert res["p_E"] < 0.5
 
@@ -219,7 +219,7 @@ def test_s2_tail_curve_complete_digraph():
     base = SquareMatrix(np.ones((n, n)) - np.eye(n), zero_diagonal=True)
     spec = EnsembleSpec(kind="permuted_base", n=n, seed=82, base=base)
     params = RegularityParams(d=float(n - 1), delta=2.0)
-    curve = s2_tail_curve(spec, params, L_grid=[0.25, 0.5, 1.0], trials=60, seed=82)
+    curve = s2_tail_curve(spec, params, L_grid=[0.25, 0.5, 1.0], trials=60)
     assert np.allclose(curve.p_left, [1.0, 1.0, 0.0])
     assert curve.all_hold()
     assert curve.meta["member_fraction"] == 1.0
@@ -228,7 +228,7 @@ def test_s2_tail_curve_complete_digraph():
 def test_s2_tail_curve_perm_sum():
     spec = EnsembleSpec(kind="perm_sum_regular", n=32, d=3, seed=83)
     params = RegularityParams(d=3.0, delta=2.0)
-    curve = s2_tail_curve(spec, params, L_grid=[0.5, 1.0, 2.0], trials=300, seed=83)
+    curve = s2_tail_curve(spec, params, L_grid=[0.5, 1.0, 2.0], trials=300)
     assert curve.all_hold()
     assert curve.meta["best_c"] >= 0.01
     assert 0.0 <= curve.meta["member_fraction"] <= 1.0
@@ -275,7 +275,7 @@ def test_curves_identical_across_worker_counts(monkeypatch):
     results = []
     for workers in ("1", "4"):
         monkeypatch.setenv("EXSPEC_THREADS", workers)
-        curve = norm_tail_curve(spec, c=0.05, trials=200, seed=86)
+        curve = norm_tail_curve(spec, c=0.05, trials=200)
         results.append((curve.p_left.tolist(), curve.p_right.tolist()))
     assert results[0] == results[1]
 
@@ -288,22 +288,19 @@ def _relabeled_specs(n, seed):
 
 
 @pytest.mark.parametrize("n", [9, 10])
-def test_relabeled_corner_gathers_the_sampled_corner(n):
-    m = n // 2
-    for spec in _relabeled_specs(n, 90):
-        for i in (0, 1, 7, 123):
-            A = sample(spec, i).entries
-            rows, cols = relabeling(spec, i)
-            assert np.array_equal(spec.base.entries[np.ix_(rows, cols)], A)
-            base, tables, chunk_rows, chunk_cols = _draw(spec, i, i + 1)
-            assert tables is None and base is spec.base.entries
-            assert np.array_equal(chunk_rows, [rows]) and np.array_equal(chunk_cols, [cols])
-            corner = _stack(base, None, chunk_rows[:, :m], chunk_cols[:, n - m:])[0]
-            assert corner.tobytes() == A[:m, n - m:].tobytes()
-            # The norm comparison composes the draw with an independent sigma.
-            s = stream(91, i).permutation(n)
-            composed = _stack(base, None, chunk_rows[:, s[:m]], chunk_cols[:, s[n - m:]])[0]
-            assert composed.tobytes() == A[np.ix_(s, s)][:m, n - m:].tobytes()
+def test_relabeled_corner_gathers_the_sampled_corner(monkeypatch, n):
+    from exspec import tails
+
+    m, trials = n // 2, 11
+    monkeypatch.setattr(tails, "CHUNK_FLOATS", 3 * m * m)  # four chunks, the last partial
+    specs = _relabeled_specs(n, 90) + [
+        EnsembleSpec(kind="perm_sum_regular", n=n, d=3, seed=91),
+        EnsembleSpec(kind="regular_digraph", n=n, d=2, seed=92),
+    ]
+    for spec in specs:
+        (corners,) = _run_trials(spec, trials, [_corner(n)], lambda T: (T,))
+        want = np.array([sample(spec, i).entries[:m, n - m:] for i in range(trials)])
+        assert corners.tobytes() == want.tobytes(), spec.kind
 
 
 def test_relabeling_requires_a_base():
@@ -333,7 +330,7 @@ def test_s2_tail_curve_relabeled_base_matches_per_sample_reference():
     p_left, ci_left = _tail_probs(np.array(s2A), thresholds)
     p_right, ci_right = _tail_probs(np.where(members, s2T, -np.inf), c * thresholds)
 
-    curve = s2_tail_curve(spec, params, L_grid, trials=trials, seed=93, c=c)
+    curve = s2_tail_curve(spec, params, L_grid, trials=trials, c=c)
     assert np.unique(curve.p_right).size >= 4  # the grid cuts the corner tail
     assert np.array_equal(curve.p_left, p_left)
     assert np.array_equal(curve.ci_left, ci_left)
@@ -346,7 +343,7 @@ def test_block_bound_relabeled_odd_n_matches_per_sample_blocks():
     spec = _relabeled_specs(9, 94)[1]
     b_norms = np.array([spectral_norm(block_decompose(sample(spec, i))[1]) for i in range(60)])
     thresholds = 4.0 * np.quantile(b_norms, [0.2, 0.5, 0.8])
-    curve = block_bound_curve(spec, trials=60, seed=94, thresholds=thresholds)
+    curve = block_bound_curve(spec, trials=60, thresholds=thresholds)
     assert np.array_equal(curve.p_right, _tail_probs(b_norms, thresholds / 4.0)[0])
     assert np.all(curve.p_left == (spectral_norm(spec.base) >= thresholds))
 
@@ -364,27 +361,25 @@ def test_norm_tail_curve_relabeled_base_has_one_threshold():
     np.fill_diagonal(E, 0.0)
     base = SquareMatrix(E, zero_diagonal=True)
     spec = EnsembleSpec(kind="permuted_base", n=16, seed=96, base=base)
-    curve = norm_tail_curve(spec, c=0.1, trials=50, seed=97)
+    curve = norm_tail_curve(spec, c=0.1, trials=50)
     assert curve.thresholds.tolist() == [spectral_norm(base)]
     assert curve.p_left.tolist() == [1.0]
 
 
 # --- the chunked engine against a per-trial reference -------------------------
 
-def _reference_columns(spec, seed, trials, event, half, hyp_C, delta):
+def _reference_columns(spec, trials, event, half, hyp_C, delta):
     """Per-trial statistics from whole samples, one trial at a time."""
     n, m = spec.n, spec.n // 2
     cols = {k: [] for k in ("t", "ev", "s2A", "s2T", "member", "block", "hyp")}
     for i in range(trials):
         A = sample(spec, i).entries
-        s = stream(seed, i).permutation(n)
-        T = A[np.ix_(s, s)][:m, n - m:]
+        T = A[:m, n - m:]
         cols["t"].append(spectral_norm(T))
         cols["ev"].append(corner_degree_events(T[None], event, n)[0])
-        C = A[:m, n - m:]
         cols["s2A"].append(second_singular(A))
-        cols["s2T"].append(second_singular(C))
-        cols["member"].append(deg_membership(np.abs(C).sum(axis=0), np.abs(C).sum(axis=1),
+        cols["s2T"].append(second_singular(T))
+        cols["member"].append(deg_membership(np.abs(T).sum(axis=0), np.abs(T).sum(axis=1),
                                              half)["member"])
         cols["block"].append(spectral_norm(A[:m, m:]))
         cols["hyp"].append(hyp_C * max(np.linalg.norm(A, axis=1).max(),
@@ -424,7 +419,7 @@ def test_engine_matches_per_trial_reference(monkeypatch, cap):
     for spec, d, delta in _engine_specs(n):
         event = RegularityParams(d=d, delta=delta)
         half = RegularityParams(d=d / 2.0, delta=delta)
-        ref = _reference_columns(spec, seed, trials, event, half, hyp_C, delta)
+        ref = _reference_columns(spec, trials, event, half, hyp_C, delta)
         assert 0 < ref["ev"].mean() < 1 and 0 < ref["member"].mean() < 1
         ev_stat = np.where(ref["ev"], ref["t"], -np.inf)
         m_norm = float(spec.d) if spec.base is None else spectral_norm(spec.base)
@@ -433,7 +428,7 @@ def test_engine_matches_per_trial_reference(monkeypatch, cap):
             thresholds = np.quantile(ref["t"], [0.2, 0.5, 0.8])
             for ev, right in ((None, ref["t"]), (event, ev_stat)):
                 stats.clear()
-                curve = norm_tail_curve(spec, c=1.0, trials=trials, seed=seed,
+                curve = norm_tail_curve(spec, c=1.0, trials=trials,
                                         thresholds=thresholds, event=ev, c_grid=[0.5, 1.0])
                 assert stats[0].tobytes() == np.full(trials, m_norm).tobytes()
                 assert stats[1].tobytes() == right.tobytes()
@@ -442,7 +437,7 @@ def test_engine_matches_per_trial_reference(monkeypatch, cap):
                 assert curve.ci_right.tobytes() == ci_right.tobytes()
 
         stats.clear()
-        curve = block_bound_curve(spec, trials=trials, seed=seed,
+        curve = block_bound_curve(spec, trials=trials,
                                   thresholds=4.0 * np.quantile(ref["block"], [0.2, 0.5, 0.8]))
         assert stats[1].tobytes() == ref["block"].tobytes()
         p_right, ci_right = real_tail_probs(ref["block"], curve.thresholds / 4.0)
@@ -450,14 +445,14 @@ def test_engine_matches_per_trial_reference(monkeypatch, cap):
         assert curve.ci_right.tobytes() == ci_right.tobytes()
 
         # Its per-trial events are those of the norm comparison's right column.
-        res = corner_degree_event_frequency(spec, event, trials=trials, seed=seed, hyp_C=hyp_C)
+        res = corner_degree_event_frequency(spec, event, trials=trials, hyp_C=hyp_C)
         hits = int(np.count_nonzero(ref["ev"]))
         assert (res["p_E"], res["ci"]) == (hits / trials, wilson_halfwidth(hits, trials))
         assert res["hypothesis_fraction"] == float(np.mean(ref["hyp"]))
 
         stats.clear()
         L_grid = np.quantile(ref["s2T"], [0.2, 0.5, 0.8]) / delta
-        curve = s2_tail_curve(spec, event, L_grid, trials=trials, seed=seed, c=1.0)
+        curve = s2_tail_curve(spec, event, L_grid, trials=trials, c=1.0)
         s2A = ref["s2A"] if spec.base is None else np.full(trials, second_singular(spec.base))
         right = np.where(ref["member"], ref["s2T"], -np.inf)
         assert stats[0].tobytes() == s2A.tobytes()
@@ -500,7 +495,7 @@ def test_regular_sample_norm_is_d(kind, n, d, zero_diagonal, seed, index):
 @pytest.mark.parametrize("kind", ["perm_sum_regular", "regular_digraph"])
 def test_regular_kinds_have_one_threshold_d(kind):
     spec = EnsembleSpec(kind=kind, n=16, d=3, zero_diagonal=True, seed=98)
-    for curve in (norm_tail_curve(spec, c=0.1, trials=40, seed=99),
-                  block_bound_curve(spec, trials=40, seed=99)):
+    for curve in (norm_tail_curve(spec, c=0.1, trials=40),
+                  block_bound_curve(spec, trials=40)):
         assert curve.thresholds.tolist() == [3.0]
         assert curve.p_left.tolist() == [1.0]
