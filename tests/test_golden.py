@@ -31,6 +31,15 @@ TAIL = {
     "norm-permuted-base": ["norm", "--ensemble", "permuted_base", "--n", "10",
                            "--base", "b10.csv", "--c", "0.5", "--grid", "54,56,58",
                            "--trials", "150", "--seed", "23"],
+    # Both cut the corner tail: p_right runs from 0.7 to 0.1 and from 0.99
+    # to 0.007. At c tau = 2.0 two member corners of the s2 case have s2
+    # exactly 2, so the case also pins how a threshold tie is counted.
+    "s2-permuted-base": ["s2", "--ensemble", "permuted_base", "--n", "32", "--base", "r32.csv",
+                         "--d", "3", "--delta", "1.0", "--c", "0.5",
+                         "--grid", "2,3.6,3.8,4,4.2", "--trials", "120", "--seed", "31"],
+    "norm-perm-sum-grid": ["norm", "--ensemble", "perm_sum_regular", "--n", "64", "--d", "4",
+                           "--zero-diagonal", "--c", "0.6", "--grid", "4,4.5,5,5.5",
+                           "--trials", "150", "--seed", "37"],
 }
 
 
@@ -41,9 +50,19 @@ def _zero_diagonal(n):
     return SquareMatrix(E, zero_diagonal=True)
 
 
+def _regular32():
+    """A fixed 3-regular 0/1 matrix on 32 nodes with zero diagonal: the sum of
+    the permutation matrices of i + 2, 7i + 3 (mod 32) and i XOR 1."""
+    i = np.arange(32)
+    E = np.zeros((32, 32))
+    for p in ((i + 2) % 32, (7 * i + 3) % 32, i ^ 1):
+        E[i, p] += 1.0
+    return SquareMatrix(E, zero_diagonal=True)
+
+
 # Matrix files the tail runs read, written to the working directory so that
 # the paths echoed in the manifest are the same on every run.
-FILES = {"m8.csv": _zero_diagonal(8), "b10.csv": _zero_diagonal(10)}
+FILES = {"m8.csv": _zero_diagonal(8), "b10.csv": _zero_diagonal(10), "r32.csv": _regular32()}
 
 GEN = {
     "gen-perm-sum": ["--ensemble", "perm_sum_regular", "--n", "13", "--d", "3",
@@ -99,6 +118,10 @@ GOLDEN = {
         "curve.csv": "4227c90fe3a762348e18ce3a0edd6c9c888a77c8dacb00dfd380664a2fe22bbe",
         "curve.json": "bb15860459d8ecbe394ddef28ac041ae7e0ed2b892d9b94e7adebe077adfc3c2",
     },
+    "norm-perm-sum-grid": {
+        "curve.csv": "62a9f5ac3f458204dce46adde70c44110c6bfa1b605f418de366d60f9d21adfc",
+        "curve.json": "b2bbbe8d0f2c2acf56f0ca7c82ba90c6a95ea1e921699498869fd1956d8fc304",
+    },
     "norm-permuted-base": {
         "curve.csv": "33257b13b1651f5853097d3adf688b20859d8e1f63ae1431b2096e946f3a7e0d",
         "curve.json": "57f6d1b8f0572c42df6ebce3362bff036ce1cf5a13a5041b3ea5abc21395d759",
@@ -106,6 +129,10 @@ GOLDEN = {
     "s2-per-sample": {
         "curve.csv": "6eafadd29036912b19e4bbb126b6a37e4c66a5c54b48049e1b0b7bdfa11a80e5",
         "curve.json": "6a3ad0202acc5d712f0390458c3c3ffc96cfd1cd8f6debbd1854a9ca9e2d15ab",
+    },
+    "s2-permuted-base": {
+        "curve.csv": "58379aa667827de9451736820e80124cecf9eb87092d41b35057be34fb476ead",
+        "curve.json": "589dc201ce585e98afaf2c951742c4653c4342c580c0186e4152b07c7559d404",
     },
 }
 
