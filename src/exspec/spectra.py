@@ -10,6 +10,7 @@ import numpy as np
 from .core import SquareMatrix, as_entries, column_sums, row_sums
 
 __all__ = [
+    "RTOL",
     "singular_values",
     "spectral_norm",
     "second_singular",
@@ -18,6 +19,11 @@ __all__ = [
     "perron_check",
     "spectral_radius",
 ]
+
+
+# Relative tolerance of the tail comparisons: a statistic within RTOL |tau|
+# below a threshold tau counts as reaching it.
+RTOL = 1e-10
 
 
 def singular_values(M) -> np.ndarray:

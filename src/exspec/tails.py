@@ -45,7 +45,7 @@ from . import spectra
 from .core import SquareMatrix
 from .degrees import RegularityParams, corner_degree_events, membership_rows
 from .ensembles import EnsembleSpec, relabeling, sample, table_block
-from .spectra import second_singular, spectral_norm
+from .spectra import RTOL, second_singular, spectral_norm
 
 __all__ = [
     "TailCurve",
@@ -202,9 +202,14 @@ def _wilson_halfwidths(hits: np.ndarray, trials: int, z: float = 1.959964) -> np
 
 
 def _tail_probs(stat: np.ndarray, thresholds: np.ndarray):
-    """P{stat >= tau} and its Wilson half-width, for thresholds of any shape."""
+    """P{stat >= tau} and its Wilson half-width, for thresholds of any shape.
+
+    A statistic within RTOL |tau| below tau counts as reaching tau, so that a
+    tie (an integer corner at an integer threshold) does not hang on the last
+    bits of a singular value."""
     trials = stat.size
-    hits = trials - np.searchsorted(np.sort(stat), thresholds, side="left")
+    floors = thresholds - RTOL * np.abs(thresholds)
+    hits = trials - np.searchsorted(np.sort(stat), floors, side="left")
     return hits / trials, _wilson_halfwidths(hits, trials)
 
 

@@ -131,8 +131,8 @@ GOLDEN = {
         "curve.json": "6a3ad0202acc5d712f0390458c3c3ffc96cfd1cd8f6debbd1854a9ca9e2d15ab",
     },
     "s2-permuted-base": {
-        "curve.csv": "58379aa667827de9451736820e80124cecf9eb87092d41b35057be34fb476ead",
-        "curve.json": "589dc201ce585e98afaf2c951742c4653c4342c580c0186e4152b07c7559d404",
+        "curve.csv": "e931d15db1f5199a980f4256cc1935c7800edd1c7f1eaa7c9a51f76257fdf7ae",
+        "curve.json": "6477a42e6328c59452c407d39f5decebec48125460a7cecb3a097de43e80a0df",
     },
 }
 

@@ -8,7 +8,7 @@ from exspec.core import SquareMatrix, block_decompose
 from exspec.degrees import RegularityParams, corner_degree_events, deg_membership
 from exspec.ensembles import EnsembleSpec, relabeling, sample
 from exspec.rng import stream
-from exspec.spectra import second_singular, spectral_norm
+from exspec.spectra import RTOL, second_singular, spectral_norm
 from exspec.tails import (
     TailCurve,
     _compare,
@@ -40,11 +40,12 @@ def test_wilson_halfwidth_basics():
 
 
 def _scalar_tail_probs(stat, thresholds):
-    """The reference definition: one exceedance count per threshold."""
+    """The reference definition: one exceedance count per threshold, where a
+    statistic within RTOL |tau| below tau reaches it."""
     p = np.empty(thresholds.size)
     ci = np.empty(thresholds.size)
     for i, tau in enumerate(thresholds):
-        hits = int(np.count_nonzero(stat >= tau))
+        hits = int(np.count_nonzero(stat >= tau - RTOL * abs(tau)))
         p[i] = hits / stat.size
         ci[i] = wilson_halfwidth(hits, stat.size)
     return p, ci
@@ -91,6 +92,21 @@ def test_tail_probs_and_compare_match_the_scalar_loops():
             assert best_c == want_best
     columns, best_c = _compare(left, right, thresholds, 0.25, [])
     assert best_c == 0.0 and columns["p_right"].shape == thresholds.shape
+
+
+def test_tail_counts_do_not_hang_on_rounding():
+    # Integer statistics at integer thresholds, as integer corners give: any
+    # relative perturbation of RTOL / 10 leaves every count as it is.
+    rng = stream(74)
+    stat = rng.integers(-4, 5, size=500).astype(np.float64)
+    thresholds = np.arange(-4.0, 5.0)
+    want = _tail_probs(stat, thresholds)
+    assert want[0].tobytes() == _scalar_tail_probs(stat, thresholds)[0].tobytes()
+    for sign in (-1.0, 1.0, rng.choice([-1.0, 1.0], size=stat.size)):
+        moved = stat * (1.0 + sign * RTOL / 10)
+        assert not np.array_equal(moved[stat != 0], stat[stat != 0])
+        for got, w in zip(_tail_probs(moved, thresholds), want):
+            assert got.tobytes() == w.tobytes()
 
 
 def test_ks_same_distribution_below_critical():
