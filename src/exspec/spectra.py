@@ -12,6 +12,7 @@ from .core import SquareMatrix, as_entries, column_sums, row_sums
 __all__ = [
     "RTOL",
     "singular_values",
+    "singular_value",
     "spectral_norm",
     "second_singular",
     "s2_via_centering",
@@ -21,8 +22,9 @@ __all__ = [
 ]
 
 
-# Relative tolerance of the tail comparisons: a statistic within RTOL |tau|
-# below a threshold tau counts as reaching it.
+# Relative accuracy of singular_value against singular_values. The tail
+# comparisons count a statistic within RTOL |tau| below a threshold tau as
+# reaching it, so no count depends on which of the two ran.
 RTOL = 1e-10
 
 
@@ -33,8 +35,39 @@ def singular_values(M) -> np.ndarray:
     return np.clip(np.linalg.svd(as_entries(M), compute_uv=False), 0.0, None)
 
 
-# s1 and s2 come from the full dense SVD at every size: subspace iteration on
-# the top pair stalls on the tiny s2/s3 gap at the bulk edge, and importing
+def singular_value(stack, index: int) -> np.ndarray:
+    """s_index of each matrix of a (count, rows, cols) stack, or 0.0 where a
+    matrix has fewer singular values; within RTOL of singular_values.
+
+    s_index is the square root of an eigenvalue of the smaller Gram matrix G
+    (E^t E or E E^t), from one batched matmul and one batched eigvalsh.
+    Forming G and eigvalsh each move an eigenvalue lambda by at most about
+    k eps trace(G), k <= rows + cols (trace(G) = ||E||_F^2 bounds ||G||), so
+    sqrt(lambda) is within RTOL when lambda >= (rows + cols) eps trace(G) /
+    (2 RTOL). A matrix below that floor takes its s_index from
+    singular_values instead; an all-zero matrix gives exactly 0.0.
+    """
+    E = np.asarray(stack, dtype=np.float64)
+    count, rows, cols = E.shape
+    k = min(rows, cols)
+    if index >= k:
+        return np.zeros(count)
+    Et = np.swapaxes(E, 1, 2)
+    G = Et @ E if cols <= rows else E @ Et
+    lam = np.linalg.eigvalsh(G)[:, k - 1 - index]
+    eps = np.finfo(np.float64).eps
+    floor = (rows + cols) * eps * np.trace(G, axis1=1, axis2=2) / (2.0 * RTOL)
+    s = np.sqrt(np.maximum(lam, 0.0))
+    low = lam <= floor
+    if np.any(low):
+        s[low] = singular_values(E[low])[:, index]
+    return s
+
+
+# The tail engine takes its per-trial singular values from singular_value.
+# The values a command writes out (analyze's s1 and s2, ||M||, the scaling
+# and verify oracles) come from the full dense SVD: subspace iteration on the
+# top pair stalls on the tiny s2/s3 gap at the bulk edge, and importing
 # scipy's sparse Lanczos solver costs more time and memory than it saves on
 # matrices of a few hundred rows.
 def spectral_norm(M) -> float:

@@ -17,10 +17,10 @@ consecutive trials is drawn as a whole: the relabelings of a fixed base B
 (``spec.base is not None``), or the (d, n) permutation tables of a doubly
 regular kind. Each block a comparison reads (the m x m corner, the M12
 block, or the whole matrix) is a range of rows by a range of columns and
-becomes one (chunk, rows, cols) stack, and each chunk gets one batched SVD
-and one row-wise degree test. Blocks of a relabeled base are gathered from
-B through the drawn row and column permutations; those of a doubly regular
-kind are scattered from the tables with one bincount per stack
+becomes one (chunk, rows, cols) stack, and each chunk gets one batched
+Gram-eigenvalue kernel (``spectra.singular_value``) and one row-wise degree
+test. Blocks of a relabeled base are gathered from B through the drawn row
+and column permutations; those of a doubly regular kind are scattered from the tables with one bincount per stack
 (``ensembles.table_block``), so no trial forms its n x n matrix unless it
 needs s2(M) or the row/column l2 norms. A chunk holds at most CHUNK_FLOATS
 stacked floats and at least one trial; chunks run one after another, in
@@ -33,7 +33,9 @@ norms, so s2(M) and the row/column l2 maxima of a relabeled base also come
 from B once per call.
 
 Each comparison sorts each of its two per-trial columns once and counts
-the exceedances of every threshold and every grid constant at once.
+the exceedances of every threshold and every grid constant at once. A
+statistic within RTOL |tau| below a threshold tau reaches it, so a count
+does not depend on the last bits of the kernel.
 """
 
 import math
@@ -41,11 +43,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import spectra
 from .core import SquareMatrix
 from .degrees import RegularityParams, corner_degree_events, membership_rows
 from .ensembles import EnsembleSpec, relabeling, sample, table_block
-from .spectra import RTOL, second_singular, spectral_norm
+from .spectra import RTOL, singular_value, spectral_norm
 
 __all__ = [
     "TailCurve",
@@ -163,13 +164,6 @@ def _zero_diagonal(spec: EnsembleSpec) -> bool:
     return not np.any(spec.base.entries)  # any entry can land on the diagonal
 
 
-def _singular(stack: np.ndarray, index: int) -> np.ndarray:
-    """Singular value ``index`` of each matrix of a stack, 0.0 where a matrix
-    has fewer; equal to spectral_norm (0) or second_singular (1) of each."""
-    s = spectra.singular_values(stack)
-    return s[:, index] if s.shape[1] > index else np.zeros(len(stack))
-
-
 def _norms(spec: EnsembleSpec, trials: int, thresholds):
     """||M|| of each trial, and the thresholds, by default ||M|| itself: it is
     one value for every sample, and so every decile."""
@@ -245,7 +239,7 @@ def corner_capture_fraction(M: SquareMatrix, trials: int, seed: int = 0, c_grid=
     c_grid = _c_grid(c_grid)
     m_norm = spectral_norm(M)
     spec = EnsembleSpec("permuted_base", M.n, seed=seed, base=M)
-    (t_norms,) = _run_trials(spec, trials, [_corner(M.n)], lambda T: (_singular(T, 0),))
+    (t_norms,) = _run_trials(spec, trials, [_corner(M.n)], lambda T: (singular_value(T, 0),))
     p_hat, ci = _tail_probs(t_norms, c_grid * m_norm)
     ok = p_hat >= c_grid - ci
     best_c = float(c_grid[ok][-1]) if np.any(ok) else 0.0
@@ -283,7 +277,7 @@ def norm_tail_curve(
 
     def finish(T):
         met = np.ones(len(T), dtype=bool) if event is None else corner_degree_events(T, event, n)
-        return _singular(T, 0), met
+        return singular_value(T, 0), met
 
     t_norms, events = _run_trials(spec, trials, [_corner(n)], finish)
     m_norms, thresholds = _norms(spec, trials, thresholds)
@@ -309,7 +303,7 @@ def block_bound_curve(spec: EnsembleSpec, trials: int, thresholds=None) -> TailC
         raise ValueError("block decomposition requires n >= 2")
     m = spec.n // 2
     (b_norms,) = _run_trials(spec, trials, [(slice(0, m), slice(m, spec.n))],
-                             lambda B: (_singular(B, 0),))
+                             lambda B: (singular_value(B, 0),))
     m_norms, thresholds = _norms(spec, trials, thresholds)
     # The norm comparison at c = 1/4, with no constant sweep.
     columns, _ = _compare(m_norms, b_norms, thresholds, 0.25, c_grid=[])
@@ -374,13 +368,13 @@ def s2_tail_curve(
     blocks = [_corner(n)]
     if spec.base is None:
         blocks.append((slice(0, n), slice(0, n)))  # the whole sample, for s2(A)
-    s2B = None if spec.base is None else second_singular(spec.base)
+    s2B = None if spec.base is None else singular_value(spec.base.entries[None], 1)[0]
 
     def finish(T, A=None):
-        s2A = np.full(len(T), s2B) if A is None else _singular(A, 1)
+        s2A = np.full(len(T), s2B) if A is None else singular_value(A, 1)
         absT = np.abs(T)
         member = membership_rows(absT.sum(axis=1), absT.sum(axis=2), half)[0]
-        return s2A, _singular(T, 1), member
+        return s2A, singular_value(T, 1), member
 
     s2A, s2T, members = _run_trials(spec, trials, blocks, finish)
     thresholds = np.asarray(L_grid, dtype=np.float64) * params.delta

@@ -1,14 +1,17 @@
 import numpy as np
 import pytest
 
+from exspec import spectra
 from exspec.core import Permutation, SquareMatrix, apply_permutation
-from exspec.ensembles import permutation_matrix
+from exspec.ensembles import EnsembleSpec, permutation_matrix, sample
 from exspec.rng import stream
 from exspec.spectra import (
+    RTOL,
     centered_offdiag,
     perron_check,
     s2_via_centering,
     second_singular,
+    singular_value,
     singular_values,
     spectral_norm,
     spectral_radius,
@@ -183,3 +186,78 @@ def test_kernels_are_exactly_lapack_at_every_size(n):
     assert spectral_norm(E) == s[0]
     assert second_singular(E) == (s[1] if n > 1 else 0.0)
 
+
+
+# --- singular_value: the Gram-eigenvalue kernel of the tail engine ----------
+
+def _assert_within_rtol(stack, indices=(0, 1, 2)):
+    """singular_value agrees with singular_values to RTOL at each index, and
+    is 0.0 past the last singular value."""
+    s = singular_values(stack)
+    for index in indices:
+        got = singular_value(stack, index)
+        want = s[:, index] if index < s.shape[1] else np.zeros(len(stack))
+        assert got.shape == want.shape
+        assert np.all(np.abs(got - want) <= RTOL * want), index
+
+
+def _kind_samples(n, count):
+    """Stacks of ``count`` samples of every ensemble kind."""
+    E = stream(40, n).normal(size=(n, n))
+    np.fill_diagonal(E, 0.0)
+    specs = [
+        EnsembleSpec("permuted_base", n, seed=41, base=SquareMatrix(E)),
+        EnsembleSpec("separately_exchangeable", n, seed=42,
+                     base=SquareMatrix(stream(43, n).normal(size=(n, n)))),
+        EnsembleSpec("perm_sum_regular", n, d=3, zero_diagonal=True, seed=44),
+        EnsembleSpec("perm_sum_regular", n, d=4, seed=45),
+        EnsembleSpec("regular_digraph", n, d=3, seed=46),
+    ]
+    return [np.array([sample(spec, i).entries for i in range(count)]) for spec in specs]
+
+
+@pytest.mark.parametrize("n", [9, 10, 32])
+def test_singular_value_agrees_on_every_kind(n):
+    m = n // 2
+    for A in _kind_samples(n, 30):
+        _assert_within_rtol(A)
+        _assert_within_rtol(A[:, :m, n - m:])  # the corner T
+        _assert_within_rtol(A[:, :m, m:])  # the block M12: 4 x 5 at n = 9
+        _assert_within_rtol(A[:, m:, :m])  # 5 x 4 at n = 9
+
+
+def test_singular_value_on_a_640_regular_base():
+    A = sample(EnsembleSpec("regular_digraph", 640, d=4, seed=47), 0).entries
+    _assert_within_rtol(A[None], indices=(0, 1))
+    _assert_within_rtol(A[None, :320, 320:], indices=(0, 1))
+
+
+def test_singular_value_falls_back_below_its_floor(monkeypatch):
+    real = spectra.singular_values
+    fallbacks = []  # the stacks singular_value hands to singular_values
+    monkeypatch.setattr(spectra, "singular_values",
+                        lambda stack: fallbacks.append(stack) or real(stack))
+    rng = stream(48)
+    x, y = rng.normal(size=(2, 6))
+    full = rng.normal(size=(6, 6))
+    deficient = full.copy()
+    deficient[3] = deficient[0] + deficient[1]  # rank 5
+    stack = np.array([np.zeros((6, 6)), np.outer(x, y), full, deficient])
+    want = real(stack)
+
+    # s1 of the rank-one, full-rank and rank-5 matrices needs no fallback;
+    # the zero matrix, whose Gram eigenvalue is 0, is exactly 0.0.
+    got = singular_value(stack, 0)
+    assert [len(f) for f in fallbacks] == [1] and got[0] == 0.0
+    assert np.all(np.abs(got - want[:, 0]) <= RTOL * want[:, 0])
+
+    # s2 of the zero and rank-one matrices and s6 of the rank-5 one lie below
+    # the floor: they are the SVD's values, bit for bit.
+    for index, low in ((1, [0, 1]), (5, [0, 1, 3])):
+        fallbacks.clear()
+        got = singular_value(stack, index)
+        assert [f.tobytes() for f in fallbacks] == [stack[low].tobytes()]
+        assert got[low].tobytes() == want[low, index].tobytes()
+        assert np.all(np.abs(got - want[:, index]) <= RTOL * want[:, index])
+    assert singular_value(np.zeros((3, 4, 5)), 1).tolist() == [0.0, 0.0, 0.0]
+    assert singular_value(np.ones((2, 1, 3)), 1).tolist() == [0.0, 0.0]

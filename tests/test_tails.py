@@ -8,7 +8,7 @@ from exspec.core import SquareMatrix, block_decompose
 from exspec.degrees import RegularityParams, corner_degree_events, deg_membership
 from exspec.ensembles import EnsembleSpec, relabeling, sample
 from exspec.rng import stream
-from exspec.spectra import RTOL, second_singular, spectral_norm
+from exspec.spectra import RTOL, second_singular, singular_value, spectral_norm
 from exspec.tails import (
     TailCurve,
     _compare,
@@ -384,6 +384,11 @@ def test_norm_tail_curve_relabeled_base_has_one_threshold():
 
 # --- the chunked engine against a per-trial reference -------------------------
 
+def _one(E, index):
+    """singular_value of one matrix, as a stack of one."""
+    return singular_value(E[None], index)[0]
+
+
 def _reference_columns(spec, trials, event, half, hyp_C, delta):
     """Per-trial statistics from whole samples, one trial at a time."""
     n, m = spec.n, spec.n // 2
@@ -391,13 +396,13 @@ def _reference_columns(spec, trials, event, half, hyp_C, delta):
     for i in range(trials):
         A = sample(spec, i).entries
         T = A[:m, n - m:]
-        cols["t"].append(spectral_norm(T))
+        cols["t"].append(_one(T, 0))
         cols["ev"].append(corner_degree_events(T[None], event, n)[0])
-        cols["s2A"].append(second_singular(A))
-        cols["s2T"].append(second_singular(T))
+        cols["s2A"].append(_one(A, 1))
+        cols["s2T"].append(_one(T, 1))
         cols["member"].append(deg_membership(np.abs(T).sum(axis=0), np.abs(T).sum(axis=1),
                                              half)["member"])
-        cols["block"].append(spectral_norm(A[:m, m:]))
+        cols["block"].append(_one(A[:m, m:], 0))
         cols["hyp"].append(hyp_C * max(np.linalg.norm(A, axis=1).max(),
                                        np.linalg.norm(A, axis=0).max()) <= delta)
     return {k: np.array(v) for k, v in cols.items()}
@@ -469,7 +474,7 @@ def test_engine_matches_per_trial_reference(monkeypatch, cap):
         stats.clear()
         L_grid = np.quantile(ref["s2T"], [0.2, 0.5, 0.8]) / delta
         curve = s2_tail_curve(spec, event, L_grid, trials=trials, c=1.0)
-        s2A = ref["s2A"] if spec.base is None else np.full(trials, second_singular(spec.base))
+        s2A = ref["s2A"] if spec.base is None else np.full(trials, _one(spec.base.entries, 1))
         right = np.where(ref["member"], ref["s2T"], -np.inf)
         assert stats[0].tobytes() == s2A.tobytes()
         assert stats[1].tobytes() == right.tobytes()
@@ -486,7 +491,7 @@ def test_engine_matches_per_trial_reference(monkeypatch, cap):
     ref_t = []
     for i in range(trials):
         s = stream(seed, i).permutation(n)
-        ref_t.append(spectral_norm(M.entries[np.ix_(s, s)][: n // 2, n - n // 2:]))
+        ref_t.append(_one(M.entries[np.ix_(s, s)][: n // 2, n - n // 2:], 0))
     ref_t = np.array(ref_t)
     assert res["corner_norms"].tobytes() == ref_t.tobytes()
     p_hat, ci = real_tail_probs(ref_t, np.array([0.3, 0.5, 0.7]) * spectral_norm(M))
