@@ -50,9 +50,19 @@ EXIT_ASSERT = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
 
-# The constant of the norm and s2 comparisons; the manifest of every tail
-# comparison echoes it, and those that read no c accept no other value.
+# The constant of the norm and s2 comparisons.
 DEFAULT_C = 0.01
+
+# The flags each tail comparison does not read. The manifest echoes every
+# flag, so each of these is accepted at its default, and only there: an
+# echoed manifest then reruns the command, and no other value is ignored.
+UNREAD = {
+    "norm": ("matrix",),
+    "s2": ("matrix",),
+    "blocks": ("delta", "c", "matrix"),
+    "degree-event": ("c", "grid", "matrix"),
+    "corner-capture": ("ensemble", "n", "d", "zero_diagonal", "base", "delta", "c", "grid"),
+}
 
 
 def _load_matrix(path: str) -> SquareMatrix:
@@ -240,10 +250,10 @@ def cmd_tail(args) -> int:
     comparison = args.comparison
     if comparison in ("s2", "degree-event") and args.delta is None:
         raise ValueError(f"tail {comparison} requires --delta")
-    if comparison in ("degree-event", "corner-capture") and args.grid is not None:
-        raise ValueError(f"tail {comparison} takes no --grid")
-    if comparison not in ("norm", "s2") and args.c != DEFAULT_C:
-        raise ValueError(f"tail {comparison} takes no --c")
+    actions = _command_actions("tail")
+    for dest in UNREAD[comparison]:
+        if getattr(args, dest) != actions[dest].default:
+            raise ValueError(f"tail {comparison} takes no --{dest.replace('_', '-')}")
     out = Path(args.out)
     grid = _grid(args.grid)
 

@@ -236,34 +236,77 @@ def test_tail_norm_zero_diagonal_guard_is_on_the_spec(tmp_path, capsys):
         assert err == ("" if expected == 0 else message)
 
 
-def _assert_rejects_c(args, tmp_path, capsys):
-    """``tail`` with ``args`` runs, and exits 2 with a non-default c given by
-    the flag or by a manifest key."""
+def _assert_rejects(args, flag, value, tmp_path, capsys):
+    """``tail`` with ``args`` runs, and exits 2 with ``flag`` set to a
+    non-default ``value`` by the flag or by a manifest key."""
     comparison = args[0]
     assert run_cli(["tail", *args, "--out", str(tmp_path / "ok")], capsys)[0] == 0
+    dest = flag.replace("-", "_")
     mf = tmp_path / "manifest.json"
-    mf.write_text(json.dumps({"c": 0.5}))
-    for i, extra in enumerate((["--c", "0.5"], ["--manifest", str(mf)])):
-        out = tmp_path / f"c{i}"
+    mf.write_text(json.dumps({dest: value}))
+    given = [f"--{flag}"] if value is True else [f"--{flag}", str(value)]
+    for i, extra in enumerate((given, ["--manifest", str(mf)])):
+        out = tmp_path / f"{dest}{i}"
         code, stdout, err = run_cli(["tail", *args, *extra, "--out", str(out)], capsys)
-        assert (code, stdout, err) == (2, "", f"error: tail {comparison} takes no --c\n")
+        assert (code, stdout, err) == (2, "", f"error: tail {comparison} takes no --{flag}\n")
         assert not out.exists()
 
 
+BLOCKS = ["blocks", "--n", "8", "--d", "2", "--trials", "20"]
+DEGREE_EVENT = ["degree-event", "--n", "20", "--d", "3", "--delta", "3.0", "--zero-diagonal",
+                "--trials", "20"]
+
+
+def _m8(tmp_path):
+    f = tmp_path / "m8.csv"
+    f.write_text(matrix_to_csv(SquareMatrix(np.ones((8, 8)) - np.eye(8))))
+    return f
+
+
 def test_tail_blocks_rejects_c(tmp_path, capsys):
-    _assert_rejects_c(["blocks", "--n", "8", "--d", "2", "--trials", "20"], tmp_path, capsys)
+    _assert_rejects(BLOCKS, "c", 0.5, tmp_path, capsys)
 
 
 def test_tail_degree_event_rejects_c(tmp_path, capsys):
-    _assert_rejects_c(["degree-event", "--n", "20", "--d", "3", "--delta", "3.0",
-                       "--zero-diagonal", "--trials", "20"], tmp_path, capsys)
+    _assert_rejects(DEGREE_EVENT, "c", 0.5, tmp_path, capsys)
 
 
 def test_tail_corner_capture_rejects_c(tmp_path, capsys):
-    f = tmp_path / "m8.csv"
-    f.write_text(matrix_to_csv(SquareMatrix(np.ones((8, 8)) - np.eye(8))))
-    _assert_rejects_c(["corner-capture", "--matrix", str(f), "--trials", "20"],
-                      tmp_path, capsys)
+    _assert_rejects(["corner-capture", "--matrix", str(_m8(tmp_path)), "--trials", "20"],
+                    "c", 0.5, tmp_path, capsys)
+
+
+def test_tail_corner_capture_rejects_the_ensemble_flags(tmp_path, capsys):
+    args = ["corner-capture", "--matrix", str(_m8(tmp_path)), "--trials", "20"]
+    for flag, value in (("ensemble", "permuted_base"), ("n", 8), ("d", 2),
+                        ("zero-diagonal", True), ("base", str(_m8(tmp_path))),
+                        ("delta", 1.0)):
+        _assert_rejects(args, flag, value, tmp_path, capsys)
+    # The defaults pass, by flag or by the echoed manifest, with the same bytes.
+    first = tmp_path / "ok"
+    defaults = ["--ensemble", "perm_sum_regular", "--n", "16", "--d", "0"]
+    again = tmp_path / "defaults"
+    assert run_cli(["tail", *args, *defaults, "--out", str(again)], capsys)[0] == 0
+    assert (again / "curve.json").read_bytes() == (first / "curve.json").read_bytes()
+    mf = tmp_path / "echoed.json"
+    mf.write_text(json.dumps(json.loads((first / "curve.json").read_text())["manifest"]))
+    rerun = tmp_path / "rerun"
+    assert run_cli(["tail", "corner-capture", "--manifest", str(mf), "--out", str(rerun)],
+                   capsys)[0] == 0
+    assert (rerun / "curve.json").read_bytes() == (first / "curve.json").read_bytes()
+
+
+def test_tail_blocks_rejects_delta(tmp_path, capsys):
+    _assert_rejects(BLOCKS, "delta", 1.0, tmp_path, capsys)
+
+
+def test_tail_comparisons_other_than_corner_capture_reject_matrix(tmp_path, capsys):
+    norm = ["norm", "--n", "8", "--d", "2", "--zero-diagonal", "--trials", "20"]
+    s2 = ["s2", "--n", "8", "--d", "2", "--delta", "2.0", "--trials", "20"]
+    matrix = str(_m8(tmp_path))
+    for args in (norm, s2, BLOCKS, DEGREE_EVENT):
+        (tmp_path / args[0]).mkdir()
+        _assert_rejects(args, "matrix", matrix, tmp_path / args[0], capsys)
 
 
 def test_tail_degree_event(tmp_path, capsys):
