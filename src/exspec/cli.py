@@ -50,9 +50,6 @@ EXIT_ASSERT = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
 
-# The constant of the norm and s2 comparisons.
-DEFAULT_C = 0.01
-
 # The flags each tail comparison does not read. The manifest echoes every
 # flag, so each of these is accepted at its default, and only there: an
 # echoed manifest then reruns the command, and no other value is ignored.
@@ -354,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--base", help="base matrix file for permuted ensembles")
     t.add_argument("--matrix", help="matrix file for corner-capture")
     t.add_argument("--trials", type=int, default=1000)
-    t.add_argument("--c", type=float, default=DEFAULT_C)
+    t.add_argument("--c", type=float, default=0.01)
     t.add_argument("--grid", help="comma-separated thresholds or L values")
     common(t)
     t.set_defaults(func=cmd_tail)

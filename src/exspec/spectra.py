@@ -39,12 +39,14 @@ def singular_value(stack, index: int) -> np.ndarray:
     """s_index of each matrix of a (count, rows, cols) stack, or 0.0 where a
     matrix has fewer singular values; within RTOL of singular_values.
 
-    s_index is the square root of an eigenvalue of the smaller Gram matrix G
-    (E^t E or E E^t), from one batched matmul and one batched eigvalsh.
-    Forming G and eigvalsh each move an eigenvalue lambda by at most about
-    k eps trace(G), k <= rows + cols (trace(G) = ||E||_F^2 bounds ||G||), so
-    sqrt(lambda) is within RTOL when lambda >= (rows + cols) eps trace(G) /
-    (2 RTOL). A matrix below that floor takes its s_index from
+    s_index is the square root of an eigenvalue lambda of the smaller Gram
+    matrix G (E^t E or E E^t), from one batched matmul and one batched
+    eigvalsh; accurate when s_index is not small against s1 (Golub & Van
+    Loan, Matrix Computations, 8.6). Rounding in G moves lambda by about
+    max(rows, cols) eps trace(G) at most, and eigvalsh's backward error by
+    about min(rows, cols) eps ||G||, with ||G|| <= trace(G) = ||E||_F^2.
+    So sqrt(lambda) is within RTOL when lambda >= (rows + cols) eps
+    trace(G) / (2 RTOL). A matrix below that floor takes its s_index from
     singular_values instead; an all-zero matrix gives exactly 0.0.
     """
     E = np.asarray(stack, dtype=np.float64)

@@ -20,9 +20,10 @@ block, or the whole matrix) is a range of rows by a range of columns and
 becomes one (chunk, rows, cols) stack, and each chunk gets one batched
 Gram-eigenvalue kernel (``spectra.singular_value``) and one row-wise degree
 test. Blocks of a relabeled base are gathered from B through the drawn row
-and column permutations; those of a doubly regular kind are scattered from the tables with one bincount per stack
-(``ensembles.table_block``), so no trial forms its n x n matrix unless it
-needs s2(M) or the row/column l2 norms. A chunk holds at most CHUNK_FLOATS
+and column permutations; those of a doubly regular kind are scattered from
+the tables with one bincount per stack (``ensembles.table_block``), so no
+trial forms its n x n matrix unless it needs s2(M) or the row/column l2
+norms. A chunk holds at most CHUNK_FLOATS
 stacked floats and at least one trial; chunks run one after another, in
 index order.
 
