@@ -1,15 +1,18 @@
-"""Dense square-matrix and permutation primitives.
+"""Square-matrix and permutation primitives, and sparse stacks of blocks.
 
 Conventions: internally everything is 0-based numpy; error messages use
 1-based indices. Entries are float64, including 0/1 adjacency matrices.
 All objects are immutable after construction and safe to share. Corners
-and blocks are plain read-only views of a matrix's entries.
+and blocks are plain read-only views of a matrix's entries. A stack of
+blocks is a dense (count, rows, cols) array, or a ``SparseStack`` of the
+same shape given by its nonzero entries.
 """
 
 import io
 import json
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -20,6 +23,8 @@ __all__ = [
     "top_right_corner",
     "block_decompose",
     "as_entries",
+    "SparseStack",
+    "abs_sums",
     "column_sums",
     "row_sums",
     "matrix_to_json",
@@ -53,6 +58,16 @@ class SquareMatrix:
     @property
     def n(self) -> int:
         return self.entries.shape[0]
+
+    @cached_property
+    def nonzeros(self):
+        """Rows, columns and values of the nonzero entries, in row-major
+        order; found once per matrix, and read-only like the entries."""
+        i, j = np.nonzero(self.entries)
+        triples = (i, j, self.entries[i, j])
+        for a in triples:
+            a.setflags(write=False)
+        return triples
 
 
 @dataclass(frozen=True)
@@ -122,6 +137,56 @@ def block_decompose(M: SquareMatrix):
 def as_entries(M) -> np.ndarray:
     """The entries of a SquareMatrix; any other array as float64."""
     return M.entries if hasattr(M, "entries") else np.asarray(M, dtype=np.float64)
+
+
+@dataclass(frozen=True)
+class SparseStack:
+    """A (count, rows, cols) stack of matrices by their nonzero entries:
+    matrix t holds ``value[e]`` at (``row[e]``, ``col[e]``) for every e with
+    ``member[e] == t``, and entries at one position add up."""
+
+    shape: tuple
+    member: np.ndarray
+    row: np.ndarray
+    col: np.ndarray
+    value: np.ndarray
+
+    def __len__(self) -> int:
+        return self.shape[0]
+
+    def dense(self) -> np.ndarray:
+        """The (count, rows, cols) array, scattered with one bincount."""
+        count, rows, cols = self.shape
+        flat = (self.member * rows + self.row) * cols + self.col
+        # With no entries at all, bincount returns integers even when weighted.
+        counts = np.bincount(flat, self.value, count * rows * cols)
+        return counts.astype(np.float64, copy=False).reshape(self.shape)
+
+    def transpose(self) -> "SparseStack":
+        count, rows, cols = self.shape
+        return SparseStack((count, cols, rows), self.member, self.col, self.row, self.value)
+
+    def take(self, mask: np.ndarray) -> "SparseStack":
+        """The members where the boolean ``mask`` holds, in order."""
+        keep = mask[self.member]
+        renumber = np.cumsum(mask) - 1
+        return SparseStack((int(np.count_nonzero(mask)),) + tuple(self.shape[1:]),
+                           renumber[self.member[keep]], self.row[keep], self.col[keep],
+                           self.value[keep])
+
+
+def abs_sums(stack):
+    """Column sums u and row sums v of |E| for each matrix E of a dense or
+    sparse (count, rows, cols) stack: (count, cols) and (count, rows)."""
+    if not isinstance(stack, SparseStack):
+        A = np.abs(stack)
+        return A.sum(axis=1), A.sum(axis=2)
+    count, rows, cols = stack.shape
+    a = np.abs(stack.value)
+    u = np.bincount(stack.member * cols + stack.col, a, count * cols)
+    v = np.bincount(stack.member * rows + stack.row, a, count * rows)
+    return (u.astype(np.float64, copy=False).reshape(count, cols),
+            v.astype(np.float64, copy=False).reshape(count, rows))
 
 
 def column_sums(M) -> np.ndarray:

@@ -21,6 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import abs_sums
+
 __all__ = [
     "RegularityParams",
     "deg_membership",
@@ -102,17 +104,16 @@ def deg_membership(u, v, params: RegularityParams) -> dict:
             "l1_gap": float(l1_gap[0]), "k_max": int(k_max[0])}
 
 
-def corner_degree_events(T: np.ndarray, params: RegularityParams, n_parent: int) -> np.ndarray:
-    """Near-constant corner degrees, for each corner of a (trials, m, m)
-    stack: both u(T) and v(T) deviate from d/2 by more than k*delta for at
-    most n_parent * e^{-k^2} indices, all k.
+def corner_degree_events(T, params: RegularityParams, n_parent: int) -> np.ndarray:
+    """Near-constant corner degrees, for each corner of a dense or sparse
+    (trials, m, m) stack: both u(T) and v(T) deviate from d/2 by more than
+    k*delta for at most n_parent * e^{-k^2} indices, all k.
 
     Note the asymmetry with deg_membership: the threshold scale is the
     parent dimension n and the target is d/2.
     """
-    A = np.abs(np.asarray(T, dtype=np.float64))
     # Column sums u(T) and row sums v(T) of each corner, tested as rows at once.
-    ok = exceedance_rows(np.concatenate([A.sum(axis=1), A.sum(axis=2)]),
-                         params.d / 2.0, params.delta, n_parent)[0]
-    return ok[:len(A)] & ok[len(A):]
+    u, v = abs_sums(T)
+    ok = exceedance_rows(np.concatenate([u, v]), params.d / 2.0, params.delta, n_parent)[0]
+    return ok[:len(u)] & ok[len(u):]
 

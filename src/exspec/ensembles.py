@@ -23,6 +23,10 @@ sample of a doubly regular kind is its (d, n) permutation table Q
 A[i, Q[j, i]] += 1 for every j and i. ``table_block`` scatters one block, a
 range of rows by a range of columns, of the matrices of a stack of tables
 with one ``bincount``, and ``sample`` densifies a table the same way.
+``table_entries`` gives the same block as a ``core.SparseStack`` of the
+pairs (i, Q[j, i]) that land in it, and ``relabeled_entries`` the block of
+relabeled bases from the base's nonzero entries, so that a large sparse
+block reaches the Lanczos kernel without a dense array.
 
 Every sample of index i draws from its own generator ``stream(spec.seed,
 i)``. perm_sum_regular draws its candidate permutations in batches with one
@@ -41,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SquareMatrix, matrix_to_json
+from .core import SparseStack, SquareMatrix, matrix_to_json
 from .rng import stream
 
 __all__ = [
@@ -49,7 +53,9 @@ __all__ = [
     "KINDS",
     "sample",
     "relabeling",
+    "table_entries",
     "table_block",
+    "relabeled_entries",
     "random_derangement",
     "permutation_matrix",
 ]
@@ -166,26 +172,69 @@ def _regular_digraph_table(n: int, d: int, rng: np.random.Generator) -> np.ndarr
     return inverse[P[:, s]]
 
 
-def table_block(tables: np.ndarray, rows: slice, cols: slice) -> np.ndarray:
-    """The block A_t[rows, cols] of the matrix A_t of each table.
-
-    ``tables`` is a (trials, d, n) stack of permutation tables, and ``rows``
-    and ``cols`` are ranges of indices (slices of step 1). Entry (a, b)
-    counts the j with Q[t, j, rows.start + a] == cols.start + b; the whole
-    (trials, h, w) stack is one bincount over flat indices, and no n x n
-    matrix is formed unless the block is the whole matrix.
-    """
+def _table_hits(tables: np.ndarray, rows: slice, cols: slice):
+    """Column offsets b[t, j, a] = Q[t, j, rows.start + a] - cols.start, the
+    mask of those that land in the block, and the block's stack shape."""
     trials, d, n = tables.shape
     rows, cols = range(n)[rows], range(n)[cols]
-    h, w = len(rows), len(cols)
     b = tables[:, :, rows.start:rows.stop] - cols.start  # (trials, d, h)
-    flat = (np.arange(trials)[:, None, None] * h + np.arange(h)) * w + b
-    flat = flat[(b >= 0) & (b < w)]
+    return b, (b >= 0) & (b < len(cols)), (trials, len(rows), len(cols))
+
+
+def table_entries(tables: np.ndarray, rows: slice, cols: slice) -> SparseStack:
+    """The block A_t[rows, cols] of the matrix A_t of each table, by its
+    entries: the pairs (i, Q[t, j, i]) that land in the block, each 1.0.
+
+    ``tables`` is a (trials, d, n) stack of permutation tables, and ``rows``
+    and ``cols`` are ranges of indices (slices of step 1). No dense block is
+    formed.
+    """
+    b, keep, shape = _table_hits(tables, rows, cols)
+    member, _, row = np.nonzero(keep)
+    return SparseStack(shape, member, row, b[keep], np.ones(member.size))
+
+
+def table_block(tables: np.ndarray, rows: slice, cols: slice) -> np.ndarray:
+    """The block of ``table_entries`` as a dense (trials, h, w) stack.
+
+    Entry (a, b) counts the j with Q[t, j, rows.start + a] == cols.start + b;
+    the whole stack is one bincount over flat indices, and no n x n matrix
+    is formed unless the block is the whole matrix.
+    """
+    b, keep, (trials, h, w) = _table_hits(tables, rows, cols)
+    flat = ((np.arange(trials)[:, None, None] * h + np.arange(h)) * w + b)[keep]
     # Weighted, so the counts come out as floats: several times faster than
     # counting integers and converting the (trials, h, w) result. (With no
     # entries at all, bincount returns integers even so.)
     counts = np.bincount(flat, np.ones(flat.size), trials * h * w)
     return counts.astype(np.float64, copy=False).reshape(trials, h, w)
+
+
+def relabeled_entries(triples, rows: np.ndarray, cols: np.ndarray,
+                      r: slice, c: slice) -> SparseStack:
+    """The block [r, c] of base[np.ix_(rows[t], cols[t])] for each t, by its
+    entries.
+
+    ``triples`` (i, j, value) are the nonzero entries of the base, and
+    ``rows``/``cols`` are (count, n) relabelings, as ``relabeling`` draws
+    them. Base entry (i, j) lands at (rows[t]^-1(i), cols[t]^-1(j)); those
+    that land in the block are kept, in the order of ``triples``.
+    """
+    i, j, value = triples
+    count, n = rows.shape
+    r, c = range(n)[r], range(n)[c]
+    positions = np.broadcast_to(np.arange(n), rows.shape)
+    inverse_rows = np.empty_like(rows)
+    np.put_along_axis(inverse_rows, rows, positions, axis=1)
+    inverse_cols = inverse_rows
+    if cols is not rows:
+        inverse_cols = np.empty_like(cols)
+        np.put_along_axis(inverse_cols, cols, positions, axis=1)
+    a = inverse_rows[:, i] - r.start  # (count, nonzeros)
+    b = inverse_cols[:, j] - c.start
+    keep = (a >= 0) & (a < len(r)) & (b >= 0) & (b < len(c))
+    member, e = np.nonzero(keep)
+    return SparseStack((count, len(r), len(c)), member, a[keep], b[keep], value[e])
 
 
 def relabeling(spec: EnsembleSpec, index: int) -> tuple[np.ndarray, np.ndarray]:

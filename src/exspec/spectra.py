@@ -7,12 +7,13 @@ exposes both as a computation and as a checkable identity.
 
 import numpy as np
 
-from .core import SquareMatrix, as_entries, column_sums, row_sums
+from .core import SparseStack, SquareMatrix, abs_sums, as_entries, column_sums, row_sums
 
 __all__ = [
     "RTOL",
     "singular_values",
     "singular_value",
+    "lanczos_pays",
     "spectral_norm",
     "second_singular",
     "s2_via_centering",
@@ -39,16 +40,23 @@ def singular_value(stack, index: int) -> np.ndarray:
     """s_index of each matrix of a (count, rows, cols) stack, or 0.0 where a
     matrix has fewer singular values; within RTOL of singular_values.
 
-    s_index is the square root of an eigenvalue lambda of the smaller Gram
-    matrix G (E^t E or E E^t), from one batched matmul and one batched
-    eigvalsh; accurate when s_index is not small against s1 (Golub & Van
-    Loan, Matrix Computations, 8.6). Rounding in G moves lambda by about
-    max(rows, cols) eps trace(G) at most, and eigvalsh's backward error by
-    about min(rows, cols) eps ||G||, with ||G|| <= trace(G) = ||E||_F^2.
-    So sqrt(lambda) is within RTOL when lambda >= (rows + cols) eps
-    trace(G) / (2 RTOL). A matrix below that floor takes its s_index from
-    singular_values instead; an all-zero matrix gives exactly 0.0.
+    A dense stack takes the Gram kernel below, a ``SparseStack`` the
+    matrix-free Lanczos kernel (``_lanczos``); ``lanczos_pays`` says which
+    pays for a block. Either sends a matrix whose s_index lies below its
+    stated accuracy floor to singular_values, so an all-zero matrix gives
+    exactly 0.0.
+
+    Gram kernel: s_index is the square root of an eigenvalue lambda of the
+    smaller Gram matrix G (E^t E or E E^t), from one batched matmul and one
+    batched eigvalsh; accurate when s_index is not small against s1 (Golub
+    & Van Loan, Matrix Computations, 8.6). Rounding in G moves lambda by
+    about max(rows, cols) eps trace(G) at most, and eigvalsh's backward
+    error by about min(rows, cols) eps ||G||, with ||G|| <= trace(G) =
+    ||E||_F^2. So sqrt(lambda) is within RTOL when lambda >= (rows + cols)
+    eps trace(G) / (2 RTOL).
     """
+    if isinstance(stack, SparseStack):
+        return _lanczos(stack, index)
     E = np.asarray(stack, dtype=np.float64)
     count, rows, cols = E.shape
     k = min(rows, cols)
@@ -66,12 +74,178 @@ def singular_value(stack, index: int) -> np.ndarray:
     return s
 
 
-# The tail engine takes its per-trial singular values from singular_value.
-# The values a command writes out (analyze's s1 and s2, ||M||, the scaling
-# and verify oracles) come from the full dense SVD: subspace iteration on the
-# top pair stalls on the tiny s2/s3 gap at the bulk edge, and importing
-# scipy's sparse Lanczos solver costs more time and memory than it saves on
-# matrices of a few hundred rows.
+def lanczos_pays(dim: int, per_row: float) -> bool:
+    """Whether the Lanczos kernel beats the Gram kernel on a block whose
+    smaller side is ``dim`` and whose rows hold ``per_row`` nonzeros on
+    average: dim >= 320 and per_row <= dim / 16.
+
+    Measured on 2 cores (numpy 2.4, bundled OpenBLAS) with s1 and s2 of
+    d-regular perm_sum_regular samples (per_row = d) and of their corners
+    (per_row = d/2), d = 4..32, one block at a time:
+    - s2 of a whole sample: Lanczos takes 0.5-0.9 of the Gram time at
+      dim = 384, 0.2-0.4 at 640 and 768 up to 16 nonzeros per row (640,
+      d = 4: 5.8 ms against 31); at 256 it is 0.6-1.4;
+    - s2 of a corner (two runs): 0.6-1.1 at dim = 320 (0.5-0.7 for four
+      corners in lockstep), 0.8-1.7 at 256;
+    - s1 of a corner: below 0.5 from dim = 288 on.
+    Past dim / 16 nonzeros per row the products of the ~100 steps cost
+    what the O(dim^3) eigvalsh saves (s2 of a 320 corner at 16 per row:
+    1.07; a 320 whole sample at 32 per row: 1.17).
+    """
+    return dim >= 320 and per_row * 16 <= dim
+
+
+# The start vector's generator: a fixed seed, so that the kernel draws from
+# no trial stream and two calls agree bit for bit.
+_START_SEED = 20161
+_CHECK = 16  # Lanczos steps between two convergence checks
+_MAX_STEPS = 1000  # per run; a member that needs more goes to singular_values
+
+
+def _lanczos(stack: SparseStack, index: int) -> np.ndarray:
+    """s_index of each member of a sparse stack, without forming a dense
+    matrix: the square root of the top eigenvalue of the smaller Gram
+    operator G (B^t B or B B^t) on the complement of its top ``index``
+    eigenvectors, by Lanczos with full reorthogonalisation (Golub & Van
+    Loan, ch. 10; Parlett, The Symmetric Eigenvalue Problem).
+
+    Those eigenvectors are deflated one at a time. The first is exactly
+    1/sqrt(dim) when B is nonnegative and its row sums are all equal, and
+    so are its column sums (the centering identity: G 1 = r c 1 and ||B||^2
+    <= r c); otherwise it, and every later one, is the top Ritz vector of
+    the run before. A run restarts from scratch on the complement, so a
+    repeated singular value (s1 = s2) is found again.
+
+    Each run starts from one fixed vector and stops when its residual
+    rho = beta_k |y_k| is at most RTOL/2 of the top Ritz value theta: then
+    an eigenvalue of G lies within rho of theta (the top one, unless the
+    start vector is orthogonal to its eigenvector). A deflated vector at
+    residual rho moves the next eigenvalue by at most min(g, rho^2 / g), g
+    the gap between the two, which is below RTOL/2 relative whenever that
+    eigenvalue is above RTOL/2 of the top one, as it is above the floor.
+    Rounding: B x and B^t y are sums of at most c_r and c_c terms (the
+    largest row and column counts), and Ritz values on an orthonormal basis
+    of length-dim vectors carry about dim eps ||G||, with ||G|| <= S^2, the
+    largest row sum of |B| times its largest column sum (Schur). Above the
+    floor (dim + c_r + c_c) eps S^2 / RTOL that is at most RTOL lambda.
+    So sqrt(lambda) is within RTOL; a member at or below the floor, or not
+    converged in _MAX_STEPS steps, takes singular_values of its dense
+    matrix.
+    """
+    count, rows, cols = stack.shape
+    if index >= min(rows, cols):
+        return np.zeros(count)
+    S = stack.transpose() if cols > rows else stack  # G = B^t B on the smaller side
+    _, rows, dim = S.shape
+    u, v = abs_sums(S)
+    c_r = np.bincount(S.member * rows + S.row, minlength=count * rows).reshape(count, rows)
+    c_c = np.bincount(S.member * dim + S.col, minlength=count * dim).reshape(count, dim)
+    eps = np.finfo(np.float64).eps
+    floor = ((dim + c_r.max(axis=1) + c_c.max(axis=1)) * eps
+             * u.max(axis=1) * v.max(axis=1) / RTOL)
+    nonnegative = np.bincount(S.member[S.value < 0], minlength=count) == 0
+    regular = nonnegative & (u == u[:, :1]).all(axis=1) & (v == v[:, :1]).all(axis=1)
+
+    start = np.random.default_rng(_START_SEED).standard_normal(dim)
+    lam = np.zeros(count)
+    vectors = np.zeros((count, index + 1, dim))
+    ok = np.ones(count, dtype=bool)
+    for level in range(index + 1):
+        run = ok.copy()
+        if level == 0:
+            lam[regular] = u[regular, 0] * v[regular, 0]
+            vectors[regular, 0] = 1.0 / np.sqrt(dim)
+            run &= ~regular
+        if np.any(run):
+            part = S if run.all() else S.take(run)
+            lam[run], vectors[run, level], ok[run] = _top_eigenpair(
+                _gram(part), vectors[run, :level], start)
+    s = np.sqrt(np.maximum(lam, 0.0))
+    low = ~ok | (lam <= floor)
+    if np.any(low):
+        s[low] = singular_values(stack.take(low).dense())[:, index]
+    return s
+
+
+def _gram(S: SparseStack):
+    """x -> B^t B x for each member B of S, x of shape (count, cols)."""
+    count, rows, cols = S.shape
+    r = S.member * rows + S.row
+    c = S.member * cols + S.col
+
+    def apply(x):
+        y = np.bincount(r, S.value * x.ravel()[c], count * rows)
+        z = np.bincount(c, S.value * y[r], count * cols)
+        return z.astype(np.float64, copy=False).reshape(count, cols)
+
+    return apply
+
+
+def _orthonormalise(x: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """Each row of x with its components along the rows of basis removed
+    (twice, classical Gram-Schmidt), scaled to unit length."""
+    for _ in range(2):
+        x = x - np.matmul(np.matmul(basis, x[:, :, None]).swapaxes(1, 2), basis)[:, 0]
+    norm = np.linalg.norm(x, axis=1, keepdims=True)
+    return x / np.where(norm > 0.0, norm, 1.0)
+
+
+def _top_eigenpair(gram, locked: np.ndarray, start: np.ndarray):
+    """Top eigenvalue and eigenvector of G on the complement of the rows of
+    ``locked`` (count, L, dim), for each member, by Lanczos from ``start``
+    with full reorthogonalisation; and whether each run converged."""
+    count, L, dim = locked.shape
+    steps = min(dim - L, _MAX_STEPS)
+    V = np.empty((count, L + min(steps, 4 * _CHECK) + 1, dim))
+    V[:, :L] = locked
+    V[:, L] = _orthonormalise(np.broadcast_to(start, (count, dim)), locked)
+    alpha = np.empty((count, steps))
+    beta = np.empty((count, steps))
+    lam = np.zeros(count)
+    vector = np.zeros((count, dim))
+    done = np.zeros(count, dtype=bool)
+    for j in range(steps):
+        k = L + j + 1  # basis vectors so far, the locked ones first
+        basis = V[:, :k]
+        w = gram(V[:, k - 1])
+        h = np.matmul(basis, w[:, :, None])
+        alpha[:, j] = h[:, k - 1, 0]
+        w -= np.matmul(basis.swapaxes(1, 2), h)[:, :, 0]
+        # Twice, which is enough to keep the basis orthonormal.
+        w -= np.matmul(basis.swapaxes(1, 2), np.matmul(basis, w[:, :, None]))[:, :, 0]
+        b = np.sqrt(np.einsum("ij,ij->i", w, w))
+        beta[:, j] = b
+        if (j + 1) % _CHECK == 0 or j == steps - 1:
+            todo = ~done
+            T = np.zeros((int(np.count_nonzero(todo)), j + 1, j + 1))
+            i = np.arange(j + 1)
+            T[:, i, i] = alpha[todo, :j + 1]
+            T[:, i[1:], i[:-1]] = T[:, i[:-1], i[1:]] = beta[todo, :j]
+            theta, Y = np.linalg.eigh(T)
+            y = Y[:, :, -1]
+            rho = b[todo] * np.abs(y[:, -1])
+            new = rho <= (RTOL / 2.0) * np.maximum(theta[:, -1], 0.0)
+            idx = np.flatnonzero(todo)[new]
+            lam[idx] = theta[new, -1]
+            for t, y_t in zip(idx, y[new]):  # the Ritz vectors, without a copy of V
+                vector[t] = y_t @ V[t, L:k]
+            done[idx] = True
+            if done.all():
+                break
+        if k == V.shape[1]:
+            V = np.concatenate([V, np.empty_like(V[:, :k - L])], axis=1)
+        # After a breakdown (b = 0, an invariant subspace) w is 0 and stays 0.
+        np.divide(w, np.maximum(b, np.finfo(np.float64).tiny)[:, None], out=V[:, k])
+    vector[done] = _orthonormalise(vector[done], locked[done])
+    return lam, vector, done
+
+
+# The tail engine takes its per-trial singular values from singular_value:
+# the Gram kernel on small or dense blocks, matrix-free Lanczos on large
+# sparse ones, both within RTOL, whose last bits may move with the BLAS
+# thread count. The values a command writes out (analyze's s1 and s2, ||M||,
+# the scaling and verify oracles) come from the full dense SVD, so that
+# they keep LAPACK's bits whatever kernel the engine picks.
 def spectral_norm(M) -> float:
     return float(singular_values(M)[0])
 

@@ -18,14 +18,19 @@ consecutive trials is drawn as a whole: the relabelings of a fixed base B
 regular kind. Each block a comparison reads (the m x m corner, the M12
 block, or the whole matrix) is a range of rows by a range of columns and
 becomes one (chunk, rows, cols) stack, and each chunk gets one batched
-Gram-eigenvalue kernel (``spectra.singular_value``) and one row-wise degree
-test. Blocks of a relabeled base are gathered from B through the drawn row
-and column permutations; those of a doubly regular kind are scattered from
-the tables with one bincount per stack (``ensembles.table_block``), so no
-trial forms its n x n matrix unless it needs s2(M) or the row/column l2
-norms. A chunk holds at most CHUNK_FLOATS
-stacked floats and at least one trial; chunks run one after another, in
-index order.
+singular-value kernel (``spectra.singular_value``) and one row-wise degree
+test. Where ``spectra.lanczos_pays`` for the block's size and nonzeros per
+row, the stack is a ``core.SparseStack`` and goes to the matrix-free
+Lanczos kernel: relabeled B's nonzero entries (found once per base), or the
+tables' pairs (i, Q[j, i]) that land in the block (``ensembles.
+relabeled_entries`` and ``table_entries``). Otherwise it is dense, for the
+Gram kernel: gathered from B through the drawn row and column
+permutations, or scattered from the tables with one bincount per stack
+(``ensembles.table_block``). So no trial forms an n x n array unless its
+whole matrix is small enough for the Gram kernel; the row and column l2
+norms of a table come from the table itself. A chunk holds at most
+CHUNK_FLOATS stacked floats (a sparse block counts as its Lanczos basis)
+and at least one trial; chunks run one after another, in index order.
 
 ||M|| is the same for every sample and is computed once per call: it is d
 for the doubly regular kinds (Schur test), and ||B|| for a relabeled base.
@@ -44,10 +49,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import SquareMatrix
+from .core import SparseStack, SquareMatrix, abs_sums
 from .degrees import RegularityParams, corner_degree_events, membership_rows
-from .ensembles import EnsembleSpec, relabeling, sample, table_block
-from .spectra import RTOL, singular_value, spectral_norm
+from .ensembles import (
+    EnsembleSpec,
+    relabeled_entries,
+    relabeling,
+    sample,
+    table_block,
+    table_entries,
+)
+from .spectra import RTOL, lanczos_pays, singular_value, spectral_norm
 
 __all__ = [
     "TailCurve",
@@ -117,8 +129,11 @@ class TailCurve:
         return "\n".join(lines) + "\n"
 
 
-# Stacked floats per chunk of trials (1 MiB, like subset.TABLE_ENTRIES).
+# Stacked floats per chunk of trials (1 MiB, like subset.TABLE_ENTRIES). A
+# sparse block counts as the Lanczos basis of BASIS_STEPS steps on its
+# smaller side, about what one run of the kernel keeps.
 CHUNK_FLOATS = 2**17
+BASIS_STEPS = 64
 
 
 def _corner(n: int):
@@ -127,17 +142,49 @@ def _corner(n: int):
     return slice(0, m), slice(n - m, n)
 
 
+def _shape(n: int, block) -> tuple:
+    """Rows and columns of a (row slice, column slice) block of an n x n matrix."""
+    return len(range(n)[block[0]]), len(range(n)[block[1]])
+
+
+def _sparse(spec: EnsembleSpec, block) -> bool:
+    """Whether a block of a sample goes to the Lanczos kernel: by its smaller
+    side, and the nonzeros a block row holds on average (at most d in a
+    table, nnz(B) / n in a relabeled base, times the block's share of the
+    columns)."""
+    h, w = _shape(spec.n, block)
+    per_row = spec.d if spec.base is None else spec.base.nonzeros[0].size / spec.n
+    return lanczos_pays(min(h, w), per_row * w / spec.n)
+
+
+def _base_stack(spec: EnsembleSpec):
+    """The base as a one-matrix stack for singular_value, sparse where the
+    Lanczos kernel pays."""
+    if not _sparse(spec, (slice(None), slice(None))):
+        return spec.base.entries[None]
+    i, j, value = spec.base.nonzeros
+    return SparseStack((1, spec.n, spec.n), np.zeros_like(i), i, j, value)
+
+
 def _run_trials(spec: EnsembleSpec, trials: int, blocks, finish) -> list:
     """Per-trial columns of a Monte Carlo estimator, computed chunk by chunk.
 
     Trial i is sample i of ``spec``. Each (row slice, column slice) in
-    ``blocks`` gives the stack of that block of every sample of the chunk,
-    and ``finish(*stacks)`` turns them into a tuple of per-trial arrays,
-    which are concatenated in trial order.
+    ``blocks`` gives the stack of that block of every sample of the chunk:
+    a SparseStack where the Lanczos kernel pays (``_sparse``), a dense
+    array otherwise. A table kind also takes a function of the chunk's
+    (chunk, d, n) tables in ``blocks``, and passes on what it returns.
+    ``finish(*stacks)`` turns them into a tuple of per-trial arrays, which
+    are concatenated in trial order.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    floats = sum((r.stop - r.start) * (c.stop - c.start) for r, c in blocks)
+    sparse = [not callable(b) and _sparse(spec, b) for b in blocks]
+    floats = 0
+    for b, sp in zip(blocks, sparse):
+        if not callable(b):
+            h, w = _shape(spec.n, b)
+            floats += min(h, w) * BASIS_STEPS if sp else h * w
     size = max(1, CHUNK_FLOATS // max(1, floats))
 
     parts = []
@@ -145,11 +192,17 @@ def _run_trials(spec: EnsembleSpec, trials: int, blocks, finish) -> list:
         hi = min(trials, lo + size)
         if spec.base is None:
             tables = np.array([sample(spec, i, table=True) for i in range(lo, hi)])
-            stacks = [table_block(tables, r, c) for r, c in blocks]
+            stacks = [b(tables) if callable(b) else
+                      table_entries(tables, *b) if sparse[k] else table_block(tables, *b)
+                      for k, b in enumerate(blocks)]
         else:
             # Sample t is base[np.ix_(rows[t], cols[t])].
-            rows, cols = map(np.array, zip(*(relabeling(spec, i) for i in range(lo, hi))))
-            stacks = [spec.base.entries[rows[:, r, None], cols[:, None, c]] for r, c in blocks]
+            pairs = [relabeling(spec, i) for i in range(lo, hi)]
+            rows = np.array([r for r, _ in pairs])
+            cols = rows if spec.kind == "permuted_base" else np.array([c for _, c in pairs])
+            stacks = [relabeled_entries(spec.base.nonzeros, rows, cols, r, c) if sparse[k] else
+                      spec.base.entries[rows[:, r, None], cols[:, None, c]]
+                      for k, (r, c) in enumerate(blocks)]
         parts.append(finish(*stacks))
     return [np.concatenate(column) for column in zip(*parts)]
 
@@ -180,6 +233,30 @@ def _max_l2(entries: np.ndarray):
     """Largest row or column l2 norm of a matrix, or of each of a stack."""
     return np.maximum(np.linalg.norm(entries, axis=-1).max(axis=-1),
                       np.linalg.norm(entries, axis=-2).max(axis=-1))
+
+
+def _table_max_l2(tables: np.ndarray) -> np.ndarray:
+    """_max_l2 of the matrix of each of a (trials, d, n) stack of tables,
+    read from the tables: row i of A holds the multiplicities of the values
+    in Q[:, i], and column c those of the rows Q_j^-1(c), j = 1..d. The sums
+    of squares are exact integers, so each maximum equals _max_l2 of the
+    dense matrix bit for bit."""
+    trials, d, n = tables.shape
+    inverse = np.empty_like(tables)
+    np.put_along_axis(inverse, tables, np.broadcast_to(np.arange(n), tables.shape), axis=2)
+    squares = [_squared_multiplicities(tables), _squared_multiplicities(inverse)]
+    return np.sqrt(np.maximum(*squares).max(axis=1).astype(np.float64))
+
+
+def _squared_multiplicities(tables: np.ndarray) -> np.ndarray:
+    """The sum of the squared multiplicities of the values in each column
+    tables[t, :, i]: in sorted order, the p-th copy of a value adds 2p + 1."""
+    s = np.sort(tables, axis=1)
+    position = np.arange(s.shape[1])[:, None]
+    first = np.ones(s.shape, dtype=bool)
+    first[:, 1:] = s[:, 1:] != s[:, :-1]
+    run_start = np.maximum.accumulate(np.where(first, position, 0), axis=1)
+    return (2 * (position - run_start) + 1).sum(axis=1)
 
 
 def _c_grid(c_grid) -> np.ndarray:
@@ -327,12 +404,12 @@ def corner_degree_event_frequency(
     n = spec.n
     blocks = [_corner(n)]
     if spec.base is None:
-        blocks.append((slice(0, n), slice(0, n)))  # the whole sample, for its l2 maxima
+        blocks.append(_table_max_l2)
     else:
         l2 = _max_l2(spec.base.entries)
 
-    def finish(T, A=None):
-        l2s = np.full(len(T), l2) if A is None else _max_l2(A)
+    def finish(T, l2s=None):
+        l2s = np.full(len(T), l2) if l2s is None else l2s
         return corner_degree_events(T, params, n), hyp_C * l2s <= params.delta
 
     events, hyp = _run_trials(spec, trials, blocks, finish)
@@ -369,12 +446,11 @@ def s2_tail_curve(
     blocks = [_corner(n)]
     if spec.base is None:
         blocks.append((slice(0, n), slice(0, n)))  # the whole sample, for s2(A)
-    s2B = None if spec.base is None else singular_value(spec.base.entries[None], 1)[0]
+    s2B = None if spec.base is None else singular_value(_base_stack(spec), 1)[0]
 
     def finish(T, A=None):
         s2A = np.full(len(T), s2B) if A is None else singular_value(A, 1)
-        absT = np.abs(T)
-        member = membership_rows(absT.sum(axis=1), absT.sum(axis=2), half)[0]
+        member = membership_rows(*abs_sums(T), half)[0]
         return s2A, singular_value(T, 1), member
 
     s2A, s2T, members = _run_trials(spec, trials, blocks, finish)

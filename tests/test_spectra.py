@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from exspec import spectra
-from exspec.core import Permutation, SquareMatrix, apply_permutation
-from exspec.ensembles import EnsembleSpec, permutation_matrix, sample
+from exspec.core import Permutation, SparseStack, SquareMatrix, apply_permutation
+from exspec.ensembles import EnsembleSpec, permutation_matrix, sample, table_entries
 from exspec.rng import stream
 from exspec.spectra import (
     RTOL,
     centered_offdiag,
+    lanczos_pays,
     perron_check,
     s2_via_centering,
     second_singular,
@@ -261,3 +264,130 @@ def test_singular_value_falls_back_below_its_floor(monkeypatch):
         assert np.all(np.abs(got - want[:, index]) <= RTOL * want[:, index])
     assert singular_value(np.zeros((3, 4, 5)), 1).tolist() == [0.0, 0.0, 0.0]
     assert singular_value(np.ones((2, 1, 3)), 1).tolist() == [0.0, 0.0]
+
+
+# --- singular_value on sparse stacks: the matrix-free Lanczos kernel --------
+
+def _sparse(stack):
+    """A dense (count, rows, cols) stack as a SparseStack."""
+    stack = np.asarray(stack, dtype=np.float64)
+    member, i, j = np.nonzero(stack)
+    return SparseStack(stack.shape, member, i, j, stack[member, i, j])
+
+
+def _assert_lanczos_within_rtol(stack, indices=(0, 1, 2)):
+    """The Lanczos kernel agrees with singular_values to RTOL at each index,
+    and is 0.0 past the last singular value."""
+    stack = np.asarray(stack, dtype=np.float64)
+    s = singular_values(stack)
+    for index in indices:
+        got = singular_value(_sparse(stack), index)
+        want = s[:, index] if index < s.shape[1] else np.zeros(len(stack))
+        assert got.shape == want.shape
+        assert np.all(np.abs(got - want) <= RTOL * want), (index, got, want)
+
+
+def test_lanczos_repeated_top_singular_value():
+    # s1 = s2 exactly: a permutation matrix's corner holds 1 at each of its
+    # nonzeros, and two equal diagonal blocks repeat every singular value.
+    P = permutation_matrix(np.array([7, 0, 9, 1, 5, 2, 8, 3, 6, 4]))
+    corner = P[:5, 5:]
+    assert corner.sum() == 3 and not np.all(corner.sum(axis=0) == corner.sum(axis=0)[0])
+    D = np.diag([3.0, 2.0, 1.0, 0.5])
+    twice = np.block([[D, np.zeros((4, 4))], [np.zeros((4, 4)), D]])
+    for E, want in ((corner, [1.0, 1.0, 1.0]), (np.roll(np.eye(6), 3, axis=1), [1.0] * 3),
+                    (twice, [3.0, 3.0, 2.0])):
+        got = [singular_value(_sparse(E[None]), index)[0] for index in range(3)]
+        assert np.allclose(got, want, rtol=RTOL, atol=0.0), got
+        _assert_lanczos_within_rtol(E[None])
+
+
+def test_lanczos_rank_one_and_zero_blocks(monkeypatch):
+    rng = stream(50)
+    x, y = rng.integers(1, 4, size=(2, 7)).astype(np.float64)
+    rank_one = np.outer(x, y)
+    real = spectra.singular_values
+    fallbacks = []
+    monkeypatch.setattr(spectra, "singular_values",
+                        lambda stack: fallbacks.append(stack) or real(stack))
+    stack = np.array([rank_one, np.zeros((7, 7)), rank_one[::-1]])
+    want = real(stack)
+    # s1 of the rank-one blocks needs no fallback; the zero block's is 0.0.
+    got = singular_value(_sparse(stack), 0)
+    assert [f.tobytes() for f in fallbacks] == [stack[[1]].tobytes()] and got[1] == 0.0
+    assert np.all(np.abs(got - want[:, 0]) <= RTOL * want[:, 0])
+    # Their s2 lies below the floor: the SVD's values, bit for bit.
+    fallbacks.clear()
+    got = singular_value(_sparse(stack), 1)
+    assert [f.tobytes() for f in fallbacks] == [stack.tobytes()]
+    assert got.tobytes() == want[:, 1].tobytes()
+    # A wide block runs on B B^t; its fallback still takes the SVD of B.
+    wide = np.outer(x, np.arange(1.0, 10.0))[None]
+    fallbacks.clear()
+    assert singular_value(_sparse(wide), 1).tobytes() == real(wide)[:, 1].tobytes()
+    assert [f.tobytes() for f in fallbacks] == [wide.tobytes()]
+    empty = SparseStack((2, 5, 6), *np.zeros((3, 0), dtype=np.int64), np.zeros(0))
+    assert singular_value(empty, 0).tolist() == [0.0, 0.0]
+    assert singular_value(empty, 4).tolist() == [0.0, 0.0]
+    assert singular_value(empty, 5).tolist() == [0.0, 0.0]
+
+
+@pytest.mark.parametrize("n", [9, 40, 321])
+def test_lanczos_on_the_blocks_of_regular_samples(n):
+    # Whole samples (one centered run), square corners and the non-square
+    # floor(n/2) x ceil(n/2) and ceil(n/2) x floor(n/2) blocks.
+    m = n // 2
+    count = 6 if n < 100 else 2
+    for spec in (EnsembleSpec("perm_sum_regular", n, d=3, zero_diagonal=True, seed=51),
+                 EnsembleSpec("perm_sum_regular", n, d=4, seed=52),
+                 EnsembleSpec("regular_digraph", n, d=3, seed=53)):
+        A = np.array([sample(spec, i).entries for i in range(count)])
+        for block in (A, A[:, :m, n - m:], A[:, :m, m:], A[:, m:, :m]):
+            _assert_lanczos_within_rtol(block, indices=(0, 1))
+
+
+def test_lanczos_on_real_blocks_of_both_signs():
+    rng = stream(54)
+    E = rng.normal(size=(3, 30, 20)) * (rng.random((3, 30, 20)) < 0.2)
+    _assert_lanczos_within_rtol(E)
+    _assert_lanczos_within_rtol(E.swapaxes(1, 2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 12), st.integers(1, 12), st.floats(0.05, 1.0),
+       st.integers(0, 10**6))
+def test_lanczos_on_sparse_integer_blocks(count, rows, cols, density, seed):
+    rng = stream(55, seed)
+    E = rng.integers(1, 4, size=(count, rows, cols)) * (rng.random((count, rows, cols)) < density)
+    _assert_lanczos_within_rtol(E)
+
+
+def test_lanczos_is_reproducible_and_draws_from_no_stream():
+    spec = EnsembleSpec("perm_sum_regular", 400, d=4, zero_diagonal=True, seed=56)
+    tables = np.array([sample(spec, i, table=True) for i in range(3)])
+    state = np.random.get_state()[1].copy()
+    S = table_entries(tables, slice(0, 200), slice(200, 400))
+    first = singular_value(S, 1)
+    assert singular_value(S, 1).tobytes() == first.tobytes()
+    # A member's value does not depend on the stack it is computed in.
+    for t in range(3):
+        one = table_entries(tables[t:t + 1], slice(0, 200), slice(200, 400))
+        assert singular_value(one, 1).tobytes() == first[t:t + 1].tobytes()
+    assert np.array_equal(np.random.get_state()[1], state)
+    again = np.array([sample(spec, i, table=True) for i in range(3)])
+    assert again.tobytes() == tables.tobytes()
+
+
+def test_lanczos_at_n_2048_matches_the_dense_svd():
+    spec = EnsembleSpec("perm_sum_regular", 2048, d=4, zero_diagonal=True, seed=57)
+    Q = sample(spec, 0, table=True)[None]
+    A = sample(spec, 0).entries
+    want = np.linalg.svd(A, compute_uv=False)[1]
+    got = singular_value(table_entries(Q, slice(None), slice(None)), 1)[0]
+    assert abs(got - want) <= RTOL * want
+
+
+def test_lanczos_pays_only_on_large_sparse_blocks():
+    assert not lanczos_pays(32, 2.0)  # the 32 x 32 corners of tail norm at n = 64
+    assert lanczos_pays(320, 2.0) and lanczos_pays(640, 4.0)
+    assert not lanczos_pays(640, 64.0)

@@ -520,3 +520,103 @@ def test_regular_kinds_have_one_threshold_d(kind):
                   block_bound_curve(spec, trials=40)):
         assert curve.thresholds.tolist() == [3.0]
         assert curve.p_left.tolist() == [1.0]
+
+
+# --- sparse blocks and the Lanczos kernel in the engine ----------------------
+
+def test_per_sample_s2_at_n_1200_takes_no_dense_svd(monkeypatch):
+    # The Gram kernel's accuracy floor passes s2^2 of a 4-regular sample above
+    # n ~ 1150, so it sent every such sample to the dense SVD.
+    spec = EnsembleSpec(kind="perm_sum_regular", n=1200, d=4, zero_diagonal=True, seed=300)
+    want = np.linalg.svd(sample(spec, 0).entries, compute_uv=False)[1]
+    real_svd = np.linalg.svd
+    calls = []
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or real_svd(*a, **k))
+    (s2,) = _run_trials(spec, 1, [(slice(0, 1200), slice(0, 1200))],
+                        lambda A: (singular_value(A, 1),))
+    assert calls == []
+    assert abs(s2[0] - want) <= RTOL * want
+
+
+def _estimates(spec, trials):
+    """Every per-trial column the five estimators compare, and their curves."""
+    n = spec.n
+    event = RegularityParams(d=4.0, delta=1.0)
+    out = {}
+    for name, finish, blocks in (
+        ("corner", lambda T: (singular_value(T, 0), singular_value(T, 1),
+                              corner_degree_events(T, event, n)), [_corner(n)]),
+        ("block", lambda B: (singular_value(B, 0), singular_value(B, 1)),
+         [(slice(0, n // 2), slice(n // 2, n))]),
+        ("whole", lambda A: (singular_value(A, 1),), [(slice(0, n), slice(0, n))]),
+    ):
+        out[name] = _run_trials(spec, trials, blocks, finish)
+    curve = s2_tail_curve(spec, event, [2.0, 3.0, 3.4], trials=trials, c=0.5)
+    out["s2"] = (curve.p_left, curve.p_right, curve.meta["member_fraction"])
+    res = corner_degree_event_frequency(spec, event, trials=trials)
+    out["degree-event"] = (res["p_E"], res["hypothesis_fraction"])
+    return out
+
+
+@pytest.mark.parametrize("kind", ["permuted_base", "separately_exchangeable",
+                                  "perm_sum_regular", "regular_digraph"])
+def test_sparse_blocks_give_the_dense_statistics(monkeypatch, kind):
+    from exspec import tails
+
+    n, trials = 41, 7  # odd: the M12 block is 20 x 21
+    if kind in ("permuted_base", "separately_exchangeable"):
+        base = sample(EnsembleSpec(kind="regular_digraph", n=n, d=4, seed=301), 0)
+        spec = EnsembleSpec(kind=kind, n=n, seed=302, base=base)
+    else:
+        spec = EnsembleSpec(kind=kind, n=n, d=4, zero_diagonal=True, seed=303)
+    runs = []
+    for pays in (False, True):
+        monkeypatch.setattr(tails, "lanczos_pays", lambda dim, per_row: pays)
+        monkeypatch.setattr(tails, "CHUNK_FLOATS", 3 * n * n)  # several chunks
+        runs.append(_estimates(spec, trials))
+    dense, sparse = runs
+    for name in ("corner", "block", "whole"):
+        for got, want in zip(sparse[name], dense[name]):
+            if want.dtype == bool:
+                assert np.array_equal(got, want), name
+            else:
+                assert np.all(np.abs(got - want) <= RTOL * want), name
+    for name in ("s2", "degree-event"):
+        for got, want in zip(sparse[name], dense[name]):
+            assert np.array_equal(got, want), name
+
+
+def test_relabeled_entries_are_the_gathered_blocks():
+    from exspec.ensembles import relabeled_entries
+
+    rng = stream(304)
+    n = 11
+    E = rng.normal(size=(n, n)) * (rng.random((n, n)) < 0.4)
+    base = SquareMatrix(E)
+    for kind in ("permuted_base", "separately_exchangeable"):
+        spec = EnsembleSpec(kind=kind, n=n, seed=305, base=base)
+        pairs = [relabeling(spec, i) for i in range(6)]
+        rows = np.array([r for r, _ in pairs])
+        cols = rows if kind == "permuted_base" else np.array([c for _, c in pairs])
+        for r, c in ((slice(0, 5), slice(6, 11)), (slice(0, 5), slice(5, 11)),
+                     (slice(None), slice(None)), (slice(3, 3), slice(0, 4))):
+            got = relabeled_entries(base.nonzeros, rows, cols, r, c).dense()
+            want = np.array([sample(spec, i).entries[r, c] for i in range(6)])
+            assert got.shape == want.shape and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("kind,d,zero_diagonal", [("perm_sum_regular", 3, False),
+                                                  ("perm_sum_regular", 5, True),
+                                                  ("regular_digraph", 3, True)])
+def test_table_l2_maxima_are_those_of_the_dense_samples(kind, d, zero_diagonal):
+    from exspec.tails import _max_l2, _table_max_l2
+
+    for n in (2 if kind == "perm_sum_regular" and not zero_diagonal else 6, 9, 30):
+        d_n = min(d, n - 1) if kind == "perm_sum_regular" else min(d, n // 3)
+        spec = EnsembleSpec(kind=kind, n=n, d=d_n, zero_diagonal=zero_diagonal, seed=306 + n)
+        tables = np.array([sample(spec, i, table=True) for i in range(40)])
+        want = _max_l2(np.array([sample(spec, i).entries for i in range(40)]))
+        assert _table_max_l2(tables).tobytes() == want.tobytes()
+    # Repeated entries (A[i, c] = 2 or more) occur without the zero diagonal.
+    if not zero_diagonal:
+        assert np.any(want > np.sqrt(d_n))
