@@ -70,9 +70,9 @@ def _load_matrix(path: str) -> SquareMatrix:
     return matrix_from_csv(text)
 
 
-def _command_actions(command: str) -> dict:
+def _command_actions(parser: argparse.ArgumentParser, command: str) -> dict:
     """The argparse actions of a subcommand, by destination."""
-    commands = next(a for a in build_parser()._actions if a.dest == "command")
+    commands = next(a for a in parser._actions if a.dest == "command")
     return {a.dest: a for a in commands.choices[command]._actions}
 
 
@@ -104,11 +104,11 @@ def _manifest_value(key: str, action: argparse.Action, value):
     return converted
 
 
-def _apply_manifest(args: argparse.Namespace) -> dict:
+def _apply_manifest(args: argparse.Namespace, actions: dict) -> dict:
     """Merge a manifest file over parsed flags; returns the effective manifest.
 
-    Each value goes through its flag's type and choices, as on the command
-    line."""
+    Each value goes through its flag's type and choices (``actions``, the
+    subcommand's argparse actions by destination), as on the command line."""
     if getattr(args, "manifest", None):
         overrides = json.loads(Path(args.manifest).read_text())
         if not isinstance(overrides, dict):
@@ -116,7 +116,6 @@ def _apply_manifest(args: argparse.Namespace) -> dict:
         # Only the subcommand's own flags; any other key would be echoed into
         # the output as if it had taken effect.
         known = set(vars(args)) - {"func", "manifest", "out"}
-        actions = _command_actions(args.command)
         for key, value in overrides.items():
             dest = key.replace("-", "_")
             if dest not in known:
@@ -161,8 +160,8 @@ def _build_spec(args) -> EnsembleSpec:
     )
 
 
-def cmd_gen(args) -> int:
-    manifest = _apply_manifest(args)
+def cmd_gen(args, actions: dict) -> int:
+    manifest = _apply_manifest(args, actions)
     if args.count < 1:
         raise ValueError("count must be >= 1")
     spec = _build_spec(args)
@@ -185,8 +184,8 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
-def cmd_analyze(args) -> int:
-    manifest = _apply_manifest(args)
+def cmd_analyze(args, actions: dict) -> int:
+    manifest = _apply_manifest(args, actions)
     if args.delta is not None and args.d is None:
         raise ValueError("analyze --delta requires --d")
     M = _load_matrix(args.matrix)
@@ -221,8 +220,8 @@ def cmd_analyze(args) -> int:
     return EXIT_OK
 
 
-def cmd_verify(args) -> int:
-    manifest = _apply_manifest(args)
+def cmd_verify(args, actions: dict) -> int:
+    manifest = _apply_manifest(args, actions)
     records = verify_mod.run_suite(args.suite, seed=args.seed)
     passed = all(r["passed"] for r in records)
     report = {"manifest": manifest, "records": records, "passed": passed}
@@ -242,12 +241,11 @@ def _write_outputs(out: Path, files: dict) -> None:
         (out / name).write_text(text)
 
 
-def cmd_tail(args) -> int:
-    manifest = _apply_manifest(args)
+def cmd_tail(args, actions: dict) -> int:
+    manifest = _apply_manifest(args, actions)
     comparison = args.comparison
     if comparison in ("s2", "degree-event") and args.delta is None:
         raise ValueError(f"tail {comparison} requires --delta")
-    actions = _command_actions("tail")
     for dest in UNREAD[comparison]:
         if getattr(args, dest) != actions[dest].default:
             raise ValueError(f"tail {comparison} takes no --{dest.replace('_', '-')}")
@@ -365,7 +363,7 @@ def main(argv=None) -> int:
     if getattr(args, "out", None) is None and args.command in ("gen", "tail"):
         parser.error(f"{args.command} requires --out")
     try:
-        return args.func(args)
+        return args.func(args, _command_actions(parser, args.command))
     except OSError as e:
         print(f"I/O error: {e}", file=sys.stderr)
         return EXIT_IO

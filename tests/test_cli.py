@@ -513,6 +513,9 @@ print(json.dumps({"codes": codes, "scipy": sorted(m for m in sys.modules if "sci
         (["tail", "s2", "--n", "16", "--d", "4", "--delta", "1.0", "--trials", "50",
           "--seed", "1", "--out", str(tmp_path / "s2")], 0),
         (["tail", "s2", "--n", "16", "--d", "4", "--out", str(tmp_path / "bad")], 2),
+        # n = 700: the whole samples and their corners go to the Lanczos kernel.
+        (["tail", "s2", "--n", "700", "--d", "4", "--zero-diagonal", "--delta", "1.0",
+          "--trials", "2", "--seed", "1", "--out", str(tmp_path / "s2-large")], 0),
     ]
     proc = subprocess.run(
         [sys.executable, "-c", script, json.dumps([argv for argv, _ in commands])],
@@ -525,3 +528,26 @@ print(json.dumps({"codes": codes, "scipy": sorted(m for m in sys.modules if "sci
     assert report["deg_membership"]["member"] and report["scaling"]["hypotheses_ok"]
     assert (tmp_path / "norm" / "curve.csv").exists() and (tmp_path / "s2" / "curve.csv").exists()
     assert not (tmp_path / "bad").exists()
+
+
+def test_each_main_builds_the_parser_once(tmp_path, capsys, monkeypatch):
+    from exspec import cli
+
+    builds = []
+    real = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or real())
+    mf = tmp_path / "manifest.json"
+    mf.write_text(json.dumps({"trials": 20, "c": 0.5}))
+    norm = ["tail", "norm", "--n", "16", "--d", "3", "--zero-diagonal", "--trials", "30"]
+    cases = [
+        (norm + ["--out", str(tmp_path / "a")], 0, ""),
+        (norm + ["--manifest", str(mf), "--out", str(tmp_path / "b")], 0, ""),
+        (["tail", "blocks", "--delta", "1.0", "--out", str(tmp_path / "c")], 2,
+         "error: tail blocks takes no --delta\n"),
+        (["gen", "--n", "8", "--d", "2", "--manifest", str(mf), "--out", str(tmp_path / "d")], 2,
+         "error: unknown manifest key 'trials'\n"),
+    ]
+    for args, code, err in cases:
+        builds.clear()
+        assert run_cli(args, capsys)[::2] == (code, err)
+        assert builds == [1], args
