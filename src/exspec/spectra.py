@@ -196,7 +196,9 @@ def _top_eigenpair(gram, locked: np.ndarray, start: np.ndarray):
     with full reorthogonalisation; and whether each run converged."""
     count, L, dim = locked.shape
     steps = min(dim - L, _MAX_STEPS)
-    V = np.empty((count, L + min(steps, 4 * _CHECK) + 1, dim))
+    # Room for every step: pages no step writes are never touched, so the
+    # memory in use follows the steps taken.
+    V = np.empty((count, L + steps + 1, dim))
     V[:, :L] = locked
     V[:, L] = _orthonormalise(np.broadcast_to(start, (count, dim)), locked)
     alpha = np.empty((count, steps))
@@ -232,8 +234,6 @@ def _top_eigenpair(gram, locked: np.ndarray, start: np.ndarray):
             done[idx] = True
             if done.all():
                 break
-        if k == V.shape[1]:
-            V = np.concatenate([V, np.empty_like(V[:, :k - L])], axis=1)
         # After a breakdown (b = 0, an invariant subspace) w is 0 and stays 0.
         np.divide(w, np.maximum(b, np.finfo(np.float64).tiny)[:, None], out=V[:, k])
     vector[done] = _orthonormalise(vector[done], locked[done])
