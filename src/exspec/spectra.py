@@ -113,7 +113,7 @@ def _lanczos(stack: SparseStack, index: int) -> np.ndarray:
     1/sqrt(dim) when B is nonnegative and its row sums are all equal, and
     so are its column sums (the centering identity: G 1 = r c 1 and ||B||^2
     <= r c); otherwise it, and every later one, is the top Ritz vector of
-    the run before. A run restarts from scratch on the complement, so a
+    the run before. Each run starts afresh on the complement, so a
     repeated singular value (s1 = s2) is found again.
 
     Each run starts from one fixed vector and stops when its residual
