@@ -172,15 +172,6 @@ def _regular_digraph_table(n: int, d: int, rng: np.random.Generator) -> np.ndarr
     return inverse[P[:, s]]
 
 
-def _table_hits(tables: np.ndarray, rows: slice, cols: slice):
-    """Column offsets b[t, j, a] = Q[t, j, rows.start + a] - cols.start, the
-    mask of those that land in the block, and the block's stack shape."""
-    trials, d, n = tables.shape
-    rows, cols = range(n)[rows], range(n)[cols]
-    b = tables[:, :, rows.start:rows.stop] - cols.start  # (trials, d, h)
-    return b, (b >= 0) & (b < len(cols)), (trials, len(rows), len(cols))
-
-
 def table_entries(tables: np.ndarray, rows: slice, cols: slice) -> SparseStack:
     """The block A_t[rows, cols] of the matrix A_t of each table, by its
     entries: the pairs (i, Q[t, j, i]) that land in the block, each 1.0.
@@ -189,25 +180,20 @@ def table_entries(tables: np.ndarray, rows: slice, cols: slice) -> SparseStack:
     and ``cols`` are ranges of indices (slices of step 1). No dense block is
     formed.
     """
-    b, keep, shape = _table_hits(tables, rows, cols)
+    trials, d, n = tables.shape
+    rows, cols = range(n)[rows], range(n)[cols]
+    b = tables[:, :, rows.start:rows.stop] - cols.start  # (trials, d, h)
+    keep = (b >= 0) & (b < len(cols))
     member, _, row = np.nonzero(keep)
-    return SparseStack(shape, member, row, b[keep], np.ones(member.size))
+    return SparseStack((trials, len(rows), len(cols)), member, row, b[keep],
+                       np.ones(member.size))
 
 
 def table_block(tables: np.ndarray, rows: slice, cols: slice) -> np.ndarray:
-    """The block of ``table_entries`` as a dense (trials, h, w) stack.
-
-    Entry (a, b) counts the j with Q[t, j, rows.start + a] == cols.start + b;
-    the whole stack is one bincount over flat indices, and no n x n matrix
-    is formed unless the block is the whole matrix.
-    """
-    b, keep, (trials, h, w) = _table_hits(tables, rows, cols)
-    flat = ((np.arange(trials)[:, None, None] * h + np.arange(h)) * w + b)[keep]
-    # Weighted, so the counts come out as floats: several times faster than
-    # counting integers and converting the (trials, h, w) result. (With no
-    # entries at all, bincount returns integers even so.)
-    counts = np.bincount(flat, np.ones(flat.size), trials * h * w)
-    return counts.astype(np.float64, copy=False).reshape(trials, h, w)
+    """The block of ``table_entries`` as a dense (trials, h, w) stack: entry
+    (a, b) counts the j with Q[t, j, rows.start + a] == cols.start + b. No
+    n x n matrix is formed unless the block is the whole matrix."""
+    return table_entries(tables, rows, cols).dense()
 
 
 def relabeled_entries(triples, rows: np.ndarray, cols: np.ndarray,

@@ -5,6 +5,8 @@ singular value satisfies s2(A) = ||A - (d/n) 11^t||, which this module
 exposes both as a computation and as a checkable identity.
 """
 
+import math
+
 import numpy as np
 
 from .core import SparseStack, SquareMatrix, abs_sums, as_entries, column_sums, row_sums
@@ -14,6 +16,7 @@ __all__ = [
     "singular_values",
     "singular_value",
     "lanczos_pays",
+    "lanczos_steps",
     "spectral_norm",
     "second_singular",
     "s2_via_centering",
@@ -42,9 +45,11 @@ def singular_value(stack, index: int) -> np.ndarray:
 
     A dense stack takes the Gram kernel below, a ``SparseStack`` the
     matrix-free Lanczos kernel (``_lanczos``); ``lanczos_pays`` says which
-    pays for a block. Either sends a matrix whose s_index lies below its
-    stated accuracy floor to singular_values, so an all-zero matrix gives
-    exactly 0.0.
+    pays for a block. The Gram kernel sends a matrix whose s_index lies
+    below its stated accuracy floor to singular_values, so an all-zero
+    matrix gives exactly 0.0; the Lanczos kernel sends one below its own
+    floor, or out of steps, to the Gram kernel, or straight to
+    singular_values where the Gram kernel could only pass it on.
 
     Gram kernel: s_index is the square root of an eigenvalue lambda of the
     smaller Gram matrix G (E^t E or E E^t), from one batched matmul and one
@@ -65,13 +70,17 @@ def singular_value(stack, index: int) -> np.ndarray:
     Et = np.swapaxes(E, 1, 2)
     G = Et @ E if cols <= rows else E @ Et
     lam = np.linalg.eigvalsh(G)[:, k - 1 - index]
-    eps = np.finfo(np.float64).eps
-    floor = (rows + cols) * eps * np.trace(G, axis1=1, axis2=2) / (2.0 * RTOL)
+    floor = _gram_floor(rows, cols, np.trace(G, axis1=1, axis2=2))
     s = np.sqrt(np.maximum(lam, 0.0))
     low = lam <= floor
     if np.any(low):
         s[low] = singular_values(E[low])[:, index]
     return s
+
+
+def _gram_floor(rows: int, cols: int, trace) -> np.ndarray:
+    """The Gram kernel's floor on lambda, given trace(G) = ||E||_F^2."""
+    return (rows + cols) * np.finfo(np.float64).eps * trace / (2.0 * RTOL)
 
 
 def lanczos_pays(dim: int, per_row: float) -> bool:
@@ -95,11 +104,27 @@ def lanczos_pays(dim: int, per_row: float) -> bool:
     return dim >= 320 and per_row * 16 <= dim
 
 
+def lanczos_steps(dim: int) -> int:
+    """The Lanczos steps a member whose smaller side is ``dim`` can afford:
+    dim // 4 + 16, about where one run costs what the Gram kernel does.
+
+    Measured as ``lanczos_pays``, one member at a time, on s2 of d = 4
+    samples with the convergence test switched off, the crossover is 93
+    steps at dim = 320, 109 at 384, 124 at 448, 151 at 512, 178 at 640,
+    206 at 768 and 240 at 896 (177 at 640 for four members in lockstep).
+    A run of k steps costs about k^2 (its reorthogonalisation against the
+    k vectors so far, and its Ritz checks), so the runs of one member share
+    the budget by squares: k_1^2 + k_2^2 + ... <= lanczos_steps(dim)^2. A
+    member that has not converged by then goes to the Gram kernel, so it
+    costs at most about twice what the Gram kernel alone would.
+    """
+    return dim // 4 + 16
+
+
 # The start vector's generator: a fixed seed, so that the kernel draws from
 # no trial stream and two calls agree bit for bit.
 _START_SEED = 20161
 _CHECK = 16  # Lanczos steps between two convergence checks
-_MAX_STEPS = 1000  # per run; a member that needs more goes to singular_values
 
 
 def _lanczos(stack: SparseStack, index: int) -> np.ndarray:
@@ -128,9 +153,12 @@ def _lanczos(stack: SparseStack, index: int) -> np.ndarray:
     of length-dim vectors carry about dim eps ||G||, with ||G|| <= S^2, the
     largest row sum of |B| times its largest column sum (Schur). Above the
     floor (dim + c_r + c_c) eps S^2 / RTOL that is at most RTOL lambda.
-    So sqrt(lambda) is within RTOL; a member at or below the floor, or not
-    converged in _MAX_STEPS steps, takes singular_values of its dense
-    matrix.
+    So sqrt(lambda) is within RTOL. A member at or below the floor, or not
+    converged within its ``lanczos_steps`` budget (a tight cluster at the
+    top of the spectrum, as in the unions of cycles of d = 2), takes its
+    dense matrix to the Gram kernel, or straight to singular_values where
+    S^2 lies at or below the Gram kernel's floor; no other member forms a
+    dense matrix.
     """
     count, rows, cols = stack.shape
     if index >= min(rows, cols):
@@ -141,12 +169,14 @@ def _lanczos(stack: SparseStack, index: int) -> np.ndarray:
     c_r = np.bincount(S.member * rows + S.row, minlength=count * rows).reshape(count, rows)
     c_c = np.bincount(S.member * dim + S.col, minlength=count * dim).reshape(count, dim)
     eps = np.finfo(np.float64).eps
-    floor = ((dim + c_r.max(axis=1) + c_c.max(axis=1)) * eps
-             * u.max(axis=1) * v.max(axis=1) / RTOL)
+    schur = u.max(axis=1) * v.max(axis=1)  # >= ||B||^2
+    floor = (dim + c_r.max(axis=1) + c_c.max(axis=1)) * eps * schur / RTOL
     nonnegative = np.bincount(S.member[S.value < 0], minlength=count) == 0
     regular = nonnegative & (u == u[:, :1]).all(axis=1) & (v == v[:, :1]).all(axis=1)
 
     start = np.random.default_rng(_START_SEED).standard_normal(dim)
+    budget = lanczos_steps(dim) ** 2
+    spent = np.zeros(count, dtype=np.int64)  # squared steps of the runs so far
     lam = np.zeros(count)
     vectors = np.zeros((count, index + 1, dim))
     ok = np.ones(count, dtype=bool)
@@ -158,12 +188,23 @@ def _lanczos(stack: SparseStack, index: int) -> np.ndarray:
             run &= ~regular
         if np.any(run):
             part = S if run.all() else S.take(run)
-            lam[run], vectors[run, level], ok[run] = _top_eigenpair(
-                _gram(part), vectors[run, :level], start)
+            steps = min(dim - level, math.isqrt(budget - int(spent[run].max())))
+            lam[run], vectors[run, level], ok[run], taken = _top_eigenpair(
+                _gram(part), vectors[run, :level], start, steps)
+            spent[run] += taken * taken
     s = np.sqrt(np.maximum(lam, 0.0))
     low = ~ok | (lam <= floor)
     if np.any(low):
-        s[low] = singular_values(stack.take(low).dense())[:, index]
+        D = stack.take(low).dense()
+        # Where even the Schur bound on s1^2 is at or below the Gram
+        # kernel's floor, that kernel would only pass the matrix on.
+        svd = schur[low] <= _gram_floor(rows, dim, np.einsum("tij,tij->t", D, D))
+        fallback = np.empty(len(D))
+        if np.any(svd):
+            fallback[svd] = singular_values(D[svd])[:, index]
+        if not np.all(svd):
+            fallback[~svd] = singular_value(D[~svd], index)
+        s[low] = fallback
     return s
 
 
@@ -190,12 +231,12 @@ def _orthonormalise(x: np.ndarray, basis: np.ndarray) -> np.ndarray:
     return x / np.where(norm > 0.0, norm, 1.0)
 
 
-def _top_eigenpair(gram, locked: np.ndarray, start: np.ndarray):
+def _top_eigenpair(gram, locked: np.ndarray, start: np.ndarray, steps: int):
     """Top eigenvalue and eigenvector of G on the complement of the rows of
-    ``locked`` (count, L, dim), for each member, by Lanczos from ``start``
-    with full reorthogonalisation; and whether each run converged."""
+    ``locked`` (count, L, dim), for each member, by at most ``steps`` steps
+    of Lanczos from ``start`` with full reorthogonalisation; whether each
+    member converged, and the steps taken."""
     count, L, dim = locked.shape
-    steps = min(dim - L, _MAX_STEPS)
     # Room for every step: pages no step writes are never touched, so the
     # memory in use follows the steps taken.
     V = np.empty((count, L + steps + 1, dim))
@@ -206,8 +247,10 @@ def _top_eigenpair(gram, locked: np.ndarray, start: np.ndarray):
     lam = np.zeros(count)
     vector = np.zeros((count, dim))
     done = np.zeros(count, dtype=bool)
+    taken = 0
     for j in range(steps):
-        k = L + j + 1  # basis vectors so far, the locked ones first
+        taken = j + 1
+        k = L + taken  # basis vectors so far, the locked ones first
         basis = V[:, :k]
         w = gram(V[:, k - 1])
         h = np.matmul(basis, w[:, :, None])
@@ -237,7 +280,7 @@ def _top_eigenpair(gram, locked: np.ndarray, start: np.ndarray):
         # After a breakdown (b = 0, an invariant subspace) w is 0 and stays 0.
         np.divide(w, np.maximum(b, np.finfo(np.float64).tiny)[:, None], out=V[:, k])
     vector[done] = _orthonormalise(vector[done], locked[done])
-    return lam, vector, done
+    return lam, vector, done, taken
 
 
 # The tail engine takes its per-trial singular values from singular_value:

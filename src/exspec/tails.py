@@ -27,9 +27,11 @@ relabeled_entries`` and ``table_entries``). Otherwise it is dense, for the
 Gram kernel: gathered from B through the drawn row and column
 permutations, or scattered from the tables with one bincount per stack
 (``ensembles.table_block``). So no trial forms an n x n array unless its
-whole matrix is small enough for the Gram kernel; the row and column l2
+whole matrix is small enough for the Gram kernel, or the Lanczos kernel
+runs out of steps on it (``spectra.lanczos_steps``); the row and column l2
 norms of a table come from the table itself. A chunk holds at most
-CHUNK_FLOATS stacked floats (a sparse block counts as its Lanczos basis)
+CHUNK_FLOATS stacked floats (a sparse block counts as the largest Lanczos
+basis the kernel keeps for it; a member out of steps adds its dense block)
 and at least one trial; chunks run one after another, in index order.
 
 ||M|| is the same for every sample and is computed once per call: it is d
@@ -59,7 +61,7 @@ from .ensembles import (
     table_block,
     table_entries,
 )
-from .spectra import RTOL, lanczos_pays, singular_value, spectral_norm
+from .spectra import RTOL, lanczos_pays, lanczos_steps, singular_value, spectral_norm
 
 __all__ = [
     "TailCurve",
@@ -130,10 +132,9 @@ class TailCurve:
 
 
 # Stacked floats per chunk of trials (1 MiB, like subset.TABLE_ENTRIES). A
-# sparse block counts as the Lanczos basis of BASIS_STEPS steps on its
-# smaller side, about what one run of the kernel keeps.
+# sparse block counts as the largest Lanczos basis the kernel keeps for it:
+# lanczos_steps of its smaller side, plus the start and deflated vectors.
 CHUNK_FLOATS = 2**17
-BASIS_STEPS = 64
 
 
 def _corner(n: int):
@@ -184,7 +185,8 @@ def _run_trials(spec: EnsembleSpec, trials: int, blocks, finish) -> list:
     for b, sp in zip(blocks, sparse):
         if not callable(b):
             h, w = _shape(spec.n, b)
-            floats += min(h, w) * BASIS_STEPS if sp else h * w
+            k = min(h, w)
+            floats += k * (lanczos_steps(k) + 2) if sp else h * w
     size = max(1, CHUNK_FLOATS // max(1, floats))
 
     parts = []

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from exspec.spectra import (
     RTOL,
     centered_offdiag,
     lanczos_pays,
+    lanczos_steps,
     perron_check,
     s2_via_centering,
     second_singular,
@@ -316,10 +319,12 @@ def test_lanczos_rank_one_and_zero_blocks(monkeypatch):
     got = singular_value(_sparse(stack), 0)
     assert [f.tobytes() for f in fallbacks] == [stack[[1]].tobytes()] and got[1] == 0.0
     assert np.all(np.abs(got - want[:, 0]) <= RTOL * want[:, 0])
-    # Their s2 lies below the floor: the SVD's values, bit for bit.
+    # Their s2 lies below the floor: the SVD's values, bit for bit. The zero
+    # block goes to the SVD directly, the rank-one blocks through the Gram
+    # kernel, whose own floor passes them on.
     fallbacks.clear()
     got = singular_value(_sparse(stack), 1)
-    assert [f.tobytes() for f in fallbacks] == [stack.tobytes()]
+    assert [f.tobytes() for f in fallbacks] == [stack[[1]].tobytes(), stack[[0, 2]].tobytes()]
     assert got.tobytes() == want[:, 1].tobytes()
     # A wide block runs on B B^t; its fallback still takes the SVD of B.
     wide = np.outer(x, np.arange(1.0, 10.0))[None]
@@ -385,6 +390,37 @@ def test_lanczos_at_n_2048_matches_the_dense_svd():
     want = np.linalg.svd(A, compute_uv=False)[1]
     got = singular_value(table_entries(Q, slice(None), slice(None)), 1)[0]
     assert abs(got - want) <= RTOL * want
+
+
+def test_lanczos_stops_at_its_budget_on_a_top_cluster(monkeypatch):
+    # d = 2: a union of cycles, whose deflated top eigenvalues crowd within
+    # O(1/L^2) of s2^2. This sample needs 272 steps, past the 176 that
+    # dim = 640 affords; the member then takes the Gram kernel's value.
+    spec = EnsembleSpec("perm_sum_regular", 640, d=2, zero_diagonal=True, seed=7)
+    S = table_entries(sample(spec, 0, table=True)[None], slice(None), slice(None))
+    dense = S.dense()
+    steps = []
+    real_gram = spectra._gram
+
+    def counted(part):
+        apply = real_gram(part)
+        return lambda x: steps.append(1) or apply(x)
+
+    monkeypatch.setattr(spectra, "_gram", counted)
+    got = singular_value(S, 1)
+    assert len(steps) == lanczos_steps(640) == 176
+    assert got.tobytes() == singular_value(dense, 1).tobytes()
+    # Time order: the budget costs about one Gram kernel, so the member costs
+    # about twice the Gram kernel alone (three times without the budget).
+    lanczos, gram = [], []
+    for _ in range(5):
+        t0 = time.perf_counter()
+        singular_value(S, 1)
+        t1 = time.perf_counter()
+        singular_value(dense, 1)
+        lanczos.append(t1 - t0)
+        gram.append(time.perf_counter() - t1)
+    assert min(lanczos) < 3.0 * min(gram), (min(lanczos), min(gram))
 
 
 def test_lanczos_pays_only_on_large_sparse_blocks():
