@@ -27,14 +27,14 @@ from . import verify as verify_mod
 from .core import (
     SquareMatrix,
     column_sums,
-    matrix_from_csv,
+    matrix_from_csv_file,
     matrix_from_json,
     matrix_to_csv,
     matrix_to_json,
     row_sums,
 )
 from .degrees import RegularityParams, deg_membership
-from .ensembles import KINDS, EnsembleSpec, sample
+from .ensembles import BASE_KINDS, KINDS, EnsembleSpec, sample
 from .scaling import scaling_reduction
 from .spectra import s2_via_centering, second_singular, spectral_norm
 from .tails import (
@@ -64,10 +64,9 @@ UNREAD = {
 
 def _load_matrix(path: str) -> SquareMatrix:
     p = Path(path)
-    text = p.read_text()
     if p.suffix == ".json":
-        return matrix_from_json(text)
-    return matrix_from_csv(text)
+        return matrix_from_json(p.read_text())
+    return matrix_from_csv_file(p)
 
 
 def _command_actions(parser: argparse.ArgumentParser, command: str) -> dict:
@@ -149,6 +148,9 @@ def _grid(text):
 def _build_spec(args) -> EnsembleSpec:
     base = None
     if getattr(args, "base", None):
+        if args.ensemble not in BASE_KINDS:
+            # The spec would reject the base too, but only once it is read.
+            raise ValueError(f"{args.ensemble} takes no base matrix")
         base = _load_matrix(args.base)
     return EnsembleSpec(
         kind=args.ensemble,

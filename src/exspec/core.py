@@ -6,13 +6,20 @@ All objects are immutable after construction and safe to share. Corners
 and blocks are plain read-only views of a matrix's entries. A stack of
 blocks is a dense (count, rows, cols) array, or a ``SparseStack`` of the
 same shape given by its nonzero entries.
+
+A CSV matrix file is read in one pass into one n x n array
+(``matrix_from_csv_file``): its lines, decoded as ASCII with universal
+newlines, go straight to ``np.loadtxt``, and the matrix takes over the
+parsed array without a copy. A file loadtxt does not take, or whose text
+is not plain ASCII lines, is read again as a whole by the line parser, so
+every file parses as ``matrix_from_csv`` parses its text.
 """
 
-import io
 import json
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
+from pathlib import Path
 
 import numpy as np
 
@@ -31,6 +38,7 @@ __all__ = [
     "matrix_from_json",
     "matrix_to_csv",
     "matrix_from_csv",
+    "matrix_from_csv_file",
 ]
 
 
@@ -42,7 +50,21 @@ class SquareMatrix:
     zero_diagonal: bool = False
 
     def __post_init__(self):
-        a = np.asarray(self.entries, dtype=np.float64).copy()
+        # A copy, so that no caller holds a writeable alias of the entries.
+        self._own(np.array(self.entries, dtype=np.float64, order="C"))
+
+    @classmethod
+    def _adopt(cls, a: np.ndarray, zero_diagonal: bool = False) -> "SquareMatrix":
+        """The matrix over ``a`` itself, for a float64 array that nothing else
+        refers to (one a parser has just built): the checks of the
+        constructor without its n x n copy."""
+        M = object.__new__(cls)
+        object.__setattr__(M, "zero_diagonal", zero_diagonal)
+        M._own(np.asarray(a, dtype=np.float64))
+        return M
+
+    def _own(self, a: np.ndarray) -> None:
+        """Check ``a`` and make it the read-only entries."""
         if a.ndim != 2:
             raise ValueError("entries must be a 2-d array")
         if a.shape[0] != a.shape[1] or a.shape[0] < 1:
@@ -248,22 +270,47 @@ def _csv_rows_by_line(text: str) -> np.ndarray:
 _SPLITLINES_ONLY_ASCII = "\x0b\x0c\x1c\x1d\x1e"
 
 
+def _loadtxt_lines(lines):
+    """``lines`` one by one; ValueError at the first that is not ASCII or
+    holds a break that splitlines() sees and loadtxt does not, since on such
+    text the two could split lines differently."""
+    for line in lines:
+        if not line.isascii() or any(c in line for c in _SPLITLINES_ONLY_ASCII):
+            raise ValueError("not plain ASCII lines")
+        yield line
+
+
+def _parse_csv(lines, read_text) -> np.ndarray:
+    """np.loadtxt over ``lines`` (the lines of a text, or a text file); if
+    it rejects them or finds no data, the line parser over the whole text,
+    ``read_text()``, which accepts what float() accepts (e.g. ``1_0`` and
+    whitespace-only lines) and names the offending line."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
+            a = np.loadtxt(_loadtxt_lines(lines), delimiter=",", comments=None, ndmin=2)
+        if a.size:
+            return a
+    except ValueError:  # so is the UnicodeDecodeError of a file that is not ASCII
+        pass
+    return _csv_rows_by_line(read_text())
+
+
 def _csv_rows(text: str) -> np.ndarray:
-    """np.loadtxt on well-formed files; anything it rejects or finds empty
-    goes through the line parser, which accepts what float() accepts (e.g.
-    ``1_0`` and whitespace-only lines) and names the offending line. Text
-    where the two could split lines differently goes there directly."""
-    if text.isascii() and not any(c in text for c in _SPLITLINES_ONLY_ASCII):
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
-                a = np.loadtxt(io.StringIO(text), delimiter=",", comments=None, ndmin=2)
-            if a.size:
-                return a
-        except ValueError:
-            pass
-    return _csv_rows_by_line(text)
+    """The rows of a CSV text, as a float64 array."""
+    return _parse_csv(text.splitlines(), lambda: text)
 
 
 def matrix_from_csv(text: str, zero_diagonal: bool = False) -> SquareMatrix:
-    return SquareMatrix(_csv_rows(text), zero_diagonal=zero_diagonal)
+    return SquareMatrix._adopt(_csv_rows(text), zero_diagonal=zero_diagonal)
+
+
+def matrix_from_csv_file(path, zero_diagonal: bool = False) -> SquareMatrix:
+    """``matrix_from_csv(Path(path).read_text())``, read in one pass into one
+    array: the file is decoded as ASCII with universal newlines, line by
+    line. Only a file that loadtxt does not take, or that is not plain ASCII
+    lines, is read again as a whole."""
+    p = Path(path)
+    with p.open(encoding="ascii") as f:
+        a = _parse_csv(f, p.read_text)
+    return SquareMatrix._adopt(a, zero_diagonal=zero_diagonal)

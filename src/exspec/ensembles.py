@@ -51,6 +51,7 @@ from .rng import stream
 __all__ = [
     "EnsembleSpec",
     "KINDS",
+    "BASE_KINDS",
     "sample",
     "relabeling",
     "table_entries",
@@ -62,7 +63,7 @@ __all__ = [
 
 KINDS = ("permuted_base", "separately_exchangeable", "perm_sum_regular", "regular_digraph")
 _REGULAR_KINDS = ("perm_sum_regular", "regular_digraph")
-_BASE_KINDS = ("permuted_base", "separately_exchangeable")
+BASE_KINDS = ("permuted_base", "separately_exchangeable")
 _REJECTION_CAP = 1000
 
 
@@ -82,7 +83,7 @@ class EnsembleSpec:
             raise ValueError("n must be >= 1")
         if self.kind in _REGULAR_KINDS and not 1 <= self.d < self.n:
             raise ValueError(f"regular ensembles need 1 <= d < n, got d={self.d}, n={self.n}")
-        if self.kind in _BASE_KINDS:
+        if self.kind in BASE_KINDS:
             if self.base is None:
                 raise ValueError(f"{self.kind} requires a base matrix")
             if self.base.n != self.n:

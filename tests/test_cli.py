@@ -1,11 +1,12 @@
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from exspec.cli import main
+from exspec.cli import _load_matrix, main
 from exspec.core import SquareMatrix, matrix_to_csv, matrix_to_json
 from exspec.ensembles import EnsembleSpec, sample
 
@@ -449,6 +450,40 @@ def test_gen_regular_digraph_without_room_is_usage_error(tmp_path, capsys):
     assert len(err.splitlines()) == 1
 
 
+def test_base_on_a_doubly_regular_kind_is_rejected_before_it_is_read(tmp_path, capsys):
+    # A missing file would be an I/O error and this one a parse error, had
+    # either been opened.
+    unparsable = tmp_path / "unparsable.csv"
+    unparsable.write_text("not,a\nmatrix\n")
+    commands = {
+        "gen": ["gen", "--n", "8", "--d", "2"],
+        "tail": ["tail", "s2", "--n", "8", "--d", "2", "--delta", "1.0", "--trials", "2"],
+    }
+    for kind in ("perm_sum_regular", "regular_digraph"):
+        for name, args in commands.items():
+            for base in (tmp_path / "missing.csv", unparsable):
+                out = tmp_path / f"{name}-{kind}-{base.stem}"
+                code, stdout, err = run_cli(
+                    [*args, "--ensemble", kind, "--base", str(base), "--out", str(out)], capsys
+                )
+                assert (code, stdout, err) == (2, "", f"error: {kind} takes no base matrix\n")
+                assert not out.exists()
+
+
+def test_loading_a_csv_matrix_peaks_near_one_array(tmp_path):
+    n = 512
+    f = tmp_path / "base.csv"
+    f.write_text(matrix_to_csv(sample(EnsembleSpec("regular_digraph", n, 4, seed=1), 0)))
+    tracemalloc.start()
+    try:
+        M = _load_matrix(str(f))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert M.n == n and not M.entries.flags.writeable
+    assert peak <= 1.5 * M.entries.nbytes, peak / M.entries.nbytes
+
+
 def test_manifest_values_go_through_the_flag_types(tmp_path, capsys):
     mf = tmp_path / "manifest.json"
     accepted = [
@@ -499,7 +534,7 @@ def test_commands_run_without_scipy(tmp_path):
     script = """
 import json, sys
 sys.modules["scipy"] = None
-from exspec.cli import main
+from exspec.cli import _load_matrix, main
 codes = [main(argv) for argv in json.loads(sys.argv[1])]
 print(json.dumps({"codes": codes, "scipy": sorted(m for m in sys.modules if "scipy" in m)}))
 """

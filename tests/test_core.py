@@ -1,5 +1,7 @@
 import json
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from exspec.core import (
     block_decompose,
     column_sums,
     matrix_from_csv,
+    matrix_from_csv_file,
     matrix_from_json,
     matrix_to_csv,
     matrix_to_json,
@@ -239,6 +242,53 @@ def _csv_texts(draw):
 @given(_csv_texts())
 def test_csv_fast_path_matches_line_parser(text):
     assert _parse_outcome(_csv_rows, text) == _parse_outcome(_csv_rows_by_line, text)
+
+
+_FILE_FIELDS = st.one_of(
+    st.floats().map(lambda x: repr(x).encode()),
+    st.integers(-10**6, 10**6).map(lambda x: str(x).encode()),
+    st.sampled_from([
+        b"", b" ", b"1_0", b"nan", b"oops", b"1\xe9", "\u0661".encode(), "1\u2028".encode(),
+        b"\x0c1", b"1\x0b", b"\x1c2", b"\x001",
+    ]),
+)
+
+
+@st.composite
+def _csv_files(draw):
+    """CSV files as bytes: rows of float reprs, mostly square (mostly the
+    loadtxt path), or ragged and blank lines of odd fields; with any of the
+    three line ends and maybe a UTF-8 byte order mark."""
+    if draw(st.booleans()):
+        cols = draw(st.integers(1, 4))
+        row = st.lists(st.floats().map(lambda x: repr(x).encode()), min_size=cols, max_size=cols)
+        rows = draw(st.one_of(st.just(cols), st.integers(0, 4)))
+        lines = draw(st.lists(row.map(b",".join), min_size=rows, max_size=rows))
+    else:
+        line = st.one_of(st.lists(_FILE_FIELDS, min_size=1, max_size=4).map(b",".join),
+                         st.sampled_from([b"", b"   "]))
+        lines = draw(st.lists(line, max_size=5))
+    newline = draw(st.sampled_from([b"\n", b"\r\n", b"\r"]))
+    bom = draw(st.sampled_from([b"", b"\xef\xbb\xbf"]))
+    return bom + newline.join(lines) + draw(st.sampled_from([b"", newline]))
+
+
+def _load_outcome(load, path):
+    try:
+        M = load(path)
+    except ValueError as e:
+        return "error", type(e).__name__, str(e)
+    return M.entries.shape, M.entries.dtype.str, M.entries.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(_csv_files())
+def test_csv_file_route_matches_reading_the_whole_text(data):
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "m.csv"
+        path.write_bytes(data)
+        whole = _load_outcome(lambda p: matrix_from_csv(Path(p).read_text()), path)
+        assert _load_outcome(matrix_from_csv_file, path) == whole
 
 
 def test_csv_loader_edge_cases():
