@@ -191,29 +191,31 @@ def cmd_analyze(args, actions: dict) -> int:
     if args.delta is not None and args.d is None:
         raise ValueError("analyze --delta requires --d")
     M = _load_matrix(args.matrix)
-    u = column_sums(M)
-    v = row_sums(M)
-    report = {
-        "manifest": manifest,
-        "n": M.n,
-        "s1": spectral_norm(M),
-        "s2": second_singular(M),
-        "u": u.tolist(),
-        "v": v.tolist(),
-    }
-    if args.d is not None:
-        delta = args.delta if args.delta is not None else 1.0
-        params = RegularityParams(d=args.d, delta=delta)
-        report["deg_membership"] = deg_membership(u, v, params)
-        try:
-            report["s2_via_centering"] = s2_via_centering(M, args.d)
-        except ValueError as e:
-            report["s2_via_centering_error"] = str(e)
-        if np.all(u > 0) and np.all(v > 0):
+    # A value beyond float64 is a usage error (FloatingPointError), not inf or nan.
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        u = column_sums(M)
+        v = row_sums(M)
+        report = {
+            "manifest": manifest,
+            "n": M.n,
+            "s1": spectral_norm(M),
+            "s2": second_singular(M),
+            "u": u.tolist(),
+            "v": v.tolist(),
+        }
+        if args.d is not None:
+            delta = args.delta if args.delta is not None else 1.0
+            params = RegularityParams(d=args.d, delta=delta)
+            report["deg_membership"] = deg_membership(u, v, params)
             try:
-                report["scaling"] = dataclasses.asdict(scaling_reduction(M, args.d, delta))
-            except (ValueError, RuntimeError) as e:
-                report["scaling_error"] = str(e)
+                report["s2_via_centering"] = s2_via_centering(M, args.d)
+            except ValueError as e:
+                report["s2_via_centering_error"] = str(e)
+            if np.all(u > 0) and np.all(v > 0):
+                try:
+                    report["scaling"] = dataclasses.asdict(scaling_reduction(M, args.d, delta))
+                except (ValueError, RuntimeError, FloatingPointError) as e:
+                    report["scaling_error"] = str(e)
     text = json.dumps(report, sort_keys=True)
     if args.out:
         Path(args.out).write_text(text)
@@ -369,7 +371,8 @@ def main(argv=None) -> int:
     except OSError as e:
         print(f"I/O error: {e}", file=sys.stderr)
         return EXIT_IO
-    except ValueError as e:
+    # json.loads raises RecursionError on input nested too deeply.
+    except (ValueError, FloatingPointError, RecursionError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -1,18 +1,18 @@
-"""Square-matrix and permutation primitives, and sparse stacks of blocks.
+"""Square matrices and sparse stacks of blocks.
 
 Conventions: internally everything is 0-based numpy; error messages use
 1-based indices. Entries are float64, including 0/1 adjacency matrices.
-All objects are immutable after construction and safe to share. Corners
-and blocks are plain read-only views of a matrix's entries. A stack of
-blocks is a dense (count, rows, cols) array, or a ``SparseStack`` of the
-same shape given by its nonzero entries.
+All objects are immutable after construction and safe to share. A
+relabeling is an index array p (giving A[np.ix_(p, p)]), and a corner or
+block is a range of rows by a range of columns. A stack of blocks is a
+dense (count, rows, cols) array, or a ``SparseStack`` of its nonzeros.
 
 A CSV matrix file is read in one pass into one n x n array
 (``matrix_from_csv_file``): its lines, decoded as ASCII with universal
 newlines, go straight to ``np.loadtxt``, and the matrix takes over the
 parsed array without a copy. A file loadtxt does not take, or whose text
-is not plain ASCII lines, is read again as a whole by the line parser, so
-every file parses as ``matrix_from_csv`` parses its text.
+is not plain ASCII lines, is read again as a whole by the line parser
+(``_csv_rows_by_line``), so every file parses as that parser parses it.
 """
 
 import json
@@ -25,10 +25,6 @@ import numpy as np
 
 __all__ = [
     "SquareMatrix",
-    "Permutation",
-    "apply_permutation",
-    "top_right_corner",
-    "block_decompose",
     "as_entries",
     "SparseStack",
     "abs_sums",
@@ -37,7 +33,6 @@ __all__ = [
     "matrix_to_json",
     "matrix_from_json",
     "matrix_to_csv",
-    "matrix_from_csv",
     "matrix_from_csv_file",
 ]
 
@@ -54,12 +49,12 @@ class SquareMatrix:
         self._own(np.array(self.entries, dtype=np.float64, order="C"))
 
     @classmethod
-    def _adopt(cls, a: np.ndarray, zero_diagonal: bool = False) -> "SquareMatrix":
-        """The matrix over ``a`` itself, for a float64 array that nothing else
-        refers to (one a parser has just built): the checks of the
-        constructor without its n x n copy."""
+    def _adopt(cls, a: np.ndarray) -> "SquareMatrix":
+        """The untagged matrix over ``a`` itself, for a float64 array that
+        nothing else refers to (one a parser has just built): the checks of
+        the constructor without its n x n copy."""
         M = object.__new__(cls)
-        object.__setattr__(M, "zero_diagonal", zero_diagonal)
+        object.__setattr__(M, "zero_diagonal", False)
         M._own(np.asarray(a, dtype=np.float64))
         return M
 
@@ -90,70 +85,6 @@ class SquareMatrix:
         for a in triples:
             a.setflags(write=False)
         return triples
-
-
-@dataclass(frozen=True)
-class Permutation:
-    """Bijection on {1..n}, stored 0-based."""
-
-    map: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.map, dtype=np.int64).copy()
-        if m.ndim != 1 or m.size < 1:
-            raise ValueError("permutation map must be a nonempty 1-d array")
-        n = m.size
-        if not np.array_equal(np.sort(m), np.arange(n)):
-            raise ValueError(f"map is not a bijection on 1..{n}")
-        m.setflags(write=False)
-        object.__setattr__(self, "map", m)
-
-    @property
-    def n(self) -> int:
-        return self.map.size
-
-    @staticmethod
-    def identity(n: int) -> "Permutation":
-        return Permutation(np.arange(n))
-
-    def inverse(self) -> "Permutation":
-        inv = np.empty(self.n, dtype=np.int64)
-        inv[self.map] = np.arange(self.n)
-        return Permutation(inv)
-
-
-def apply_permutation(M: SquareMatrix, sigma: Permutation) -> SquareMatrix:
-    """Simultaneous relabeling: result[i][j] = M[sigma(i)][sigma(j)]."""
-    if sigma.n != M.n:
-        raise ValueError(f"dimension mismatch: matrix is {M.n}, permutation is {sigma.n}")
-    out = M.entries[np.ix_(sigma.map, sigma.map)]
-    return SquareMatrix(out, zero_diagonal=M.zero_diagonal)
-
-
-def top_right_corner(M: SquareMatrix) -> np.ndarray:
-    """Rows 1..floor(n/2), last floor(n/2) columns (1-based): a read-only
-    floor(n/2) x floor(n/2) view of M.entries."""
-    n = M.n
-    if n < 2:
-        raise ValueError("top-right corner requires n >= 2")
-    m = n // 2
-    return M.entries[:m, n - m:]
-
-
-def block_decompose(M: SquareMatrix):
-    """Four blocks (M11, M12, M21, M22) split at floor(n/2).
-
-    For even n all blocks are square and M12 equals the top-right corner.
-    For odd n the row/column split is floor(n/2) then ceil(n/2), so M12 is
-    floor(n/2) x ceil(n/2); the square corner is always obtained from
-    top_right_corner instead.
-    """
-    n = M.n
-    if n < 2:
-        raise ValueError("block decomposition requires n >= 2")
-    m = n // 2
-    a = M.entries
-    return a[:m, :m], a[:m, m:], a[m:, :m], a[m:, m:]
 
 
 def as_entries(M) -> np.ndarray:
@@ -233,10 +164,22 @@ def matrix_to_json(M: SquareMatrix) -> str:
 
 
 def matrix_from_json(text: str) -> SquareMatrix:
+    """The matrix of a ``matrix_to_json`` object: ``entries``, an integer ``n``
+    and an optional boolean ``zero_diagonal``; ValueError for any other JSON."""
     obj = json.loads(text)
-    M = SquareMatrix(obj["entries"], zero_diagonal=bool(obj.get("zero_diagonal", False)))
-    if M.n != int(obj["n"]):
-        raise ValueError(f"declared n={obj['n']} but entries are {M.n}x{M.n}")
+    if not isinstance(obj, dict) or "entries" not in obj:
+        raise ValueError('a JSON matrix must be an object with "entries"')
+    n, zero_diagonal = obj.get("n"), obj.get("zero_diagonal", False)
+    if type(n) is not int:  # json.loads makes true and false bools, not ints
+        raise ValueError('a JSON matrix needs an integer "n"')
+    if type(zero_diagonal) is not bool:
+        raise ValueError('"zero_diagonal" must be true or false')
+    try:
+        M = SquareMatrix(obj["entries"], zero_diagonal=zero_diagonal)
+    except (TypeError, OverflowError):  # e.g. an object, or an integer beyond float64
+        raise ValueError("matrix entries must be numbers") from None
+    if M.n != n:
+        raise ValueError(f"declared n={n} but entries are {M.n}x{M.n}")
     return M
 
 
@@ -280,37 +223,21 @@ def _loadtxt_lines(lines):
         yield line
 
 
-def _parse_csv(lines, read_text) -> np.ndarray:
-    """np.loadtxt over ``lines`` (the lines of a text, or a text file); if
-    it rejects them or finds no data, the line parser over the whole text,
-    ``read_text()``, which accepts what float() accepts (e.g. ``1_0`` and
-    whitespace-only lines) and names the offending line."""
+def matrix_from_csv_file(path) -> SquareMatrix:
+    """The matrix of a CSV file, read in one pass into one array: the file is
+    decoded as ASCII with universal newlines, and its lines go to np.loadtxt.
+    A file that loadtxt rejects or finds no data in, or that is not plain
+    ASCII lines, is read again as a whole by the line parser, which accepts
+    what float() accepts (e.g. ``1_0`` and whitespace-only lines) and names
+    the offending line."""
+    p = Path(path)
+    a = np.empty((0, 0))
     try:
-        with warnings.catch_warnings():
+        with p.open(encoding="ascii") as f, warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
-            a = np.loadtxt(_loadtxt_lines(lines), delimiter=",", comments=None, ndmin=2)
-        if a.size:
-            return a
+            a = np.loadtxt(_loadtxt_lines(f), delimiter=",", comments=None, ndmin=2)
     except ValueError:  # so is the UnicodeDecodeError of a file that is not ASCII
         pass
-    return _csv_rows_by_line(read_text())
-
-
-def _csv_rows(text: str) -> np.ndarray:
-    """The rows of a CSV text, as a float64 array."""
-    return _parse_csv(text.splitlines(), lambda: text)
-
-
-def matrix_from_csv(text: str, zero_diagonal: bool = False) -> SquareMatrix:
-    return SquareMatrix._adopt(_csv_rows(text), zero_diagonal=zero_diagonal)
-
-
-def matrix_from_csv_file(path, zero_diagonal: bool = False) -> SquareMatrix:
-    """``matrix_from_csv(Path(path).read_text())``, read in one pass into one
-    array: the file is decoded as ASCII with universal newlines, line by
-    line. Only a file that loadtxt does not take, or that is not plain ASCII
-    lines, is read again as a whole."""
-    p = Path(path)
-    with p.open(encoding="ascii") as f:
-        a = _parse_csv(f, p.read_text)
-    return SquareMatrix._adopt(a, zero_diagonal=zero_diagonal)
+    if not a.size:
+        a = _csv_rows_by_line(p.read_text())
+    return SquareMatrix._adopt(a)

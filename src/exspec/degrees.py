@@ -34,14 +34,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class RegularityParams:
-    """Target sum d and deviation scale delta (both > 0)."""
+    """Target sum d and deviation scale delta (both finite and > 0)."""
 
     d: float
     delta: float
 
     def __post_init__(self):
-        if not (self.d > 0 and self.delta > 0):
-            raise ValueError("d and delta must be positive")
+        if not (0 < self.d < math.inf and 0 < self.delta < math.inf):
+            raise ValueError("d and delta must be positive and finite")
 
     def ratio_hypothesis_ok(self, n: int, C: float) -> bool:
         """d / sqrt(ln n) >= C * delta, the sparsity hypothesis of the

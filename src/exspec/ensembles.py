@@ -20,11 +20,11 @@ Kinds:
 A sample of a base kind is described by its relabeling (``relabeling``). A
 sample of a doubly regular kind is its (d, n) permutation table Q
 (``sample(spec, index, table=True)``): A = sum_j P(q_j), that is
-A[i, Q[j, i]] += 1 for every j and i. ``table_block`` scatters one block, a
+A[i, Q[j, i]] += 1 for every j and i. ``table_entries`` gives one block, a
 range of rows by a range of columns, of the matrices of a stack of tables
-with one ``bincount``, and ``sample`` densifies a table the same way.
-``table_entries`` gives the same block as a ``core.SparseStack`` of the
-pairs (i, Q[j, i]) that land in it, and ``relabeled_entries`` the block of
+as a ``core.SparseStack`` of the pairs (i, Q[j, i]) that land in it; its
+``dense()`` scatters the block with one ``bincount``, and ``sample``
+densifies a table the same way. ``relabeled_entries`` gives the block of
 relabeled bases from the base's nonzero entries, so that a large sparse
 block reaches the Lanczos kernel without a dense array.
 
@@ -55,10 +55,8 @@ __all__ = [
     "sample",
     "relabeling",
     "table_entries",
-    "table_block",
     "relabeled_entries",
     "random_derangement",
-    "permutation_matrix",
 ]
 
 KINDS = ("permuted_base", "separately_exchangeable", "perm_sum_regular", "regular_digraph")
@@ -113,13 +111,6 @@ def random_derangement(n: int, rng: np.random.Generator) -> np.ndarray:
         p = rng.permutation(n)
         if not (p == idx).any():
             return p
-
-
-def permutation_matrix(p: np.ndarray) -> np.ndarray:
-    n = p.size
-    P = np.zeros((n, n))
-    P[np.arange(n), p] = 1.0
-    return P
 
 
 def _candidates(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -190,13 +181,6 @@ def table_entries(tables: np.ndarray, rows: slice, cols: slice) -> SparseStack:
                        np.ones(member.size))
 
 
-def table_block(tables: np.ndarray, rows: slice, cols: slice) -> np.ndarray:
-    """The block of ``table_entries`` as a dense (trials, h, w) stack: entry
-    (a, b) counts the j with Q[t, j, rows.start + a] == cols.start + b. No
-    n x n matrix is formed unless the block is the whole matrix."""
-    return table_entries(tables, rows, cols).dense()
-
-
 def relabeled_entries(triples, rows: np.ndarray, cols: np.ndarray,
                       r: slice, c: slice) -> SparseStack:
     """The block [r, c] of base[np.ix_(rows[t], cols[t])] for each t, by its
@@ -261,5 +245,5 @@ def sample(spec: EnsembleSpec, index: int, *, table: bool = False):
         Q = _regular_digraph_table(spec.n, spec.d, rng)
     if table:
         return Q
-    A = table_block(Q[None], slice(None), slice(None))[0]
+    A = table_entries(Q[None], slice(None), slice(None)).dense()[0]
     return SquareMatrix(A, zero_diagonal=spec.zero_diagonal or spec.kind == "regular_digraph")

@@ -67,17 +67,15 @@ def _check_margins(E: np.ndarray):
     return u, v
 
 
-def unit_margin_svd_facts(A, u=None, v=None) -> dict:
+def unit_margin_svd_facts(A) -> dict:
     """Top singular triple of the margin-scaled matrix.
 
     Checks that s1 of D_v^{-1/2} A D_u^{-1/2} is 1 and that sqrt(u), sqrt(v)
-    are the corresponding right/left singular vectors (residuals returned).
+    are the corresponding right/left singular vectors (residuals returned),
+    where u and v are the column and row sums of A.
     """
     E = as_entries(A)
-    if u is None or v is None:
-        u, v = _check_margins(E)
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
+    u, v = _check_margins(E)
     S = E / np.sqrt(np.outer(v, u))
     top = spectral_norm(S)
     ru = np.sqrt(u)
@@ -166,9 +164,10 @@ def scaling_reduction(A, d: float, delta: float) -> ScalingReport:
     )
 
 
-def fit_margins(base, u, v, tol: float = 1e-10, max_iter: int = 20_000) -> np.ndarray:
+def fit_margins(base, u, v, tol: float = 1e-10) -> np.ndarray:
     """Iterative proportional fitting of a positive base matrix to the
     prescribed column sums u and row sums v (equal total mass required)."""
+    sweeps = 20_000
     E = as_entries(base).copy()
     u = np.asarray(u, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
@@ -176,7 +175,7 @@ def fit_margins(base, u, v, tol: float = 1e-10, max_iter: int = 20_000) -> np.nd
         raise ValueError("base matrix must be strictly positive")
     if abs(u.sum() - v.sum()) > 1e-8 * max(1.0, u.sum()):
         raise ValueError("margin vectors must have equal total mass")
-    for _ in range(max_iter):
+    for _ in range(sweeps):
         E *= (v / E.sum(axis=1))[:, None]
         E *= u / E.sum(axis=0)
         if (
@@ -184,7 +183,7 @@ def fit_margins(base, u, v, tol: float = 1e-10, max_iter: int = 20_000) -> np.nd
             and np.max(np.abs(E.sum(axis=0) - u)) <= tol
         ):
             return E
-    raise RuntimeError(f"proportional fitting did not converge in {max_iter} iterations")
+    raise RuntimeError(f"proportional fitting did not converge in {sweeps} iterations")
 
 
 def sample_margin_perturbed(

@@ -299,15 +299,15 @@ def second_singular(M) -> float:
     return float(s[1]) if s.size > 1 else 0.0
 
 
-def s2_via_centering(A, d: float, tol: float = 1e-8) -> float:
+def s2_via_centering(A, d: float) -> float:
     """s2 of a doubly regular matrix as ||A - (d/n) 11^t||.
 
-    Requires all row and column sums to equal d (within tol * max(1, d));
+    Requires all row and column sums to equal d (within 1e-8 * max(1, |d|));
     raises naming the first offending row or column otherwise.
     """
     E = as_entries(A)
     n = E.shape[0]
-    atol = tol * max(1.0, abs(d))
+    atol = 1e-8 * max(1.0, abs(d))
     u = column_sums(E)
     v = row_sums(E)
     bad_v = np.nonzero(np.abs(v - d) > atol)[0]

@@ -26,9 +26,9 @@ tables' pairs (i, Q[j, i]) that land in the block (``ensembles.
 relabeled_entries`` and ``table_entries``). Otherwise it is dense, for the
 Gram kernel: gathered from B through the drawn row and column
 permutations, or scattered from the tables with one bincount per stack
-(``ensembles.table_block``). So no trial forms an n x n array unless its
-whole matrix is small enough for the Gram kernel, or the Lanczos kernel
-runs out of steps on it (``spectra.lanczos_steps``); the row and column l2
+(the ``dense()`` of ``table_entries``). So no trial forms an n x n array
+unless its whole matrix is small enough for the Gram kernel, or the Lanczos
+kernel runs out of steps on it (``spectra.lanczos_steps``); the row and column l2
 norms of a table come from the table itself. A chunk holds at most
 CHUNK_FLOATS stacked floats (a sparse block counts as the largest Lanczos
 basis the kernel keeps for it; a member out of steps adds its dense block)
@@ -46,7 +46,6 @@ statistic within RTOL |tau| below a threshold tau reaches it, so a count
 does not depend on the last bits of the kernel.
 """
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -58,7 +57,6 @@ from .ensembles import (
     relabeled_entries,
     relabeling,
     sample,
-    table_block,
     table_entries,
 )
 from .spectra import RTOL, lanczos_pays, lanczos_steps, singular_value, spectral_norm
@@ -74,13 +72,20 @@ __all__ = [
 ]
 
 
-def wilson_halfwidth(successes: int, trials: int, z: float = 1.959964) -> float:
-    """Half-width of the 95% Wilson interval; stable near 0 and 1."""
+def wilson_halfwidth(hits, trials: int):
+    """Half-width of the 95% Wilson interval for ``hits`` successes in
+    ``trials``, of one count or of an array of counts; stable near 0 and 1."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    p = successes / trials
+    z = 1.959964
+    p = hits / trials
     denom = 1.0 + z * z / trials
-    return (z / denom) * math.sqrt(p * (1.0 - p) / trials + z * z / (4.0 * trials * trials))
+    return (z / denom) * np.sqrt(p * (1.0 - p) / trials + z * z / (4.0 * trials * trials))
+
+
+def _check_c(c: float) -> None:
+    if not 0 < c <= 1:
+        raise ValueError("c must lie in (0, 1]")
 
 
 @dataclass(frozen=True)
@@ -195,7 +200,7 @@ def _run_trials(spec: EnsembleSpec, trials: int, blocks, finish) -> list:
         if spec.base is None:
             tables = np.array([sample(spec, i, table=True) for i in range(lo, hi)])
             stacks = [b(tables) if callable(b) else
-                      table_entries(tables, *b) if sparse[k] else table_block(tables, *b)
+                      table_entries(tables, *b) if sparse[k] else table_entries(tables, *b).dense()
                       for k, b in enumerate(blocks)]
         else:
             # Sample t is base[np.ix_(rows[t], cols[t])].
@@ -267,14 +272,6 @@ def _c_grid(c_grid) -> np.ndarray:
     return np.asarray(c_grid, dtype=np.float64)
 
 
-def _wilson_halfwidths(hits: np.ndarray, trials: int, z: float = 1.959964) -> np.ndarray:
-    """wilson_halfwidth of every hit count, in its operation order, so that
-    each entry equals the scalar bit for bit."""
-    p = hits / trials
-    denom = 1.0 + z * z / trials
-    return (z / denom) * np.sqrt(p * (1.0 - p) / trials + z * z / (4.0 * trials * trials))
-
-
 def _tail_probs(stat: np.ndarray, thresholds: np.ndarray):
     """P{stat >= tau} and its Wilson half-width, for thresholds of any shape.
 
@@ -284,7 +281,7 @@ def _tail_probs(stat: np.ndarray, thresholds: np.ndarray):
     trials = stat.size
     floors = thresholds - RTOL * np.abs(thresholds)
     hits = trials - np.searchsorted(np.sort(stat), floors, side="left")
-    return hits / trials, _wilson_halfwidths(hits, trials)
+    return hits / trials, wilson_halfwidth(hits, trials)
 
 
 def _compare(left: np.ndarray, right: np.ndarray, thresholds: np.ndarray, c: float, c_grid):
@@ -349,8 +346,7 @@ def norm_tail_curve(
     """
     if spec.n < 8:
         raise ValueError("the tail comparison assumes n >= 8")
-    if not 0 < c <= 1:
-        raise ValueError("c must lie in (0, 1]")
+    _check_c(c)
     if not _zero_diagonal(spec):
         raise ValueError("the tail comparison assumes zero-diagonal samples")
     n = spec.n
@@ -377,7 +373,7 @@ def norm_tail_curve(
 def block_bound_curve(spec: EnsembleSpec, trials: int, thresholds=None) -> TailCurve:
     """Separately exchangeable control: P{||M|| >= t} <= 4 P{||M12|| >= t/4}.
 
-    M12 is the block of core.block_decompose: floor(n/2) x ceil(n/2).
+    M12 is the block A[:m, m:] with m = floor(n/2): floor(n/2) x ceil(n/2).
     """
     if spec.n < 2:
         raise ValueError("block decomposition requires n >= 2")
@@ -443,6 +439,7 @@ def s2_tail_curve(
     ensemble is responsible for exchangeability. The sparsity hypothesis
     d/sqrt(ln n) >= C delta is evaluated and reported, not enforced.
     """
+    _check_c(c)
     n = spec.n
     half = RegularityParams(d=params.d / 2.0, delta=params.delta)
     blocks = [_corner(n)]

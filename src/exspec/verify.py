@@ -38,7 +38,7 @@ def _prefix_hits(m: int, k: int, u: int) -> int:
     return int(np.count_nonzero(subset._combinations(m, k)[:, u - 1] == u - 1))
 
 
-def verify_subset(seed: int = 0, cases: int = 200) -> list[dict]:
+def verify_subset(seed: int = 0) -> list[dict]:
     rng = stream(seed, 1)
     out = []
     worst2 = 0.0
@@ -46,7 +46,7 @@ def verify_subset(seed: int = 0, cases: int = 200) -> list[dict]:
     tu_ok = True
     var_ok = True
     lower_ok = True
-    for _ in range(cases):
+    for _ in range(200):
         p = _random_problem(rng)
         exact2 = subset.enumerate_exact(p, "moment", 2)
         closed2 = subset.second_moment_exact(p)
@@ -103,11 +103,11 @@ def verify_subset(seed: int = 0, cases: int = 200) -> list[dict]:
     return out
 
 
-def verify_perron(seed: int = 0, cases: int = 50) -> list[dict]:
+def verify_perron(seed: int = 0) -> list[dict]:
     rng = stream(seed, 2)
     out = []
     ok = True
-    for _ in range(cases):
+    for _ in range(50):
         n = int(rng.integers(3, 10))
         M = rng.uniform(0.1, 1.0, size=(n, n))
         # Perron vector by power iteration on a strictly positive matrix.
@@ -135,14 +135,14 @@ def verify_perron(seed: int = 0, cases: int = 50) -> list[dict]:
     return out
 
 
-def verify_scaling(seed: int = 0, cases: int = 40) -> list[dict]:
+def verify_scaling(seed: int = 0) -> list[dict]:
     rng = stream(seed, 3)
     out = []
     concl_ok = True
     facts_ok = True
     chain_ok = True
     beta_ok = True
-    for _ in range(cases):
+    for _ in range(40):
         m = int(rng.integers(8, 33))
         d = float(rng.uniform(2.0, 10.0))
         delta = float(rng.uniform(0.05, 0.4)) * d / 3.0
@@ -191,12 +191,12 @@ def verify_scaling(seed: int = 0, cases: int = 40) -> list[dict]:
     return out
 
 
-def verify_deg(seed: int = 0, cases: int = 60) -> list[dict]:
+def verify_deg(seed: int = 0) -> list[dict]:
     rng = stream(seed, 4)
     out = []
     mono_ok = True
     perm_ok = True
-    for _ in range(cases):
+    for _ in range(60):
         m = int(rng.integers(4, 40))
         d = float(rng.uniform(1.0, 10.0))
         u = np.abs(d + rng.normal(0.0, 0.5, size=m))

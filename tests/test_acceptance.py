@@ -13,8 +13,9 @@ import sys
 
 import numpy as np
 from ks_helper import ks_two_sample
+from matrix_reference import quadrants
 
-from exspec.core import SquareMatrix, block_decompose
+from exspec.core import SquareMatrix
 from exspec.degrees import RegularityParams
 from exspec.ensembles import EnsembleSpec, sample
 from exspec.rng import stream
@@ -207,7 +208,7 @@ def test_criterion_09_exchangeability_shadows():
     sep = EnsembleSpec(kind="separately_exchangeable", n=32, seed=112, base=base)
 
     def blocks(i):
-        return [spectral_norm(B) for B in block_decompose(sample(sep, i))]
+        return [spectral_norm(B) for B in quadrants(sample(sep, i))]
 
     rows = np.array([blocks(i) for i in range(2000)])
     ks2 = ks_two_sample(rows[:, 1], rows[:, 2], alpha=0.01)

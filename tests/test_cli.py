@@ -1,10 +1,17 @@
+import contextlib
+import io
 import json
+import os
 import subprocess
 import sys
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from exspec.cli import _load_matrix, main
 from exspec.core import SquareMatrix, matrix_to_csv, matrix_to_json
@@ -586,3 +593,101 @@ def test_each_main_builds_the_parser_once(tmp_path, capsys, monkeypatch):
         builds.clear()
         assert run_cli(args, capsys)[::2] == (code, err)
         assert builds == [1], args
+
+
+@pytest.mark.parametrize("c", ["0", "2", "-1", "nan", "inf"])
+def test_tail_s2_rejects_c_outside_the_unit_interval(tmp_path, capsys, c):
+    out = tmp_path / "o"
+    code, _, err = run_cli(["tail", "s2", "--n", "8", "--d", "2", "--delta", "1", "--trials", "2",
+                            "--c", c, "--out", str(out)], capsys)
+    assert (code, err) == (2, "error: c must lie in (0, 1]\n")
+    assert not out.exists()
+
+
+def test_malformed_json_matrix_is_usage_error(tmp_path, capsys):
+    cases = {
+        "{}": 'error: a JSON matrix must be an object with "entries"\n',
+        "[]": 'error: a JSON matrix must be an object with "entries"\n',
+        '{"entries": [[1.0]]}': 'error: a JSON matrix needs an integer "n"\n',
+        '{"entries": [[1.0]], "n": 1.5}': 'error: a JSON matrix needs an integer "n"\n',
+        '{"entries": [[1.0]], "n": true}': 'error: a JSON matrix needs an integer "n"\n',
+        '{"entries": [[0.0]], "n": 1, "zero_diagonal": "no"}':
+            'error: "zero_diagonal" must be true or false\n',
+        '{"entries": [[{}]], "n": 1}': "error: matrix entries must be numbers\n",
+        '{"entries": [[1e999]], "n": 1}': "error: matrix entries must be finite\n",
+    }
+    f = tmp_path / "m.json"
+    for text, message in cases.items():
+        f.write_text(text)
+        for args in (["analyze", str(f)],
+                     ["tail", "corner-capture", "--matrix", str(f), "--out", str(tmp_path / "o")],
+                     ["gen", "--ensemble", "permuted_base", "--base", str(f),
+                      "--out", str(tmp_path / "o")]):
+            assert run_cli(args, capsys)[1:] == ("", message), (text, args)
+            assert not (tmp_path / "o").exists()
+    # Nested too deeply for json.loads, as a matrix and as a manifest.
+    f.write_text("[" * 100_000 + "]" * 100_000)
+    for args in (["analyze", str(f)], ["analyze", str(f), "--manifest", str(f)]):
+        code, _, err = run_cli(args, capsys)
+        assert code == 2 and err.startswith("error: ") and err.count("\n") == 1
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner,
+                                                                  max_size=4),
+    max_leaves=12,
+)
+_NUMBER = st.integers() | st.floats(allow_nan=False, allow_infinity=False)
+# Square lists of numbers, so that some of the objects are matrices.
+_SQUARE = st.integers(1, 3).flatmap(
+    lambda n: st.lists(st.lists(_NUMBER, min_size=n, max_size=n), min_size=n, max_size=n))
+_MATRIX_OBJECTS = st.fixed_dictionaries(
+    {"entries": _SQUARE | _JSON, "n": st.integers(0, 4) | _JSON},
+    optional={"zero_diagonal": st.booleans() | _JSON},
+)
+_ANALYZE_MANIFESTS = st.dictionaries(
+    st.sampled_from(["d", "delta", "seed", "command", "matrix"]) | st.text(max_size=6),
+    _JSON | st.sampled_from(["nan", "-inf", "1e308", "0", "2.5", "analyze", "gen"]),
+    max_size=4,
+)
+
+
+def _run_quietly(args):
+    """Exit code, stdout and stderr of ``main(args)``."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(args)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(_JSON, _MATRIX_OBJECTS), st.one_of(_JSON, _ANALYZE_MANIFESTS))
+def test_arbitrary_json_exits_0_2_or_3(matrix, manifest):
+    """Any JSON as the matrix of ``analyze``, and as its --manifest (over a
+    fixed matrix): a report, or one line on stderr and no --out file. Every
+    analyze flag's work is bounded by its matrix, so no draw can make a run
+    long."""
+    with tempfile.TemporaryDirectory() as d:
+        d = Path(d)
+        (d / "m.json").write_text(json.dumps(matrix))
+        (d / "fixed.json").write_text(matrix_to_json(SquareMatrix(np.eye(2))))
+        (d / "manifest.json").write_text(json.dumps(manifest))
+        cwd = os.getcwd()
+        os.chdir(d)  # a manifest's "matrix" path resolves in the scratch directory
+        try:
+            for args in (["analyze", "m.json"], ["analyze", "m.json", "--d", "2"],
+                         ["analyze", "fixed.json", "--manifest", "manifest.json"]):
+                report = d / "report.json"
+                code, _, err = _run_quietly([*args, "--out", str(report)])
+                assert code in (0, 2, 3), (args, err)
+                if code:
+                    assert err.count("\n") == 1 and err.endswith("\n"), err
+                    assert not report.exists()
+                else:
+                    assert err == ""
+                    json.loads(report.read_text())
+                    report.unlink()
+        finally:
+            os.chdir(cwd)

@@ -7,36 +7,37 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from matrix_reference import corner, permutation_matrix, relabel
 
 from exspec.core import (
-    Permutation,
     SquareMatrix,
-    _csv_rows,
     _csv_rows_by_line,
-    apply_permutation,
-    block_decompose,
     column_sums,
-    matrix_from_csv,
     matrix_from_csv_file,
     matrix_from_json,
     matrix_to_csv,
     matrix_to_json,
     row_sums,
-    top_right_corner,
 )
+from exspec.ensembles import EnsembleSpec, relabeled_entries, relabeling, sample
 from exspec.rng import stream
+from exspec.tails import _corner
+
+
+def _relabeled(M: SquareMatrix, p: np.ndarray) -> np.ndarray:
+    """M relabeled by p as the engine builds it from M's nonzero entries."""
+    whole = slice(None)
+    return relabeled_entries(M.nonzeros, p[None], p[None], whole, whole).dense()[0]
 
 
 def test_identity_permutation_is_noop():
     M = SquareMatrix(np.arange(9.0).reshape(3, 3))
-    out = apply_permutation(M, Permutation.identity(3))
-    assert np.array_equal(out.entries, M.entries)
+    assert np.array_equal(_relabeled(M, np.arange(3)), M.entries)
 
 
 def test_swap_permutation_forced_by_definition():
     M = SquareMatrix([[0.0, 1.0], [2.0, 0.0]])
-    swapped = apply_permutation(M, Permutation([1, 0]))
-    assert np.array_equal(swapped.entries, [[0.0, 2.0], [1.0, 0.0]])
+    assert np.array_equal(_relabeled(M, np.array([1, 0])), [[0.0, 2.0], [1.0, 0.0]])
 
 
 @settings(max_examples=100, deadline=None)
@@ -44,22 +45,21 @@ def test_swap_permutation_forced_by_definition():
 def test_permutation_inverse_roundtrip(n, seed):
     rng = stream(seed)
     M = SquareMatrix(rng.normal(size=(n, n)))
-    sigma = Permutation(rng.permutation(n))
-    back = apply_permutation(apply_permutation(M, sigma), sigma.inverse())
-    assert np.array_equal(back.entries, M.entries)
+    p = rng.permutation(n)
+    once = _relabeled(M, p)
+    assert np.array_equal(once, relabel(M, p))
+    assert np.array_equal(_relabeled(SquareMatrix(once), np.argsort(p)), M.entries)
 
 
 def test_permutation_dimension_mismatch():
-    M = SquareMatrix(np.zeros((3, 3)))
-    with pytest.raises(ValueError, match="mismatch"):
-        apply_permutation(M, Permutation.identity(4))
+    with pytest.raises(ValueError, match="does not match"):
+        EnsembleSpec("permuted_base", 4, base=SquareMatrix(np.zeros((3, 3))))
 
 
 def test_relabeling_preserves_entry_and_diagonal_multisets():
     rng = stream(11)
     M = SquareMatrix(rng.normal(size=(7, 7)))
-    sigma = Permutation(rng.permutation(7))
-    out = apply_permutation(M, sigma)
+    out = sample(EnsembleSpec("permuted_base", 7, seed=11, base=M), 0)
     assert sorted(out.entries.ravel()) == sorted(M.entries.ravel())
     assert sorted(np.diag(out.entries)) == sorted(np.diag(M.entries))
 
@@ -68,21 +68,22 @@ def test_zero_diagonal_preserved_by_relabeling():
     rng = stream(12)
     E = rng.normal(size=(6, 6))
     np.fill_diagonal(E, 0.0)
-    M = SquareMatrix(E, zero_diagonal=True)
-    out = apply_permutation(M, Permutation(rng.permutation(6)))
+    spec = EnsembleSpec("permuted_base", 6, seed=12, base=SquareMatrix(E, zero_diagonal=True))
+    out = sample(spec, 0)
     assert out.zero_diagonal
     assert np.all(np.diag(out.entries) == 0.0)
+    assert np.all(np.diag(_relabeled(spec.base, relabeling(spec, 0)[0])) == 0.0)
 
 
 def test_corner_n4_index_arithmetic():
     M = SquareMatrix(np.array([[4 * i + j + 1 for j in range(4)] for i in range(4)], dtype=float))
-    T = top_right_corner(M)
+    T = M.entries[_corner(4)]
     assert np.array_equal(T, [[3.0, 4.0], [7.0, 8.0]])
 
 
 def test_corner_odd_n_is_square_floor_half():
     M = SquareMatrix(np.arange(25.0).reshape(5, 5))
-    T = top_right_corner(M)
+    T = M.entries[_corner(5)]
     assert T.shape == (2, 2)
     assert np.array_equal(T, M.entries[:2, 3:])
     # A read-only view of the parent's entries, not a copy.
@@ -97,37 +98,8 @@ def test_corner_never_touches_the_diagonal():
     assert rows.isdisjoint(cols)
     E = np.zeros((n, n))
     np.fill_diagonal(E, np.arange(1, n + 1))
-    T = top_right_corner(SquareMatrix(E))
+    T = SquareMatrix(E).entries[_corner(n)]
     assert np.all(T == 0.0)
-
-
-def test_corner_requires_n_at_least_2():
-    with pytest.raises(ValueError):
-        top_right_corner(SquareMatrix([[1.0]]))
-
-
-def test_block_decompose_n2():
-    M = SquareMatrix([[0.0, 1.0], [2.0, 0.0]])
-    b11, b12, b21, b22 = block_decompose(M)
-    assert b11 == [[0.0]] and b12 == [[1.0]] and b21 == [[2.0]] and b22 == [[0.0]]
-
-
-def test_block_reassembly_and_corner_match():
-    rng = stream(13)
-    for n in (4, 6):
-        M = SquareMatrix(rng.normal(size=(n, n)))
-        b11, b12, b21, b22 = block_decompose(M)
-        top = np.hstack([b11, b12])
-        bottom = np.hstack([b21, b22])
-        assert np.array_equal(np.vstack([top, bottom]), M.entries)
-        assert np.array_equal(b12, top_right_corner(M))
-
-
-def test_block_decompose_odd_shapes():
-    M = SquareMatrix(np.arange(25.0).reshape(5, 5))
-    b11, b12, b21, b22 = block_decompose(M)
-    assert b11.shape == (2, 2) and b12.shape == (2, 3)
-    assert b21.shape == (3, 2) and b22.shape == (3, 3)
 
 
 def test_column_and_row_sums_basic():
@@ -137,8 +109,6 @@ def test_column_and_row_sums_basic():
 
 
 def test_sum_of_permutation_matrices_has_flat_margins():
-    from exspec.ensembles import permutation_matrix
-
     rng = stream(14)
     A = sum(permutation_matrix(rng.permutation(10)) for _ in range(3))
     assert np.array_equal(column_sums(A), np.full(10, 3.0))
@@ -158,13 +128,14 @@ def test_corner_of_relabeled_index_identity():
     rng = stream(15)
     n = 9
     m = n // 2
-    M = SquareMatrix(rng.normal(size=(n, n)))
-    sigma = Permutation(rng.permutation(n))
-    T = top_right_corner(apply_permutation(M, sigma))
+    spec = EnsembleSpec("permuted_base", n, seed=15, base=SquareMatrix(rng.normal(size=(n, n))))
+    p = relabeling(spec, 0)[0]
+    T = sample(spec, 0).entries[_corner(n)]
+    assert np.array_equal(T, corner(relabel(spec.base, p)))
     for _ in range(20):
         i = int(rng.integers(m))
         j = int(rng.integers(m))
-        assert T[i, j] == M.entries[sigma.map[i], sigma.map[n - m + j]]
+        assert T[i, j] == spec.base.entries[p[i], p[n - m + j]]
 
 
 def test_invalid_matrices_rejected():
@@ -174,8 +145,6 @@ def test_invalid_matrices_rejected():
         SquareMatrix(np.zeros((2, 3)))
     with pytest.raises(ValueError, match=r"\(2,2\)"):
         SquareMatrix([[0.0, 1.0], [1.0, 5.0]], zero_diagonal=True)
-    with pytest.raises(ValueError):
-        Permutation([0, 0, 1])
 
 
 def test_json_roundtrip_is_bit_exact():
@@ -188,21 +157,40 @@ def test_json_roundtrip_is_bit_exact():
     assert json.loads(text)["n"] == 5
 
 
-def test_csv_roundtrip_and_parse_error_line():
+def _read_csv(tmp_path, text: str) -> SquareMatrix:
+    path = tmp_path / "m.csv"
+    path.write_text(text)
+    return matrix_from_csv_file(path)
+
+
+def test_csv_roundtrip_and_parse_error_line(tmp_path):
     rng = stream(17)
     M = SquareMatrix(rng.normal(size=(4, 4)))
-    back = matrix_from_csv(matrix_to_csv(M))
+    back = _read_csv(tmp_path, matrix_to_csv(M))
     assert np.array_equal(back.entries, M.entries)
     with pytest.raises(ValueError, match="line 2"):
-        matrix_from_csv("1.0,2.0\n3.0,oops\n")
+        _read_csv(tmp_path, "1.0,2.0\n3.0,oops\n")
 
 
-def _parse_outcome(parse, text):
+def _load_outcome(load, source):
     try:
-        a = parse(text)
+        M = load(source)
     except ValueError as e:
-        return "error", str(e)
-    return a.shape, a.dtype.str, a.tobytes()
+        return "error", type(e).__name__, str(e)
+    return M.entries.shape, M.entries.dtype.str, M.entries.tobytes()
+
+
+def _by_line(text: str) -> SquareMatrix:
+    """The matrix of a CSV text by the reference line parser."""
+    return SquareMatrix(_csv_rows_by_line(text))
+
+
+def _file_outcome(data: bytes):
+    """The outcome of reading ``data`` as a CSV matrix file."""
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "m.csv"
+        path.write_bytes(data)
+        return _load_outcome(matrix_from_csv_file, path)
 
 
 _CSV_FIELDS = st.one_of(
@@ -225,9 +213,9 @@ _CSV_LINES = st.one_of(
 @st.composite
 def _csv_texts(draw):
     if draw(st.booleans()):
-        # Rectangular rows of float reprs: mostly the loadtxt path.
+        # Rows of float reprs, mostly square: mostly the loadtxt path.
         rows = draw(st.integers(1, 4))
-        cols = draw(st.integers(1, 4))
+        cols = draw(st.one_of(st.just(rows), st.integers(1, 4)))
         field = st.floats().map(repr)
         lines = [
             ",".join(draw(st.lists(field, min_size=cols, max_size=cols))) for _ in range(rows)
@@ -241,7 +229,7 @@ def _csv_texts(draw):
 @settings(max_examples=400, deadline=None)
 @given(_csv_texts())
 def test_csv_fast_path_matches_line_parser(text):
-    assert _parse_outcome(_csv_rows, text) == _parse_outcome(_csv_rows_by_line, text)
+    assert _file_outcome(text.encode()) == _load_outcome(_by_line, text)
 
 
 _FILE_FIELDS = st.one_of(
@@ -273,40 +261,32 @@ def _csv_files(draw):
     return bom + newline.join(lines) + draw(st.sampled_from([b"", newline]))
 
 
-def _load_outcome(load, path):
-    try:
-        M = load(path)
-    except ValueError as e:
-        return "error", type(e).__name__, str(e)
-    return M.entries.shape, M.entries.dtype.str, M.entries.tobytes()
-
-
 @settings(max_examples=300, deadline=None)
 @given(_csv_files())
 def test_csv_file_route_matches_reading_the_whole_text(data):
     with tempfile.TemporaryDirectory() as d:
         path = Path(d) / "m.csv"
         path.write_bytes(data)
-        whole = _load_outcome(lambda p: matrix_from_csv(Path(p).read_text()), path)
+        whole = _load_outcome(lambda p: _by_line(Path(p).read_text()), path)
         assert _load_outcome(matrix_from_csv_file, path) == whole
 
 
-def test_csv_loader_edge_cases():
+def test_csv_loader_edge_cases(tmp_path):
     # float() accepts underscores and loadtxt does not: the line parser takes it.
-    assert matrix_from_csv("1_0,2\n3,4\n").entries[0, 0] == 10.0
+    assert _read_csv(tmp_path, "1_0,2\n3,4\n").entries[0, 0] == 10.0
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for text in ("", "\n\n", "  \n"):
             with pytest.raises(ValueError, match="^empty matrix file$"):
-                matrix_from_csv(text)
+                _read_csv(tmp_path, text)
     with pytest.raises(ValueError, match="line 2: expected 2 values, got 3"):
-        matrix_from_csv("1,2\n3,4,5\n")
+        _read_csv(tmp_path, "1,2\n3,4,5\n")
     # Blank lines are skipped but still counted: the error names the file line.
     with pytest.raises(ValueError, match="line 3: expected 2 values, got 3"):
-        matrix_from_csv("1,2\n\n3,4,5\n")
+        _read_csv(tmp_path, "1,2\n\n3,4,5\n")
     # A well-formed file that is not a valid matrix fails in SquareMatrix, not
     # in a parser.
     with pytest.raises(ValueError, match="expected a square matrix"):
-        matrix_from_csv("1,2\n3,4\n5,6\n")
+        _read_csv(tmp_path, "1,2\n3,4\n5,6\n")
     with pytest.raises(ValueError, match="finite"):
-        matrix_from_csv("nan\n")
+        _read_csv(tmp_path, "nan\n")

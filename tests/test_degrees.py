@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from matrix_reference import corner
 
-from exspec.core import SquareMatrix, top_right_corner
+from exspec.core import SquareMatrix
 from exspec.degrees import (
     RegularityParams,
     corner_degree_events,
@@ -86,7 +87,7 @@ def test_corner_event_flat_corner():
 def test_corner_event_of_flat_parent_matrix():
     n, d = 10, 3.0
     A = SquareMatrix((d / n) * np.ones((n, n)))
-    T = top_right_corner(A)
+    T = corner(A)
     assert _corner_event(T, RegularityParams(d=d, delta=0.01), n_parent=n)
 
 

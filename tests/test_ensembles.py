@@ -9,10 +9,8 @@ from exspec import ensembles
 from exspec.core import SquareMatrix, column_sums, matrix_from_json, row_sums
 from exspec.ensembles import (
     EnsembleSpec,
-    permutation_matrix,
     random_derangement,
     sample,
-    table_block,
 )
 from exspec.rng import stream
 
@@ -77,11 +75,6 @@ def test_derangement_has_no_fixed_points():
         n = int(rng.integers(2, 30))
         p = random_derangement(n, rng)
         assert not np.any(p == np.arange(n))
-
-
-def test_permutation_matrix_shape():
-    P = permutation_matrix(np.array([2, 0, 1]))
-    assert np.array_equal(P @ np.array([1.0, 2.0, 3.0]), [3.0, 1.0, 2.0])
 
 
 def test_spec_validation():
@@ -216,7 +209,7 @@ def test_table_block_gathers_from_the_dense_samples(kind, n, d, trials, seed, da
     r0, r1 = data.draw(bounds)
     c0, c1 = data.draw(bounds)
     rows, cols = slice(r0, r1), slice(c0, c1)
-    blocks = table_block(tables, rows, cols)
+    blocks = ensembles.table_entries(tables, rows, cols).dense()
     assert blocks.shape == (trials, r1 - r0, c1 - c0) and blocks.dtype == np.float64
     for t in range(trials):
         A = sample(spec, t).entries

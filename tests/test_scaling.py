@@ -94,9 +94,7 @@ def test_unit_margin_facts_rank_one():
     u = rng.uniform(0.5, 2.0, size=6)
     v = rng.uniform(0.5, 2.0, size=6)
     A = np.outer(v, u) / v.sum()  # margins are exactly (u * ||v||1/||v||1 scaled)
-    uu = column_sums(A)
-    vv = row_sums(A)
-    facts = unit_margin_svd_facts(A, uu, vv)
+    facts = unit_margin_svd_facts(A)
     assert abs(facts["top_singular"] - 1.0) <= 1e-10
     assert facts["right_vec_residual"] <= 1e-10
 

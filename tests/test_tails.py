@@ -1,10 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from ks_helper import ks_two_sample
+from matrix_reference import quadrants, relabel
 
-from exspec.core import SquareMatrix, block_decompose
+from exspec.core import SquareMatrix
 from exspec.degrees import RegularityParams, corner_degree_events, deg_membership
 from exspec.ensembles import EnsembleSpec, relabeling, sample
 from exspec.rng import stream
@@ -15,7 +18,6 @@ from exspec.tails import (
     _corner,
     _run_trials,
     _tail_probs,
-    _wilson_halfwidths,
     block_bound_curve,
     corner_capture_fraction,
     corner_degree_event_frequency,
@@ -64,11 +66,20 @@ def _scalar_compare(left, right, thresholds, c, c_grid):
     return (p_left, ci_left, p_right, ci_right, holds), best_c
 
 
+def _wilson_scalar(successes: int, trials: int, z: float = 1.959964) -> float:
+    """The Wilson half-width in scalar float arithmetic, the reference."""
+    p = successes / trials
+    denom = 1.0 + z * z / trials
+    return (z / denom) * math.sqrt(p * (1.0 - p) / trials + z * z / (4.0 * trials * trials))
+
+
 def test_wilson_halfwidths_match_the_scalar_bit_for_bit():
     for trials in [*range(1, 301), 1000, 4096, 9999, 10000]:
         hits = np.arange(trials + 1)
-        scalar = np.array([wilson_halfwidth(int(h), trials) for h in hits])
-        assert _wilson_halfwidths(hits, trials).tobytes() == scalar.tobytes(), trials
+        scalar = np.array([_wilson_scalar(int(h), trials) for h in hits])
+        assert wilson_halfwidth(hits, trials).tobytes() == scalar.tobytes(), trials
+        one_by_one = np.array([wilson_halfwidth(int(h), trials) for h in hits])
+        assert one_by_one.tobytes() == scalar.tobytes(), trials
 
 
 def test_tail_probs_and_compare_match_the_scalar_loops():
@@ -251,17 +262,12 @@ def test_s2_tail_curve_perm_sum():
 
 
 def test_s2_invariant_under_relabeling_per_sample():
-    from exspec.core import Permutation, apply_permutation
-    from exspec.ensembles import sample
-    from exspec.spectra import second_singular
-
     spec = EnsembleSpec(kind="perm_sum_regular", n=20, d=3, seed=84)
     rng = stream(85)
     for i in range(10):
         A = sample(spec, i)
-        sigma = Permutation(rng.permutation(20))
         assert second_singular(A) == pytest.approx(
-            second_singular(apply_permutation(A, sigma)), abs=1e-9
+            second_singular(relabel(A, rng.permutation(20))), abs=1e-9
         )
 
 
@@ -357,7 +363,7 @@ def test_s2_tail_curve_relabeled_base_matches_per_sample_reference():
 
 def test_block_bound_relabeled_odd_n_matches_per_sample_blocks():
     spec = _relabeled_specs(9, 94)[1]
-    b_norms = np.array([spectral_norm(block_decompose(sample(spec, i))[1]) for i in range(60)])
+    b_norms = np.array([spectral_norm(quadrants(sample(spec, i))[1]) for i in range(60)])
     thresholds = 4.0 * np.quantile(b_norms, [0.2, 0.5, 0.8])
     curve = block_bound_curve(spec, trials=60, thresholds=thresholds)
     assert np.array_equal(curve.p_right, _tail_probs(b_norms, thresholds / 4.0)[0])
