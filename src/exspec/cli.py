@@ -8,8 +8,7 @@ Commands:
 
 Every command is a pure function of its effective manifest: flags fill in
 defaults, a --manifest file overrides flags, and the effective manifest is
-echoed into the output. Reruns produce byte-identical files. Trials run
-serially; the EXSPEC_THREADS environment variable has no effect.
+echoed into the output. Reruns produce byte-identical files.
 
 Exit codes: 0 ok, 1 assertion/suite failure, 2 usage, 3 I/O.
 """

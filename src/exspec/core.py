@@ -174,6 +174,10 @@ def matrix_from_json(text: str) -> SquareMatrix:
         raise ValueError('a JSON matrix needs an integer "n"')
     if type(zero_diagonal) is not bool:
         raise ValueError('"zero_diagonal" must be true or false')
+    rows = obj["entries"] if isinstance(obj["entries"], list) else []
+    # numpy would read "1.5" and true as numbers; only JSON numbers are.
+    if any(type(x) not in (int, float) for row in rows if isinstance(row, list) for x in row):
+        raise ValueError("matrix entries must be numbers")
     try:
         M = SquareMatrix(obj["entries"], zero_diagonal=zero_diagonal)
     except (TypeError, OverflowError):  # e.g. an object, or an integer beyond float64

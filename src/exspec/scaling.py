@@ -29,6 +29,9 @@ __all__ = [
     "sample_margin_perturbed",
 ]
 
+# Largest deviation of a fitted margin from its target (fit_margins).
+FIT_TOL = 1e-12
+
 
 @dataclass(frozen=True)
 class ScalingReport:
@@ -148,6 +151,8 @@ def scaling_reduction(A, d: float, delta: float) -> ScalingReport:
     lhs = spectral_norm(E - (d / m) * np.ones((m, m)))
     s2 = second_singular(E)
     bound = 2.0 * s2 + 6.0 * delta
+    if not math.isfinite(bound):
+        raise FloatingPointError(f"bound 2*s2 + 6*delta overflows float64 (delta={delta!r})")
 
     if hypotheses_ok:
         tol = 1e-8 * max(1.0, d)
@@ -164,9 +169,10 @@ def scaling_reduction(A, d: float, delta: float) -> ScalingReport:
     )
 
 
-def fit_margins(base, u, v, tol: float = 1e-10) -> np.ndarray:
+def fit_margins(base, u, v) -> np.ndarray:
     """Iterative proportional fitting of a positive base matrix to the
-    prescribed column sums u and row sums v (equal total mass required)."""
+    prescribed column sums u and row sums v (equal total mass required),
+    until every margin is within FIT_TOL of its target."""
     sweeps = 20_000
     E = as_entries(base).copy()
     u = np.asarray(u, dtype=np.float64)
@@ -179,8 +185,8 @@ def fit_margins(base, u, v, tol: float = 1e-10) -> np.ndarray:
         E *= (v / E.sum(axis=1))[:, None]
         E *= u / E.sum(axis=0)
         if (
-            np.max(np.abs(E.sum(axis=1) - v)) <= tol
-            and np.max(np.abs(E.sum(axis=0) - u)) <= tol
+            np.max(np.abs(E.sum(axis=1) - v)) <= FIT_TOL
+            and np.max(np.abs(E.sum(axis=0) - u)) <= FIT_TOL
         ):
             return E
     raise RuntimeError(f"proportional fitting did not converge in {sweeps} iterations")
@@ -213,5 +219,5 @@ def sample_margin_perturbed(
         )
         if sup_ok and l2_ok:
             base = rng.uniform(0.5, 1.5, size=(m, m))
-            return fit_margins(base, u, v, tol=1e-12)
+            return fit_margins(base, u, v)
     raise RuntimeError("could not draw margins satisfying the hypotheses; widen delta")

@@ -50,8 +50,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import SparseStack, SquareMatrix, abs_sums
-from .degrees import RegularityParams, corner_degree_events, membership_rows
+from .core import SparseStack, SquareMatrix
+from .degrees import HYPOTHESIS_C, RegularityParams, corner_degree_events
 from .ensembles import (
     EnsembleSpec,
     relabeled_entries,
@@ -341,8 +341,8 @@ def norm_tail_curve(
     """Tail comparison P{||M|| >= tau} vs (1/c) P{||T|| >= c tau AND event}.
 
     T is the corner of M itself. The event is either trivial (None) or the
-    near-constant-corner-degree event with the given (d, delta). Requires an
-    ensemble whose samples all have zero diagonal, and n >= 8.
+    corner-degree event with the given (d, delta). Requires an ensemble
+    whose samples all have zero diagonal, and n >= 8.
     """
     if spec.n < 8:
         raise ValueError("the tail comparison assumes n >= 8")
@@ -352,7 +352,7 @@ def norm_tail_curve(
     n = spec.n
 
     def finish(T):
-        met = np.ones(len(T), dtype=bool) if event is None else corner_degree_events(T, event, n)
+        met = np.ones(len(T), dtype=bool) if event is None else corner_degree_events(T, event)
         return singular_value(T, 0), met
 
     t_norms, events = _run_trials(spec, trials, [_corner(n)], finish)
@@ -387,17 +387,13 @@ def block_bound_curve(spec: EnsembleSpec, trials: int, thresholds=None) -> TailC
                      meta={"comparison": "four_block_triangle"})
 
 
-def corner_degree_event_frequency(
-    spec: EnsembleSpec,
-    params: RegularityParams,
-    trials: int,
-    hyp_C: float = 1.0,
-) -> dict:
-    """Frequency of the near-constant-corner-degree event of the corner of A.
+def corner_degree_event_frequency(spec: EnsembleSpec, params: RegularityParams,
+                                  trials: int) -> dict:
+    """Frequency of the corner-degree event of the corner of A.
 
     Also reports the fraction of samples meeting the row/column l2
-    hypothesis C * max_i ||row_i||_2, C * max_i ||col_i||_2 <= delta at the
-    configured C.
+    hypothesis C * max_i ||row_i||_2, C * max_i ||col_i||_2 <= delta, with
+    C = HYPOTHESIS_C.
     """
     n = spec.n
     blocks = [_corner(n)]
@@ -408,7 +404,7 @@ def corner_degree_event_frequency(
 
     def finish(T, l2s=None):
         l2s = np.full(len(T), l2) if l2s is None else l2s
-        return corner_degree_events(T, params, n), hyp_C * l2s <= params.delta
+        return corner_degree_events(T, params), HYPOTHESIS_C * l2s <= params.delta
 
     events, hyp = _run_trials(spec, trials, blocks, finish)
     hits = int(np.count_nonzero(events))
@@ -428,12 +424,11 @@ def s2_tail_curve(
     trials: int,
     c: float = 0.01,
     c_grid=None,
-    hyp_C: float = 1.0,
 ) -> TailCurve:
     """Second-singular-value comparison for doubly regular ensembles:
 
         P{s2(A) >= L delta}
-          <= (1/c) P{s2(T) >= c L delta AND (u(T), v(T)) near-regular at d/2}
+          <= (1/c) P{s2(T) >= c L delta AND the corner-degree event}
 
     over the given grid of L. The corner T is taken from A directly; the
     ensemble is responsible for exchangeability. The sparsity hypothesis
@@ -441,7 +436,6 @@ def s2_tail_curve(
     """
     _check_c(c)
     n = spec.n
-    half = RegularityParams(d=params.d / 2.0, delta=params.delta)
     blocks = [_corner(n)]
     if spec.base is None:
         blocks.append((slice(0, n), slice(0, n)))  # the whole sample, for s2(A)
@@ -449,8 +443,7 @@ def s2_tail_curve(
 
     def finish(T, A=None):
         s2A = np.full(len(T), s2B) if A is None else singular_value(A, 1)
-        member = membership_rows(*abs_sums(T), half)[0]
-        return s2A, singular_value(T, 1), member
+        return s2A, singular_value(T, 1), corner_degree_events(T, params)
 
     s2A, s2T, members = _run_trials(spec, trials, blocks, finish)
     thresholds = np.asarray(L_grid, dtype=np.float64) * params.delta
@@ -463,7 +456,7 @@ def s2_tail_curve(
             "delta": params.delta,
             "L_grid": np.asarray(L_grid, dtype=np.float64).tolist(),
             "best_c": best_c,
-            "ratio_hypothesis_ok": params.ratio_hypothesis_ok(n, hyp_C),
+            "ratio_hypothesis_ok": params.ratio_hypothesis_ok(n),
             "member_fraction": float(np.mean(members)),
         },
     )

@@ -83,6 +83,16 @@ def test_analyze_identity_permutation_matrix(tmp_path, capsys):
     assert rep["scaling"]["hypotheses_ok"] is True
 
 
+def test_analyze_reports_a_bound_beyond_float64_as_scaling_error(tmp_path, capsys):
+    f = tmp_path / "i2.csv"
+    f.write_text(matrix_to_csv(SquareMatrix(np.eye(2))))
+    code, stdout, _ = run_cli(["analyze", str(f), "--d", "1", "--delta", "1e308"], capsys)
+    assert code == 0
+    rep = json.loads(stdout, parse_constant=lambda name: pytest.fail(f"{name} in the report"))
+    assert "scaling" not in rep
+    assert "overflows" in rep["scaling_error"]
+
+
 def test_analyze_delta_without_d_is_usage_error(tmp_path, capsys):
     f = tmp_path / "m.csv"
     f.write_text(matrix_to_csv(SquareMatrix(np.eye(3))))
@@ -328,6 +338,22 @@ def test_tail_degree_event(tmp_path, capsys):
     res = json.loads(stdout)
     assert 0.0 <= res["p_E"] <= 1.0
     assert (out / "curve.json").exists()
+
+
+def test_tail_norm_s2_and_degree_event_share_one_corner_event(tmp_path, capsys):
+    # n = 17: the 8 x 8 corner is tested at its own scale m = 8; at the
+    # parent's scale 17 the event held on almost every sample.
+    spec = ["--ensemble", "perm_sum_regular", "--n", "17", "--d", "3", "--zero-diagonal",
+            "--delta", "1.0", "--trials", "400", "--seed", "87"]
+    meta = {}
+    for comparison in ("norm", "s2", "degree-event"):
+        out = tmp_path / comparison
+        code, _, _ = run_cli(["tail", comparison, *spec, "--out", str(out)], capsys)
+        assert code in (0, 1)
+        meta[comparison] = json.loads((out / "curve.json").read_text())
+    fraction = meta["norm"]["meta"]["event_fraction"]
+    assert fraction == meta["s2"]["meta"]["member_fraction"] == meta["degree-event"]["p_E"]
+    assert 0.0 < fraction < 1.0
 
 
 def test_tail_blocks(tmp_path, capsys):
@@ -614,6 +640,9 @@ def test_malformed_json_matrix_is_usage_error(tmp_path, capsys):
         '{"entries": [[0.0]], "n": 1, "zero_diagonal": "no"}':
             'error: "zero_diagonal" must be true or false\n',
         '{"entries": [[{}]], "n": 1}': "error: matrix entries must be numbers\n",
+        '{"entries": [["1.5"]], "n": 1}': "error: matrix entries must be numbers\n",
+        '{"entries": [[true]], "n": 1}': "error: matrix entries must be numbers\n",
+        '{"entries": [[1, true]], "n": 1}': "error: matrix entries must be numbers\n",
         '{"entries": [[1e999]], "n": 1}': "error: matrix entries must be finite\n",
     }
     f = tmp_path / "m.json"

@@ -10,7 +10,6 @@ from exspec.degrees import (
     corner_degree_events,
     deg_membership,
     exceedance_rows,
-    membership_rows,
 )
 from exspec.rng import stream
 
@@ -62,7 +61,7 @@ def test_exceedance_kernel_truncation_matches_direct_loop():
         m = int(rng.integers(3, 25))
         w = rng.normal(3.0, 2.0, size=m)
         delta = float(rng.uniform(0.2, 2.0))
-        (ok,), _, (k_max,) = exceedance_rows(w[None, :], 3.0, delta, m)
+        (ok,), _, (k_max,) = exceedance_rows(w[None, :], 3.0, delta)
         # Direct check over a generous range of k.
         direct_ok = all(
             np.count_nonzero(np.abs(w - 3.0) > k * delta) <= m * np.exp(-k * k)
@@ -74,21 +73,21 @@ def test_exceedance_kernel_truncation_matches_direct_loop():
             assert m * np.exp(-k_max * k_max) < 1.0
 
 
-def _corner_event(T, params, n_parent) -> bool:
+def _corner_event(T, params) -> bool:
     """The corner event of one corner: a one-corner stack."""
-    return bool(corner_degree_events(T[None], params, n_parent)[0])
+    return bool(corner_degree_events(T[None], params)[0])
 
 
 def test_corner_event_flat_corner():
     T = np.full((5, 5), 0.4)  # u=v=2 everywhere
-    assert _corner_event(T, RegularityParams(d=4.0, delta=0.1), n_parent=10)
+    assert _corner_event(T, RegularityParams(d=4.0, delta=0.1))
 
 
 def test_corner_event_of_flat_parent_matrix():
     n, d = 10, 3.0
     A = SquareMatrix((d / n) * np.ones((n, n)))
     T = corner(A)
-    assert _corner_event(T, RegularityParams(d=d, delta=0.01), n_parent=n)
+    assert _corner_event(T, RegularityParams(d=d, delta=0.01))
 
 
 def test_corner_event_fails_as_delta_shrinks():
@@ -96,7 +95,7 @@ def test_corner_event_fails_as_delta_shrinks():
     T = rng.uniform(0, 1, size=(8, 8))
     d = 2.0 * float(T.sum(axis=0).mean())
     held = [
-        _corner_event(T, RegularityParams(d=d, delta=delta), n_parent=16)
+        _corner_event(T, RegularityParams(d=d, delta=delta))
         for delta in (2.0, 0.5, 0.1, 1e-4, 1e-9)
     ]
     # Monotone in delta, and a nondegenerate corner must fail eventually.
@@ -109,7 +108,22 @@ def test_corner_event_invariant_under_joint_relabeling():
     T = rng.uniform(0, 1, size=(7, 7))
     params = RegularityParams(d=7.0, delta=0.6)
     p = rng.permutation(7)
-    assert _corner_event(T, params, 14) == _corner_event(T[np.ix_(p, p)], params, 14)
+    assert _corner_event(T, params) == _corner_event(T[np.ix_(p, p)], params)
+
+
+def test_corner_event_counts_at_the_corners_own_scale():
+    # An 8 x 8 corner, d/2 = 2, delta = 1: one column sum at 3.5 exceeds
+    # k = 1 once. The count limit is 8/e ~ 2.9 at the corner's own scale
+    # m = 8, so it passes; at k = 2 the limit 8e^-4 < 1 allows none, and
+    # 3.5 - 2 = 1.5 <= 2. Three such columns fail k = 1, although at the
+    # parent's scale 2m = 16 (limit 5.9) they would pass.
+    T = np.full((8, 8), 0.25)
+    T[0, 0] += 1.5
+    params = RegularityParams(d=4.0, delta=1.0)
+    assert _corner_event(T, params)
+    T[1, 1] += 1.5
+    T[2, 2] += 1.5
+    assert not _corner_event(T, params)
 
 
 def test_profile_and_params_validation():
@@ -122,17 +136,18 @@ def test_profile_and_params_validation():
 
 
 def test_ratio_hypothesis():
-    p = RegularityParams(d=10.0, delta=0.5)
-    assert p.ratio_hypothesis_ok(100, C=2.0)
-    assert not p.ratio_hypothesis_ok(100, C=100.0)
+    # d / sqrt(ln 100) = 4.66 against C * delta with C = 1.
+    assert RegularityParams(d=10.0, delta=4.6).ratio_hypothesis_ok(100)
+    assert not RegularityParams(d=10.0, delta=4.7).ratio_hypothesis_ok(100)
+    assert RegularityParams(d=1.0, delta=100.0).ratio_hypothesis_ok(2)
 
 
-def _scalar_exceedance(w, target, delta, scale):
+def _scalar_exceedance(w, target, delta):
     """The one-vector exceedance loop the row-wise kernel replaced."""
     dev = np.abs(w - target)
     k = 1
     while True:
-        threshold = scale * math.exp(-k * k)
+        threshold = w.size * math.exp(-k * k)
         if np.count_nonzero(dev > k * delta) > threshold:
             return False, k, k
         if threshold < 1.0:
@@ -146,32 +161,28 @@ def test_row_wise_kernels_match_the_one_vector_definitions():
         rows, m = int(rng.integers(1, 30)), int(rng.integers(1, 25))
         d = float(rng.uniform(1.0, 6.0))
         delta = float(rng.uniform(0.05, 2.0))
-        scale = float(rng.choice([m, 2 * m, 0.5]))
         W = d + rng.normal(0.0, float(rng.uniform(0.1, 3.0)), size=(rows, m))
-        ok, worst_k, k_max = exceedance_rows(W, d, delta, scale)
+        ok, worst_k, k_max = exceedance_rows(W, d, delta)
         assert [(bool(a), int(b), int(c)) for a, b, c in zip(ok, worst_k, k_max)] == [
-            _scalar_exceedance(w, d, delta, scale) for w in W]
+            _scalar_exceedance(w, d, delta) for w in W]
 
         U = np.abs(W)
         V = np.abs(W[:, ::-1]) * rng.choice([1.0, 1.0 + 1e-6], size=(rows, 1))
         params = RegularityParams(d=d, delta=delta)
-        member, worst_k, l1_gap, k_max = membership_rows(U, V, params)
         for t in range(rows):
-            ok_u, worst_u, kmax_u = _scalar_exceedance(U[t], d, delta, m)
-            ok_v, worst_v, kmax_v = _scalar_exceedance(V[t], d, delta, m)
+            ok_u, worst_u, kmax_u = _scalar_exceedance(U[t], d, delta)
+            ok_v, worst_v, kmax_v = _scalar_exceedance(V[t], d, delta)
             gap = abs(float(np.sum(U[t])) - float(np.sum(V[t])))
             expect = ok_u and ok_v and not gap > 1e-8 * m * max(1.0, d)
             worst = 0 if expect or gap > 1e-8 * m * max(1.0, d) else min(
                 k for k in (worst_u, worst_v) if k > 0)
-            assert (member[t], worst_k[t], l1_gap[t], k_max[t]) == (
-                expect, worst, gap, max(kmax_u, kmax_v))
             assert deg_membership(U[t], V[t], params) == {
                 "member": expect, "worst_k": worst, "l1_gap": gap, "k_max": max(kmax_u, kmax_v)}
 
+        # The corner event: target d/2 at the corner's own scale m.
         T = rng.uniform(0.0, 2.0, size=(rows, m, m))
-        n = 2 * m + int(rng.integers(0, 2))
-        events = corner_degree_events(T, params, n)
-        assert events.tolist() == [_corner_event(t, params, n) for t in T]
+        events = corner_degree_events(T, params)
+        assert events.tolist() == [_corner_event(t, params) for t in T]
         assert events.tolist() == [
-            _scalar_exceedance(t.sum(axis=0), d / 2, delta, n)[0]
-            and _scalar_exceedance(t.sum(axis=1), d / 2, delta, n)[0] for t in T]
+            _scalar_exceedance(t.sum(axis=0), d / 2, delta)[0]
+            and _scalar_exceedance(t.sum(axis=1), d / 2, delta)[0] for t in T]

@@ -83,7 +83,7 @@ GOLDEN = {
         "curve.json": "ec2f69fdace57cc5ce827417f01e7075bd0a4c734433ba6e286038f112cf3074",
     },
     "degree-event": {
-        "curve.json": "04826d27b719c0c27ce75d78304b702eb05b72157b1c32aa7dccf5581f93a033",
+        "curve.json": "0957f76eb321462a249440ea04203982326e9ba75c7154676303e50cd07ffc3b",
     },
     "gen-digraph": {
         "manifest.json": "0bc4cb357a69442461902e2b71e2ad37eb95240731e3648652b93e5354ec5cb4",

@@ -81,7 +81,7 @@ def test_unit_margin_facts_fitted_margins():
     u = rng.uniform(1.0, 4.0, size=m)
     v = rng.uniform(1.0, 4.0, size=m)
     v *= u.sum() / v.sum()
-    A = fit_margins(rng.uniform(0.5, 1.5, size=(m, m)), u, v, tol=1e-12)
+    A = fit_margins(rng.uniform(0.5, 1.5, size=(m, m)), u, v)
     facts = unit_margin_svd_facts(A)
     assert abs(facts["top_singular"] - 1.0) <= 1e-8
     assert facts["right_vec_residual"] <= 1e-8

@@ -395,7 +395,7 @@ def _one(E, index):
     return singular_value(E[None], index)[0]
 
 
-def _reference_columns(spec, trials, event, half, hyp_C, delta):
+def _reference_columns(spec, trials, event, half, delta):
     """Per-trial statistics from whole samples, one trial at a time."""
     n, m = spec.n, spec.n // 2
     cols = {k: [] for k in ("t", "ev", "s2A", "s2T", "member", "block", "hyp")}
@@ -403,30 +403,34 @@ def _reference_columns(spec, trials, event, half, hyp_C, delta):
         A = sample(spec, i).entries
         T = A[:m, n - m:]
         cols["t"].append(_one(T, 0))
-        cols["ev"].append(corner_degree_events(T[None], event, n)[0])
+        cols["ev"].append(corner_degree_events(T[None], event)[0])
         cols["s2A"].append(_one(A, 1))
         cols["s2T"].append(_one(T, 1))
         cols["member"].append(deg_membership(np.abs(T).sum(axis=0), np.abs(T).sum(axis=1),
                                              half)["member"])
         cols["block"].append(_one(A[:m, m:], 0))
-        cols["hyp"].append(hyp_C * max(np.linalg.norm(A, axis=1).max(),
-                                       np.linalg.norm(A, axis=0).max()) <= delta)
+        cols["hyp"].append(max(np.linalg.norm(A, axis=1).max(),
+                               np.linalg.norm(A, axis=0).max()) <= delta)
     return {k: np.array(v) for k, v in cols.items()}
 
 
 def _engine_specs(n):
     """(spec, d, delta) with d and delta chosen so that, over the trials of
-    the reference test, both the corner event and membership are mixed."""
+    the reference test, the corner event is mixed and the l2 hypothesis
+    (max row or column l2 norm <= delta) holds. The l2 maxima are one value
+    for a relabeled base and for a 0/1 digraph (sqrt 3); those of
+    perm_sum_regular at n = 9, d = 3 are sqrt 3, sqrt 5 or 3, so delta = 2
+    makes its hypothesis column mixed too."""
     E = stream(200 + n).normal(size=(n, n))
     np.fill_diagonal(E, 0.0)
     base = SquareMatrix(E, zero_diagonal=True)
     return [
-        (EnsembleSpec(kind="permuted_base", n=n, seed=201, base=base), 4.0, 1.5),
+        (EnsembleSpec(kind="permuted_base", n=n, seed=201, base=base), 14.0, 5.0),
         (EnsembleSpec(kind="separately_exchangeable", n=n, seed=202,
-                      base=SquareMatrix(stream(203).normal(size=(n, n)))), 4.0, 1.5),
+                      base=SquareMatrix(stream(203).normal(size=(n, n)))), 14.0, 5.0),
         (EnsembleSpec(kind="perm_sum_regular", n=n, d=3, zero_diagonal=True, seed=204),
-         2.5, 0.8),
-        (EnsembleSpec(kind="regular_digraph", n=n, d=3, seed=205), 2.5, 0.8),
+         8.0, 2.0),
+        (EnsembleSpec(kind="regular_digraph", n=n, d=3, seed=205), 8.0, 2.0),
     ]
 
 
@@ -442,12 +446,15 @@ def test_engine_matches_per_trial_reference(monkeypatch, cap):
     real_tail_probs = tails._tail_probs
     monkeypatch.setattr(tails, "_tail_probs",
                         lambda stat, thr: stats.append(stat.copy()) or real_tail_probs(stat, thr))
-    trials, seed, hyp_C = 23, 206, 0.5
+    trials, seed = 23, 206
     for spec, d, delta in _engine_specs(n):
         event = RegularityParams(d=d, delta=delta)
         half = RegularityParams(d=d / 2.0, delta=delta)
-        ref = _reference_columns(spec, trials, event, half, hyp_C, delta)
-        assert 0 < ref["ev"].mean() < 1 and 0 < ref["member"].mean() < 1
+        ref = _reference_columns(spec, trials, event, half, delta)
+        assert 0 < ref["ev"].mean() < 1 and ref["hyp"].any()
+        assert spec.kind != "perm_sum_regular" or not ref["hyp"].all()
+        # The one-profile membership at (d/2, delta) is the corner event.
+        assert ref["member"].tobytes() == ref["ev"].tobytes()
         ev_stat = np.where(ref["ev"], ref["t"], -np.inf)
         m_norm = float(spec.d) if spec.base is None else spectral_norm(spec.base)
 
@@ -472,7 +479,7 @@ def test_engine_matches_per_trial_reference(monkeypatch, cap):
         assert curve.ci_right.tobytes() == ci_right.tobytes()
 
         # Its per-trial events are those of the norm comparison's right column.
-        res = corner_degree_event_frequency(spec, event, trials=trials, hyp_C=hyp_C)
+        res = corner_degree_event_frequency(spec, event, trials=trials)
         hits = int(np.count_nonzero(ref["ev"]))
         assert (res["p_E"], res["ci"]) == (hits / trials, wilson_halfwidth(hits, trials))
         assert res["hypothesis_fraction"] == float(np.mean(ref["hyp"]))
@@ -551,7 +558,7 @@ def _estimates(spec, trials):
     out = {}
     for name, finish, blocks in (
         ("corner", lambda T: (singular_value(T, 0), singular_value(T, 1),
-                              corner_degree_events(T, event, n)), [_corner(n)]),
+                              corner_degree_events(T, event)), [_corner(n)]),
         ("block", lambda B: (singular_value(B, 0), singular_value(B, 1)),
          [(slice(0, n // 2), slice(n // 2, n))]),
         ("whole", lambda A: (singular_value(A, 1),), [(slice(0, n), slice(0, n))]),
