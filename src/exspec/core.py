@@ -5,7 +5,9 @@ Conventions: internally everything is 0-based numpy; error messages use
 All objects are immutable after construction and safe to share. A
 relabeling is an index array p (giving A[np.ix_(p, p)]), and a corner or
 block is a range of rows by a range of columns. A stack of blocks is a
-dense (count, rows, cols) array, or a ``SparseStack`` of its nonzeros.
+dense (count, rows, cols) array, or a ``SparseStack`` of its nonzeros;
+``SparseStack.block`` cuts a block from such a stack, and ``max_l2`` reads
+its largest row and column l2 norms.
 
 A CSV matrix file is read in one pass into one n x n array
 (``matrix_from_csv_file``): its lines, decoded as ASCII with universal
@@ -27,6 +29,7 @@ __all__ = [
     "SquareMatrix",
     "as_entries",
     "SparseStack",
+    "max_l2",
     "abs_sums",
     "column_sums",
     "row_sums",
@@ -126,6 +129,37 @@ class SparseStack:
         return SparseStack((int(np.count_nonzero(mask)),) + tuple(self.shape[1:]),
                            renumber[self.member[keep]], self.row[keep], self.col[keep],
                            self.value[keep])
+
+    def block(self, rows: slice, cols: slice) -> "SparseStack":
+        """The block [rows, cols] of each matrix, for ranges of rows and of
+        columns (slices of step 1): the entries that land in it, in order."""
+        count, h, w = self.shape
+        rows, cols = range(h)[rows], range(w)[cols]
+        # Indices rather than a mask: four gathers by a mask cost about three
+        # times as much.
+        keep = np.flatnonzero((self.row >= rows.start) & (self.row < rows.stop)
+                              & (self.col >= cols.start) & (self.col < cols.stop))
+        return SparseStack((count, len(rows), len(cols)), self.member[keep],
+                           self.row[keep] - rows.start, self.col[keep] - cols.start,
+                           self.value[keep])
+
+
+def max_l2(stack: SparseStack) -> np.ndarray:
+    """The largest row or column l2 norm of each matrix of a sparse stack.
+
+    The entries at each position are summed first, so a repeated position
+    counts once with its total. On integer values the sums of squares are
+    exact, and so each maximum is that of the dense matrix bit for bit.
+    """
+    count, rows, cols = stack.shape
+    flat = (stack.member * rows + stack.row) * cols + stack.col
+    position, at = np.unique(flat, return_inverse=True)
+    squares = np.bincount(at, stack.value, position.size) ** 2
+    member, rest = np.divmod(position, rows * cols)
+    row, col = np.divmod(rest, cols)
+    r = np.bincount(member * rows + row, squares, count * rows).reshape(count, rows)
+    c = np.bincount(member * cols + col, squares, count * cols).reshape(count, cols)
+    return np.sqrt(np.maximum(r.max(axis=1), c.max(axis=1)).astype(np.float64))
 
 
 def abs_sums(stack):

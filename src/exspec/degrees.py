@@ -75,7 +75,9 @@ def exceedance_rows(W: np.ndarray, target: float, delta: float):
     while limits[-1] >= 1.0:
         limits.append(m * math.exp(-(len(limits) + 1) ** 2))
     ks = np.arange(1, len(limits) + 1)
-    failed = (dev[:, :, None] > ks * delta).sum(axis=1) > np.array(limits)
+    with np.errstate(over="ignore"):  # a threshold beyond float64 is +inf: none exceeds it
+        bounds = ks * delta
+    failed = (dev[:, :, None] > bounds).sum(axis=1) > np.array(limits)
     ok = ~failed.any(axis=1)
     worst_k = np.where(ok, 0, failed.argmax(axis=1) + 1)
     return ok, worst_k, np.where(ok, len(limits), worst_k)

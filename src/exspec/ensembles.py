@@ -20,13 +20,13 @@ Kinds:
 A sample of a base kind is described by its relabeling (``relabeling``). A
 sample of a doubly regular kind is its (d, n) permutation table Q
 (``sample(spec, index, table=True)``): A = sum_j P(q_j), that is
-A[i, Q[j, i]] += 1 for every j and i. ``table_entries`` gives one block, a
-range of rows by a range of columns, of the matrices of a stack of tables
-as a ``core.SparseStack`` of the pairs (i, Q[j, i]) that land in it; its
-``dense()`` scatters the block with one ``bincount``, and ``sample``
-densifies a table the same way. ``relabeled_entries`` gives the block of
-relabeled bases from the base's nonzero entries, so that a large sparse
-block reaches the Lanczos kernel without a dense array.
+A[i, Q[j, i]] += 1 for every j and i. ``table_entries`` gives the
+matrices of a stack of tables as a ``core.SparseStack`` of the pairs
+(i, Q[j, i]), and ``relabeled_entries`` gives relabeled bases from the
+base's nonzero entries: whole n x n samples, whose blocks the caller cuts
+with ``SparseStack.block``, so that a large sparse block reaches the
+Lanczos kernel without a dense array. ``dense()`` scatters a stack with one
+``bincount``, and ``sample`` densifies a table the same way.
 
 Every sample of index i draws from its own generator ``stream(spec.seed,
 i)``. perm_sum_regular draws its candidate permutations in batches with one
@@ -164,36 +164,26 @@ def _regular_digraph_table(n: int, d: int, rng: np.random.Generator) -> np.ndarr
     return inverse[P[:, s]]
 
 
-def table_entries(tables: np.ndarray, rows: slice, cols: slice) -> SparseStack:
-    """The block A_t[rows, cols] of the matrix A_t of each table, by its
-    entries: the pairs (i, Q[t, j, i]) that land in the block, each 1.0.
-
-    ``tables`` is a (trials, d, n) stack of permutation tables, and ``rows``
-    and ``cols`` are ranges of indices (slices of step 1). No dense block is
-    formed.
-    """
+def table_entries(tables: np.ndarray) -> SparseStack:
+    """The matrix A_t of each of a (trials, d, n) stack of permutation
+    tables, by its entries: the pair (i, Q[t, j, i]) for every j and i, each
+    1.0, in the order (t, j, i). No dense matrix is formed."""
     trials, d, n = tables.shape
-    rows, cols = range(n)[rows], range(n)[cols]
-    b = tables[:, :, rows.start:rows.stop] - cols.start  # (trials, d, h)
-    keep = (b >= 0) & (b < len(cols))
-    member, _, row = np.nonzero(keep)
-    return SparseStack((trials, len(rows), len(cols)), member, row, b[keep],
-                       np.ones(member.size))
+    member = np.repeat(np.arange(trials), d * n)
+    return SparseStack((trials, n, n), member, np.tile(np.arange(n), trials * d),
+                       tables.reshape(-1), np.ones(member.size))
 
 
-def relabeled_entries(triples, rows: np.ndarray, cols: np.ndarray,
-                      r: slice, c: slice) -> SparseStack:
-    """The block [r, c] of base[np.ix_(rows[t], cols[t])] for each t, by its
-    entries.
+def relabeled_entries(triples, rows: np.ndarray, cols: np.ndarray) -> SparseStack:
+    """base[np.ix_(rows[t], cols[t])] for each t, by its entries.
 
     ``triples`` (i, j, value) are the nonzero entries of the base, and
     ``rows``/``cols`` are (count, n) relabelings, as ``relabeling`` draws
-    them. Base entry (i, j) lands at (rows[t]^-1(i), cols[t]^-1(j)); those
-    that land in the block are kept, in the order of ``triples``.
+    them. Base entry (i, j) lands at (rows[t]^-1(i), cols[t]^-1(j)); the
+    entries of each t come in the order of ``triples``.
     """
     i, j, value = triples
     count, n = rows.shape
-    r, c = range(n)[r], range(n)[c]
     positions = np.broadcast_to(np.arange(n), rows.shape)
     inverse_rows = np.empty_like(rows)
     np.put_along_axis(inverse_rows, rows, positions, axis=1)
@@ -201,11 +191,9 @@ def relabeled_entries(triples, rows: np.ndarray, cols: np.ndarray,
     if cols is not rows:
         inverse_cols = np.empty_like(cols)
         np.put_along_axis(inverse_cols, cols, positions, axis=1)
-    a = inverse_rows[:, i] - r.start  # (count, nonzeros)
-    b = inverse_cols[:, j] - c.start
-    keep = (a >= 0) & (a < len(r)) & (b >= 0) & (b < len(c))
-    member, e = np.nonzero(keep)
-    return SparseStack((count, len(r), len(c)), member, a[keep], b[keep], value[e])
+    return SparseStack((count, n, n), np.repeat(np.arange(count), i.size),
+                       inverse_rows[:, i].reshape(-1), inverse_cols[:, j].reshape(-1),
+                       np.tile(value, count))
 
 
 def relabeling(spec: EnsembleSpec, index: int) -> tuple[np.ndarray, np.ndarray]:
@@ -245,5 +233,5 @@ def sample(spec: EnsembleSpec, index: int, *, table: bool = False):
         Q = _regular_digraph_table(spec.n, spec.d, rng)
     if table:
         return Q
-    A = table_entries(Q[None], slice(None), slice(None)).dense()[0]
+    A = table_entries(Q[None]).dense()[0]
     return SquareMatrix(A, zero_diagonal=spec.zero_diagonal or spec.kind == "regular_digraph")

@@ -13,26 +13,28 @@ corner_capture_fraction relabels its one matrix M through the permuted_base
 ensemble of M.
 
 The five estimators share one chunked engine, ``_run_trials``. A chunk of
-consecutive trials is drawn as a whole: the relabelings of a fixed base B
-(``spec.base is not None``), or the (d, n) permutation tables of a doubly
-regular kind. Each block a comparison reads (the m x m corner, the M12
-block, or the whole matrix) is a range of rows by a range of columns and
-becomes one (chunk, rows, cols) stack, and each chunk gets one batched
+consecutive trials is drawn as a whole, as one ``core.SparseStack`` of its
+whole n x n samples: the pairs (i, Q[j, i]) of the (d, n) permutation
+tables of a doubly regular kind (``ensembles.table_entries``), or the
+nonzero entries of a fixed base B (``spec.base is not None``, found once
+per base) at their relabeled positions (``ensembles.relabeled_entries``).
+Each block a comparison reads (the m x m corner, the M12 block, or the
+whole matrix) is a range of rows by a range of columns, cut from that
+stack with ``SparseStack.block``, and each chunk gets one batched
 singular-value kernel (``spectra.singular_value``) and one row-wise degree
 test. Where ``spectra.lanczos_pays`` for the block's size and nonzeros per
-row, the stack is a ``core.SparseStack`` and goes to the matrix-free
-Lanczos kernel: relabeled B's nonzero entries (found once per base), or the
-tables' pairs (i, Q[j, i]) that land in the block (``ensembles.
-relabeled_entries`` and ``table_entries``). Otherwise it is dense, for the
-Gram kernel: gathered from B through the drawn row and column
-permutations, or scattered from the tables with one bincount per stack
-(the ``dense()`` of ``table_entries``). So no trial forms an n x n array
-unless its whole matrix is small enough for the Gram kernel, or the Lanczos
-kernel runs out of steps on it (``spectra.lanczos_steps``); the row and column l2
-norms of a table come from the table itself. A chunk holds at most
-CHUNK_FLOATS stacked floats (a sparse block counts as the largest Lanczos
-basis the kernel keeps for it; a member out of steps adds its dense block)
-and at least one trial; chunks run one after another, in index order.
+row, the block stays sparse and goes to the matrix-free Lanczos kernel.
+Otherwise it is dense, for the Gram kernel: scattered with one bincount
+(``dense()``), or on a base gathered from B through the drawn row and
+column permutations, which beats the scatter on a dense B (no stack of
+entries is formed then). So no trial forms an n x n array unless its whole
+matrix is small enough for the Gram kernel, or the Lanczos kernel runs out
+of steps on it (``spectra.lanczos_steps``). The row and column l2 maxima
+of a table kind come from the chunk's stack (``core.max_l2``). A chunk
+holds at most CHUNK_FLOATS stacked floats (a sparse block counts as the
+largest Lanczos basis the kernel keeps for it; a member out of steps adds
+its dense block) and at least one trial; chunks run one after another, in
+index order.
 
 ||M|| is the same for every sample and is computed once per call: it is d
 for the doubly regular kinds (Schur test), and ||B|| for a relabeled base.
@@ -50,15 +52,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import SparseStack, SquareMatrix
+from .core import SparseStack, SquareMatrix, max_l2
 from .degrees import HYPOTHESIS_C, RegularityParams, corner_degree_events
-from .ensembles import (
-    EnsembleSpec,
-    relabeled_entries,
-    relabeling,
-    sample,
-    table_entries,
-)
+from .ensembles import EnsembleSpec, relabeled_entries, relabeling, sample, table_entries
 from .spectra import RTOL, lanczos_pays, lanczos_steps, singular_value, spectral_norm
 
 __all__ = [
@@ -163,13 +159,18 @@ def _sparse(spec: EnsembleSpec, block) -> bool:
     return lanczos_pays(min(h, w), per_row * w / spec.n)
 
 
+def _base_entries(spec: EnsembleSpec) -> SparseStack:
+    """The base as a one-matrix SparseStack of its nonzero entries."""
+    i, j, value = spec.base.nonzeros
+    return SparseStack((1, spec.n, spec.n), np.zeros_like(i), i, j, value)
+
+
 def _base_stack(spec: EnsembleSpec):
     """The base as a one-matrix stack for singular_value, sparse where the
     Lanczos kernel pays."""
     if not _sparse(spec, (slice(None), slice(None))):
         return spec.base.entries[None]
-    i, j, value = spec.base.nonzeros
-    return SparseStack((1, spec.n, spec.n), np.zeros_like(i), i, j, value)
+    return _base_entries(spec)
 
 
 def _run_trials(spec: EnsembleSpec, trials: int, blocks, finish) -> list:
@@ -178,40 +179,44 @@ def _run_trials(spec: EnsembleSpec, trials: int, blocks, finish) -> list:
     Trial i is sample i of ``spec``. Each (row slice, column slice) in
     ``blocks`` gives the stack of that block of every sample of the chunk:
     a SparseStack where the Lanczos kernel pays (``_sparse``), a dense
-    array otherwise. A table kind also takes a function of the chunk's
-    (chunk, d, n) tables in ``blocks``, and passes on what it returns.
-    ``finish(*stacks)`` turns them into a tuple of per-trial arrays, which
-    are concatenated in trial order.
+    array otherwise. A ``None`` block gives the chunk's whole samples as a
+    SparseStack. ``finish(*stacks)`` turns them into a tuple of per-trial
+    arrays, which are concatenated in trial order.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    sparse = [not callable(b) and _sparse(spec, b) for b in blocks]
+    sparse = [b is None or _sparse(spec, b) for b in blocks]
     floats = 0
     for b, sp in zip(blocks, sparse):
-        if not callable(b):
+        if b is not None:
             h, w = _shape(spec.n, b)
             k = min(h, w)
             floats += k * (lanczos_steps(k) + 2) if sp else h * w
     size = max(1, CHUNK_FLOATS // max(1, floats))
 
-    parts = []
-    for lo in range(0, trials, size):
-        hi = min(trials, lo + size)
-        if spec.base is None:
-            tables = np.array([sample(spec, i, table=True) for i in range(lo, hi)])
-            stacks = [b(tables) if callable(b) else
-                      table_entries(tables, *b) if sparse[k] else table_entries(tables, *b).dense()
-                      for k, b in enumerate(blocks)]
-        else:
-            # Sample t is base[np.ix_(rows[t], cols[t])].
-            pairs = [relabeling(spec, i) for i in range(lo, hi)]
-            rows = np.array([r for r, _ in pairs])
-            cols = rows if spec.kind == "permuted_base" else np.array([c for _, c in pairs])
-            stacks = [relabeled_entries(spec.base.nonzeros, rows, cols, r, c) if sparse[k] else
-                      spec.base.entries[rows[:, r, None], cols[:, None, c]]
-                      for k, (r, c) in enumerate(blocks)]
-        parts.append(finish(*stacks))
+    # The stacks come from a call of their own, so the whole samples they are
+    # cut from are freed before finish runs.
+    parts = [finish(*_chunk_stacks(spec, range(lo, min(trials, lo + size)), blocks, sparse))
+             for lo in range(0, trials, size)]
     return [np.concatenate(column) for column in zip(*parts)]
+
+
+def _chunk_stacks(spec: EnsembleSpec, indices: range, blocks, sparse) -> list:
+    """The stack of each block of the samples ``indices``, cut from their
+    whole samples; a dense block of a base is gathered from the base, which
+    beats scattering it."""
+    if spec.base is None:
+        samples = table_entries(np.array([sample(spec, i, table=True) for i in indices]))
+        return [samples if b is None else samples.block(*b) if sp else samples.block(*b).dense()
+                for b, sp in zip(blocks, sparse)]
+    # Sample t is base[np.ix_(rows[t], cols[t])].
+    pairs = [relabeling(spec, i) for i in indices]
+    rows = np.array([r for r, _ in pairs])
+    cols = rows if spec.kind == "permuted_base" else np.array([c for _, c in pairs])
+    samples = relabeled_entries(spec.base.nonzeros, rows, cols) if any(sparse) else None
+    return [samples if b is None else samples.block(*b) if sp else
+            spec.base.entries[rows[:, b[0], None], cols[:, None, b[1]]]
+            for b, sp in zip(blocks, sparse)]
 
 
 def _zero_diagonal(spec: EnsembleSpec) -> bool:
@@ -234,36 +239,6 @@ def _norms(spec: EnsembleSpec, trials: int, thresholds):
         m_norm = float(spec.d)  # Schur test: ||M|| <= sqrt(||M||_1 ||M||_inf) = d; M1 = d1.
     thresholds = [m_norm] if thresholds is None else thresholds
     return np.full(trials, m_norm), np.asarray(thresholds, dtype=np.float64)
-
-
-def _max_l2(entries: np.ndarray):
-    """Largest row or column l2 norm of a matrix, or of each of a stack."""
-    return np.maximum(np.linalg.norm(entries, axis=-1).max(axis=-1),
-                      np.linalg.norm(entries, axis=-2).max(axis=-1))
-
-
-def _table_max_l2(tables: np.ndarray) -> np.ndarray:
-    """_max_l2 of the matrix of each of a (trials, d, n) stack of tables,
-    read from the tables: row i of A holds the multiplicities of the values
-    in Q[:, i], and column c those of the rows Q_j^-1(c), j = 1..d. The sums
-    of squares are exact integers, so each maximum equals _max_l2 of the
-    dense matrix bit for bit."""
-    trials, d, n = tables.shape
-    inverse = np.empty_like(tables)
-    np.put_along_axis(inverse, tables, np.broadcast_to(np.arange(n), tables.shape), axis=2)
-    squares = [_squared_multiplicities(tables), _squared_multiplicities(inverse)]
-    return np.sqrt(np.maximum(*squares).max(axis=1).astype(np.float64))
-
-
-def _squared_multiplicities(tables: np.ndarray) -> np.ndarray:
-    """The sum of the squared multiplicities of the values in each column
-    tables[t, :, i]: in sorted order, the p-th copy of a value adds 2p + 1."""
-    s = np.sort(tables, axis=1)
-    position = np.arange(s.shape[1])[:, None]
-    first = np.ones(s.shape, dtype=bool)
-    first[:, 1:] = s[:, 1:] != s[:, :-1]
-    run_start = np.maximum.accumulate(np.where(first, position, 0), axis=1)
-    return (2 * (position - run_start) + 1).sum(axis=1)
 
 
 def _c_grid(c_grid) -> np.ndarray:
@@ -395,15 +370,14 @@ def corner_degree_event_frequency(spec: EnsembleSpec, params: RegularityParams,
     hypothesis C * max_i ||row_i||_2, C * max_i ||col_i||_2 <= delta, with
     C = HYPOTHESIS_C.
     """
-    n = spec.n
-    blocks = [_corner(n)]
+    blocks = [_corner(spec.n)]
     if spec.base is None:
-        blocks.append(_table_max_l2)
+        blocks.append(None)  # the whole samples, for their l2 maxima
     else:
-        l2 = _max_l2(spec.base.entries)
+        l2 = max_l2(_base_entries(spec))[0]
 
-    def finish(T, l2s=None):
-        l2s = np.full(len(T), l2) if l2s is None else l2s
+    def finish(T, A=None):
+        l2s = np.full(len(T), l2) if A is None else max_l2(A)
         return corner_degree_events(T, params), HYPOTHESIS_C * l2s <= params.delta
 
     events, hyp = _run_trials(spec, trials, blocks, finish)

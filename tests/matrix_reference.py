@@ -28,6 +28,13 @@ def quadrants(A):
     return E[:m, :m], E[:m, m:], E[m:, :m], E[m:, m:]
 
 
+def max_l2_reference(A) -> np.ndarray:
+    """The largest row or column l2 norm of a matrix, or of each of a stack."""
+    E = _entries(A)
+    return np.maximum(np.linalg.norm(E, axis=-1).max(axis=-1),
+                      np.linalg.norm(E, axis=-2).max(axis=-1))
+
+
 def permutation_matrix(p) -> np.ndarray:
     """The matrix P with P[i, p[i]] = 1."""
     return np.eye(len(p))[p]

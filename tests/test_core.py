@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from matrix_reference import corner, permutation_matrix, relabel
+from matrix_reference import corner, max_l2_reference, permutation_matrix, relabel
 
 from exspec.core import (
+    SparseStack,
     SquareMatrix,
     _csv_rows_by_line,
     column_sums,
@@ -17,6 +18,7 @@ from exspec.core import (
     matrix_from_json,
     matrix_to_csv,
     matrix_to_json,
+    max_l2,
     row_sums,
 )
 from exspec.ensembles import EnsembleSpec, relabeled_entries, relabeling, sample
@@ -26,8 +28,7 @@ from exspec.tails import _corner
 
 def _relabeled(M: SquareMatrix, p: np.ndarray) -> np.ndarray:
     """M relabeled by p as the engine builds it from M's nonzero entries."""
-    whole = slice(None)
-    return relabeled_entries(M.nonzeros, p[None], p[None], whole, whole).dense()[0]
+    return relabeled_entries(M.nonzeros, p[None], p[None]).dense()[0]
 
 
 def test_identity_permutation_is_noop():
@@ -136,6 +137,59 @@ def test_corner_of_relabeled_index_identity():
         i = int(rng.integers(m))
         j = int(rng.integers(m))
         assert T[i, j] == spec.base.entries[p[i], p[n - m + j]]
+
+
+def _random_stack(seed, count, rows, cols, entries, integer):
+    """A SparseStack of random entries: repeated positions, negative values
+    and members with no entries included."""
+    rng = stream(310, seed)
+    value = rng.integers(-3, 4, entries) if integer else rng.normal(size=entries)
+    member, row, col = (rng.integers(0, k, entries) for k in (count, rows, cols))
+    return SparseStack((count, rows, cols), member, row, col, value.astype(np.float64))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 9), st.integers(1, 9), st.integers(0, 40),
+       st.integers(0, 10**6), st.data())
+def test_sparse_block_is_the_block_of_the_dense_stack(count, rows, cols, entries, seed, data):
+    S = _random_stack(seed, count, rows, cols, entries, integer=False)
+    # Ranges of indices, empty ones (start == stop) included.
+    r0, r1 = data.draw(st.lists(st.integers(0, rows), min_size=2, max_size=2).map(sorted))
+    c0, c1 = data.draw(st.lists(st.integers(0, cols), min_size=2, max_size=2).map(sorted))
+    B = S.block(slice(r0, r1), slice(c0, c1))
+    assert B.shape == (count, r1 - r0, c1 - c0)
+    # Float entries at one position add up in the order they are kept.
+    assert B.dense().tobytes() == S.dense()[:, r0:r1, c0:c1].tobytes()
+    inside = (S.row >= r0) & (S.row < r1) & (S.col >= c0) & (S.col < c1)
+    assert B.value.tobytes() == S.value[inside].tobytes()
+    assert B.member.tolist() == S.member[inside].tolist()
+
+
+def test_sparse_block_of_a_stack_with_no_entries():
+    empty = SparseStack((2, 5, 6), *np.zeros((3, 0), dtype=np.int64), np.zeros(0))
+    B = empty.block(slice(1, 4), slice(2, 6))
+    assert B.shape == (2, 3, 4) and B.value.size == 0
+    assert B.dense().tobytes() == np.zeros((2, 3, 4)).tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 12), st.integers(1, 12), st.integers(0, 60),
+       st.integers(0, 10**6))
+def test_max_l2_of_integer_entries_is_the_dense_maximum(count, rows, cols, entries, seed):
+    # Entries at one position add up first, so +1 and -1 there cancel.
+    S = _random_stack(seed, count, rows, cols, entries, integer=True)
+    assert max_l2(S).tobytes() == max_l2_reference(S.dense()).tobytes()
+
+
+def test_max_l2_of_float_entries_is_within_rounding():
+    # Both sum k <= 30 squares per line, in different orders: each sum is
+    # within about k eps / 2 of the exact one, and the square root halves that.
+    for seed in range(200):
+        S = _random_stack(seed, 3, 20, 30, 900, integer=False)
+        got, want = max_l2(S), max_l2_reference(S.dense())
+        assert np.all(np.abs(got - want) <= 30 * np.finfo(np.float64).eps * want), seed
+    empty = SparseStack((2, 5, 6), *np.zeros((3, 0), dtype=np.int64), np.zeros(0))
+    assert max_l2(empty).tobytes() == np.zeros(2).tobytes()
 
 
 def test_invalid_matrices_rejected():

@@ -209,7 +209,7 @@ def test_table_block_gathers_from_the_dense_samples(kind, n, d, trials, seed, da
     r0, r1 = data.draw(bounds)
     c0, c1 = data.draw(bounds)
     rows, cols = slice(r0, r1), slice(c0, c1)
-    blocks = ensembles.table_entries(tables, rows, cols).dense()
+    blocks = ensembles.table_entries(tables).block(rows, cols).dense()
     assert blocks.shape == (trials, r1 - r0, c1 - c0) and blocks.dtype == np.float64
     for t in range(trials):
         A = sample(spec, t).entries

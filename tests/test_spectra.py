@@ -371,12 +371,12 @@ def test_lanczos_is_reproducible_and_draws_from_no_stream():
     spec = EnsembleSpec("perm_sum_regular", 400, d=4, zero_diagonal=True, seed=56)
     tables = np.array([sample(spec, i, table=True) for i in range(3)])
     state = np.random.get_state()[1].copy()
-    S = table_entries(tables, slice(0, 200), slice(200, 400))
+    S = table_entries(tables).block(slice(0, 200), slice(200, 400))
     first = singular_value(S, 1)
     assert singular_value(S, 1).tobytes() == first.tobytes()
     # A member's value does not depend on the stack it is computed in.
     for t in range(3):
-        one = table_entries(tables[t:t + 1], slice(0, 200), slice(200, 400))
+        one = table_entries(tables[t:t + 1]).block(slice(0, 200), slice(200, 400))
         assert singular_value(one, 1).tobytes() == first[t:t + 1].tobytes()
     assert np.array_equal(np.random.get_state()[1], state)
     again = np.array([sample(spec, i, table=True) for i in range(3)])
@@ -388,7 +388,7 @@ def test_lanczos_at_n_2048_matches_the_dense_svd():
     Q = sample(spec, 0, table=True)[None]
     A = sample(spec, 0).entries
     want = np.linalg.svd(A, compute_uv=False)[1]
-    got = singular_value(table_entries(Q, slice(None), slice(None)), 1)[0]
+    got = singular_value(table_entries(Q), 1)[0]
     assert abs(got - want) <= RTOL * want
 
 
@@ -397,7 +397,7 @@ def test_lanczos_stops_at_its_budget_on_a_top_cluster(monkeypatch):
     # O(1/L^2) of s2^2. This sample needs 272 steps, past the 176 that
     # dim = 640 affords; the member then takes the Gram kernel's value.
     spec = EnsembleSpec("perm_sum_regular", 640, d=2, zero_diagonal=True, seed=7)
-    S = table_entries(sample(spec, 0, table=True)[None], slice(None), slice(None))
+    S = table_entries(sample(spec, 0, table=True)[None])
     dense = S.dense()
     steps = []
     real_gram = spectra._gram

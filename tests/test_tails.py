@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from ks_helper import ks_two_sample
-from matrix_reference import quadrants, relabel
+from matrix_reference import max_l2_reference, quadrants, relabel
 
 from exspec.core import SquareMatrix
 from exspec.degrees import RegularityParams, corner_degree_events, deg_membership
@@ -292,11 +292,10 @@ def test_tail_curve_serialization_roundtrip():
     assert [float(v) for v in lines[1].split(",")] == [1.0, 0.5, 0.01, 0.6, 0.01]
 
 
-def test_curves_identical_across_worker_counts(monkeypatch):
+def test_norm_tail_curve_reruns_are_identical():
     spec = EnsembleSpec(kind="perm_sum_regular", n=16, d=2, zero_diagonal=True, seed=86)
     results = []
-    for workers in ("1", "4"):
-        monkeypatch.setenv("EXSPEC_THREADS", workers)
+    for _ in range(2):
         curve = norm_tail_curve(spec, c=0.05, trials=200)
         results.append((curve.p_left.tolist(), curve.p_right.tolist()))
     assert results[0] == results[1]
@@ -441,7 +440,7 @@ def test_engine_matches_per_trial_reference(monkeypatch, cap):
     n = 9  # odd: the M12 block is 4 x 5
     if cap is not None:  # 1: one matrix per chunk; 100: a partial last chunk
         monkeypatch.setattr(tails, "CHUNK_FLOATS", cap)
-    # The columns passed to _tail_probs, merged in trial order at any worker count.
+    # The columns passed to _tail_probs, merged in trial order at any chunk size.
     stats = []
     real_tail_probs = tails._tail_probs
     monkeypatch.setattr(tails, "_tail_probs",
@@ -613,7 +612,7 @@ def test_relabeled_entries_are_the_gathered_blocks():
         cols = rows if kind == "permuted_base" else np.array([c for _, c in pairs])
         for r, c in ((slice(0, 5), slice(6, 11)), (slice(0, 5), slice(5, 11)),
                      (slice(None), slice(None)), (slice(3, 3), slice(0, 4))):
-            got = relabeled_entries(base.nonzeros, rows, cols, r, c).dense()
+            got = relabeled_entries(base.nonzeros, rows, cols).block(r, c).dense()
             want = np.array([sample(spec, i).entries[r, c] for i in range(6)])
             assert got.shape == want.shape and np.array_equal(got, want)
 
@@ -622,14 +621,15 @@ def test_relabeled_entries_are_the_gathered_blocks():
                                                   ("perm_sum_regular", 5, True),
                                                   ("regular_digraph", 3, True)])
 def test_table_l2_maxima_are_those_of_the_dense_samples(kind, d, zero_diagonal):
-    from exspec.tails import _max_l2, _table_max_l2
+    from exspec.core import max_l2
+    from exspec.ensembles import table_entries
 
     for n in (2 if kind == "perm_sum_regular" and not zero_diagonal else 6, 9, 30):
         d_n = min(d, n - 1) if kind == "perm_sum_regular" else min(d, n // 3)
         spec = EnsembleSpec(kind=kind, n=n, d=d_n, zero_diagonal=zero_diagonal, seed=306 + n)
         tables = np.array([sample(spec, i, table=True) for i in range(40)])
-        want = _max_l2(np.array([sample(spec, i).entries for i in range(40)]))
-        assert _table_max_l2(tables).tobytes() == want.tobytes()
+        want = max_l2_reference(np.array([sample(spec, i).entries for i in range(40)]))
+        assert max_l2(table_entries(tables)).tobytes() == want.tobytes()
     # Repeated entries (A[i, c] = 2 or more) occur without the zero diagonal.
     if not zero_diagonal:
         assert np.any(want > np.sqrt(d_n))
