@@ -26,6 +26,8 @@ from . import verify as verify_mod
 from .core import (
     SquareMatrix,
     column_sums,
+    csv_text,
+    json_ready,
     matrix_from_csv_file,
     matrix_from_json,
     matrix_to_csv,
@@ -35,7 +37,7 @@ from .core import (
 from .degrees import RegularityParams, deg_membership
 from .ensembles import BASE_KINDS, KINDS, EnsembleSpec, sample
 from .scaling import scaling_reduction
-from .spectra import s2_via_centering, second_singular, spectral_norm
+from .spectra import s2_via_centering, singular_values
 from .tails import (
     block_bound_curve,
     corner_capture_fraction,
@@ -145,17 +147,19 @@ def _grid(text):
 
 
 def _build_spec(args) -> EnsembleSpec:
+    # The spec would reject these too, but only once the base is read.
+    if args.zero_diagonal and args.ensemble in BASE_KINDS:
+        raise ValueError(f"{args.ensemble} takes no --zero-diagonal: its base sets the diagonal")
     base = None
-    if getattr(args, "base", None):
+    if args.base:
         if args.ensemble not in BASE_KINDS:
-            # The spec would reject the base too, but only once it is read.
             raise ValueError(f"{args.ensemble} takes no base matrix")
         base = _load_matrix(args.base)
     return EnsembleSpec(
         kind=args.ensemble,
         n=args.n,
         d=args.d or 0,
-        zero_diagonal=bool(getattr(args, "zero_diagonal", False)),
+        zero_diagonal=args.zero_diagonal,
         seed=args.seed,
         base=base,
     )
@@ -185,6 +189,15 @@ def cmd_gen(args, actions: dict) -> int:
     return EXIT_OK
 
 
+def _write_or_print(report: dict, out) -> None:
+    """The report as JSON, written to the file ``out`` or, without one, printed."""
+    text = json.dumps(report, sort_keys=True)
+    if out:
+        Path(out).write_text(text)
+    else:
+        print(text)
+
+
 def cmd_analyze(args, actions: dict) -> int:
     manifest = _apply_manifest(args, actions)
     if args.delta is not None and args.d is None:
@@ -194,11 +207,12 @@ def cmd_analyze(args, actions: dict) -> int:
     with np.errstate(over="raise", divide="raise", invalid="raise"):
         u = column_sums(M)
         v = row_sums(M)
+        s = singular_values(M)
         report = {
             "manifest": manifest,
             "n": M.n,
-            "s1": spectral_norm(M),
-            "s2": second_singular(M),
+            "s1": float(s[0]),
+            "s2": float(s[1]) if s.size > 1 else 0.0,
             "u": u.tolist(),
             "v": v.tolist(),
         }
@@ -215,11 +229,7 @@ def cmd_analyze(args, actions: dict) -> int:
                     report["scaling"] = dataclasses.asdict(scaling_reduction(M, args.d, delta))
                 except (ValueError, RuntimeError, FloatingPointError) as e:
                     report["scaling_error"] = str(e)
-    text = json.dumps(report, sort_keys=True)
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
-        print(text)
+    _write_or_print(report, args.out)
     return EXIT_OK
 
 
@@ -227,12 +237,7 @@ def cmd_verify(args, actions: dict) -> int:
     manifest = _apply_manifest(args, actions)
     records = verify_mod.run_suite(args.suite, seed=args.seed)
     passed = all(r["passed"] for r in records)
-    report = {"manifest": manifest, "records": records, "passed": passed}
-    text = json.dumps(report, sort_keys=True)
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
-        print(text)
+    _write_or_print({"manifest": manifest, "records": records, "passed": passed}, args.out)
     return EXIT_OK if passed else EXIT_ASSERT
 
 
@@ -254,54 +259,39 @@ def cmd_tail(args, actions: dict) -> int:
             raise ValueError(f"tail {comparison} takes no --{dest.replace('_', '-')}")
     out = Path(args.out)
     grid = _grid(args.grid)
+    spec = None if comparison == "corner-capture" else _build_spec(args)
+    params = None if args.delta is None else RegularityParams(d=float(args.d), delta=args.delta)
 
     if comparison == "corner-capture":
         if not args.matrix:
             raise ValueError("corner-capture requires --matrix")
-        M = _load_matrix(args.matrix)
-        res = corner_capture_fraction(M, trials=args.trials, seed=args.seed)
-        payload = {
-            "manifest": manifest,
-            "c_grid": res["c_grid"].tolist(),
-            "p_hat": res["p_hat"].tolist(),
-            "ci": res["ci"].tolist(),
-            "best_c": res["best_c"],
-            "m_norm": res["m_norm"],
-        }
-        lines = ["c,p_hat,ci"]
-        for c, p, ci in zip(res["c_grid"], res["p_hat"], res["ci"]):
-            lines.append(",".join(repr(float(x)) for x in (c, p, ci)))
-        _write_outputs(out, {"curve.json": json.dumps(payload, sort_keys=True),
-                             "curve.csv": "\n".join(lines) + "\n"})
-        print(json.dumps({"best_c": res["best_c"]}))
-        return EXIT_OK
+        res = corner_capture_fraction(_load_matrix(args.matrix), trials=args.trials,
+                                      seed=args.seed)
+        result = {k: res[k] for k in ("c_grid", "p_hat", "ci", "best_c", "m_norm")}
+        files = {"curve.csv": csv_text(zip(res["c_grid"], res["p_hat"], res["ci"]),
+                                       ("c", "p_hat", "ci"))}
+        summary, ok = json.dumps({"best_c": res["best_c"]}), True
+    elif comparison == "degree-event":
+        result = corner_degree_event_frequency(spec, params, trials=args.trials)
+        files = {}
+        summary, ok = json.dumps({"p_E": result["p_E"], "ci": result["ci"]}), True
+    else:
+        if comparison == "norm":  # with the corner-degree event when given --delta
+            curve = norm_tail_curve(spec, c=args.c, trials=args.trials, thresholds=grid,
+                                    event=params)
+        elif comparison == "s2":
+            L_grid = grid if grid else list(range(2, 41, 2))
+            curve = s2_tail_curve(spec, params, L_grid, trials=args.trials, c=args.c)
+        else:  # blocks
+            curve = block_bound_curve(spec, trials=args.trials, thresholds=grid)
+        result, files = curve.to_dict(), {"curve.csv": curve.to_csv()}
+        ok = curve.all_hold()
+        summary = json.dumps({"all_hold": ok, "meta": curve.meta}, sort_keys=True)
 
-    spec = _build_spec(args)
-    if comparison == "degree-event":
-        params = RegularityParams(d=float(args.d), delta=args.delta)
-        res = corner_degree_event_frequency(spec, params, trials=args.trials)
-        payload = {"manifest": manifest, **res}
-        _write_outputs(out, {"curve.json": json.dumps(payload, sort_keys=True)})
-        print(json.dumps({"p_E": res["p_E"], "ci": res["ci"]}))
-        return EXIT_OK
-
-    if comparison == "norm":
-        event = None
-        if args.delta is not None:
-            event = RegularityParams(d=float(args.d), delta=args.delta)
-        curve = norm_tail_curve(spec, c=args.c, trials=args.trials, thresholds=grid, event=event)
-    elif comparison == "s2":
-        params = RegularityParams(d=float(args.d), delta=args.delta)
-        L_grid = grid if grid else list(range(2, 41, 2))
-        curve = s2_tail_curve(spec, params, L_grid, trials=args.trials, c=args.c)
-    else:  # blocks
-        curve = block_bound_curve(spec, trials=args.trials, thresholds=grid)
-
-    payload = {"manifest": manifest, **curve.to_dict()}
-    _write_outputs(out, {"curve.json": json.dumps(payload, sort_keys=True),
-                         "curve.csv": curve.to_csv()})
-    print(json.dumps({"all_hold": curve.all_hold(), "meta": curve.meta}, sort_keys=True))
-    return EXIT_OK if curve.all_hold() else EXIT_ASSERT
+    payload = {"manifest": manifest, **json_ready(result)}
+    _write_outputs(out, {"curve.json": json.dumps(payload, sort_keys=True), **files})
+    print(summary)
+    return EXIT_OK if ok else EXIT_ASSERT
 
 
 def build_parser() -> argparse.ArgumentParser:

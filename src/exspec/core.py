@@ -33,6 +33,9 @@ __all__ = [
     "abs_sums",
     "column_sums",
     "row_sums",
+    "csv_text",
+    "json_ready",
+    "matrix_to_dict",
     "matrix_to_json",
     "matrix_from_json",
     "matrix_to_csv",
@@ -189,12 +192,28 @@ def row_sums(M) -> np.ndarray:
 # --- serialization -------------------------------------------------------
 #
 # JSON uses Python's shortest round-trip float repr, so dump -> load is
-# bit-exact. CSV is one row per line, same float formatting.
+# bit-exact. CSV is one row per line, same float formatting (csv_text).
+
+def csv_text(rows, header=()) -> str:
+    """One line per row of numbers, each in the float repr above, under an
+    optional header line of column names."""
+    lines = [",".join(header)] if header else []
+    lines += [",".join(repr(float(x)) for x in row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def json_ready(obj: dict) -> dict:
+    """``obj`` with every numpy array as a (nested) list, for json.dumps."""
+    return {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in obj.items()}
+
+
+def matrix_to_dict(M: SquareMatrix) -> dict:
+    """The JSON object of a matrix: ``n``, ``zero_diagonal`` and ``entries``."""
+    return {"n": M.n, "zero_diagonal": M.zero_diagonal, "entries": M.entries.tolist()}
+
 
 def matrix_to_json(M: SquareMatrix) -> str:
-    return json.dumps(
-        {"n": M.n, "zero_diagonal": M.zero_diagonal, "entries": M.entries.tolist()}
-    )
+    return json.dumps(matrix_to_dict(M))
 
 
 def matrix_from_json(text: str) -> SquareMatrix:
@@ -222,8 +241,7 @@ def matrix_from_json(text: str) -> SquareMatrix:
 
 
 def matrix_to_csv(M: SquareMatrix) -> str:
-    lines = [",".join(repr(float(x)) for x in row) for row in M.entries]
-    return "\n".join(lines) + "\n"
+    return csv_text(M.entries)
 
 
 def _csv_rows_by_line(text: str) -> np.ndarray:

@@ -39,13 +39,12 @@ regular_digraph draws its relabeling from the generator after its last
 candidate, so it draws candidates one at a time.
 """
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SparseStack, SquareMatrix, matrix_to_json
+from .core import SparseStack, SquareMatrix, matrix_to_dict
 from .rng import stream
 
 __all__ = [
@@ -86,19 +85,21 @@ class EnsembleSpec:
                 raise ValueError(f"{self.kind} requires a base matrix")
             if self.base.n != self.n:
                 raise ValueError("base matrix dimension does not match n")
+            if self.zero_diagonal:  # the base alone decides the samples' diagonal
+                raise ValueError(f"{self.kind} takes no zero_diagonal flag")
         elif self.base is not None:
             # Estimators read ``base is not None`` as "relabels a fixed base".
             raise ValueError(f"{self.kind} takes no base matrix")
 
     def to_dict(self) -> dict:
-        """The spec as JSON-ready values; the base as matrix_to_json's object."""
+        """The spec as JSON-ready values; the base as matrix_to_dict's object."""
         return {
             "kind": self.kind,
             "n": self.n,
             "d": self.d,
             "zero_diagonal": self.zero_diagonal,
             "seed": self.seed,
-            "base": None if self.base is None else json.loads(matrix_to_json(self.base)),
+            "base": None if self.base is None else matrix_to_dict(self.base),
         }
 
 

@@ -1,8 +1,9 @@
 """Monte Carlo harness for the norm-vs-corner tail comparisons.
 
 The universal constants in the comparisons are never given numerically, so
-the harness treats them as outputs: each curve is estimated on a grid and
-the strongest constant consistent with the data is reported. Assertion-style
+the harness treats them as outputs: each curve is estimated on one grid of
+constants, C_GRID (0.01 to 1.00 in steps of 0.01), and the strongest
+constant consistent with the data is reported as best_c. Assertion-style
 use (CI suites) should pass a conservative fixed c such as 0.01.
 
 Trial i of an estimator is sample i of its ensemble, so every estimator is
@@ -48,17 +49,18 @@ statistic within RTOL |tau| below a threshold tau reaches it, so a count
 does not depend on the last bits of the kernel.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SparseStack, SquareMatrix, max_l2
+from .core import SparseStack, SquareMatrix, csv_text, json_ready, max_l2
 from .degrees import HYPOTHESIS_C, RegularityParams, corner_degree_events
 from .ensembles import EnsembleSpec, relabeled_entries, relabeling, sample, table_entries
 from .spectra import RTOL, lanczos_pays, lanczos_steps, singular_value, spectral_norm
 
 __all__ = [
     "TailCurve",
+    "C_GRID",
     "wilson_halfwidth",
     "corner_capture_fraction",
     "norm_tail_curve",
@@ -94,42 +96,18 @@ class TailCurve:
     trials: int
     seed: int
     c: float
-    holds: np.ndarray = field(default_factory=lambda: np.array([], dtype=bool))
-    meta: dict = field(default_factory=dict)
+    holds: np.ndarray
+    meta: dict
 
     def all_hold(self) -> bool:
         return bool(np.all(self.holds))
 
     def to_dict(self) -> dict:
-        return {
-            "thresholds": self.thresholds.tolist(),
-            "p_left": self.p_left.tolist(),
-            "p_right": self.p_right.tolist(),
-            "ci_left": self.ci_left.tolist(),
-            "ci_right": self.ci_right.tolist(),
-            "trials": self.trials,
-            "seed": self.seed,
-            "c": self.c,
-            "holds": [bool(h) for h in self.holds],
-            "meta": self.meta,
-        }
+        return json_ready(vars(self))
 
     def to_csv(self) -> str:
-        lines = ["tau,p_left,ci_left,p_right,ci_right"]
-        for i in range(self.thresholds.size):
-            lines.append(
-                ",".join(
-                    repr(float(v))
-                    for v in (
-                        self.thresholds[i],
-                        self.p_left[i],
-                        self.ci_left[i],
-                        self.p_right[i],
-                        self.ci_right[i],
-                    )
-                )
-            )
-        return "\n".join(lines) + "\n"
+        return csv_text(zip(self.thresholds, self.p_left, self.ci_left, self.p_right,
+                            self.ci_right), ("tau", "p_left", "ci_left", "p_right", "ci_right"))
 
 
 # Stacked floats per chunk of trials (1 MiB, like subset.TABLE_ENTRIES). A
@@ -241,10 +219,9 @@ def _norms(spec: EnsembleSpec, trials: int, thresholds):
     return np.full(trials, m_norm), np.asarray(thresholds, dtype=np.float64)
 
 
-def _c_grid(c_grid) -> np.ndarray:
-    if c_grid is None:
-        return np.round(np.arange(0.01, 1.001, 0.01), 2)
-    return np.asarray(c_grid, dtype=np.float64)
+# The constants every best_c is read from; read-only, as callers get it back.
+C_GRID = np.round(np.arange(0.01, 1.001, 0.01), 2)
+C_GRID.setflags(write=False)
 
 
 def _tail_probs(stat: np.ndarray, thresholds: np.ndarray):
@@ -259,16 +236,16 @@ def _tail_probs(stat: np.ndarray, thresholds: np.ndarray):
     return hits / trials, wilson_halfwidth(hits, trials)
 
 
-def _compare(left: np.ndarray, right: np.ndarray, thresholds: np.ndarray, c: float, c_grid):
+def _compare(left: np.ndarray, right: np.ndarray, thresholds: np.ndarray, c: float):
     """P{left >= tau} against (1/c) P{right >= c tau} at every threshold tau.
 
     Returns the TailCurve columns p_left, ci_left, p_right, ci_right and
-    holds, and best_c: the largest grid constant at which the comparison
-    holds at every threshold.
+    holds, and best_c: the largest constant of C_GRID at which the
+    comparison holds at every threshold.
     """
     p_left, ci_left = _tail_probs(left, thresholds)
     # Row 0 compares at c, row k at the k-th grid constant.
-    cs = np.concatenate([[c], _c_grid(c_grid)])[:, None]
+    cs = np.concatenate([[c], C_GRID])[:, None]
     p_right, ci_right = _tail_probs(right, cs * thresholds)
     holds = p_left <= p_right / cs + ci_left + ci_right / cs
     best_c = max([0.0] + cs[1:, 0][holds[1:].all(axis=1)].tolist())
@@ -277,8 +254,8 @@ def _compare(left: np.ndarray, right: np.ndarray, thresholds: np.ndarray, c: flo
     return columns, best_c
 
 
-def corner_capture_fraction(M: SquareMatrix, trials: int, seed: int = 0, c_grid=None) -> dict:
-    """P_sigma{ ||T(sigma)|| >= c ||M|| } over a grid of c for one fixed M.
+def corner_capture_fraction(M: SquareMatrix, trials: int, seed: int = 0) -> dict:
+    """P_sigma{ ||T(sigma)|| >= c ||M|| } at every c of C_GRID for one fixed M.
 
     Requires n >= 8 and zero diagonal (the hypotheses of the corner-capture
     statement). best_c is the largest grid value whose estimated probability
@@ -288,15 +265,14 @@ def corner_capture_fraction(M: SquareMatrix, trials: int, seed: int = 0, c_grid=
         raise ValueError("the corner-capture statement assumes n >= 8")
     if np.any(np.diag(M.entries) != 0.0):
         raise ValueError("the corner-capture statement assumes zero diagonal")
-    c_grid = _c_grid(c_grid)
     m_norm = spectral_norm(M)
     spec = EnsembleSpec("permuted_base", M.n, seed=seed, base=M)
     (t_norms,) = _run_trials(spec, trials, [_corner(M.n)], lambda T: (singular_value(T, 0),))
-    p_hat, ci = _tail_probs(t_norms, c_grid * m_norm)
-    ok = p_hat >= c_grid - ci
-    best_c = float(c_grid[ok][-1]) if np.any(ok) else 0.0
+    p_hat, ci = _tail_probs(t_norms, C_GRID * m_norm)
+    ok = p_hat >= C_GRID - ci
+    best_c = float(C_GRID[ok][-1]) if np.any(ok) else 0.0
     return {
-        "c_grid": c_grid,
+        "c_grid": C_GRID,
         "p_hat": p_hat,
         "ci": ci,
         "best_c": best_c,
@@ -311,7 +287,6 @@ def norm_tail_curve(
     trials: int,
     thresholds=None,
     event: RegularityParams | None = None,
-    c_grid=None,
 ) -> TailCurve:
     """Tail comparison P{||M|| >= tau} vs (1/c) P{||T|| >= c tau AND event}.
 
@@ -332,7 +307,7 @@ def norm_tail_curve(
 
     t_norms, events = _run_trials(spec, trials, [_corner(n)], finish)
     m_norms, thresholds = _norms(spec, trials, thresholds)
-    columns, best_c = _compare(m_norms, np.where(events, t_norms, -np.inf), thresholds, c, c_grid)
+    columns, best_c = _compare(m_norms, np.where(events, t_norms, -np.inf), thresholds, c)
     return TailCurve(
         thresholds=thresholds, **columns, trials=trials, seed=spec.seed, c=c,
         meta={
@@ -356,8 +331,8 @@ def block_bound_curve(spec: EnsembleSpec, trials: int, thresholds=None) -> TailC
     (b_norms,) = _run_trials(spec, trials, [(slice(0, m), slice(m, spec.n))],
                              lambda B: (singular_value(B, 0),))
     m_norms, thresholds = _norms(spec, trials, thresholds)
-    # The norm comparison at c = 1/4, with no constant sweep.
-    columns, _ = _compare(m_norms, b_norms, thresholds, 0.25, c_grid=[])
+    # The norm comparison at c = 1/4; the bound names its constant, so no best_c.
+    columns, _ = _compare(m_norms, b_norms, thresholds, 0.25)
     return TailCurve(thresholds=thresholds, **columns, trials=trials, seed=spec.seed, c=0.25,
                      meta={"comparison": "four_block_triangle"})
 
@@ -397,7 +372,6 @@ def s2_tail_curve(
     L_grid,
     trials: int,
     c: float = 0.01,
-    c_grid=None,
 ) -> TailCurve:
     """Second-singular-value comparison for doubly regular ensembles:
 
@@ -421,7 +395,7 @@ def s2_tail_curve(
 
     s2A, s2T, members = _run_trials(spec, trials, blocks, finish)
     thresholds = np.asarray(L_grid, dtype=np.float64) * params.delta
-    columns, best_c = _compare(s2A, np.where(members, s2T, -np.inf), thresholds, c, c_grid)
+    columns, best_c = _compare(s2A, np.where(members, s2T, -np.inf), thresholds, c)
     return TailCurve(
         thresholds=thresholds, **columns, trials=trials, seed=spec.seed, c=c,
         meta={

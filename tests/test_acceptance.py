@@ -31,7 +31,7 @@ from exspec.subset import (
     fourth_moment_bound,
     second_moment_exact,
 )
-from exspec.tails import block_bound_curve, corner_capture_fraction, norm_tail_curve
+from exspec.tails import C_GRID, block_bound_curve, corner_capture_fraction, norm_tail_curve
 
 
 def report(name: str, ok: bool, detail: str = ""):
@@ -140,9 +140,9 @@ def test_criterion_06_corner_capture_desk_scale():
     E = np.zeros((8, 8))
     E[0, 1] = 1.0
     M = SquareMatrix(E, zero_diagonal=True)
-    res = corner_capture_fraction(M, trials=100000, seed=105, c_grid=[1.0])
+    res = corner_capture_fraction(M, trials=100000, seed=105)
     exact = 16.0 / 56.0
-    gap = abs(res["p_hat"][0] - exact)
+    gap = abs(res["p_hat"][list(C_GRID).index(1.0)] - exact)
     ok1 = gap <= 0.01
 
     rng = stream(106)
@@ -166,7 +166,7 @@ def test_criterion_07_norm_tail_comparison():
     spec = EnsembleSpec(kind="perm_sum_regular", n=64, d=4, zero_diagonal=True, seed=108)
     curve = norm_tail_curve(
         spec, c=0.01, trials=10000,
-        event=RegularityParams(d=4.0, delta=2.0), c_grid=[0.01],
+        event=RegularityParams(d=4.0, delta=2.0),
     )
     # ||M|| = d for a doubly regular M, so its deciles are one threshold, d.
     one_threshold = curve.thresholds.tolist() == [4.0]

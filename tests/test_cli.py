@@ -516,6 +516,31 @@ def test_base_on_a_doubly_regular_kind_is_rejected_before_it_is_read(tmp_path, c
                 assert not out.exists()
 
 
+def test_zero_diagonal_on_a_base_kind_is_rejected_before_the_base_is_read(tmp_path, capsys):
+    # The base alone sets the diagonal of a relabeled sample, so the flag
+    # would be echoed into the manifest and have no effect. A missing base
+    # would be an I/O error (exit 3), had it been opened.
+    commands = {
+        "gen": ["gen", "--n", "8"],
+        "tail": ["tail", "norm", "--n", "8", "--trials", "2"],
+    }
+    for kind in ("permuted_base", "separately_exchangeable"):
+        for name, args in commands.items():
+            for base in (tmp_path / "missing.csv", _m8(tmp_path)):
+                out = tmp_path / f"{name}-{kind}-{base.stem}"
+                code, stdout, err = run_cli(
+                    [*args, "--ensemble", kind, "--base", str(base), "--zero-diagonal",
+                     "--out", str(out)], capsys
+                )
+                message = f"error: {kind} takes no --zero-diagonal: its base sets the diagonal\n"
+                assert (code, stdout, err) == (2, "", message)
+                assert not out.exists()
+    # regular_digraph samples always have zero diagonal; the flag stays accepted.
+    out = tmp_path / "digraph"
+    assert run_cli(["gen", "--ensemble", "regular_digraph", "--n", "8", "--d", "2",
+                    "--zero-diagonal", "--out", str(out)], capsys)[0] == 0
+
+
 def test_loading_a_csv_matrix_peaks_near_one_array(tmp_path):
     n = 512
     f = tmp_path / "base.csv"

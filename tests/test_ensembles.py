@@ -86,6 +86,11 @@ def test_spec_validation():
         EnsembleSpec(kind="permuted_base", n=5)
     with pytest.raises(ValueError, match="perm_sum_regular takes no base matrix"):
         EnsembleSpec(kind="perm_sum_regular", n=5, d=2, base=SquareMatrix(np.zeros((5, 5))))
+    for kind in ("permuted_base", "separately_exchangeable"):
+        with pytest.raises(ValueError, match=f"{kind} takes no zero_diagonal flag"):
+            EnsembleSpec(kind=kind, n=5, zero_diagonal=True, base=SquareMatrix(np.eye(5)))
+    # Its samples always have zero diagonal, so the flag is accepted and kept.
+    assert EnsembleSpec(kind="regular_digraph", n=5, d=2, zero_diagonal=True).zero_diagonal
 
 
 def test_rejection_cap_error():

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from exspec.cli import main
-from exspec.core import SquareMatrix, matrix_to_csv
+from exspec.core import SquareMatrix, matrix_to_csv, matrix_to_json
 
 TAIL = {
     "norm-perm-sum-delta": ["norm", "--ensemble", "perm_sum_regular", "--n", "64", "--d", "4",
@@ -60,9 +60,17 @@ def _regular32():
     return SquareMatrix(E, zero_diagonal=True)
 
 
-# Matrix files the tail runs read, written to the working directory so that
-# the paths echoed in the manifest are the same on every run.
-FILES = {"m8.csv": _zero_diagonal(8), "b10.csv": _zero_diagonal(10), "r32.csv": _regular32()}
+# Matrix files the runs read, written to the working directory so that the
+# paths echoed in the manifest are the same on every run. The JSON base
+# carries the zero-diagonal tag, which its relabeled samples keep.
+FILES = {"m8.csv": _zero_diagonal(8), "b10.csv": _zero_diagonal(10), "b10.json": _zero_diagonal(10),
+         "r32.csv": _regular32()}
+
+
+def _write_files(directory):
+    for file, M in FILES.items():
+        text = matrix_to_json(M) if file.endswith(".json") else matrix_to_csv(M)
+        (directory / file).write_text(text)
 
 GEN = {
     "gen-perm-sum": ["--ensemble", "perm_sum_regular", "--n", "13", "--d", "3",
@@ -71,6 +79,12 @@ GEN = {
                               "--count", "2", "--seed", "4"],
     "gen-digraph": ["--ensemble", "regular_digraph", "--n", "12", "--d", "3",
                     "--count", "3", "--seed", "5", "--format", "json"],
+    # The provenance sidecars embed the base through EnsembleSpec.to_dict.
+    "gen-permuted-base": ["--ensemble", "permuted_base", "--n", "10", "--base", "b10.json",
+                          "--count", "2", "--seed", "41", "--format", "json"],
+    "gen-separately-exchangeable": ["--ensemble", "separately_exchangeable", "--n", "10",
+                                    "--base", "b10.csv", "--count", "2", "--seed", "43",
+                                    "--format", "json"],
 }
 
 GOLDEN = {
@@ -103,12 +117,26 @@ GOLDEN = {
         "sample_0002.csv": "2f7642f668e0be71bd6d2f3c852f05313f4f50a847a8acec8ca4de79b4afcdcf",
         "sample_0002.provenance.json": "3c800d6fb8daa23ff03964b2b1f68407f6473f05c803ee0af7557c4a5742eaad",
     },
+    "gen-permuted-base": {
+        "manifest.json": "c117a2df8e221a1bf108094b784da7858a745aa08a8e2c16e9f8ced9aaf3bff3",
+        "sample_0000.json": "89074f88699d625cfcf99cbede8a94a99be6ed546c13e7bd719523cf1e347d4a",
+        "sample_0000.provenance.json": "e011608ee33a34a27d8ff7f37a10919673e8715a2ec5a7aace1e7dac50a2bda2",
+        "sample_0001.json": "e083b6c2e3807072bce3fb8d1f6b6961fece6d95be0b2bef180c3453a5b86193",
+        "sample_0001.provenance.json": "206bb5f82a3dfb80c407498c8fe75ea9068798b2c936291b53c5235300ac5c8e",
+    },
     "gen-perm-sum-diagonal": {
         "manifest.json": "5166c8e85f722c57446ef3314fd4da012b0348ee1e48f3df94c45301d0a477d3",
         "sample_0000.csv": "c25db06860cd3f104820077727b631cb49d7a890e0af34a6db1ac4ee504bc522",
         "sample_0000.provenance.json": "41a585966b4fc90ab349aac1801b891a0908e3c1c24b7ec8ae0a43c6756eb61a",
         "sample_0001.csv": "3e9243697aff789031572bf5e37671d615227e99bbfc66ac7eca8194187cff81",
         "sample_0001.provenance.json": "b3f8455e6425a4c66c800c23f661f249edd2c3d1876ef9ff2cae2e0734244658",
+    },
+    "gen-separately-exchangeable": {
+        "manifest.json": "9dfdd5e8f01cda2aa9805616981e1b9a5d4d5d3ae52e306ad72d0bbb7c30e3fd",
+        "sample_0000.json": "b8d0b25504ca7f97985051701c350a74b434e27643013274ffacd93f6cf1698f",
+        "sample_0000.provenance.json": "e8a69a39a1ad81e83648f663ad39e5dcf764a6e2288b97ef641d3ce1c329386a",
+        "sample_0001.json": "66aeb8c8db3bcf806f0c929ee379df71751fa7096d7b7da6c6ad047eb5805700",
+        "sample_0001.provenance.json": "57a58242ce1d9e2d5fe1cedc05c83b876639a9333678ae4a84845d16ade04834",
     },
     "norm-digraph": {
         "curve.csv": "307fa0300f3ac360faacbf2ecf607ded6907cb3abb08ca4045ea8ddf34e7ded5",
@@ -145,8 +173,7 @@ def _digests(out):
 @pytest.mark.parametrize("name", sorted(TAIL))
 def test_tail_output_bytes(name, tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    for file, M in FILES.items():
-        (tmp_path / file).write_text(matrix_to_csv(M))
+    _write_files(tmp_path)
     out = tmp_path / name
     assert main(["tail", *TAIL[name], "--out", str(out)]) == 0
     capsys.readouterr()
@@ -154,7 +181,9 @@ def test_tail_output_bytes(name, tmp_path, capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("name", sorted(GEN))
-def test_gen_output_bytes(name, tmp_path, capsys):
+def test_gen_output_bytes(name, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    _write_files(tmp_path)
     out = tmp_path / name
     assert main(["gen", *GEN[name], "--out", str(out)]) == 0
     capsys.readouterr()

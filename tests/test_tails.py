@@ -13,6 +13,7 @@ from exspec.ensembles import EnsembleSpec, relabeling, sample
 from exspec.rng import stream
 from exspec.spectra import RTOL, second_singular, singular_value, spectral_norm
 from exspec.tails import (
+    C_GRID,
     TailCurve,
     _compare,
     _corner,
@@ -53,7 +54,7 @@ def _scalar_tail_probs(stat, thresholds):
     return p, ci
 
 
-def _scalar_compare(left, right, thresholds, c, c_grid):
+def _scalar_compare(left, right, thresholds, c):
     """The reference comparison: one pass over the thresholds per constant."""
     p_left, ci_left = _scalar_tail_probs(left, thresholds)
 
@@ -62,7 +63,7 @@ def _scalar_compare(left, right, thresholds, c, c_grid):
         return p_right, ci_right, p_left <= p_right / cc + ci_left + ci_right / cc
 
     p_right, ci_right, holds = at(c)
-    best_c = max([0.0] + [float(cc) for cc in c_grid if np.all(at(cc)[2])])
+    best_c = max([0.0] + [float(cc) for cc in C_GRID if np.all(at(cc)[2])])
     return (p_left, ci_left, p_right, ci_right, holds), best_c
 
 
@@ -84,7 +85,7 @@ def test_wilson_halfwidths_match_the_scalar_bit_for_bit():
 
 def test_tail_probs_and_compare_match_the_scalar_loops():
     rng = stream(73)
-    c_grid = np.round(np.arange(0.01, 1.001, 0.01), 2)
+    assert C_GRID.tolist() == [k / 100 for k in range(1, 101)]
     for trials in (1, 2, 7, 100, 1000):
         # Few distinct values, so thresholds tie with many entries.
         left = rng.integers(0, 6, size=trials).astype(np.float64)
@@ -95,14 +96,13 @@ def test_tail_probs_and_compare_match_the_scalar_loops():
             for got, want in zip(_tail_probs(stat, thresholds),
                                  _scalar_tail_probs(stat, thresholds)):
                 assert got.tobytes() == want.tobytes()
-        for c in (0.05, 0.5, 1.0):
-            columns, best_c = _compare(left, right, thresholds, c, c_grid)
-            want, want_best = _scalar_compare(left, right, thresholds, c, c_grid)
+        for c in (0.05, 0.25, 0.5, 1.0):
+            columns, best_c = _compare(left, right, thresholds, c)
+            want, want_best = _scalar_compare(left, right, thresholds, c)
             got = [columns[k] for k in ("p_left", "ci_left", "p_right", "ci_right", "holds")]
             assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
             assert best_c == want_best
-    columns, best_c = _compare(left, right, thresholds, 0.25, [])
-    assert best_c == 0.0 and columns["p_right"].shape == thresholds.shape
+            assert columns["p_right"].shape == thresholds.shape
 
 
 def test_tail_counts_do_not_hang_on_rounding():
@@ -141,9 +141,10 @@ def test_corner_capture_single_entry_exact():
     # corner is 4x4 out of 56 ordered off-diagonal cells, so the probability
     # is 16/56.
     M = _single_entry_matrix(8)
-    res = corner_capture_fraction(M, trials=40000, seed=73, c_grid=[1.0])
+    res = corner_capture_fraction(M, trials=40000, seed=73)
+    at_1 = list(C_GRID).index(1.0)
     exact = 16.0 / 56.0
-    assert abs(res["p_hat"][0] - exact) <= 3 * res["ci"][0]
+    assert abs(res["p_hat"][at_1] - exact) <= 3 * res["ci"][at_1]
     assert res["m_norm"] == pytest.approx(1.0)
 
 
@@ -167,8 +168,8 @@ def test_corner_capture_validation():
 
 def test_corner_capture_reproducible():
     M = _single_entry_matrix(8)
-    a = corner_capture_fraction(M, trials=500, seed=75, c_grid=[0.5, 1.0])
-    b = corner_capture_fraction(M, trials=500, seed=75, c_grid=[0.5, 1.0])
+    a = corner_capture_fraction(M, trials=500, seed=75)
+    b = corner_capture_fraction(M, trials=500, seed=75)
     assert np.array_equal(a["p_hat"], b["p_hat"])
     assert a["best_c"] == b["best_c"]
 
@@ -462,7 +463,7 @@ def test_engine_matches_per_trial_reference(monkeypatch, cap):
             for ev, right in ((None, ref["t"]), (event, ev_stat)):
                 stats.clear()
                 curve = norm_tail_curve(spec, c=1.0, trials=trials,
-                                        thresholds=thresholds, event=ev, c_grid=[0.5, 1.0])
+                                        thresholds=thresholds, event=ev)
                 assert stats[0].tobytes() == np.full(trials, m_norm).tobytes()
                 assert stats[1].tobytes() == right.tobytes()
                 p_right, ci_right = real_tail_probs(right, thresholds)
@@ -499,16 +500,17 @@ def test_engine_matches_per_trial_reference(monkeypatch, cap):
         assert curve.meta["member_fraction"] == float(np.mean(ref["member"]))
 
     M = _engine_specs(n)[0][0].base
-    res = corner_capture_fraction(M, trials=trials, seed=seed, c_grid=[0.3, 0.5, 0.7])
+    res = corner_capture_fraction(M, trials=trials, seed=seed)
     ref_t = []
     for i in range(trials):
         s = stream(seed, i).permutation(n)
         ref_t.append(_one(M.entries[np.ix_(s, s)][: n // 2, n - n // 2:], 0))
     ref_t = np.array(ref_t)
     assert res["corner_norms"].tobytes() == ref_t.tobytes()
-    p_hat, ci = real_tail_probs(ref_t, np.array([0.3, 0.5, 0.7]) * spectral_norm(M))
-    assert res["p_hat"].tobytes() == p_hat.tobytes()
-    assert res["ci"].tobytes() == ci.tobytes()
+    at = [list(C_GRID).index(c) for c in (0.3, 0.5, 0.7)]
+    p_hat, ci = real_tail_probs(ref_t, C_GRID[at] * spectral_norm(M))
+    assert res["p_hat"][at].tobytes() == p_hat.tobytes()
+    assert res["ci"][at].tobytes() == ci.tobytes()
 
 
 # --- ||M|| = d for the doubly regular kinds ---------------------------------
