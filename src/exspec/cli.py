@@ -25,14 +25,13 @@ import numpy as np
 from . import verify as verify_mod
 from .core import (
     SquareMatrix,
-    column_sums,
+    abs_sums,
     csv_text,
     json_ready,
     matrix_from_csv_file,
     matrix_from_json,
     matrix_to_csv,
     matrix_to_json,
-    row_sums,
 )
 from .degrees import RegularityParams, deg_membership
 from .ensembles import BASE_KINDS, KINDS, EnsembleSpec, sample
@@ -51,16 +50,24 @@ EXIT_ASSERT = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
 
-# The flags each tail comparison does not read. The manifest echoes every
-# flag, so each of these is accepted at its default, and only there: an
-# echoed manifest then reruns the command, and no other value is ignored.
+# The flags a command or tail comparison does not read. The manifest echoes
+# every flag, so each of these is accepted at its default, and only there:
+# an echoed manifest then reruns the command, and no other value is ignored.
 UNREAD = {
-    "norm": ("matrix",),
-    "s2": ("matrix",),
-    "blocks": ("delta", "c", "matrix"),
-    "degree-event": ("c", "grid", "matrix"),
-    "corner-capture": ("ensemble", "n", "d", "zero_diagonal", "base", "delta", "c", "grid"),
+    "analyze": ("seed",),
+    "tail norm": ("matrix",),
+    "tail s2": ("matrix",),
+    "tail blocks": ("delta", "c", "matrix"),
+    "tail degree-event": ("c", "grid", "matrix"),
+    "tail corner-capture": ("ensemble", "n", "d", "zero_diagonal", "base", "delta", "c", "grid"),
 }
+
+
+def _reject_unread(args, actions: dict, command: str) -> None:
+    """ValueError for the first flag in UNREAD[command] set off its default."""
+    for dest in UNREAD[command]:
+        if getattr(args, dest) != actions[dest].default:
+            raise ValueError(f"{command} takes no --{dest.replace('_', '-')}")
 
 
 def _load_matrix(path: str) -> SquareMatrix:
@@ -150,6 +157,9 @@ def _build_spec(args) -> EnsembleSpec:
     # The spec would reject these too, but only once the base is read.
     if args.zero_diagonal and args.ensemble in BASE_KINDS:
         raise ValueError(f"{args.ensemble} takes no --zero-diagonal: its base sets the diagonal")
+    # Only the corner-degree event (--delta) reads d on a base kind.
+    if args.d and args.ensemble in BASE_KINDS and getattr(args, "delta", None) is None:
+        raise ValueError(f"{args.ensemble} takes no --d: its base sets the samples")
     base = None
     if args.base:
         if args.ensemble not in BASE_KINDS:
@@ -200,13 +210,13 @@ def _write_or_print(report: dict, out) -> None:
 
 def cmd_analyze(args, actions: dict) -> int:
     manifest = _apply_manifest(args, actions)
+    _reject_unread(args, actions, "analyze")
     if args.delta is not None and args.d is None:
         raise ValueError("analyze --delta requires --d")
     M = _load_matrix(args.matrix)
     # A value beyond float64 is a usage error (FloatingPointError), not inf or nan.
     with np.errstate(over="raise", divide="raise", invalid="raise"):
-        u = column_sums(M)
-        v = row_sums(M)
+        u, v = abs_sums(M)
         s = singular_values(M)
         report = {
             "manifest": manifest,
@@ -254,9 +264,7 @@ def cmd_tail(args, actions: dict) -> int:
     comparison = args.comparison
     if comparison in ("s2", "degree-event") and args.delta is None:
         raise ValueError(f"tail {comparison} requires --delta")
-    for dest in UNREAD[comparison]:
-        if getattr(args, dest) != actions[dest].default:
-            raise ValueError(f"tail {comparison} takes no --{dest.replace('_', '-')}")
+    _reject_unread(args, actions, f"tail {comparison}")
     out = Path(args.out)
     grid = _grid(args.grid)
     spec = None if comparison == "corner-capture" else _build_spec(args)

@@ -9,6 +9,11 @@ dense (count, rows, cols) array, or a ``SparseStack`` of its nonzeros;
 ``SparseStack.block`` cuts a block from such a stack, and ``max_l2`` reads
 its largest row and column l2 norms.
 
+Each row-and-column reduction has one definition here: ``abs_sums``, the
+l1 margins of a matrix or a stack, and ``SparseStack.sums``, the per-member
+row and column totals that ``abs_sums``, ``max_l2`` and the Lanczos kernel
+read from a sparse stack.
+
 A CSV matrix file is read in one pass into one n x n array
 (``matrix_from_csv_file``): its lines, decoded as ASCII with universal
 newlines, go straight to ``np.loadtxt``, and the matrix takes over the
@@ -31,8 +36,6 @@ __all__ = [
     "SparseStack",
     "max_l2",
     "abs_sums",
-    "column_sums",
-    "row_sums",
     "csv_text",
     "json_ready",
     "matrix_to_dict",
@@ -121,6 +124,16 @@ class SparseStack:
         counts = np.bincount(flat, self.value, count * rows * cols)
         return counts.astype(np.float64, copy=False).reshape(self.shape)
 
+    def sums(self, weights=None):
+        """Each member's (rows,) row and (cols,) column totals of ``weights``,
+        one per entry; without weights, its entries per row and column."""
+        count, rows, cols = self.shape
+        r = np.bincount(self.member * rows + self.row, weights, count * rows)
+        c = np.bincount(self.member * cols + self.col, weights, count * cols)
+        if weights is not None:  # weighted, and still integers when there are no entries
+            r, c = r.astype(np.float64, copy=False), c.astype(np.float64, copy=False)
+        return r.reshape(count, rows), c.reshape(count, cols)
+
     def transpose(self) -> "SparseStack":
         count, rows, cols = self.shape
         return SparseStack((count, cols, rows), self.member, self.col, self.row, self.value)
@@ -159,34 +172,19 @@ def max_l2(stack: SparseStack) -> np.ndarray:
     position, at = np.unique(flat, return_inverse=True)
     squares = np.bincount(at, stack.value, position.size) ** 2
     member, rest = np.divmod(position, rows * cols)
-    row, col = np.divmod(rest, cols)
-    r = np.bincount(member * rows + row, squares, count * rows).reshape(count, rows)
-    c = np.bincount(member * cols + col, squares, count * cols).reshape(count, cols)
-    return np.sqrt(np.maximum(r.max(axis=1), c.max(axis=1)).astype(np.float64))
+    r, c = SparseStack(stack.shape, member, *np.divmod(rest, cols), squares).sums(squares)
+    return np.sqrt(np.maximum(r.max(axis=1), c.max(axis=1)))
 
 
-def abs_sums(stack):
-    """Column sums u and row sums v of |E| for each matrix E of a dense or
-    sparse (count, rows, cols) stack: (count, cols) and (count, rows)."""
-    if not isinstance(stack, SparseStack):
-        A = np.abs(stack)
-        return A.sum(axis=1), A.sum(axis=2)
-    count, rows, cols = stack.shape
-    a = np.abs(stack.value)
-    u = np.bincount(stack.member * cols + stack.col, a, count * cols)
-    v = np.bincount(stack.member * rows + stack.row, a, count * rows)
-    return (u.astype(np.float64, copy=False).reshape(count, cols),
-            v.astype(np.float64, copy=False).reshape(count, rows))
-
-
-def column_sums(M) -> np.ndarray:
-    """u_i = l1 norm of column i (plain sum for nonnegative matrices)."""
-    return np.abs(as_entries(M)).sum(axis=0)
-
-
-def row_sums(M) -> np.ndarray:
-    """v_i = l1 norm of row i."""
-    return np.abs(as_entries(M)).sum(axis=1)
+def abs_sums(M):
+    """Column sums u and row sums v of |E|: of one matrix E (a SquareMatrix
+    or an array), or of each matrix of a dense or sparse (count, rows, cols)
+    stack, then (count, cols) and (count, rows)."""
+    if isinstance(M, SparseStack):
+        v, u = M.sums(np.abs(M.value))
+        return u, v
+    A = np.abs(as_entries(M))
+    return A.sum(axis=-2), A.sum(axis=-1)
 
 
 # --- serialization -------------------------------------------------------

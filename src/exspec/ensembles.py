@@ -17,16 +17,16 @@ Kinds:
                            rejection of repeated edges, then a uniform
                            relabeling to make the law exchangeable
 
-A sample of a base kind is described by its relabeling (``relabeling``). A
+The facts about each kind live here, so the engine in ``tails`` names none:
+``EnsembleSpec.zero_diagonal_samples``, ``EnsembleSpec.row_nonzeros``, and
+a base kind's sample as its row and column permutations (``relabeling``). A
 sample of a doubly regular kind is its (d, n) permutation table Q
 (``sample(spec, index, table=True)``): A = sum_j P(q_j), that is
-A[i, Q[j, i]] += 1 for every j and i. ``table_entries`` gives the
-matrices of a stack of tables as a ``core.SparseStack`` of the pairs
-(i, Q[j, i]), and ``relabeled_entries`` gives relabeled bases from the
-base's nonzero entries: whole n x n samples, whose blocks the caller cuts
-with ``SparseStack.block``, so that a large sparse block reaches the
-Lanczos kernel without a dense array. ``dense()`` scatters a stack with one
-``bincount``, and ``sample`` densifies a table the same way.
+A[i, Q[j, i]] += 1 for every j and i. ``table_entries`` gives a stack of
+tables as a ``core.SparseStack`` of the pairs (i, Q[j, i]), and
+``relabeled_entries`` gives relabeled bases from the base's nonzero
+entries: whole n x n samples, whose blocks the caller cuts with
+``SparseStack.block``. ``dense()`` scatters a stack with one ``bincount``.
 
 Every sample of index i draws from its own generator ``stream(spec.seed,
 i)``. perm_sum_regular draws its candidate permutations in batches with one
@@ -90,6 +90,24 @@ class EnsembleSpec:
         elif self.base is not None:
             # Estimators read ``base is not None`` as "relabels a fixed base".
             raise ValueError(f"{self.kind} takes no base matrix")
+
+    @property
+    def row_nonzeros(self) -> float:
+        """Mean entries per row of a sample's entry stack: d, or nnz(B) / n."""
+        return self.d if self.base is None else self.base.nonzeros[0].size / self.n
+
+    @property
+    def zero_diagonal_samples(self) -> bool:
+        """Whether every sample has zero diagonal (a joint relabeling keeps B's)."""
+        if self.base is None:
+            return self.zero_diagonal or self.kind == "regular_digraph"
+        E = self.base.entries
+        return not np.any(np.diag(E) if self.kind == "permuted_base" else E)
+
+    @classmethod
+    def permuted(cls, M: SquareMatrix, seed: int = 0) -> "EnsembleSpec":
+        """The permuted_base ensemble of M: sigma(M) for a uniform sigma."""
+        return cls("permuted_base", M.n, seed=seed, base=M)
 
     def to_dict(self) -> dict:
         """The spec as JSON-ready values; the base as matrix_to_dict's object."""
@@ -186,12 +204,9 @@ def relabeled_entries(triples, rows: np.ndarray, cols: np.ndarray) -> SparseStac
     i, j, value = triples
     count, n = rows.shape
     positions = np.broadcast_to(np.arange(n), rows.shape)
-    inverse_rows = np.empty_like(rows)
+    inverse_rows, inverse_cols = np.empty_like(rows), np.empty_like(cols)
     np.put_along_axis(inverse_rows, rows, positions, axis=1)
-    inverse_cols = inverse_rows
-    if cols is not rows:
-        inverse_cols = np.empty_like(cols)
-        np.put_along_axis(inverse_cols, cols, positions, axis=1)
+    np.put_along_axis(inverse_cols, cols, positions, axis=1)
     return SparseStack((count, n, n), np.repeat(np.arange(count), i.size),
                        inverse_rows[:, i].reshape(-1), inverse_cols[:, j].reshape(-1),
                        np.tile(value, count))
@@ -235,4 +250,4 @@ def sample(spec: EnsembleSpec, index: int, *, table: bool = False):
     if table:
         return Q
     A = table_entries(Q[None]).dense()[0]
-    return SquareMatrix(A, zero_diagonal=spec.zero_diagonal or spec.kind == "regular_digraph")
+    return SquareMatrix(A, zero_diagonal=spec.zero_diagonal_samples)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import as_entries, column_sums, row_sums
+from .core import abs_sums, as_entries
 from .spectra import second_singular, singular_values, spectral_norm
 
 __all__ = [
@@ -57,8 +57,7 @@ def rank_two_norm(y1, z1, y2, z2) -> float:
 def _check_margins(E: np.ndarray):
     if np.any(E < 0):
         raise ValueError("matrix must be entrywise nonnegative")
-    u = column_sums(E)
-    v = row_sums(E)
+    u, v = abs_sums(E)
     zero_u = np.nonzero(u == 0)[0]
     if zero_u.size:
         raise ValueError(f"column {zero_u[0] + 1} has zero sum; scaling undefined")

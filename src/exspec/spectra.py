@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 
-from .core import SparseStack, SquareMatrix, abs_sums, as_entries, column_sums, row_sums
+from .core import SparseStack, abs_sums, as_entries
 
 __all__ = [
     "RTOL",
@@ -20,7 +20,6 @@ __all__ = [
     "spectral_norm",
     "second_singular",
     "s2_via_centering",
-    "centered_offdiag",
     "perron_check",
     "spectral_radius",
 ]
@@ -166,8 +165,7 @@ def _lanczos(stack: SparseStack, index: int) -> np.ndarray:
     S = stack.transpose() if cols > rows else stack  # G = B^t B on the smaller side
     _, rows, dim = S.shape
     u, v = abs_sums(S)
-    c_r = np.bincount(S.member * rows + S.row, minlength=count * rows).reshape(count, rows)
-    c_c = np.bincount(S.member * dim + S.col, minlength=count * dim).reshape(count, dim)
+    c_r, c_c = S.sums()
     eps = np.finfo(np.float64).eps
     schur = u.max(axis=1) * v.max(axis=1)  # >= ||B||^2
     floor = (dim + c_r.max(axis=1) + c_c.max(axis=1)) * eps * schur / RTOL
@@ -308,8 +306,7 @@ def s2_via_centering(A, d: float) -> float:
     E = as_entries(A)
     n = E.shape[0]
     atol = 1e-8 * max(1.0, abs(d))
-    u = column_sums(E)
-    v = row_sums(E)
+    u, v = abs_sums(E)
     bad_v = np.nonzero(np.abs(v - d) > atol)[0]
     if bad_v.size:
         raise ValueError(f"row {bad_v[0] + 1} has sum {v[bad_v[0]]!r}, expected {d!r}")
@@ -317,15 +314,6 @@ def s2_via_centering(A, d: float) -> float:
     if bad_u.size:
         raise ValueError(f"column {bad_u[0] + 1} has sum {u[bad_u[0]]!r}, expected {d!r}")
     return spectral_norm(E - (d / n) * np.ones((n, n)))
-
-
-def centered_offdiag(A, d: float) -> SquareMatrix:
-    """B = A - (d/n) 11^t minus its own diagonal; always zero-diagonal."""
-    E = as_entries(A)
-    n = E.shape[0]
-    B = E - (d / n) * np.ones((n, n))
-    np.fill_diagonal(B, 0.0)
-    return SquareMatrix(B, zero_diagonal=True)
 
 
 def spectral_radius(M) -> float:

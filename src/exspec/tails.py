@@ -11,7 +11,8 @@ pure in (spec.seed, trials). Every kind is jointly exchangeable in law, so
 each comparison reads the corner (or block) of the sample itself: relabeling
 it by a further uniform permutation would not change the law.
 corner_capture_fraction relabels its one matrix M through the permuted_base
-ensemble of M.
+ensemble of M. What a kind's samples are like (zero diagonal, entries per
+row, relabelings) is asked of ``ensembles``, and no kind is named here.
 
 The five estimators share one chunked engine, ``_run_trials``. A chunk of
 consecutive trials is drawn as a whole, as one ``core.SparseStack`` of its
@@ -33,8 +34,9 @@ matrix is small enough for the Gram kernel, or the Lanczos kernel runs out
 of steps on it (``spectra.lanczos_steps``). The row and column l2 maxima
 of a table kind come from the chunk's stack (``core.max_l2``). A chunk
 holds at most CHUNK_FLOATS stacked floats (a sparse block counts as the
-largest Lanczos basis the kernel keeps for it; a member out of steps adds
-its dense block) and at least one trial; chunks run one after another, in
+largest Lanczos basis the kernel keeps for it, a member out of steps adds
+its dense block, and a whole-sample stack read as such counts its four
+words per entry) and at least one trial; chunks run one after another, in
 index order.
 
 ||M|| is the same for every sample and is computed once per call: it is d
@@ -112,7 +114,8 @@ class TailCurve:
 
 # Stacked floats per chunk of trials (1 MiB, like subset.TABLE_ENTRIES). A
 # sparse block counts as the largest Lanczos basis the kernel keeps for it:
-# lanczos_steps of its smaller side, plus the start and deflated vectors.
+# lanczos_steps of its smaller side, plus the start and deflated vectors. A
+# whole-sample stack (a None block) counts four words per entry.
 CHUNK_FLOATS = 2**17
 
 
@@ -129,12 +132,10 @@ def _shape(n: int, block) -> tuple:
 
 def _sparse(spec: EnsembleSpec, block) -> bool:
     """Whether a block of a sample goes to the Lanczos kernel: by its smaller
-    side, and the nonzeros a block row holds on average (at most d in a
-    table, nnz(B) / n in a relabeled base, times the block's share of the
-    columns)."""
+    side, and the nonzeros a block row holds on average (those of a sample
+    row, ``spec.row_nonzeros``, times the block's share of the columns)."""
     h, w = _shape(spec.n, block)
-    per_row = spec.d if spec.base is None else spec.base.nonzeros[0].size / spec.n
-    return lanczos_pays(min(h, w), per_row * w / spec.n)
+    return lanczos_pays(min(h, w), spec.row_nonzeros * w / spec.n)
 
 
 def _base_entries(spec: EnsembleSpec) -> SparseStack:
@@ -166,7 +167,9 @@ def _run_trials(spec: EnsembleSpec, trials: int, blocks, finish) -> list:
     sparse = [b is None or _sparse(spec, b) for b in blocks]
     floats = 0
     for b, sp in zip(blocks, sparse):
-        if b is not None:
+        if b is None:  # the whole-sample stack: four words per entry
+            floats += round(4 * spec.n * spec.row_nonzeros)
+        else:
             h, w = _shape(spec.n, b)
             k = min(h, w)
             floats += k * (lanczos_steps(k) + 2) if sp else h * w
@@ -188,24 +191,11 @@ def _chunk_stacks(spec: EnsembleSpec, indices: range, blocks, sparse) -> list:
         return [samples if b is None else samples.block(*b) if sp else samples.block(*b).dense()
                 for b, sp in zip(blocks, sparse)]
     # Sample t is base[np.ix_(rows[t], cols[t])].
-    pairs = [relabeling(spec, i) for i in indices]
-    rows = np.array([r for r, _ in pairs])
-    cols = rows if spec.kind == "permuted_base" else np.array([c for _, c in pairs])
+    rows, cols = map(np.array, zip(*[relabeling(spec, i) for i in indices]))
     samples = relabeled_entries(spec.base.nonzeros, rows, cols) if any(sparse) else None
     return [samples if b is None else samples.block(*b) if sp else
             spec.base.entries[rows[:, b[0], None], cols[:, None, b[1]]]
             for b, sp in zip(blocks, sparse)]
-
-
-def _zero_diagonal(spec: EnsembleSpec) -> bool:
-    """Whether every sample of the ensemble has zero diagonal."""
-    if spec.kind == "regular_digraph":
-        return True
-    if spec.kind == "perm_sum_regular":
-        return spec.zero_diagonal
-    if spec.kind == "permuted_base":  # a joint relabeling keeps the diagonal
-        return not np.any(np.diag(spec.base.entries))
-    return not np.any(spec.base.entries)  # any entry can land on the diagonal
 
 
 def _norms(spec: EnsembleSpec, trials: int, thresholds):
@@ -266,7 +256,7 @@ def corner_capture_fraction(M: SquareMatrix, trials: int, seed: int = 0) -> dict
     if np.any(np.diag(M.entries) != 0.0):
         raise ValueError("the corner-capture statement assumes zero diagonal")
     m_norm = spectral_norm(M)
-    spec = EnsembleSpec("permuted_base", M.n, seed=seed, base=M)
+    spec = EnsembleSpec.permuted(M, seed)
     (t_norms,) = _run_trials(spec, trials, [_corner(M.n)], lambda T: (singular_value(T, 0),))
     p_hat, ci = _tail_probs(t_norms, C_GRID * m_norm)
     ok = p_hat >= C_GRID - ci
@@ -297,7 +287,7 @@ def norm_tail_curve(
     if spec.n < 8:
         raise ValueError("the tail comparison assumes n >= 8")
     _check_c(c)
-    if not _zero_diagonal(spec):
+    if not spec.zero_diagonal_samples:
         raise ValueError("the tail comparison assumes zero-diagonal samples")
     n = spec.n
 
@@ -383,6 +373,8 @@ def s2_tail_curve(
     d/sqrt(ln n) >= C delta is evaluated and reported, not enforced.
     """
     _check_c(c)
+    with np.errstate(over="raise"):  # a threshold beyond float64 is a usage error
+        thresholds = np.asarray(L_grid, dtype=np.float64) * params.delta
     n = spec.n
     blocks = [_corner(n)]
     if spec.base is None:
@@ -394,7 +386,6 @@ def s2_tail_curve(
         return s2A, singular_value(T, 1), corner_degree_events(T, params)
 
     s2A, s2T, members = _run_trials(spec, trials, blocks, finish)
-    thresholds = np.asarray(L_grid, dtype=np.float64) * params.delta
     columns, best_c = _compare(s2A, np.where(members, s2T, -np.inf), thresholds, c)
     return TailCurve(
         thresholds=thresholds, **columns, trials=trials, seed=spec.seed, c=c,

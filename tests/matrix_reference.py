@@ -1,8 +1,14 @@
 """Reference relabelings, corners and blocks for the tests: the plain numpy
 expressions that the engine's index arithmetic must agree with. Each takes
-a SquareMatrix or an array."""
+a SquareMatrix or an array.
+
+``centered_offdiag`` is the reference definition of the centered matrix
+B = A - (d/n) 11^t (off the diagonal) of a d-regular A, whose norm varies
+from sample to sample where ||A|| does not."""
 
 import numpy as np
+
+from exspec.core import SquareMatrix
 
 
 def _entries(A) -> np.ndarray:
@@ -38,3 +44,12 @@ def max_l2_reference(A) -> np.ndarray:
 def permutation_matrix(p) -> np.ndarray:
     """The matrix P with P[i, p[i]] = 1."""
     return np.eye(len(p))[p]
+
+
+def centered_offdiag(A, d: float) -> SquareMatrix:
+    """B = A - (d/n) 11^t minus its own diagonal; always zero-diagonal."""
+    E = _entries(A)
+    n = E.shape[0]
+    B = E - (d / n) * np.ones((n, n))
+    np.fill_diagonal(B, 0.0)
+    return SquareMatrix(B, zero_diagonal=True)

@@ -115,6 +115,24 @@ def test_analyze_delta_without_d_is_usage_error(tmp_path, capsys):
     assert stdout == "" and not out.exists()
 
 
+def test_analyze_rejects_seed(tmp_path, capsys):
+    # analyze draws nothing, so a seed would be echoed into the manifest and
+    # have no effect; the default passes, by flag or by the echoed manifest.
+    f = tmp_path / "m.csv"
+    f.write_text(matrix_to_csv(SquareMatrix(np.eye(3))))
+    mf = tmp_path / "manifest.json"
+    mf.write_text(json.dumps({"seed": 5}))
+    for extra in (["--seed", "5"], ["--manifest", str(mf)]):
+        out = tmp_path / "report.json"
+        code, stdout, err = run_cli(["analyze", str(f), *extra, "--out", str(out)], capsys)
+        assert (code, stdout, err) == (2, "", "error: analyze takes no --seed\n")
+        assert not out.exists()
+    code, first, _ = run_cli(["analyze", str(f)], capsys)
+    mf.write_text(json.dumps(json.loads(first)["manifest"]))
+    assert run_cli(["analyze", str(f), "--seed", "0"], capsys)[:2] == (0, first)
+    assert run_cli(["analyze", str(f), "--manifest", str(mf)], capsys)[:2] == (0, first)
+
+
 def test_analyze_reads_csv_and_writes_out(tmp_path, capsys):
     M = SquareMatrix(np.array([[0.0, 2.0], [2.0, 0.0]]))
     f = tmp_path / "m.csv"
@@ -212,6 +230,10 @@ def test_tail_usage_error_creates_no_out_dir(tmp_path, capsys):
         "nonfinite-grid": (["tail", "norm", "--n", "8", "--d", "2", "--zero-diagonal",
                             "--grid", "nan,inf"],
                            "error: --grid must be one or more finite numbers, got 'nan,inf'\n"),
+        # L delta = 1e309 is beyond float64.
+        "s2-threshold-overflow": (["tail", "s2", "--n", "8", "--d", "2", "--delta", "1e308",
+                                   "--grid", "10", "--trials", "3"],
+                                  "error: overflow encountered in multiply\n"),
     }
     (tmp_path / "m8.csv").write_text(matrix_to_csv(SquareMatrix(np.ones((8, 8)) - np.eye(8))))
     for name, (args, message) in cases.items():
@@ -518,27 +540,41 @@ def test_base_on_a_doubly_regular_kind_is_rejected_before_it_is_read(tmp_path, c
 
 def test_zero_diagonal_on_a_base_kind_is_rejected_before_the_base_is_read(tmp_path, capsys):
     # The base alone sets the diagonal of a relabeled sample, so the flag
-    # would be echoed into the manifest and have no effect. A missing base
+    # would be echoed into the manifest and have no effect; so would --d,
+    # which only the corner-degree event (--delta) reads. A missing base
     # would be an I/O error (exit 3), had it been opened.
     commands = {
         "gen": ["gen", "--n", "8"],
         "tail": ["tail", "norm", "--n", "8", "--trials", "2"],
+        "blocks": ["tail", "blocks", "--n", "8", "--trials", "2"],
     }
+    flags = {"zero-diagonal": (["--zero-diagonal"], "its base sets the diagonal"),
+             "d": (["--d", "7"], "its base sets the samples")}
     for kind in ("permuted_base", "separately_exchangeable"):
         for name, args in commands.items():
             for base in (tmp_path / "missing.csv", _m8(tmp_path)):
-                out = tmp_path / f"{name}-{kind}-{base.stem}"
-                code, stdout, err = run_cli(
-                    [*args, "--ensemble", kind, "--base", str(base), "--zero-diagonal",
-                     "--out", str(out)], capsys
-                )
-                message = f"error: {kind} takes no --zero-diagonal: its base sets the diagonal\n"
-                assert (code, stdout, err) == (2, "", message)
-                assert not out.exists()
+                for flag, (given, reason) in flags.items():
+                    out = tmp_path / f"{name}-{kind}-{base.stem}-{flag}"
+                    code, stdout, err = run_cli(
+                        [*args, "--ensemble", kind, "--base", str(base), *given,
+                         "--out", str(out)], capsys
+                    )
+                    message = f"error: {kind} takes no --{flag}: {reason}\n"
+                    assert (code, stdout, err) == (2, "", message)
+                    assert not out.exists()
     # regular_digraph samples always have zero diagonal; the flag stays accepted.
     out = tmp_path / "digraph"
     assert run_cli(["gen", "--ensemble", "regular_digraph", "--n", "8", "--d", "2",
                     "--zero-diagonal", "--out", str(out)], capsys)[0] == 0
+    # The corner-degree event reads --d on a base kind, and --d 0 is the default.
+    base = str(_m8(tmp_path))
+    for i, args in enumerate((["tail", "s2", "--d", "4", "--delta", "1.0"],
+                              ["tail", "degree-event", "--d", "4", "--delta", "1.0"],
+                              ["tail", "norm", "--d", "4", "--delta", "1.0"],
+                              ["tail", "norm", "--d", "0"], ["gen", "--d", "0"])):
+        code, _, err = run_cli([*args, "--ensemble", "permuted_base", "--base", base, "--n", "8",
+                                "--out", str(tmp_path / f"ok{i}")], capsys)
+        assert code in (0, 1) and err == "", args
 
 
 def test_loading_a_csv_matrix_peaks_near_one_array(tmp_path):

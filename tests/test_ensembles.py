@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from exspec import ensembles
-from exspec.core import SquareMatrix, column_sums, matrix_from_json, row_sums
+from exspec.core import SquareMatrix, abs_sums, matrix_from_json
 from exspec.ensembles import (
     EnsembleSpec,
     random_derangement,
@@ -18,8 +18,9 @@ from exspec.rng import stream
 def test_perm_sum_regular_margins_exact():
     spec = EnsembleSpec(kind="perm_sum_regular", n=10, d=3, seed=1)
     A = sample(spec, 0)
-    assert np.array_equal(column_sums(A), np.full(10, 3.0))
-    assert np.array_equal(row_sums(A), np.full(10, 3.0))
+    u, v = abs_sums(A)
+    assert np.array_equal(u, np.full(10, 3.0))
+    assert np.array_equal(v, np.full(10, 3.0))
 
 
 def test_perm_sum_regular_zero_diagonal():
@@ -27,7 +28,7 @@ def test_perm_sum_regular_zero_diagonal():
     for i in range(5):
         A = sample(spec, i)
         assert np.all(np.diag(A.entries) == 0.0)
-        assert np.array_equal(column_sums(A), np.full(12, 4.0))
+        assert np.array_equal(abs_sums(A)[0], np.full(12, 4.0))
 
 
 def test_permuted_base_preserves_zero_diagonal():
@@ -56,8 +57,9 @@ def test_regular_digraph_structure():
         vals = np.unique(A.entries)
         assert set(vals) <= {0.0, 1.0}
         assert np.trace(A.entries) == 0.0
-        assert np.array_equal(column_sums(A), np.full(50, 5.0))
-        assert np.array_equal(row_sums(A), np.full(50, 5.0))
+        u, v = abs_sums(A)
+        assert np.array_equal(u, np.full(50, 5.0))
+        assert np.array_equal(v, np.full(50, 5.0))
 
 
 def test_sampling_is_deterministic_in_seed_and_index():
@@ -91,6 +93,24 @@ def test_spec_validation():
             EnsembleSpec(kind=kind, n=5, zero_diagonal=True, base=SquareMatrix(np.eye(5)))
     # Its samples always have zero diagonal, so the flag is accepted and kept.
     assert EnsembleSpec(kind="regular_digraph", n=5, d=2, zero_diagonal=True).zero_diagonal
+
+
+def test_spec_facts_agree_with_the_samples():
+    # Every sample has zero diagonal exactly when the spec says so, and a
+    # sample row holds row_nonzeros entries of its entry stack on average.
+    off = SquareMatrix(np.eye(6, k=1) + 2 * np.eye(6, k=-2))
+    specs = [EnsembleSpec("perm_sum_regular", 6, 2, seed=7),
+             EnsembleSpec("perm_sum_regular", 6, 2, zero_diagonal=True, seed=7),
+             EnsembleSpec("regular_digraph", 6, 2, seed=7),
+             EnsembleSpec.permuted(off, 7), EnsembleSpec.permuted(SquareMatrix(np.eye(6)), 7),
+             EnsembleSpec("separately_exchangeable", 6, seed=7, base=off),
+             EnsembleSpec("separately_exchangeable", 6, seed=7, base=SquareMatrix(np.zeros((6, 6))))]
+    for spec, zero_diagonal, per_row in zip(specs, (False, True, True, True, False, False, True),
+                                            (2, 2, 2, 9 / 6, 1, 9 / 6, 0)):
+        diagonals = [np.diag(sample(spec, i).entries) for i in range(40)]
+        assert spec.zero_diagonal_samples == zero_diagonal == (not np.any(diagonals)), spec.kind
+        assert spec.row_nonzeros == per_row, spec.kind
+    assert EnsembleSpec.permuted(off, 7) == EnsembleSpec("permuted_base", 6, seed=7, base=off)
 
 
 def test_rejection_cap_error():

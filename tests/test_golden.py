@@ -60,11 +60,19 @@ def _regular32():
     return SquareMatrix(E, zero_diagonal=True)
 
 
+def _signed10():
+    """_zero_diagonal(10) with rows 1, 4, 7 and 10 negated: its l1 margins are
+    not its plain row and column sums."""
+    E = _zero_diagonal(10).entries.copy()
+    E[::3] *= -1.0
+    return SquareMatrix(E)
+
+
 # Matrix files the runs read, written to the working directory so that the
 # paths echoed in the manifest are the same on every run. The JSON base
 # carries the zero-diagonal tag, which its relabeled samples keep.
 FILES = {"m8.csv": _zero_diagonal(8), "b10.csv": _zero_diagonal(10), "b10.json": _zero_diagonal(10),
-         "r32.csv": _regular32()}
+         "r32.csv": _regular32(), "s10.csv": _signed10()}
 
 
 def _write_files(directory):
@@ -87,7 +95,20 @@ GEN = {
                                     "--format", "json"],
 }
 
+# The analyze report: margins, Deg membership, s2 by centering and the
+# scaling reduction (or the errors in their place).
+ANALYZE = {
+    "analyze-regular32": ["r32.csv", "--d", "3", "--delta", "1.0"],
+    "analyze-signed10": ["s10.csv", "--d", "3", "--delta", "1.0"],
+}
+
 GOLDEN = {
+    "analyze-regular32": {
+        "report.json": "779b75a11da766bcd0c7f027c2aaa69a6f0f635ca47c880ed274671a45f51a1e",
+    },
+    "analyze-signed10": {
+        "report.json": "015f126914d73fb5c7a3203bd2b719e34f26db8b317fcfe2a01f201acfb4c3be",
+    },
     "blocks": {
         "curve.csv": "bd24282726a5ae4ad2309b1a2d40c1f56f75ffa646fbae6ef780cb7047d0c5c7",
         "curve.json": "e2c9f426b619bfcfca39cd3f9e903cc7c40cfbaafca73d549a7c2603480e86dc",
@@ -187,4 +208,14 @@ def test_gen_output_bytes(name, tmp_path, capsys, monkeypatch):
     out = tmp_path / name
     assert main(["gen", *GEN[name], "--out", str(out)]) == 0
     capsys.readouterr()
+    assert _digests(out) == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(ANALYZE))
+def test_analyze_output_bytes(name, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    _write_files(tmp_path)
+    out = tmp_path / name
+    out.mkdir()
+    assert main(["analyze", *ANALYZE[name], "--out", str(out / "report.json")]) == 0
     assert _digests(out) == GOLDEN[name]

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from exspec.core import column_sums, row_sums
+from exspec.core import abs_sums
 from exspec.rng import stream
 from exspec.scaling import (
     fit_margins,
@@ -132,8 +132,7 @@ def test_triangle_chain_prefactor_under_tight_margins():
     m, d = 16, 5.0
     delta = 0.3
     A = sample_margin_perturbed(m, d, delta, rng)
-    u = column_sums(A)
-    v = row_sums(A)
+    u, v = abs_sums(A)
     rep = scaling_reduction(A, d, delta)
     pref = np.sqrt(u.max() * v.max() / (u.min() * v.min()))
     assert pref <= 2.0

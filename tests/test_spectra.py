@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from matrix_reference import permutation_matrix, relabel
+from matrix_reference import centered_offdiag, permutation_matrix, relabel
 
 from exspec import spectra
 from exspec.core import SparseStack, SquareMatrix
@@ -12,7 +12,6 @@ from exspec.ensembles import EnsembleSpec, sample, table_entries
 from exspec.rng import stream
 from exspec.spectra import (
     RTOL,
-    centered_offdiag,
     lanczos_pays,
     lanczos_steps,
     perron_check,

@@ -325,6 +325,28 @@ def test_relabeled_corner_gathers_the_sampled_corner(monkeypatch, n):
         assert corners.tobytes() == want.tobytes(), spec.kind
 
 
+def test_a_whole_sample_stack_counts_in_the_chunk_budget(monkeypatch):
+    from exspec import tails
+    from exspec.core import max_l2
+
+    n, d, trials = 16, 3, 5
+    spec = EnsembleSpec(kind="perm_sum_regular", n=n, d=d, zero_diagonal=True, seed=311)
+    chunks = []
+
+    def finish(A):
+        chunks.append(len(A))
+        return (max_l2(A),)
+
+    (want,) = _run_trials(spec, trials, [None], finish)
+    assert chunks == [trials]
+    # Four words per entry, d n entries per sample: two samples fit.
+    monkeypatch.setattr(tails, "CHUNK_FLOATS", 2 * 4 * n * d)
+    chunks.clear()
+    (got,) = _run_trials(spec, trials, [None], finish)
+    assert chunks == [2, 2, 1]
+    assert got.tobytes() == want.tobytes()
+
+
 def test_relabeling_requires_a_base():
     spec = EnsembleSpec(kind="perm_sum_regular", n=8, d=2, seed=1)
     with pytest.raises(ValueError, match="does not relabel"):
