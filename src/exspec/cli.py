@@ -70,6 +70,13 @@ def _reject_unread(args, actions: dict, command: str) -> None:
             raise ValueError(f"{command} takes no --{dest.replace('_', '-')}")
 
 
+def _reject_negative_seed(args) -> None:
+    """ValueError for a negative --seed, from the flag or a manifest, before
+    anything is drawn or written; numpy's own error would not name it."""
+    if args.seed < 0:
+        raise ValueError(f"--seed must be >= 0, got {args.seed}")
+
+
 def _load_matrix(path: str) -> SquareMatrix:
     p = Path(path)
     if p.suffix == ".json":
@@ -177,6 +184,7 @@ def _build_spec(args) -> EnsembleSpec:
 
 def cmd_gen(args, actions: dict) -> int:
     manifest = _apply_manifest(args, actions)
+    _reject_negative_seed(args)
     if args.count < 1:
         raise ValueError("count must be >= 1")
     spec = _build_spec(args)
@@ -245,6 +253,7 @@ def cmd_analyze(args, actions: dict) -> int:
 
 def cmd_verify(args, actions: dict) -> int:
     manifest = _apply_manifest(args, actions)
+    _reject_negative_seed(args)
     records = verify_mod.run_suite(args.suite, seed=args.seed)
     passed = all(r["passed"] for r in records)
     _write_or_print({"manifest": manifest, "records": records, "passed": passed}, args.out)
@@ -261,6 +270,7 @@ def _write_outputs(out: Path, files: dict) -> None:
 
 def cmd_tail(args, actions: dict) -> int:
     manifest = _apply_manifest(args, actions)
+    _reject_negative_seed(args)
     comparison = args.comparison
     if comparison in ("s2", "degree-event") and args.delta is None:
         raise ValueError(f"tail {comparison} requires --delta")

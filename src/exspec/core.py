@@ -10,9 +10,10 @@ dense (count, rows, cols) array, or a ``SparseStack`` of its nonzeros;
 its largest row and column l2 norms.
 
 Each row-and-column reduction has one definition here: ``abs_sums``, the
-l1 margins of a matrix or a stack, and ``SparseStack.sums``, the per-member
+l1 margins of a matrix or a stack, ``SparseStack.sums``, the per-member
 row and column totals that ``abs_sums``, ``max_l2`` and the Lanczos kernel
-read from a sparse stack.
+read from a sparse stack, and ``row_norms``, the l2 norm of each row of a
+stack of vectors.
 
 A CSV matrix file is read in one pass into one n x n array
 (``matrix_from_csv_file``): its lines, decoded as ASCII with universal
@@ -36,6 +37,7 @@ __all__ = [
     "SparseStack",
     "max_l2",
     "abs_sums",
+    "row_norms",
     "csv_text",
     "json_ready",
     "matrix_to_dict",
@@ -185,6 +187,14 @@ def abs_sums(M):
         return u, v
     A = np.abs(as_entries(M))
     return A.sum(axis=-2), A.sum(axis=-1)
+
+
+def row_norms(X) -> np.ndarray:
+    """The l2 norm of each row of X, each bit for bit the np.linalg.norm of
+    that row alone: the square root of one BLAS dot per row, which a batched
+    (count, 1, n) @ (count, n, 1) product calls."""
+    X = np.asarray(X, dtype=np.float64)
+    return np.sqrt((X[..., None, :] @ X[..., :, None])[..., 0, 0])
 
 
 # --- serialization -------------------------------------------------------

@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 
-from .core import SparseStack, abs_sums, as_entries
+from .core import SparseStack, abs_sums, as_entries, row_norms
 
 __all__ = [
     "RTOL",
@@ -309,15 +309,20 @@ def s2_via_centering(A, d: float) -> float:
     u, v = abs_sums(E)
     bad_v = np.nonzero(np.abs(v - d) > atol)[0]
     if bad_v.size:
-        raise ValueError(f"row {bad_v[0] + 1} has sum {v[bad_v[0]]!r}, expected {d!r}")
+        raise ValueError(f"row {bad_v[0] + 1} has sum {float(v[bad_v[0]])!r}, "
+                         f"expected {float(d)!r}")
     bad_u = np.nonzero(np.abs(u - d) > atol)[0]
     if bad_u.size:
-        raise ValueError(f"column {bad_u[0] + 1} has sum {u[bad_u[0]]!r}, expected {d!r}")
+        raise ValueError(f"column {bad_u[0] + 1} has sum {float(u[bad_u[0]])!r}, "
+                         f"expected {float(d)!r}")
     return spectral_norm(E - (d / n) * np.ones((n, n)))
 
 
-def spectral_radius(M) -> float:
-    return float(np.max(np.abs(np.linalg.eigvals(as_entries(M)))))
+def spectral_radius(M):
+    """The largest eigenvalue modulus of a matrix, or of each matrix of a
+    (count, n, n) stack."""
+    radius = np.max(np.abs(np.linalg.eigvals(as_entries(M))), axis=-1)
+    return float(radius) if radius.ndim == 0 else radius
 
 
 def perron_check(M, x, tol: float = 1e-8) -> dict:
@@ -326,19 +331,28 @@ def perron_check(M, x, tol: float = 1e-8) -> dict:
 
     rho is estimated as the median of the componentwise ratios (Mx)_i/x_i,
     robust to one noisy coordinate; the residual test is authoritative.
+
+    M may be a (count, n, n) stack with x a (count, n) array, one vector per
+    matrix; then each value is an array with one entry per matrix, each
+    bit for bit that of its matrix alone.
     """
     E = as_entries(M)
     x = np.asarray(x, dtype=np.float64)
     if np.any(E < 0):
         raise ValueError("matrix must be entrywise nonnegative")
-    if x.ndim != 1 or x.size != E.shape[0]:
+    if E.ndim not in (2, 3) or x.shape != E.shape[:-1]:
         raise ValueError("x must be a vector matching the matrix dimension")
     if np.any(x <= 0):
         raise ValueError("x must have strictly positive coordinates")
-    Mx = E @ x
-    rho = float(np.median(Mx / x))
-    is_eigen = bool(np.linalg.norm(Mx - rho * x) <= tol * np.linalg.norm(x))
-    matches_radius = False
-    if is_eigen:
-        matches_radius = bool(abs(rho - spectral_radius(E)) <= tol * max(1.0, abs(rho)))
+    Mx = (E @ x[..., None])[..., 0]
+    rho = np.median(Mx / x, axis=-1)
+    is_eigen = row_norms(Mx - rho[..., None] * x) <= tol * row_norms(x)
+    # The radius of the eigenvector matrices only, as each alone would be
+    # checked: a matrix that fails the residual test is not decomposed.
+    radius = np.full(rho.shape, np.nan)
+    radius[is_eigen] = spectral_radius(E[is_eigen])
+    matches_radius = is_eigen & (np.abs(rho - radius) <= tol * np.maximum(1.0, np.abs(rho)))
+    if E.ndim == 2:
+        return {"rho": float(rho), "is_eigen": bool(is_eigen),
+                "matches_radius": bool(matches_radius)}
     return {"rho": rho, "is_eigen": is_eigen, "matches_radius": matches_radius}

@@ -3,15 +3,26 @@
 Each suite returns a list of {"name", "passed", "detail"} records; a suite
 passes iff every record does. Fixed seed gives a deterministic pass/fail
 set.
+
+The subset, perron and deg suites draw all their cases first, in the order
+the stream gives them, then test the cases that share a shape as one stack
+in one call: one enumeration per (m, k) group of subset-sum problems, one
+power iteration and one ``perron_check`` per matrix size, one exceedance
+test over every membership profile whatever its length, and one corner
+event per corner size. Each case gets the bits it would get alone, so the
+records are those of testing the cases one by one. The scaling suite stays
+case by case: its cost is LAPACK time (dense SVDs and QRs), and its 40
+cases spread over 25 matrix sizes, so a stack per size would hold one or
+two matrices.
 """
 
 import math
+from collections import defaultdict
 
 import numpy as np
 
-from . import ensembles, scaling, subset
-from .core import abs_sums
-from .degrees import RegularityParams, corner_degree_events, deg_membership
+from . import degrees, ensembles, scaling, subset
+from .core import abs_sums, row_norms
 from .rng import stream
 from .spectra import perron_check, spectral_norm
 
@@ -22,11 +33,15 @@ def _rec(name, passed, detail=""):
     return {"name": name, "passed": bool(passed), "detail": str(detail)}
 
 
-def _random_problem(rng) -> subset.SubsetSumProblem:
-    m = int(rng.integers(2, 13))
-    k = int(rng.integers(1, max(2, (m + 1) // 2 + 1)))
-    a = rng.normal(0.0, 2.0, size=m)
-    return subset.SubsetSumProblem(a=a, k=k)
+def _random_problems(rng, count: int) -> list:
+    """count random subset-sum problems, as one stack per (m, k) shape:
+    a list of SubsetSumProblem with a (problems, m) array a each."""
+    groups = defaultdict(list)
+    for _ in range(count):
+        m = int(rng.integers(2, 13))
+        k = int(rng.integers(1, max(2, (m + 1) // 2 + 1)))
+        groups[m, k].append(rng.normal(0.0, 2.0, size=m))
+    return [subset.SubsetSumProblem(a=np.stack(rows), k=k) for (_, k), rows in groups.items()]
 
 
 def _prefix_hits(m: int, k: int, u: int) -> int:
@@ -40,35 +55,35 @@ def _prefix_hits(m: int, k: int, u: int) -> int:
 
 def verify_subset(seed: int = 0) -> list[dict]:
     rng = stream(seed, 1)
+    moment_cases = _random_problems(rng, 200)
+    tail_cases = _random_problems(rng, 40)
+    level_cases = _random_problems(rng, 20)
     out = []
     worst2 = 0.0
     bound_ok = True
     tu_ok = True
     var_ok = True
     lower_ok = True
-    for _ in range(200):
-        p = _random_problem(rng)
-        exact2 = subset.enumerate_exact(p, "moment", 2)
+    for p in moment_cases:
+        exact2, exact4 = subset.enumerate_exact(p, "moment", (2, 4)).T
         closed2 = subset.second_moment_exact(p)
-        rel = abs(exact2 - closed2) / max(1.0, abs(exact2))
-        worst2 = max(worst2, rel)
-        exact4 = subset.enumerate_exact(p, "moment", 4)
-        if exact4 > subset.fourth_moment_bound(p) * (1 + 1e-12):
+        rel = np.abs(exact2 - closed2) / np.maximum(1.0, np.abs(exact2))
+        worst2 = max(worst2, float(rel.max()))
+        if np.any(exact4 > subset.fourth_moment_bound(p) * (1 + 1e-12)):
             bound_ok = False
         # Inclusion probabilities against direct counting.
         t = subset.inclusion_probabilities(p)
-        for u in range(1, 5):
-            if u > p.m:
-                continue
+        for u in range(1, min(4, p.m) + 1):
             if abs(_prefix_hits(p.m, p.k, u) / math.comb(p.m, p.k) - t[u - 1]) > 1e-12:
                 tu_ok = False
         # Centered second moment: E eta^2 = E(sum_S)^2 - (k/m sum a)^2 <= (k/m) sum a^2.
-        mean = (p.k / p.m) * float(np.sum(p.a))
+        s1 = np.sum(p.a, axis=-1)
+        mean = (p.k / p.m) * s1
         eta2 = exact2 - mean**2
-        if eta2 > (p.k / p.m) * float(np.sum(p.a**2)) + 1e-10:
+        if np.any(eta2 > (p.k / p.m) * np.sum(p.a**2, axis=-1) + 1e-10):
             var_ok = False
         # Second-moment lower bound E(sum_S)^2 >= k^2/(2m^2) (sum a)^2.
-        if exact2 < 0.5 * (p.k / p.m) ** 2 * float(np.sum(p.a)) ** 2 - 1e-10:
+        if np.any(exact2 < 0.5 * (p.k / p.m) ** 2 * s1**2 - 1e-10):
             lower_ok = False
     out.append(_rec("second_moment_closed_form", worst2 <= 1e-12, f"worst rel err {worst2:.2e}"))
     out.append(_rec("fourth_moment_bound_sound", bound_ok))
@@ -78,59 +93,65 @@ def verify_subset(seed: int = 0) -> list[dict]:
 
     # Hoeffding bound on enumerable instances, exact tail, no sampling slack.
     hoeff_ok = True
-    for _ in range(40):
-        p = _random_problem(rng)
-        norm = float(np.linalg.norm(p.a))
-        if norm == 0:
-            continue
-        for frac in (0.25, 0.5, 1.0, 2.0):
-            t = frac * norm
-            exact_tail = subset.enumerate_exact(p, "tail", t)
-            if exact_tail > 2.0 * np.exp(-2.0 * t**2 / norm**2) + 1e-12:
-                hoeff_ok = False
+    for p in tail_cases:
+        norm = row_norms(p.a)[:, None]
+        t = np.array([0.25, 0.5, 1.0, 2.0]) * norm
+        exact_tail = subset.enumerate_exact(p, "tail", t)
+        with np.errstate(divide="ignore", invalid="ignore"):  # a zero vector has no bound
+            bound = 2.0 * np.exp(-2.0 * t**2 / norm**2) + 1e-12
+        if np.any((exact_tail > bound) & (norm != 0)):
+            hoeff_ok = False
     out.append(_rec("hoeffding_exact_tail_bound", hoeff_ok))
 
     # Anti-concentration probability is nonincreasing in c (enumeration).
     mono_ok = True
-    for _ in range(20):
-        p = _random_problem(rng)
-        if np.sum(p.a) == 0:
-            continue
-        vals = [subset.enumerate_exact(p, "anticonc", c) for c in (0.05, 0.1, 0.25, 0.5, 1.0)]
-        if any(b > a + 1e-12 for a, b in zip(vals, vals[1:])):
+    for p in level_cases:
+        vals = subset.enumerate_exact(p, "anticonc", (0.05, 0.1, 0.25, 0.5, 1.0))
+        rising = (vals[:, 1:] > vals[:, :-1] + 1e-12).any(axis=1)
+        if np.any(rising & (np.sum(p.a, axis=-1) != 0)):
             mono_ok = False
     out.append(_rec("anticoncentration_monotone_in_c", mono_ok))
     return out
 
 
+def _perron_vectors(M: np.ndarray) -> np.ndarray:
+    """Power iteration from the all-ones vector on each matrix of a
+    (count, n, n) stack of positive matrices, in one batched product per
+    step. A matrix stops at its own first step that moves x by less than
+    1e-14 and keeps the x that step started from, or after 2000 steps."""
+    x = np.ones(M.shape[:2])
+    live = np.ones(len(M), dtype=bool)
+    for _ in range(2000):
+        y = (M @ x[..., None])[..., 0]
+        y /= row_norms(y)[:, None]
+        live &= ~(row_norms(y - x) < 1e-14)
+        x[live] = y[live]
+        if not live.any():
+            break
+    return x
+
+
 def verify_perron(seed: int = 0) -> list[dict]:
     rng = stream(seed, 2)
     out = []
-    ok = True
+    by_size = defaultdict(list)
     for _ in range(50):
         n = int(rng.integers(3, 10))
-        M = rng.uniform(0.1, 1.0, size=(n, n))
-        # Perron vector by power iteration on a strictly positive matrix.
-        x = np.ones(n)
-        for _ in range(2000):
-            y = M @ x
-            y /= np.linalg.norm(y)
-            if np.linalg.norm(y - x) < 1e-14:
-                break
-            x = y
-        r = perron_check(M, x, tol=1e-8)
-        if not (r["is_eigen"] and r["matches_radius"]):
+        by_size[n].append(rng.uniform(0.1, 1.0, size=(n, n)))
+    # Perron vector by power iteration on a strictly positive matrix.
+    ok = True
+    for mats in by_size.values():
+        M = np.stack(mats)
+        r = perron_check(M, _perron_vectors(M), tol=1e-8)
+        if not np.all(r["is_eigen"] & r["matches_radius"]):
             ok = False
     out.append(_rec("positive_perron_vector_matches_radius", ok))
 
     # Doubly regular: the all-ones vector carries eigenvalue d = radius.
-    reg_ok = True
     spec = ensembles.EnsembleSpec(kind="perm_sum_regular", n=20, d=4, seed=seed)
-    for i in range(10):
-        A = ensembles.sample(spec, i)
-        r = perron_check(A.entries, np.ones(20), tol=1e-8)
-        if not (r["is_eigen"] and r["matches_radius"] and abs(r["rho"] - 4.0) < 1e-8):
-            reg_ok = False
+    A = np.stack([ensembles.sample(spec, i).entries for i in range(10)])
+    r = perron_check(A, np.ones((10, 20)), tol=1e-8)
+    reg_ok = np.all(r["is_eigen"] & r["matches_radius"] & (np.abs(r["rho"] - 4.0) < 1e-8))
     out.append(_rec("doubly_regular_ones_vector", reg_ok))
     return out
 
@@ -193,25 +214,32 @@ def verify_scaling(seed: int = 0) -> list[dict]:
 def verify_deg(seed: int = 0) -> list[dict]:
     rng = stream(seed, 4)
     out = []
-    mono_ok = True
-    perm_ok = True
+    profiles, params, doubled = [], [], []
+    corners = defaultdict(list)  # corner size -> [(T, T relabeled, params)]
     for _ in range(60):
         m = int(rng.integers(4, 40))
         d = float(rng.uniform(1.0, 10.0))
         u = np.abs(d + rng.normal(0.0, 0.5, size=m))
-        v = np.flip(u)  # same multiset, equal l1 mass
         delta = float(rng.uniform(0.1, 1.0))
-        r1 = deg_membership(u, v, RegularityParams(d=d, delta=delta))
-        r2 = deg_membership(u, v, RegularityParams(d=d, delta=delta * 2.5))
-        if r1["member"] and not r2["member"]:
-            mono_ok = False
-        # Permutation invariance of the corner event under identical relabeling.
+        profiles.append(u)
+        params.append(degrees.RegularityParams(d=d, delta=delta))
+        doubled.append(degrees.RegularityParams(d=d, delta=delta * 2.5))
         k = int(rng.integers(4, 12))
         T = rng.uniform(0.0, 1.0, size=(k, k))
-        params = RegularityParams(d=2 * float(T.sum(axis=0).mean()), delta=delta)
+        event = degrees.RegularityParams(d=2 * float(T.sum(axis=0).mean()), delta=delta)
         p = rng.permutation(k)
-        e1, e2 = corner_degree_events(np.stack([T, T[np.ix_(p, p)]]), params)
-        if e1 != e2:
+        corners[k].append((T, T[np.ix_(p, p)], event))
+    # Each profile (u, flip(u)) has one multiset and equal l1 mass, and is
+    # tested at delta and at 2.5 delta.
+    flipped = [np.flip(u) for u in profiles]
+    member = degrees.deg_membership(profiles * 2, flipped * 2, params + doubled)["member"]
+    mono_ok = not np.any(member[:60] & ~member[60:])
+    # Permutation invariance of the corner event under identical relabeling.
+    perm_ok = True
+    for pairs in corners.values():
+        T, relabeled, events = zip(*pairs)
+        e = degrees.corner_degree_events(np.stack(T + relabeled), events * 2)
+        if np.any(e[:len(T)] != e[len(T):]):
             perm_ok = False
     out.append(_rec("membership_monotone_in_delta", mono_ok))
     out.append(_rec("corner_event_permutation_invariant", perm_ok))

@@ -2,6 +2,8 @@
 expressions that the engine's index arithmetic must agree with. Each takes
 a SquareMatrix or an array.
 
+``perron_vector`` is the one-matrix power iteration of ``verify perron``.
+
 ``centered_offdiag`` is the reference definition of the centered matrix
 B = A - (d/n) 11^t (off the diagonal) of a d-regular A, whose norm varies
 from sample to sample where ||A|| does not."""
@@ -53,3 +55,19 @@ def centered_offdiag(A, d: float) -> SquareMatrix:
     B = E - (d / n) * np.ones((n, n))
     np.fill_diagonal(B, 0.0)
     return SquareMatrix(B, zero_diagonal=True)
+
+
+def perron_vector(M) -> np.ndarray:
+    """Power iteration from the all-ones vector on one positive matrix, one
+    matrix-vector product at a time: it stops at the first step that moves
+    x by less than 1e-14 and keeps the x that step started from, or after
+    2000 steps."""
+    E = _entries(M)
+    x = np.ones(len(E))
+    for _ in range(2000):
+        y = E @ x
+        y /= np.linalg.norm(y)
+        if np.linalg.norm(y - x) < 1e-14:
+            break
+        x = y
+    return x

@@ -449,6 +449,25 @@ def test_echoed_manifest_reruns_the_command(tmp_path, capsys):
     assert (again / "curve.json").read_bytes() == (first / "curve.json").read_bytes()
 
 
+@pytest.mark.parametrize("command", [
+    ["gen", "--n", "6", "--d", "2"],
+    ["verify", "deg"],
+    ["tail", "norm", "--n", "8", "--d", "2", "--zero-diagonal", "--trials", "4"],
+])
+def test_negative_seed_is_rejected_before_anything_is_written(command, tmp_path, capsys,
+                                                              monkeypatch):
+    # By flag or by manifest: one line naming --seed, exit 2, and no output
+    # file or directory. numpy's own error names no flag, and gen creates its
+    # directory before it draws the first sample.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "manifest.json").write_text(json.dumps({"seed": -3}))
+    for extra in (["--seed", "-3"], ["--manifest", "manifest.json"]):
+        code, stdout, err = run_cli([*command, *extra, "--out", "out"], capsys)
+        assert (code, stdout, err) == (2, "", "error: --seed must be >= 0, got -3\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["manifest.json"]
+    assert run_cli([*command, "--seed", "0", "--out", "out"], capsys)[0] == 0
+
+
 def test_missing_out_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["gen", "--n", "4", "--d", "1"])

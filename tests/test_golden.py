@@ -102,12 +102,16 @@ ANALYZE = {
     "analyze-signed10": ["s10.csv", "--d", "3", "--delta", "1.0"],
 }
 
+# The verify records, whose one number (the worst relative error of the
+# closed-form second moment) pins the enumeration's last bits.
+VERIFY = {f"verify-all-{seed}": ["all", "--seed", str(seed)] for seed in range(4)}
+
 GOLDEN = {
     "analyze-regular32": {
         "report.json": "779b75a11da766bcd0c7f027c2aaa69a6f0f635ca47c880ed274671a45f51a1e",
     },
     "analyze-signed10": {
-        "report.json": "015f126914d73fb5c7a3203bd2b719e34f26db8b317fcfe2a01f201acfb4c3be",
+        "report.json": "f8041e4ab5826c66e145586d2a587d49a98cb3d0b04fc80cef45ab307ca20332",
     },
     "blocks": {
         "curve.csv": "bd24282726a5ae4ad2309b1a2d40c1f56f75ffa646fbae6ef780cb7047d0c5c7",
@@ -175,6 +179,18 @@ GOLDEN = {
         "curve.csv": "33257b13b1651f5853097d3adf688b20859d8e1f63ae1431b2096e946f3a7e0d",
         "curve.json": "57f6d1b8f0572c42df6ebce3362bff036ce1cf5a13a5041b3ea5abc21395d759",
     },
+    "verify-all-0": {
+        "report.json": "457cb8a799c2fe7c54a569e2a7a2d5b25f7a3cf6efd96f4fa569694b7fc22623",
+    },
+    "verify-all-1": {
+        "report.json": "36a72ba46aaa685b16b527ac941bd60fca53ed8d444845b469f5851f1ae8fda9",
+    },
+    "verify-all-2": {
+        "report.json": "1058f764be25b79a0e6bef390584efa08ee77d1c5bd0bd55e24396aadcaeccf0",
+    },
+    "verify-all-3": {
+        "report.json": "5d7a71a0173655e24a1b0b6a9521b7e6cfc988285bff397effb61d2a04aaf943",
+    },
     "s2-per-sample": {
         "curve.csv": "6eafadd29036912b19e4bbb126b6a37e4c66a5c54b48049e1b0b7bdfa11a80e5",
         "curve.json": "6a3ad0202acc5d712f0390458c3c3ffc96cfd1cd8f6debbd1854a9ca9e2d15ab",
@@ -218,4 +234,12 @@ def test_analyze_output_bytes(name, tmp_path, capsys, monkeypatch):
     out = tmp_path / name
     out.mkdir()
     assert main(["analyze", *ANALYZE[name], "--out", str(out / "report.json")]) == 0
+    assert _digests(out) == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(VERIFY))
+def test_verify_output_bytes(name, tmp_path):
+    out = tmp_path / name
+    out.mkdir()
+    assert main(["verify", *VERIFY[name], "--out", str(out / "report.json")]) == 0
     assert _digests(out) == GOLDEN[name]

@@ -104,6 +104,20 @@ def test_centering_rejects_irregular_matrix():
         s2_via_centering(A, 3.0)
 
 
+def test_centering_error_names_sums_as_plain_floats():
+    # Plain Python floats, so the text reads the same under numpy 1 and 2.
+    A = np.ones((3, 3))
+    A[0, 0] = 5.0
+    with pytest.raises(ValueError) as exc:
+        s2_via_centering(A, np.float64(3.0))
+    assert str(exc.value) == "row 1 has sum 7.0, expected 3.0"
+    A = np.ones((3, 3))
+    A[1, 0], A[1, 2] = 2.0, 0.0
+    with pytest.raises(ValueError) as exc:
+        s2_via_centering(A, 3)
+    assert str(exc.value) == "column 1 has sum 4.0, expected 3.0"
+
+
 def test_centered_offdiag_flat_and_scaled_identity():
     n, d = 4, 2.0
     B = centered_offdiag((d / n) * np.ones((n, n)), d)
