@@ -18,8 +18,9 @@ Kinds:
                            relabeling to make the law exchangeable
 
 The facts about each kind live here, so the engine in ``tails`` names none:
-``EnsembleSpec.zero_diagonal_samples``, ``EnsembleSpec.row_nonzeros``, and
-a base kind's sample as its row and column permutations (``relabeling``). A
+``EnsembleSpec.zero_diagonal_samples``, ``EnsembleSpec.row_nonzeros``,
+``EnsembleSpec.norm`` (||M||, one value for every sample), and a base
+kind's sample as its row and column permutations (``relabeling``). A
 sample of a doubly regular kind is its (d, n) permutation table Q
 (``sample(spec, index, table=True)``): A = sum_j P(q_j), that is
 A[i, Q[j, i]] += 1 for every j and i. ``table_entries`` gives a stack of
@@ -36,7 +37,8 @@ rows without zero diagonal), so its tables equal those of drawing one
 permutation at a time. Nothing draws from that generator afterwards, so the
 candidates a batch draws beyond the last one kept change nothing.
 regular_digraph draws its relabeling from the generator after its last
-candidate, so it draws candidates one at a time.
+candidate, so it draws candidates one at a time, through the same
+``_candidates``.
 """
 
 import math
@@ -46,6 +48,7 @@ import numpy as np
 
 from .core import SparseStack, SquareMatrix, matrix_to_dict
 from .rng import stream
+from .spectra import spectral_norm
 
 __all__ = [
     "EnsembleSpec",
@@ -55,7 +58,6 @@ __all__ = [
     "relabeling",
     "table_entries",
     "relabeled_entries",
-    "random_derangement",
 ]
 
 KINDS = ("permuted_base", "separately_exchangeable", "perm_sum_regular", "regular_digraph")
@@ -104,6 +106,13 @@ class EnsembleSpec:
         E = self.base.entries
         return not np.any(np.diag(E) if self.kind == "permuted_base" else E)
 
+    @property
+    def norm(self) -> float:
+        """||M|| of every sample: d for the doubly regular kinds (Schur test:
+        ||M|| <= sqrt(||M||_1 ||M||_inf) = d, and M1 = d1), and ||B|| from the
+        SVD for a relabeled base, since a relabeling keeps singular values."""
+        return float(self.d) if self.base is None else spectral_norm(self.base)
+
     @classmethod
     def permuted(cls, M: SquareMatrix, seed: int = 0) -> "EnsembleSpec":
         """The permuted_base ensemble of M: sigma(M) for a uniform sigma."""
@@ -119,17 +128,6 @@ class EnsembleSpec:
             "seed": self.seed,
             "base": None if self.base is None else matrix_to_dict(self.base),
         }
-
-
-def random_derangement(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Fixed-point-free permutation by rejection (acceptance ~ 1/e)."""
-    if n < 2:
-        raise ValueError("derangements require n >= 2")
-    idx = np.arange(n)
-    while True:
-        p = rng.permutation(n)
-        if not (p == idx).any():
-            return p
 
 
 def _candidates(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -164,9 +162,12 @@ def _regular_digraph_table(n: int, d: int, rng: np.random.Generator) -> np.ndarr
     # draws for the last one and the final uniform relabeling restores joint
     # exchangeability either way.
     P = np.empty((d, n), dtype=np.int64)
+    idx = np.arange(n)
     for j in range(d):
         for _ in range(_REJECTION_CAP):
-            p = random_derangement(n, rng)
+            p = _candidates(n, 1, rng)[0]
+            while (p == idx).any():  # a derangement by rejection, acceptance ~ 1/e
+                p = _candidates(n, 1, rng)[0]
             if not (P[:j] == p).any():  # edge (i, p[i]) is new for every i
                 P[j] = p
                 break

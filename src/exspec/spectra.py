@@ -1,8 +1,12 @@
 """Singular values, the spectral norm, and identities around s2.
 
-For doubly regular matrices (all row and column sums equal to d) the second
-singular value satisfies s2(A) = ||A - (d/n) 11^t||, which this module
-exposes both as a computation and as a checkable identity.
+For nonnegative doubly regular matrices (all row and column sums equal to
+d) the second singular value satisfies s2(A) = ||A - (d/n) 11^t||, which
+this module exposes both as a computation and as a checkable identity.
+
+``singular_value``, the tail engine's one singular-value call, picks its
+kernel itself (Gram or Lanczos), and ``kernel_floats`` is the working set
+of that choice, which the engine budgets its chunks by.
 """
 
 import math
@@ -17,6 +21,7 @@ __all__ = [
     "singular_value",
     "lanczos_pays",
     "lanczos_steps",
+    "kernel_floats",
     "spectral_norm",
     "second_singular",
     "s2_via_centering",
@@ -42,13 +47,15 @@ def singular_value(stack, index: int) -> np.ndarray:
     """s_index of each matrix of a (count, rows, cols) stack, or 0.0 where a
     matrix has fewer singular values; within RTOL of singular_values.
 
-    A dense stack takes the Gram kernel below, a ``SparseStack`` the
-    matrix-free Lanczos kernel (``_lanczos``); ``lanczos_pays`` says which
-    pays for a block. The Gram kernel sends a matrix whose s_index lies
-    below its stated accuracy floor to singular_values, so an all-zero
-    matrix gives exactly 0.0; the Lanczos kernel sends one below its own
-    floor, or out of steps, to the Gram kernel, or straight to
-    singular_values where the Gram kernel could only pass it on.
+    A dense stack takes the Gram kernel below. A ``SparseStack`` takes the
+    matrix-free Lanczos kernel (``_lanczos``) where ``lanczos_pays`` for its
+    smaller side and its own entries per row, and otherwise goes to the Gram
+    kernel as its scatter (``SparseStack.dense``). The Gram kernel sends a
+    matrix whose s_index lies below its stated accuracy floor to
+    singular_values, so an all-zero matrix gives exactly 0.0; the Lanczos
+    kernel sends one below its own floor, or out of steps, to the Gram
+    kernel, or straight to singular_values where the Gram kernel could only
+    pass it on.
 
     Gram kernel: s_index is the square root of an eigenvalue lambda of the
     smaller Gram matrix G (E^t E or E E^t), from one batched matmul and one
@@ -60,7 +67,10 @@ def singular_value(stack, index: int) -> np.ndarray:
     eps trace(G) / (2 RTOL).
     """
     if isinstance(stack, SparseStack):
-        return _lanczos(stack, index)
+        count, rows, cols = stack.shape
+        if lanczos_pays(min(rows, cols), stack.value.size / max(1, count * rows)):
+            return _lanczos(stack, index)
+        stack = stack.dense()
     E = np.asarray(stack, dtype=np.float64)
     count, rows, cols = E.shape
     k = min(rows, cols)
@@ -118,6 +128,14 @@ def lanczos_steps(dim: int) -> int:
     costs at most about twice what the Gram kernel alone would.
     """
     return dim // 4 + 16
+
+
+def kernel_floats(rows: int, cols: int, per_row: float) -> int:
+    """The floats ``singular_value`` works in on a rows x cols matrix with
+    ``per_row`` entries per row: where ``lanczos_pays``, the largest Lanczos
+    basis it keeps (plus the start and deflated vectors), else the matrix."""
+    k = min(rows, cols)
+    return k * (lanczos_steps(k) + 2) if lanczos_pays(k, per_row) else rows * cols
 
 
 # The start vector's generator: a fixed seed, so that the kernel draws from
@@ -298,10 +316,12 @@ def second_singular(M) -> float:
 
 
 def s2_via_centering(A, d: float) -> float:
-    """s2 of a doubly regular matrix as ||A - (d/n) 11^t||.
+    """s2 of a nonnegative doubly regular matrix as ||A - (d/n) 11^t||.
 
     Requires all row and column sums to equal d (within 1e-8 * max(1, |d|));
-    raises naming the first offending row or column otherwise.
+    raises naming the first offending row or column otherwise. Then requires
+    a nonnegative matrix (Perron: s1 = d on 1/sqrt(n)); on a signed one the
+    centered norm can be s1.
     """
     E = as_entries(A)
     n = E.shape[0]
@@ -315,6 +335,8 @@ def s2_via_centering(A, d: float) -> float:
     if bad_u.size:
         raise ValueError(f"column {bad_u[0] + 1} has sum {float(u[bad_u[0]])!r}, "
                          f"expected {float(d)!r}")
+    if np.any(E < 0):
+        raise ValueError("matrix must be entrywise nonnegative")
     return spectral_norm(E - (d / n) * np.ones((n, n)))
 
 

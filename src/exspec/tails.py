@@ -12,7 +12,8 @@ each comparison reads the corner (or block) of the sample itself: relabeling
 it by a further uniform permutation would not change the law.
 corner_capture_fraction relabels its one matrix M through the permuted_base
 ensemble of M. What a kind's samples are like (zero diagonal, entries per
-row, relabelings) is asked of ``ensembles``, and no kind is named here.
+row, ||M||, relabelings) is asked of ``ensembles``, and no kind is named
+here.
 
 The five estimators share one chunked engine, ``_run_trials``. A chunk of
 consecutive trials is drawn as a whole, as one ``core.SparseStack`` of its
@@ -20,30 +21,20 @@ whole n x n samples: the pairs (i, Q[j, i]) of the (d, n) permutation
 tables of a doubly regular kind (``ensembles.table_entries``), or the
 nonzero entries of a fixed base B (``spec.base is not None``, found once
 per base) at their relabeled positions (``ensembles.relabeled_entries``).
-Each block a comparison reads (the m x m corner, the M12 block, or the
-whole matrix) is a range of rows by a range of columns, cut from that
-stack with ``SparseStack.block``, and each chunk gets one batched
-singular-value kernel (``spectra.singular_value``) and one row-wise degree
-test. Where ``spectra.lanczos_pays`` for the block's size and nonzeros per
-row, the block stays sparse and goes to the matrix-free Lanczos kernel.
-Otherwise it is dense, for the Gram kernel: scattered with one bincount
-(``dense()``), or on a base gathered from B through the drawn row and
-column permutations, which beats the scatter on a dense B (no stack of
-entries is formed then). So no trial forms an n x n array unless its whole
-matrix is small enough for the Gram kernel, or the Lanczos kernel runs out
-of steps on it (``spectra.lanczos_steps``). The row and column l2 maxima
-of a table kind come from the chunk's stack (``core.max_l2``). A chunk
-holds at most CHUNK_FLOATS stacked floats (a sparse block counts as the
-largest Lanczos basis the kernel keeps for it, a member out of steps adds
-its dense block, and a whole-sample stack read as such counts its four
-words per entry) and at least one trial; chunks run one after another, in
-index order.
+Each block a comparison reads (the m x m corner or the M12 block) is a
+range of rows by a range of columns, cut from that stack with
+``SparseStack.block`` and handed as cut to one batched
+``spectra.singular_value`` call per chunk, which picks its kernel itself,
+and to one row-wise degree test. A block of a base that the Gram kernel
+takes is gathered from B through the drawn permutations instead, which
+beats the scatter on a dense B. A chunk holds at most CHUNK_FLOATS floats
+of kernel working set and at least one trial; chunks run in index order.
 
-||M|| is the same for every sample and is computed once per call: it is d
-for the doubly regular kinds (Schur test), and ||B|| for a relabeled base.
-Relabelings preserve singular values and the multisets of row and column
-norms, so s2(M) and the row/column l2 maxima of a relabeled base also come
-from B once per call.
+The one statistic of the whole sample a comparison reads (s2(M), or the
+row and column l2 maxima) is ``whole``, a function of a SparseStack of
+whole samples: taken on each chunk's stack for a table kind, and once on
+B for a relabeled base, since a relabeling keeps it. ||M|| is
+``EnsembleSpec.norm``.
 
 Each comparison sorts each of its two per-trial columns once and counts
 the exceedances of every threshold and every grid constant at once. A
@@ -58,7 +49,7 @@ import numpy as np
 from .core import SparseStack, SquareMatrix, csv_text, json_ready, max_l2
 from .degrees import HYPOTHESIS_C, RegularityParams, corner_degree_events
 from .ensembles import EnsembleSpec, relabeled_entries, relabeling, sample, table_entries
-from .spectra import RTOL, lanczos_pays, lanczos_steps, singular_value, spectral_norm
+from .spectra import RTOL, kernel_floats, lanczos_pays, singular_value
 
 __all__ = [
     "TailCurve",
@@ -112,10 +103,11 @@ class TailCurve:
                             self.ci_right), ("tau", "p_left", "ci_left", "p_right", "ci_right"))
 
 
-# Stacked floats per chunk of trials (1 MiB, like subset.TABLE_ENTRIES). A
-# sparse block counts as the largest Lanczos basis the kernel keeps for it:
-# lanczos_steps of its smaller side, plus the start and deflated vectors. A
-# whole-sample stack (a None block) counts four words per entry.
+# Stacked floats per chunk of trials (1 MiB, like subset.TABLE_ENTRIES): the
+# working set of the singular-value kernel on each block
+# (``spectra.kernel_floats``), plus, for a whole-sample statistic of a table
+# kind, the larger of the chunk's entry stack (four words per entry) and that
+# kernel's working set on a whole sample.
 CHUNK_FLOATS = 2**17
 
 
@@ -130,12 +122,16 @@ def _shape(n: int, block) -> tuple:
     return len(range(n)[block[0]]), len(range(n)[block[1]])
 
 
-def _sparse(spec: EnsembleSpec, block) -> bool:
-    """Whether a block of a sample goes to the Lanczos kernel: by its smaller
-    side, and the nonzeros a block row holds on average (those of a sample
-    row, ``spec.row_nonzeros``, times the block's share of the columns)."""
-    h, w = _shape(spec.n, block)
-    return lanczos_pays(min(h, w), spec.row_nonzeros * w / spec.n)
+def _per_row(spec: EnsembleSpec, block) -> float:
+    """The entries a block row holds on average: a sample row's
+    (``spec.row_nonzeros``) times the block's share of the columns."""
+    return spec.row_nonzeros * _shape(spec.n, block)[1] / spec.n
+
+
+def _gathered(spec: EnsembleSpec, block) -> bool:
+    """Whether a block of a base is gathered from it: where the Gram kernel
+    takes the block, the gather beats cutting and scattering it."""
+    return not lanczos_pays(min(_shape(spec.n, block)), _per_row(spec, block))
 
 
 def _base_entries(spec: EnsembleSpec) -> SparseStack:
@@ -144,67 +140,58 @@ def _base_entries(spec: EnsembleSpec) -> SparseStack:
     return SparseStack((1, spec.n, spec.n), np.zeros_like(i), i, j, value)
 
 
-def _base_stack(spec: EnsembleSpec):
-    """The base as a one-matrix stack for singular_value, sparse where the
-    Lanczos kernel pays."""
-    if not _sparse(spec, (slice(None), slice(None))):
-        return spec.base.entries[None]
-    return _base_entries(spec)
-
-
-def _run_trials(spec: EnsembleSpec, trials: int, blocks, finish) -> list:
+def _run_trials(spec: EnsembleSpec, trials: int, blocks, finish, whole=None) -> list:
     """Per-trial columns of a Monte Carlo estimator, computed chunk by chunk.
 
     Trial i is sample i of ``spec``. Each (row slice, column slice) in
-    ``blocks`` gives the stack of that block of every sample of the chunk:
-    a SparseStack where the Lanczos kernel pays (``_sparse``), a dense
-    array otherwise. A ``None`` block gives the chunk's whole samples as a
-    SparseStack. ``finish(*stacks)`` turns them into a tuple of per-trial
+    ``blocks`` gives the stack of that block of the chunk's samples: a
+    SparseStack, or a dense array gathered from a base. ``whole``, if
+    given, maps a SparseStack of whole samples to one value per sample, and
+    a relabeling must keep it: a base's value is every sample's.
+    ``finish(*stacks[, values])`` turns them into a tuple of per-trial
     arrays, which are concatenated in trial order.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    sparse = [b is None or _sparse(spec, b) for b in blocks]
-    floats = 0
-    for b, sp in zip(blocks, sparse):
-        if b is None:  # the whole-sample stack: four words per entry
-            floats += round(4 * spec.n * spec.row_nonzeros)
-        else:
-            h, w = _shape(spec.n, b)
-            k = min(h, w)
-            floats += k * (lanczos_steps(k) + 2) if sp else h * w
+    floats = sum(kernel_floats(*_shape(spec.n, b), _per_row(spec, b)) for b in blocks)
+    if whole is not None and spec.base is not None:
+        base_value = whole(_base_entries(spec))
+
+        def whole(indices):  # a relabeling keeps the base's value
+            return np.repeat(base_value, len(indices))
+    elif whole is not None:
+        floats += max(round(4 * spec.n * spec.row_nonzeros),
+                      kernel_floats(spec.n, spec.n, spec.row_nonzeros))
     size = max(1, CHUNK_FLOATS // max(1, floats))
 
     # The stacks come from a call of their own, so the whole samples they are
     # cut from are freed before finish runs.
-    parts = [finish(*_chunk_stacks(spec, range(lo, min(trials, lo + size)), blocks, sparse))
+    parts = [finish(*_chunk_stacks(spec, range(lo, min(trials, lo + size)), blocks, whole))
              for lo in range(0, trials, size)]
     return [np.concatenate(column) for column in zip(*parts)]
 
 
-def _chunk_stacks(spec: EnsembleSpec, indices: range, blocks, sparse) -> list:
+def _chunk_stacks(spec: EnsembleSpec, indices: range, blocks, whole) -> list:
     """The stack of each block of the samples ``indices``, cut from their
-    whole samples; a dense block of a base is gathered from the base, which
-    beats scattering it."""
+    whole samples, then the values of ``whole`` if given; a block of a base
+    that the Gram kernel takes is gathered from the base instead."""
     if spec.base is None:
         samples = table_entries(np.array([sample(spec, i, table=True) for i in indices]))
-        return [samples if b is None else samples.block(*b) if sp else samples.block(*b).dense()
-                for b, sp in zip(blocks, sparse)]
+        values = [] if whole is None else [whole(samples)]  # before any block is cut
+        return [samples.block(*b) for b in blocks] + values
     # Sample t is base[np.ix_(rows[t], cols[t])].
     rows, cols = map(np.array, zip(*[relabeling(spec, i) for i in indices]))
-    samples = relabeled_entries(spec.base.nonzeros, rows, cols) if any(sparse) else None
-    return [samples if b is None else samples.block(*b) if sp else
-            spec.base.entries[rows[:, b[0], None], cols[:, None, b[1]]]
-            for b, sp in zip(blocks, sparse)]
+    gathered = [_gathered(spec, b) for b in blocks]
+    samples = None if all(gathered) else relabeled_entries(spec.base.nonzeros, rows, cols)
+    stacks = [spec.base.entries[rows[:, b[0], None], cols[:, None, b[1]]] if g else
+              samples.block(*b) for b, g in zip(blocks, gathered)]
+    return stacks if whole is None else stacks + [whole(indices)]
 
 
 def _norms(spec: EnsembleSpec, trials: int, thresholds):
     """||M|| of each trial, and the thresholds, by default ||M|| itself: it is
-    one value for every sample, and so every decile."""
-    if spec.base is not None:
-        m_norm = spectral_norm(spec.base)
-    else:
-        m_norm = float(spec.d)  # Schur test: ||M|| <= sqrt(||M||_1 ||M||_inf) = d; M1 = d1.
+    one value for every sample (``EnsembleSpec.norm``), and so every decile."""
+    m_norm = spec.norm
     thresholds = [m_norm] if thresholds is None else thresholds
     return np.full(trials, m_norm), np.asarray(thresholds, dtype=np.float64)
 
@@ -253,10 +240,10 @@ def corner_capture_fraction(M: SquareMatrix, trials: int, seed: int = 0) -> dict
     """
     if M.n < 8:
         raise ValueError("the corner-capture statement assumes n >= 8")
-    if np.any(np.diag(M.entries) != 0.0):
-        raise ValueError("the corner-capture statement assumes zero diagonal")
-    m_norm = spectral_norm(M)
     spec = EnsembleSpec.permuted(M, seed)
+    if not spec.zero_diagonal_samples:
+        raise ValueError("the corner-capture statement assumes zero diagonal")
+    m_norm = spec.norm
     (t_norms,) = _run_trials(spec, trials, [_corner(M.n)], lambda T: (singular_value(T, 0),))
     p_hat, ci = _tail_probs(t_norms, C_GRID * m_norm)
     ok = p_hat >= C_GRID - ci
@@ -335,17 +322,10 @@ def corner_degree_event_frequency(spec: EnsembleSpec, params: RegularityParams,
     hypothesis C * max_i ||row_i||_2, C * max_i ||col_i||_2 <= delta, with
     C = HYPOTHESIS_C.
     """
-    blocks = [_corner(spec.n)]
-    if spec.base is None:
-        blocks.append(None)  # the whole samples, for their l2 maxima
-    else:
-        l2 = max_l2(_base_entries(spec))[0]
-
-    def finish(T, A=None):
-        l2s = np.full(len(T), l2) if A is None else max_l2(A)
+    def finish(T, l2s):
         return corner_degree_events(T, params), HYPOTHESIS_C * l2s <= params.delta
 
-    events, hyp = _run_trials(spec, trials, blocks, finish)
+    events, hyp = _run_trials(spec, trials, [_corner(spec.n)], finish, whole=max_l2)
     hits = int(np.count_nonzero(events))
     return {
         "p_E": hits / trials,
@@ -376,16 +356,12 @@ def s2_tail_curve(
     with np.errstate(over="raise"):  # a threshold beyond float64 is a usage error
         thresholds = np.asarray(L_grid, dtype=np.float64) * params.delta
     n = spec.n
-    blocks = [_corner(n)]
-    if spec.base is None:
-        blocks.append((slice(0, n), slice(0, n)))  # the whole sample, for s2(A)
-    s2B = None if spec.base is None else singular_value(_base_stack(spec), 1)[0]
 
-    def finish(T, A=None):
-        s2A = np.full(len(T), s2B) if A is None else singular_value(A, 1)
+    def finish(T, s2A):
         return s2A, singular_value(T, 1), corner_degree_events(T, params)
 
-    s2A, s2T, members = _run_trials(spec, trials, blocks, finish)
+    s2A, s2T, members = _run_trials(spec, trials, [_corner(n)], finish,
+                                    whole=lambda A: singular_value(A, 1))
     columns, best_c = _compare(s2A, np.where(members, s2T, -np.inf), thresholds, c)
     return TailCurve(
         thresholds=thresholds, **columns, trials=trials, seed=spec.seed, c=c,

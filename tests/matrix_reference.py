@@ -4,6 +4,10 @@ a SquareMatrix or an array.
 
 ``perron_vector`` is the one-matrix power iteration of ``verify perron``.
 
+``derangement`` draws the derangements of the reference samplers by its
+own rejection loop, so that a fault in the sampler's loop can show, and
+``signed_regular`` sums three of them with one negated.
+
 ``centered_offdiag`` is the reference definition of the centered matrix
 B = A - (d/n) 11^t (off the diagonal) of a d-regular A, whose norm varies
 from sample to sample where ||A|| does not."""
@@ -46,6 +50,28 @@ def max_l2_reference(A) -> np.ndarray:
 def permutation_matrix(p) -> np.ndarray:
     """The matrix P with P[i, p[i]] = 1."""
     return np.eye(len(p))[p]
+
+
+def derangement(n: int, rng: np.random.Generator) -> np.ndarray:
+    """A uniform fixed-point-free permutation: ``rng.permutation(n)`` redrawn
+    until no i maps to itself."""
+    while True:
+        p = rng.permutation(n)
+        if np.all(p != np.arange(n)):
+            return p
+
+
+def signed_regular(n: int, rng: np.random.Generator) -> np.ndarray:
+    """Three edge-disjoint derangement matrices, the middle one negated: all
+    its absolute row and column sums are 3, yet it is not nonnegative."""
+    A = np.zeros((n, n))
+    idx = np.arange(n)
+    for sign in (1.0, -1.0, 1.0):
+        p = derangement(n, rng)
+        while A[idx, p].any():
+            p = derangement(n, rng)
+        A[idx, p] = sign
+    return A
 
 
 def centered_offdiag(A, d: float) -> SquareMatrix:

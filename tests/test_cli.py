@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from matrix_reference import signed_regular
 
 from exspec.cli import _load_matrix, main
 from exspec.core import SquareMatrix, matrix_to_csv, matrix_to_json
@@ -81,6 +82,20 @@ def test_analyze_identity_permutation_matrix(tmp_path, capsys):
     assert rep["s2_via_centering"] == pytest.approx(1.0)
     assert "tol" not in rep
     assert rep["scaling"]["hypotheses_ok"] is True
+
+
+def test_analyze_reports_s2_via_centering_of_a_signed_matrix_as_an_error(tmp_path, capsys):
+    # Every absolute row and column sum is 3, so the margin checks pass, but
+    # the centering identity holds only for a nonnegative matrix.
+    A = signed_regular(10, np.random.default_rng(1))
+    f = tmp_path / "signed3.csv"
+    f.write_text(matrix_to_csv(SquareMatrix(A)))
+    code, stdout, err = run_cli(["analyze", str(f), "--d", "3"], capsys)
+    assert code == 0, err
+    rep = json.loads(stdout)
+    assert "s2_via_centering" not in rep
+    assert rep["s2_via_centering_error"] == "matrix must be entrywise nonnegative"
+    assert rep["s2"] == pytest.approx(2.641566654658992, rel=1e-12)
 
 
 def test_analyze_reports_a_bound_beyond_float64_as_scaling_error(tmp_path, capsys):

@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from matrix_reference import derangement
 
 from exspec import ensembles
 from exspec.core import SquareMatrix, abs_sums, matrix_from_json
 from exspec.ensembles import (
     EnsembleSpec,
-    random_derangement,
     sample,
 )
 from exspec.rng import stream
@@ -72,11 +72,14 @@ def test_sampling_is_deterministic_in_seed_and_index():
 
 
 def test_derangement_has_no_fixed_points():
+    # Every row of a zero-diagonal table is a derangement.
     rng = stream(63)
-    for _ in range(50):
+    for i in range(50):
         n = int(rng.integers(2, 30))
-        p = random_derangement(n, rng)
-        assert not np.any(p == np.arange(n))
+        for spec in (EnsembleSpec("perm_sum_regular", n, min(3, n - 1), True, seed=63),
+                     EnsembleSpec("regular_digraph", n, max(1, min(3, n // 3)), seed=63)):
+            Q = sample(spec, i, table=True)
+            assert not np.any(Q == np.arange(n)), (spec.kind, n)
 
 
 def test_spec_validation():
@@ -141,7 +144,7 @@ def _reference_perm_sum(n, d, zero_diagonal, rng):
     A = np.zeros((n, n))
     idx = np.arange(n)
     for _ in range(d):
-        p = random_derangement(n, rng) if zero_diagonal else rng.permutation(n)
+        p = derangement(n, rng) if zero_diagonal else rng.permutation(n)
         A[idx, p] += 1.0
     return A
 
@@ -152,7 +155,7 @@ def _reference_regular_digraph(n, d, rng, cap=1000):
     idx = np.arange(n)
     for _ in range(d):
         for _ in range(cap):
-            p = random_derangement(n, rng)
+            p = derangement(n, rng)
             if not A[idx, p].any():
                 A[idx, p] = 1.0
                 break

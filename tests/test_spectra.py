@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from matrix_reference import centered_offdiag, permutation_matrix, relabel
+from matrix_reference import centered_offdiag, permutation_matrix, relabel, signed_regular
 
 from exspec import spectra
 from exspec.core import SparseStack, SquareMatrix
@@ -12,6 +12,7 @@ from exspec.ensembles import EnsembleSpec, sample, table_entries
 from exspec.rng import stream
 from exspec.spectra import (
     RTOL,
+    kernel_floats,
     lanczos_pays,
     lanczos_steps,
     perron_check,
@@ -116,6 +117,19 @@ def test_centering_error_names_sums_as_plain_floats():
     with pytest.raises(ValueError) as exc:
         s2_via_centering(A, 3)
     assert str(exc.value) == "column 1 has sum 4.0, expected 3.0"
+
+
+def test_centering_rejects_a_signed_matrix_with_regular_absolute_sums():
+    # The identity needs a nonnegative matrix: here ||A - (3/n) 11^t|| is s1,
+    # 2.8568..., not s2 = 2.6416....
+    A = signed_regular(10, np.random.default_rng(1))
+    assert np.all(np.abs(A).sum(axis=0) == 3) and np.all(np.abs(A).sum(axis=1) == 3)
+    s = np.linalg.svd(A, compute_uv=False)
+    assert spectral_norm(A - 0.3 * np.ones((10, 10))) == pytest.approx(s[0], rel=1e-12)
+    assert s[0] > s[1] + 0.2
+    with pytest.raises(ValueError) as exc:
+        s2_via_centering(A, 3)
+    assert str(exc.value) == "matrix must be entrywise nonnegative"
 
 
 def test_centered_offdiag_flat_and_scaled_identity():
@@ -297,7 +311,7 @@ def _assert_lanczos_within_rtol(stack, indices=(0, 1, 2)):
     stack = np.asarray(stack, dtype=np.float64)
     s = singular_values(stack)
     for index in indices:
-        got = singular_value(_sparse(stack), index)
+        got = spectra._lanczos(_sparse(stack), index)
         want = s[:, index] if index < s.shape[1] else np.zeros(len(stack))
         assert got.shape == want.shape
         assert np.all(np.abs(got - want) <= RTOL * want), (index, got, want)
@@ -313,7 +327,7 @@ def test_lanczos_repeated_top_singular_value():
     twice = np.block([[D, np.zeros((4, 4))], [np.zeros((4, 4)), D]])
     for E, want in ((corner, [1.0, 1.0, 1.0]), (np.roll(np.eye(6), 3, axis=1), [1.0] * 3),
                     (twice, [3.0, 3.0, 2.0])):
-        got = [singular_value(_sparse(E[None]), index)[0] for index in range(3)]
+        got = [spectra._lanczos(_sparse(E[None]), index)[0] for index in range(3)]
         assert np.allclose(got, want, rtol=RTOL, atol=0.0), got
         _assert_lanczos_within_rtol(E[None])
 
@@ -329,25 +343,25 @@ def test_lanczos_rank_one_and_zero_blocks(monkeypatch):
     stack = np.array([rank_one, np.zeros((7, 7)), rank_one[::-1]])
     want = real(stack)
     # s1 of the rank-one blocks needs no fallback; the zero block's is 0.0.
-    got = singular_value(_sparse(stack), 0)
+    got = spectra._lanczos(_sparse(stack), 0)
     assert [f.tobytes() for f in fallbacks] == [stack[[1]].tobytes()] and got[1] == 0.0
     assert np.all(np.abs(got - want[:, 0]) <= RTOL * want[:, 0])
     # Their s2 lies below the floor: the SVD's values, bit for bit. The zero
     # block goes to the SVD directly, the rank-one blocks through the Gram
     # kernel, whose own floor passes them on.
     fallbacks.clear()
-    got = singular_value(_sparse(stack), 1)
+    got = spectra._lanczos(_sparse(stack), 1)
     assert [f.tobytes() for f in fallbacks] == [stack[[1]].tobytes(), stack[[0, 2]].tobytes()]
     assert got.tobytes() == want[:, 1].tobytes()
     # A wide block runs on B B^t; its fallback still takes the SVD of B.
     wide = np.outer(x, np.arange(1.0, 10.0))[None]
     fallbacks.clear()
-    assert singular_value(_sparse(wide), 1).tobytes() == real(wide)[:, 1].tobytes()
+    assert spectra._lanczos(_sparse(wide), 1).tobytes() == real(wide)[:, 1].tobytes()
     assert [f.tobytes() for f in fallbacks] == [wide.tobytes()]
     empty = SparseStack((2, 5, 6), *np.zeros((3, 0), dtype=np.int64), np.zeros(0))
-    assert singular_value(empty, 0).tolist() == [0.0, 0.0]
-    assert singular_value(empty, 4).tolist() == [0.0, 0.0]
-    assert singular_value(empty, 5).tolist() == [0.0, 0.0]
+    for index in (0, 4, 5):
+        assert spectra._lanczos(empty, index).tolist() == [0.0, 0.0]
+        assert singular_value(empty, index).tolist() == [0.0, 0.0]
 
 
 @pytest.mark.parametrize("n", [9, 40, 321])
@@ -385,12 +399,12 @@ def test_lanczos_is_reproducible_and_draws_from_no_stream():
     tables = np.array([sample(spec, i, table=True) for i in range(3)])
     state = np.random.get_state()[1].copy()
     S = table_entries(tables).block(slice(0, 200), slice(200, 400))
-    first = singular_value(S, 1)
-    assert singular_value(S, 1).tobytes() == first.tobytes()
+    first = spectra._lanczos(S, 1)
+    assert spectra._lanczos(S, 1).tobytes() == first.tobytes()
     # A member's value does not depend on the stack it is computed in.
     for t in range(3):
         one = table_entries(tables[t:t + 1]).block(slice(0, 200), slice(200, 400))
-        assert singular_value(one, 1).tobytes() == first[t:t + 1].tobytes()
+        assert spectra._lanczos(one, 1).tobytes() == first[t:t + 1].tobytes()
     assert np.array_equal(np.random.get_state()[1], state)
     again = np.array([sample(spec, i, table=True) for i in range(3)])
     assert again.tobytes() == tables.tobytes()
@@ -440,3 +454,46 @@ def test_lanczos_pays_only_on_large_sparse_blocks():
     assert not lanczos_pays(32, 2.0)  # the 32 x 32 corners of tail norm at n = 64
     assert lanczos_pays(320, 2.0) and lanczos_pays(640, 4.0)
     assert not lanczos_pays(640, 64.0)
+
+
+def test_singular_value_picks_its_kernel_from_the_sparse_stack(monkeypatch):
+    # Below the crossover a SparseStack takes the Gram kernel on its scatter,
+    # bit for bit; at or above it, the Lanczos kernel. The choice reads the
+    # stack's own entries per row: 4 for whole 4-regular samples, about 2
+    # for their corners.
+    lanczos = []
+    real = spectra._lanczos
+    monkeypatch.setattr(spectra, "_lanczos",
+                        lambda stack, index: lanczos.append(stack.shape) or real(stack, index))
+    # n, and whether the whole samples and their corners pay.
+    for n, pays in ((64, (False, False)), (318, (False, False)), (320, (True, False)),
+                    (640, (True, True))):
+        spec = EnsembleSpec("perm_sum_regular", n, d=4, zero_diagonal=True, seed=58)
+        S = table_entries(np.array([sample(spec, i, table=True) for i in range(2)]))
+        m = n // 2
+        for stack, lanczos_runs in zip((S, S.block(slice(0, m), slice(n - m, n))), pays):
+            for index in (0, 1):
+                lanczos.clear()
+                got = singular_value(stack, index)
+                if lanczos_runs:
+                    assert lanczos == [stack.shape]
+                    assert got.tobytes() == real(stack, index).tobytes()
+                else:
+                    assert lanczos == []
+                    assert got.tobytes() == singular_value(stack.dense(), index).tobytes()
+    # Twelve copies of one 640-node sample at the same positions: 48 entries
+    # per row, past 640 / 16, so the Gram kernel takes their scatter.
+    spec = EnsembleSpec("perm_sum_regular", 640, d=4, zero_diagonal=True, seed=59)
+    Q = np.concatenate([sample(spec, 0, table=True)] * 12)[None]
+    S = table_entries(Q)
+    lanczos.clear()
+    assert singular_value(S, 1).tobytes() == singular_value(S.dense(), 1).tobytes()
+    assert lanczos == []
+
+
+def test_kernel_floats_is_the_working_set_of_the_chosen_kernel():
+    assert kernel_floats(32, 32, 2.0) == 32 * 32  # Gram: the dense block
+    assert kernel_floats(20, 21, 2.0) == 20 * 21
+    assert kernel_floats(320, 320, 2.0) == 320 * (lanczos_steps(320) + 2)  # Lanczos basis
+    assert kernel_floats(640, 641, 4.0) == 640 * (lanczos_steps(640) + 2)
+    assert kernel_floats(640, 640, 64.0) == 640 * 640

@@ -11,7 +11,7 @@ from exspec.core import SquareMatrix
 from exspec.degrees import RegularityParams, corner_degree_events, deg_membership
 from exspec.ensembles import EnsembleSpec, relabeling, sample
 from exspec.rng import stream
-from exspec.spectra import RTOL, second_singular, singular_value, spectral_norm
+from exspec.spectra import RTOL, kernel_floats, second_singular, singular_value, spectral_norm
 from exspec.tails import (
     C_GRID,
     TailCurve,
@@ -320,7 +320,9 @@ def test_relabeled_corner_gathers_the_sampled_corner(monkeypatch, n):
         EnsembleSpec(kind="regular_digraph", n=n, d=2, seed=92),
     ]
     for spec in specs:
-        (corners,) = _run_trials(spec, trials, [_corner(n)], lambda T: (T,))
+        # A table kind's corners come as cut, a relabeled base's gathered.
+        (corners,) = _run_trials(spec, trials, [_corner(n)],
+                                 lambda T: (T if isinstance(T, np.ndarray) else T.dense(),))
         want = np.array([sample(spec, i).entries[:m, n - m:] for i in range(trials)])
         assert corners.tobytes() == want.tobytes(), spec.kind
 
@@ -329,22 +331,45 @@ def test_a_whole_sample_stack_counts_in_the_chunk_budget(monkeypatch):
     from exspec import tails
     from exspec.core import max_l2
 
-    n, d, trials = 16, 3, 5
-    spec = EnsembleSpec(kind="perm_sum_regular", n=n, d=d, zero_diagonal=True, seed=311)
-    chunks = []
+    n, trials = 16, 5
+    chunks, stacks = [], []
 
-    def finish(A):
-        chunks.append(len(A))
-        return (max_l2(A),)
+    def whole(A):
+        stacks.append(A.shape)
+        return max_l2(A)
 
-    (want,) = _run_trials(spec, trials, [None], finish)
-    assert chunks == [trials]
-    # Four words per entry, d n entries per sample: two samples fit.
-    monkeypatch.setattr(tails, "CHUNK_FLOATS", 2 * 4 * n * d)
+    def finish(l2s):
+        chunks.append(len(l2s))
+        return (l2s,)
+
+    # A sample counts the larger of its entry stack, four words for each of
+    # its d n entries, and the kernel's working set on it, n x n below the
+    # crossover: the kernel's at d = 3, the stack's at d = 5.
+    assert kernel_floats(n, n, 3) == n * n
+    budget = tails.CHUNK_FLOATS
+    for d, per_sample in ((3, n * n), (5, 4 * n * 5)):
+        spec = EnsembleSpec(kind="perm_sum_regular", n=n, d=d, zero_diagonal=True, seed=311)
+        monkeypatch.setattr(tails, "CHUNK_FLOATS", budget)
+        chunks.clear()
+        stacks.clear()
+        (want,) = _run_trials(spec, trials, [], finish, whole=whole)
+        assert chunks == [trials] and stacks == [(trials, n, n)]
+        dense = np.array([sample(spec, i).entries for i in range(trials)])
+        assert want.tobytes() == max_l2_reference(dense).tobytes()
+        for cap, sizes in ((2 * per_sample, [2, 2, 1]), (2 * per_sample - 1, [1] * trials)):
+            monkeypatch.setattr(tails, "CHUNK_FLOATS", cap)
+            chunks.clear()
+            (got,) = _run_trials(spec, trials, [], finish, whole=whole)
+            assert chunks == sizes, (d, cap)
+            assert got.tobytes() == want.tobytes()
+    # On a relabeled base the statistic is taken once, on the base, and
+    # needs no room in a chunk.
+    base_spec = EnsembleSpec.permuted(sample(spec, 0), seed=312)
+    stacks.clear()
     chunks.clear()
-    (got,) = _run_trials(spec, trials, [None], finish)
-    assert chunks == [2, 2, 1]
-    assert got.tobytes() == want.tobytes()
+    (got,) = _run_trials(base_spec, trials, [], finish, whole=whole)
+    assert stacks == [(1, n, n)] and chunks == [trials]
+    assert got.tolist() == [want[0]] * trials
 
 
 def test_relabeling_requires_a_base():
@@ -568,8 +593,7 @@ def test_per_sample_s2_at_n_1200_takes_no_dense_svd(monkeypatch):
     real_svd = np.linalg.svd
     calls = []
     monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or real_svd(*a, **k))
-    (s2,) = _run_trials(spec, 1, [(slice(0, 1200), slice(0, 1200))],
-                        lambda A: (singular_value(A, 1),))
+    (s2,) = _run_trials(spec, 1, [], lambda s2A: (s2A,), whole=lambda A: singular_value(A, 1))
     assert calls == []
     assert abs(s2[0] - want) <= RTOL * want
 
@@ -584,9 +608,10 @@ def _estimates(spec, trials):
                               corner_degree_events(T, event)), [_corner(n)]),
         ("block", lambda B: (singular_value(B, 0), singular_value(B, 1)),
          [(slice(0, n // 2), slice(n // 2, n))]),
-        ("whole", lambda A: (singular_value(A, 1),), [(slice(0, n), slice(0, n))]),
     ):
         out[name] = _run_trials(spec, trials, blocks, finish)
+    out["whole"] = _run_trials(spec, trials, [], lambda s2A: (s2A,),
+                               whole=lambda A: singular_value(A, 1))
     curve = s2_tail_curve(spec, event, [2.0, 3.0, 3.4], trials=trials, c=0.5)
     out["s2"] = (curve.p_left, curve.p_right, curve.meta["member_fraction"])
     res = corner_degree_event_frequency(spec, event, trials=trials)
@@ -597,7 +622,7 @@ def _estimates(spec, trials):
 @pytest.mark.parametrize("kind", ["permuted_base", "separately_exchangeable",
                                   "perm_sum_regular", "regular_digraph"])
 def test_sparse_blocks_give_the_dense_statistics(monkeypatch, kind):
-    from exspec import tails
+    from exspec import spectra, tails
 
     n, trials = 41, 7  # odd: the M12 block is 20 x 21
     if kind in ("permuted_base", "separately_exchangeable"):
@@ -607,6 +632,8 @@ def test_sparse_blocks_give_the_dense_statistics(monkeypatch, kind):
         spec = EnsembleSpec(kind=kind, n=n, d=4, zero_diagonal=True, seed=303)
     runs = []
     for pays in (False, True):
+        # The kernel choice in spectra, and the gather choice in tails.
+        monkeypatch.setattr(spectra, "lanczos_pays", lambda dim, per_row: pays)
         monkeypatch.setattr(tails, "lanczos_pays", lambda dim, per_row: pays)
         monkeypatch.setattr(tails, "CHUNK_FLOATS", 3 * n * n)  # several chunks
         runs.append(_estimates(spec, trials))
