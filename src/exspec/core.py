@@ -16,11 +16,15 @@ read from a sparse stack, and ``row_norms``, the l2 norm of each row of a
 stack of vectors.
 
 A CSV matrix file is read in one pass into one n x n array
-(``matrix_from_csv_file``): its lines, decoded as ASCII with universal
-newlines, go straight to ``np.loadtxt``, and the matrix takes over the
-parsed array without a copy. A file loadtxt does not take, or whose text
-is not plain ASCII lines, is read again as a whole by the line parser
-(``_csv_rows_by_line``), so every file parses as that parser parses it.
+(``matrix_from_csv_file``), and the matrix takes over that array without a
+copy. A file in the layout ``csv_text`` writes for a matrix of integers 0
+to 9 (every field ``D.0``, every line ended by ``\\n``; any 0/1 adjacency
+matrix) is read as fixed-width bytes, in blocks of whole lines
+(``_digit_grid``). Any other file has its lines, decoded as ASCII with
+universal newlines, go straight to ``np.loadtxt``. A file loadtxt does not
+take, or whose text is not plain ASCII lines, is read again as a whole by
+the line parser (``_csv_rows_by_line``), so every file parses as that
+parser parses it.
 """
 
 import json
@@ -287,14 +291,62 @@ def _loadtxt_lines(lines):
         yield line
 
 
+# Bytes of one block of the digit reader: a small fraction of the array
+# it fills (2 MiB at n = 512), so loading peaks near that one array.
+_DIGIT_BLOCK_BYTES = 1 << 16
+
+
+def _digit_grid(p: Path):
+    """The array of a file in which every field is ``D.0`` (D one digit),
+    fields are split by ``,`` and every line ends in ``\\n``: the bytes
+    ``csv_text`` writes for a matrix of integers 0 to 9. None at the first
+    byte that breaks that layout, and for a file that cannot seek.
+
+    The first line fixes the line width; the file is read in blocks of
+    whole lines into one reused buffer. Each field with its separator is
+    one 32-bit word, and that word less the same word of a line of zeros
+    is at most 9 exactly when the field is a digit, ``.``, ``0`` and the
+    right separator; it is then the value."""
+    with p.open("rb") as f:
+        if not f.seekable():  # a pipe: what is read here is lost to the other routes
+            return None
+        size = f.seek(0, 2)
+        f.seek(0)
+        first = f.readline(size)
+        if not first.endswith(b"\n") or len(first) % 4 or size % len(first):
+            return None
+        width = len(first)
+        rows, cols = size // width, width // 4
+        zeros = np.frombuffer(b"0.0," * (cols - 1) + b"0.0\n", "<u4")
+        a = np.empty((rows, cols))
+        step = max(1, _DIGIT_BLOCK_BYTES // width)
+        buf = bytearray(step * width)
+        f.seek(0)
+        for r in range(0, rows, step):
+            k = min(step, rows - r)
+            if f.readinto(memoryview(buf)[:k * width]) != k * width:
+                return None
+            digits = np.frombuffer(buf, "<u4", k * cols).reshape(k, cols) - zeros
+            if digits.max() > 9:
+                return None
+            a[r:r + k] = digits
+    return a
+
+
 def matrix_from_csv_file(path) -> SquareMatrix:
-    """The matrix of a CSV file, read in one pass into one array: the file is
-    decoded as ASCII with universal newlines, and its lines go to np.loadtxt.
-    A file that loadtxt rejects or finds no data in, or that is not plain
-    ASCII lines, is read again as a whole by the line parser, which accepts
-    what float() accepts (e.g. ``1_0`` and whitespace-only lines) and names
-    the offending line."""
+    """The matrix of a CSV file, read in one pass into one array. A file of
+    ``D.0`` fields (D one digit, as ``csv_text`` writes a matrix of integers
+    0 to 9) with ``\\n`` line ends is read as fixed-width bytes. Any other
+    file is decoded as ASCII with universal newlines, and its lines go to
+    np.loadtxt. A file that loadtxt rejects or finds no data in, or that is
+    not plain ASCII lines, is read again as a whole by the line parser,
+    which accepts what float() accepts (e.g. ``1_0`` and whitespace-only
+    lines) and names the offending line. Each route gives the values and
+    errors the line parser gives on the same file."""
     p = Path(path)
+    a = _digit_grid(p)
+    if a is not None:
+        return SquareMatrix._adopt(a)
     a = np.empty((0, 0))
     try:
         with p.open(encoding="ascii") as f, warnings.catch_warnings():

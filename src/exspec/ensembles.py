@@ -86,7 +86,8 @@ class EnsembleSpec:
             if self.base is None:
                 raise ValueError(f"{self.kind} requires a base matrix")
             if self.base.n != self.n:
-                raise ValueError("base matrix dimension does not match n")
+                raise ValueError(f"base matrix is {self.base.n} x {self.base.n}, "
+                                 f"which does not match n = {self.n}")
             if self.zero_diagonal:  # the base alone decides the samples' diagonal
                 raise ValueError(f"{self.kind} takes no zero_diagonal flag")
         elif self.base is not None:

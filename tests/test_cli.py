@@ -613,16 +613,43 @@ def test_zero_diagonal_on_a_base_kind_is_rejected_before_the_base_is_read(tmp_pa
 
 def test_loading_a_csv_matrix_peaks_near_one_array(tmp_path):
     n = 512
-    f = tmp_path / "base.csv"
-    f.write_text(matrix_to_csv(sample(EnsembleSpec("regular_digraph", n, 4, seed=1), 0)))
-    tracemalloc.start()
-    try:
-        M = _load_matrix(str(f))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert M.n == n and not M.entries.flags.writeable
-    assert peak <= 1.5 * M.entries.nbytes, peak / M.entries.nbytes
+    text = matrix_to_csv(sample(EnsembleSpec("regular_digraph", n, 4, seed=1), 0))
+    # "\n" line ends take the digit reader, "\r\n" the loadtxt route.
+    for name, newline in (("base.csv", "\n"), ("base-crlf.csv", "\r\n")):
+        f = tmp_path / name
+        f.write_bytes(text.replace("\n", newline).encode())
+        tracemalloc.start()
+        try:
+            M = _load_matrix(str(f))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert M.n == n and not M.entries.flags.writeable
+        assert peak <= 1.5 * M.entries.nbytes, (name, peak / M.entries.nbytes)
+
+
+def test_a_generated_base_loads_without_loadtxt(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "gen"
+    args = ["gen", "--ensemble", "regular_digraph", "--n", "300", "--d", "4", "--seed", "3"]
+    assert run_cli(args + ["--out", str(out)], capsys)[0] == 0
+
+    def loadtxt(*args, **kwargs):
+        raise AssertionError("a 0/1 base went to np.loadtxt")
+
+    monkeypatch.setattr(np, "loadtxt", loadtxt)
+    M = _load_matrix(str(out / "sample_0000.csv"))
+    expected = sample(EnsembleSpec("regular_digraph", 300, 4, seed=3), 0)
+    assert np.array_equal(M.entries, expected.entries)
+
+
+def test_a_base_of_another_size_names_both_sizes(tmp_path, capsys):
+    out = tmp_path / "out"
+    code, stdout, err = run_cli(["tail", "s2", "--ensemble", "permuted_base",
+                                 "--base", str(_m8(tmp_path)), "--d", "4", "--delta", "1.0",
+                                 "--out", str(out)], capsys)
+    message = "error: base matrix is 8 x 8, which does not match n = 16\n"
+    assert (code, stdout, err) == (2, "", message)
+    assert not out.exists()
 
 
 def test_manifest_values_go_through_the_flag_types(tmp_path, capsys):

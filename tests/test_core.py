@@ -1,4 +1,5 @@
 import json
+import os
 import tempfile
 import warnings
 from pathlib import Path
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from matrix_reference import corner, max_l2_reference, permutation_matrix, relabel
 
+from exspec import core
 from exspec.core import (
     SparseStack,
     SquareMatrix,
@@ -282,7 +284,42 @@ _CSV_LINES = st.one_of(
 
 
 @st.composite
+def _digit_grids(draw):
+    """Grids of ``D.0`` fields with ``\\n`` line ends, the layout the digit
+    reader takes, square or not; with at most one change it must decline:
+    another field (``10.0``, ``-1.0``, `` 1.0``, ``1.00`` or ``-0.0``), a
+    ``\\r\\n`` or ``\\r`` line end, no final newline, a short or long row, a
+    blank line, or a byte order mark, a NUL or a non-ASCII character."""
+    rows = draw(st.integers(1, 5))
+    cols = draw(st.one_of(st.just(rows), st.integers(1, 5)))
+    digit = st.integers(0, 9).map(lambda x: f"{x}.0")
+    lines = [draw(st.lists(digit, min_size=cols, max_size=cols)) for _ in range(rows)]
+    newline = end = "\n"
+    change = draw(st.sampled_from([None, "field", "newline", "end", "row", "blank", "char"]))
+    r = draw(st.integers(0, rows - 1))
+    if change == "field":
+        lines[r][draw(st.integers(0, cols - 1))] = draw(
+            st.sampled_from(["10.0", "-1.0", " 1.0", "1.00", "-0.0"]))
+    elif change == "newline":
+        newline = end = draw(st.sampled_from(["\r\n", "\r"]))
+    elif change == "end":
+        end = ""
+    elif change == "row":
+        lines[r] = lines[r][:-1] if draw(st.booleans()) else lines[r] + ["1.0"]
+    elif change == "blank":
+        lines.insert(draw(st.integers(0, rows)), [])
+    text = newline.join(map(",".join, lines)) + end
+    if change == "char":
+        c = draw(st.sampled_from(["\ufeff", "\x00", "\xe9"]))
+        at = 0 if c == "\ufeff" else draw(st.integers(0, len(text)))
+        text = text[:at] + c + text[at:]
+    return text
+
+
+@st.composite
 def _csv_texts(draw):
+    if draw(st.booleans()):
+        return draw(_digit_grids())
     if draw(st.booleans()):
         # Rows of float reprs, mostly square: mostly the loadtxt path.
         rows = draw(st.integers(1, 4))
@@ -317,7 +354,10 @@ _FILE_FIELDS = st.one_of(
 def _csv_files(draw):
     """CSV files as bytes: rows of float reprs, mostly square (mostly the
     loadtxt path), or ragged and blank lines of odd fields; with any of the
-    three line ends and maybe a UTF-8 byte order mark."""
+    three line ends and maybe a UTF-8 byte order mark; or UTF-8 digit grids
+    (the digit reader's layout, or one change from it)."""
+    if draw(st.booleans()):
+        return draw(_digit_grids()).encode()
     if draw(st.booleans()):
         cols = draw(st.integers(1, 4))
         row = st.lists(st.floats().map(lambda x: repr(x).encode()), min_size=cols, max_size=cols)
@@ -340,6 +380,31 @@ def test_csv_file_route_matches_reading_the_whole_text(data):
         path.write_bytes(data)
         whole = _load_outcome(lambda p: _by_line(Path(p).read_text()), path)
         assert _load_outcome(matrix_from_csv_file, path) == whole
+
+
+def test_digit_reader_checks_every_block(tmp_path, monkeypatch):
+    # Blocks of one line, and no change alters the file's length: only the
+    # check of the last block can see it.
+    monkeypatch.setattr(core, "_DIGIT_BLOCK_BYTES", 1)
+    head = "1.0,0.0,2.0\n0.0,3.0,0.0\n"
+    for last in ("4.0,0.0,5.0\n", "4.0,0.0,5.1\n", "4.0,0.0,5.0\r", "4.0;0.0,5.0\n",
+                 "4.0\n0.0,5.0\n", "4.0,0.0,-5.\n", "4.0,0.0,a.0\n"):
+        path = tmp_path / "m.csv"
+        path.write_bytes((head + last).encode())
+        assert _load_outcome(matrix_from_csv_file, path) == _load_outcome(_by_line, head + last)
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+def test_a_csv_pipe_is_read_once():
+    # A pipe cannot be read twice, so the digit reader must leave it alone.
+    r, w = os.pipe()
+    try:
+        os.write(w, b"0.0,1.0\n1.0,0.0\n")
+        os.close(w)
+        M = matrix_from_csv_file(f"/dev/fd/{r}")
+    finally:
+        os.close(r)
+    assert np.array_equal(M.entries, [[0.0, 1.0], [1.0, 0.0]])
 
 
 def test_csv_loader_edge_cases(tmp_path):
