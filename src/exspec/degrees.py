@@ -64,20 +64,15 @@ class RegularityParams:
         return self.d / math.sqrt(math.log(n)) >= HYPOTHESIS_C * self.delta
 
 
-def _scales(params):
-    """d and delta of one RegularityParams, or arrays of them, one entry per
-    params of a sequence."""
+def _row_scales(params, profiles: int):
+    """Target d and delta as arrays over the rows [u rows..., v rows...] of
+    ``profiles`` profiles, from one RegularityParams for every profile or
+    one per profile."""
     if isinstance(params, RegularityParams):
-        return params.d, params.delta
-    return np.array([p.d for p in params]), np.array([p.delta for p in params])
-
-
-def _each_side(target, delta):
-    """target and delta for the rows [u rows..., v rows...]: one value for
-    every row stays one value, one per profile is repeated for each side."""
-    if np.ndim(target):
-        return np.tile(target, 2), np.tile(delta, 2)
-    return target, delta
+        params = [params] * profiles
+    if len(params) != profiles:
+        raise ValueError(f"{len(params)} params for {profiles} profiles")
+    return np.array([p.d for p in params] * 2), np.array([p.delta for p in params] * 2)
 
 
 def exceedance_rows(W, target, delta):
@@ -141,13 +136,13 @@ def deg_membership(u, v, params) -> dict:
             where = f"profile {i + 1}: " if batch else ""
             raise ValueError(f"{where}length mismatch: |u|={a.size}, |v|={b.size}")
     m = np.array([a.size for a in us])
-    d, delta = _scales(params)
+    d, delta = _row_scales(params, m.size)
     # Each l1 norm is summed on its own row: a zero-padded row would be
     # summed in another order, and its last bit could move.
     l1 = np.array([np.abs(w).sum() for w in us + vs]).reshape(2, -1)
     l1_gap = np.abs(l1[0] - l1[1])
-    l1_ok = ~(l1_gap > 1e-8 * m * np.maximum(1.0, d))
-    ok, worst, k_max = exceedance_rows(us + vs, *_each_side(d, delta))
+    l1_ok = ~(l1_gap > 1e-8 * m * np.maximum(1.0, d[:m.size]))
+    ok, worst, k_max = exceedance_rows(us + vs, d, delta)
     ok, worst, k_max = ok.reshape(2, -1), worst.reshape(2, -1), k_max.reshape(2, -1)
     member = l1_ok & ok.all(axis=0)
     first_failure = np.where(ok, np.iinfo(np.intp).max, worst).min(axis=0)
@@ -166,6 +161,6 @@ def corner_degree_events(T, params) -> np.ndarray:
     RegularityParams for every corner or one per corner."""
     # Column sums u(T) and row sums v(T) of each corner, tested as rows at once.
     u, v = abs_sums(T)
-    d, delta = _scales(params)
-    ok = exceedance_rows(np.concatenate([u, v]), *_each_side(d / 2.0, delta))[0]
+    d, delta = _row_scales(params, len(u))
+    ok = exceedance_rows(np.concatenate([u, v]), d / 2.0, delta)[0]
     return ok[:len(u)] & ok[len(u):]

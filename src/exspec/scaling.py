@@ -8,8 +8,10 @@ When the margins are close to a constant d (in sup and l2 norm), this gives
     ||A - (d/m) 11^t||  <=  2 s2(A) + 6 delta,
 
 with an explicit rank-two remainder beta = ||v u^t / ||u||_1 - (d/m) 11^t||.
-This module computes all the pieces and asserts the inequality whenever the
-margin hypotheses hold.
+``scaling_reduction`` computes only what it reports (two dense SVDs and a
+2 x 2 core for beta) and asserts the inequality whenever the margin
+hypotheses hold. The identities of the scaled matrix behind the proof are
+checked by tests/test_scaling.py and criterion 05, not on every call.
 """
 
 import math
@@ -18,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import abs_sums, as_entries
-from .spectra import second_singular, singular_values, spectral_norm
+from .spectra import second_singular, spectral_norm
 
 __all__ = [
     "ScalingReport",
@@ -47,10 +49,8 @@ class ScalingReport:
 
 def rank_two_norm(y1, z1, y2, z2) -> float:
     """Spectral norm of y1 z1^t + y2 z2^t without forming the dense matrix."""
-    Y = np.column_stack([y1, y2])
-    Z = np.column_stack([z1, z2])
-    qy, ry = np.linalg.qr(Y)
-    qz, rz = np.linalg.qr(Z)
+    ry = np.linalg.qr(np.column_stack([y1, y2]), mode="r")
+    rz = np.linalg.qr(np.column_stack([z1, z2]), mode="r")
     return float(np.linalg.svd(ry @ rz.T, compute_uv=False)[0])
 
 
@@ -122,31 +122,7 @@ def scaling_reduction(A, d: float, delta: float) -> ScalingReport:
         and margin_checks["l2_v"] <= delta * math.sqrt(m)
     )
 
-    # Scaled matrix: s2 equals the norm after deflating the known top triple.
-    S = E / np.sqrt(np.outer(v, u))
-    s2_scaled = second_singular(S)
-    deflated = spectral_norm(S - np.outer(np.sqrt(v), np.sqrt(u)) / l1u)
-    if abs(s2_scaled - deflated) > 1e-8 * max(1.0, s2_scaled):
-        raise RuntimeError(
-            f"deflation identity failed: s2(scaled)={s2_scaled!r}, "
-            f"deflated norm={deflated!r}"
-        )
-
-    # Positive-eigenvector check on the scaled Gram matrix: sqrt(u) is an
-    # eigenvector with eigenvalue 1, which must be the spectral radius.
-    G = S.T @ S
-    ru = np.sqrt(u)
-    if np.linalg.norm(G @ ru - ru) > 1e-8 * np.linalg.norm(ru):
-        raise RuntimeError("scaled Gram matrix does not fix sqrt(u)")
-    lam_max = float(np.max(singular_values(G)))
-    if abs(lam_max - 1.0) > 1e-8:
-        raise RuntimeError(f"scaled Gram spectral radius is {lam_max!r}, expected 1")
-
     beta = rank_two_norm(v / l1u, u, -(d / m) * ones, ones)
-    beta_dense = spectral_norm(np.outer(v, u) / l1u - (d / m) * np.ones((m, m)))
-    if abs(beta - beta_dense) > 1e-9 * max(1.0, beta):
-        raise RuntimeError(f"rank-two beta {beta!r} disagrees with dense norm {beta_dense!r}")
-
     lhs = spectral_norm(E - (d / m) * np.ones((m, m)))
     s2 = second_singular(E)
     bound = 2.0 * s2 + 6.0 * delta
@@ -156,9 +132,7 @@ def scaling_reduction(A, d: float, delta: float) -> ScalingReport:
     if hypotheses_ok:
         tol = 1e-8 * max(1.0, d)
         if lhs > bound + tol:
-            raise RuntimeError(
-                f"scaling comparison violated: lhs={lhs!r} > bound={bound!r}"
-            )
+            raise RuntimeError(f"scaling comparison violated: lhs={lhs!r} > bound={bound!r}")
         if beta > 6.0 * delta + tol:
             raise RuntimeError(f"remainder beta={beta!r} exceeds 6*delta={6 * delta!r}")
 

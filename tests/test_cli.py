@@ -108,6 +108,22 @@ def test_analyze_reports_a_bound_beyond_float64_as_scaling_error(tmp_path, capsy
     assert "overflows" in rep["scaling_error"]
 
 
+def test_analyze_reports_the_scaling_of_entries_near_1e160(tmp_path, capsys):
+    # Every reported quantity is finite; only v u^t (about 1e321) would not
+    # be, and the reduction does not form it.
+    f = tmp_path / "big.csv"
+    f.write_text(matrix_to_csv(SquareMatrix(1e160 * (np.ones((4, 4)) - np.eye(4)))))
+    code, stdout, err = run_cli(["analyze", str(f), "--d", "3e160", "--delta", "1e159"], capsys)
+    assert code == 0, err
+    rep = json.loads(stdout, parse_constant=lambda name: pytest.fail(f"{name} in the report"))
+    assert "scaling_error" not in rep
+    scaling = rep["scaling"]
+    assert scaling["hypotheses_ok"] is True
+    assert scaling["s2"] == pytest.approx(1e160) and scaling["lhs"] == pytest.approx(1e160)
+    assert scaling["beta"] <= 1e-12 * 3e160  # rounding of an exact 0
+    assert scaling["bound"] == pytest.approx(2e160 + 6e159)
+
+
 def test_analyze_degree_thresholds_beyond_float64_read_as_infinite(tmp_path, capsys):
     # At n = 3 the test reaches k = 2, whose threshold 2 * delta overflows;
     # no finite deviation exceeds it, so every profile is a member.
@@ -171,6 +187,30 @@ def test_verify_all_suites_pass(capsys):
     code, stdout, _ = run_cli(["verify", "all"], capsys)
     assert code == 0
     assert json.loads(stdout)["passed"] is True
+
+
+def test_verify_records_a_violated_scaling_comparison(tmp_path, capsys, monkeypatch):
+    from exspec import scaling
+
+    real = scaling.scaling_reduction
+    calls = []
+
+    def violated_once(A, d, delta):
+        calls.append(1)
+        if len(calls) == 3:
+            raise RuntimeError("scaling comparison violated: lhs=2.0 > bound=1.0")
+        return real(A, d, delta)
+
+    monkeypatch.setattr(scaling, "scaling_reduction", violated_once)
+    out = tmp_path / "verify.json"
+    code, stdout, err = run_cli(["verify", "scaling", "--out", str(out)], capsys)
+    assert (code, stdout, err) == (1, "", "")
+    rep = json.loads(out.read_text())
+    assert rep["passed"] is False
+    assert {r["name"]: r["passed"] for r in rep["records"]} == {
+        "scaling_conclusion_and_beta": False, "unit_margin_singular_facts": True,
+        "triangle_chain_termwise": True, "beta_decomposition": True}
+    assert len(calls) == 40
 
 
 def test_tail_norm_writes_curve_files(tmp_path, capsys):
@@ -626,6 +666,20 @@ def test_loading_a_csv_matrix_peaks_near_one_array(tmp_path):
             tracemalloc.stop()
         assert M.n == n and not M.entries.flags.writeable
         assert peak <= 1.5 * M.entries.nbytes, (name, peak / M.entries.nbytes)
+
+
+def test_the_digit_reader_peaks_at_one_array(tmp_path):
+    # The digit route reads blocks into one reused buffer and checks
+    # finiteness without an n x n mask, so its peak is the array itself.
+    f = tmp_path / "base.csv"
+    f.write_text(matrix_to_csv(sample(EnsembleSpec("regular_digraph", 512, 4, seed=1), 0)))
+    tracemalloc.start()
+    try:
+        M = _load_matrix(str(f))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.05 * M.entries.nbytes, peak / M.entries.nbytes
 
 
 def test_a_generated_base_loads_without_loadtxt(tmp_path, capsys, monkeypatch):

@@ -214,6 +214,14 @@ def test_max_l2_of_float_entries_is_within_rounding():
 def test_invalid_matrices_rejected():
     with pytest.raises(ValueError):
         SquareMatrix(np.array([[np.inf, 0.0], [0.0, 0.0]]))
+    # Every non-finite value, alone or beside another, first or last: the
+    # check reads only the minimum and the maximum, through which NaN passes.
+    for bad in ([np.nan], [np.inf], [-np.inf], [np.inf, -np.inf], [-np.inf, np.nan]):
+        for start in (0, 9 - len(bad)):
+            E = np.arange(9.0).reshape(3, 3)
+            E.flat[start:start + len(bad)] = bad
+            with pytest.raises(ValueError, match="^matrix entries must be finite$"):
+                SquareMatrix(E)
     with pytest.raises(ValueError):
         SquareMatrix(np.zeros((2, 3)))
     with pytest.raises(ValueError, match=r"\(2,2\)"):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from exspec import scaling, verify
 from exspec.core import abs_sums
 from exspec.rng import stream
 from exspec.scaling import (
@@ -10,7 +11,27 @@ from exspec.scaling import (
     scaling_reduction,
     unit_margin_svd_facts,
 )
-from exspec.spectra import spectral_norm
+from exspec.spectra import second_singular, singular_values, spectral_norm
+
+
+@pytest.fixture(scope="module")
+def verify_scaling_cases():
+    """The (A, d, delta) of every case of ``verify scaling`` at seeds 0-3,
+    as the suite hands them to scaling_reduction (40 per seed)."""
+    cases = []
+    real = scaling.scaling_reduction
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scaling, "scaling_reduction",
+                   lambda A, d, delta: cases.append((A, d, delta)) or real(A, d, delta))
+        for seed in range(4):
+            verify.verify_scaling(seed)
+    assert len(cases) == 160
+    return cases
+
+
+def _scaled(A):
+    u, v = abs_sums(A)
+    return A / np.sqrt(np.outer(v, u)), u, v
 
 
 def test_flat_matrix_everything_zero():
@@ -106,6 +127,50 @@ def test_rank_two_norm_matches_dense():
         y1, z1, y2, z2 = (rng.normal(size=m) for _ in range(4))
         dense = spectral_norm(np.outer(y1, z1) + np.outer(y2, z2))
         assert rank_two_norm(y1, z1, y2, z2) == pytest.approx(dense, rel=1e-10, abs=1e-10)
+    # The reported beta, v u^t / ||u||_1 - (d/m) 11^t of margin-perturbed
+    # matrices, against the dense norm.
+    for _ in range(20):
+        m = int(rng.integers(8, 33))
+        d = float(rng.uniform(2.0, 10.0))
+        delta = float(rng.uniform(0.05, 0.4)) * d / 3.0
+        A = sample_margin_perturbed(m, d, delta, rng)
+        u, v = abs_sums(A)
+        ones = np.ones(m)
+        beta = rank_two_norm(v / u.sum(), u, -(d / m) * ones, ones)
+        dense = spectral_norm(np.outer(v, u) / u.sum() - (d / m) * np.ones((m, m)))
+        assert abs(beta - dense) <= 1e-9 * max(1.0, beta)
+        assert scaling_reduction(A, d, delta).beta == beta
+
+
+def test_scaled_s2_is_the_deflated_norm(verify_scaling_cases):
+    # s2 of S = D_v^{-1/2} A D_u^{-1/2} is the norm of S less its top triple
+    # sqrt(v) sqrt(u)^t / ||u||_1.
+    for A, _, _ in verify_scaling_cases:
+        S, u, v = _scaled(A)
+        s2 = second_singular(S)
+        deflated = spectral_norm(S - np.outer(np.sqrt(v), np.sqrt(u)) / u.sum())
+        assert abs(s2 - deflated) <= 1e-8 * max(1.0, s2)
+
+
+def test_scaled_gram_fixes_sqrt_u_with_radius_one(verify_scaling_cases):
+    for A, _, _ in verify_scaling_cases:
+        S, u, _ = _scaled(A)
+        G = S.T @ S
+        ru = np.sqrt(u)
+        assert np.linalg.norm(G @ ru - ru) <= 1e-8 * np.linalg.norm(ru)
+        assert abs(float(np.max(singular_values(G))) - 1.0) <= 1e-8
+
+
+def test_scaling_reduction_takes_two_dense_svds(monkeypatch):
+    shapes = []
+    real = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda a, *args, **kw: shapes.append(np.shape(a))
+                        or real(a, *args, **kw))
+    m, d, delta = 12, 4.0, 0.5
+    A = sample_margin_perturbed(m, d, delta, stream(59))
+    scaling_reduction(A, d, delta)
+    # rank_two_norm's 2 x 2 core aside: A - (d/m) 11^t and A.
+    assert [s for s in shapes if s != (2, 2)] == [(m, m), (m, m)]
 
 
 def test_fit_margins_hits_targets():

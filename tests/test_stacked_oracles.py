@@ -158,3 +158,11 @@ def test_a_batch_of_profiles_names_the_one_of_another_length():
     with pytest.raises(ValueError, match=r"profile 2: length mismatch: \|u\|=3, \|v\|=4"):
         deg_membership([np.ones(2), np.ones(3)], [np.ones(2), np.ones(4)],
                        RegularityParams(d=1.0, delta=1.0))
+
+
+def test_one_params_per_profile_or_one_for_all():
+    p = RegularityParams(d=1.0, delta=1.0)
+    with pytest.raises(ValueError, match="^3 params for 2 profiles$"):
+        deg_membership([np.ones(2), np.ones(3)], [np.ones(2), np.ones(3)], [p] * 3)
+    with pytest.raises(ValueError, match="^1 params for 4 profiles$"):
+        corner_degree_events(np.ones((4, 3, 3)), [p])
