@@ -101,7 +101,10 @@ def _manifest_value(key: str, action: argparse.Action, value):
         raise ValueError(f"manifest key {key!r}: expected true or false, got {value!r}")
     if action.dest == "grid" and isinstance(value, list):  # _grid also takes a list
         try:
-            [float(x) for x in value]
+            for x in value:
+                if isinstance(x, bool):  # float() reads true as 1.0; no flag text is a bool
+                    raise TypeError
+                float(x)
         except (TypeError, ValueError):
             raise ValueError(f"manifest key {key!r}: invalid grid {value!r}") from None
         return value
@@ -237,7 +240,8 @@ def cmd_analyze(args, actions: dict) -> int:
         if args.d is not None:
             delta = args.delta if args.delta is not None else 1.0
             params = RegularityParams(d=args.d, delta=delta)
-            report["deg_membership"] = deg_membership(u, v, params)
+            member = deg_membership(u[None], v[None], params)
+            report["deg_membership"] = {key: value[0].item() for key, value in member.items()}
             try:
                 report["s2_via_centering"] = s2_via_centering(M, args.d)
             except ValueError as e:

@@ -7,14 +7,13 @@ m, a target value and a deviation scale delta, require
 quantifier over all k is truncated at the first k with m * e^{-k^2} < 1,
 where the condition degenerates to "no exceedances at all" and stays
 satisfied for every larger k because the exceedance sets shrink. The
-kernel tests every row of a matrix at once, so a stack of corners is
-tested in one call; rows of different lengths, each at its own scale m
-and with its own target and delta, are tested in one call too.
+kernel tests every row of a (rows, m) array at once, each with its own
+target and delta, so a stack of corners is tested in one call.
 
-Profiles are plain vectors: u holds the column sums and v the row sums.
-``deg_membership(u, v, params)`` tests one profile at target d, and also
-requires ||u||_1 = ||v||_1; given lists of profiles and one params per
-profile, it tests them all in one kernel call.
+Profiles are stacked vectors: row i of U holds the column sums and row i
+of V the row sums of profile i. ``deg_membership(U, V, params)`` tests
+every profile at target d in one kernel call, and also requires
+||u||_1 = ||v||_1.
 
 ``corner_degree_events(T, params)`` is the one corner event, shared by
 ``tail norm --delta``, ``tail s2`` and ``tail degree-event``: the profile
@@ -76,82 +75,55 @@ def _row_scales(params, profiles: int):
 
 
 def exceedance_rows(W, target, delta):
-    """The truncated all-k exceedance test on each row of W, at the scale
-    m of the row length.
-
-    W is a (rows, m) array, or a list of rows of any lengths, each tested
-    at the scale of its own length. target and delta are one value for
-    every row or one per row.
+    """The truncated all-k exceedance test on each row of the (rows, m)
+    array W, at the scale m. target and delta are one value for every row
+    or one per row.
 
     Returns (ok, worst_k, k_max), one entry per row: worst_k is the first
     failing k (0 for a passing row), and k_max is the k the test stopped at.
     """
-    if isinstance(W, np.ndarray):
-        lengths = np.array([W.shape[-1]])
-        W = W.astype(np.float64, copy=False)
-    else:  # NaN padding never exceeds a threshold
-        lengths = np.array([len(w) for w in W])
-        W, rows = np.full((len(W), lengths.max()), np.nan), W
-        W[np.arange(W.shape[1]) < lengths[:, None]] = np.concatenate(rows)
+    m = W.shape[1]
     dev = np.abs(W - np.reshape(target, (-1, 1)))
-    # e^{-k^2} for k = 1, 2, ... up to the first k with m e^{-k^2} < 1 on the
-    # longest row; a shorter row stops earlier, at its own k_max.
+    # e^{-k^2} for k = 1, 2, ... up to the first k with m e^{-k^2} < 1.
     tails = [math.exp(-1)]
-    while lengths.max() * tails[-1] >= 1.0:
+    while m * tails[-1] >= 1.0:
         tails.append(math.exp(-(len(tails) + 1) ** 2))
-    limits = lengths[:, None] * np.array(tails)  # m e^{-k^2}, per row
-    stops = 1 + np.count_nonzero(limits >= 1.0, axis=1)
     ks = np.arange(1, len(tails) + 1)
     with np.errstate(over="ignore"):  # a threshold beyond float64 is +inf: none exceeds it
         bounds = ks * np.reshape(delta, (-1, 1))
-    # Past its own k_max a row's limit is below 1 and its exceedance set no
-    # larger, so it cannot fail there first.
-    failed = (dev[:, :, None] > bounds[:, None, :]).sum(axis=1) > limits
+    failed = (dev[:, :, None] > bounds[:, None, :]).sum(axis=1) > m * np.array(tails)
     ok = ~failed.any(axis=1)
     worst_k = np.where(ok, 0, failed.argmax(axis=1) + 1)
-    return ok, worst_k, np.where(ok, stops, worst_k)
+    return ok, worst_k, np.where(ok, len(tails), worst_k)
 
 
-def deg_membership(u, v, params) -> dict:
-    """Membership of the profile (u, v) in the set of profiles with
-    near-constant sums; u and v are vectors of one length m.
+def deg_membership(U, V, params) -> dict:
+    """Membership of each profile (U[i], V[i]) in the set of profiles with
+    near-constant sums; U and V are (count, m) arrays, and params is one
+    RegularityParams for every profile or one per profile.
 
     Requires ||u||_1 = ||v||_1 (relative tolerance, profiles come from
     floating-point matrices) and the exceedance condition at scale m and
     target d on both u and v. worst_k is the first k at which either side
-    fails (0 for a member and for an l1 gap).
-
-    u and v may also be lists of profiles, u[i] and v[i] of one length m_i,
-    with params one RegularityParams for all or one per profile; then each
-    value is an array with one entry per profile, each that of the profile
-    alone, and one exceedance call tests every profile.
+    fails (0 for a member and for an l1 gap). Each value is an array with
+    one entry per profile, each that of the profile alone.
     """
-    batch = isinstance(u, (list, tuple))
-    us = [np.asarray(w, dtype=np.float64) for w in (u if batch else [u])]
-    vs = [np.asarray(w, dtype=np.float64) for w in (v if batch else [v])]
-    if len(us) != len(vs):
-        raise ValueError(f"{len(us)} u profiles against {len(vs)} v profiles")
-    for i, (a, b) in enumerate(zip(us, vs)):
-        if a.size != b.size:
-            where = f"profile {i + 1}: " if batch else ""
-            raise ValueError(f"{where}length mismatch: |u|={a.size}, |v|={b.size}")
-    m = np.array([a.size for a in us])
-    d, delta = _row_scales(params, m.size)
-    # Each l1 norm is summed on its own row: a zero-padded row would be
-    # summed in another order, and its last bit could move.
-    l1 = np.array([np.abs(w).sum() for w in us + vs]).reshape(2, -1)
-    l1_gap = np.abs(l1[0] - l1[1])
-    l1_ok = ~(l1_gap > 1e-8 * m * np.maximum(1.0, d[:m.size]))
-    ok, worst, k_max = exceedance_rows(us + vs, d, delta)
-    ok, worst, k_max = ok.reshape(2, -1), worst.reshape(2, -1), k_max.reshape(2, -1)
+    U = np.asarray(U, dtype=np.float64)
+    V = np.asarray(V, dtype=np.float64)
+    if U.ndim != 2 or U.shape != V.shape:
+        raise ValueError(f"u and v must be (count, m) arrays of one shape, "
+                         f"got {U.shape} and {V.shape}")
+    count, m = U.shape
+    d, delta = _row_scales(params, count)
+    W = np.concatenate([U, V])
+    l1 = np.abs(W).sum(axis=1)
+    l1_gap = np.abs(l1[:count] - l1[count:])
+    l1_ok = ~(l1_gap > 1e-8 * m * np.maximum(1.0, d[:count]))
+    ok, worst, k_max = (x.reshape(2, count) for x in exceedance_rows(W, d, delta))
     member = l1_ok & ok.all(axis=0)
     first_failure = np.where(ok, np.iinfo(np.intp).max, worst).min(axis=0)
     worst_k = np.where(member | ~l1_ok, 0, first_failure)
-    result = {"member": member, "worst_k": worst_k, "l1_gap": l1_gap, "k_max": k_max.max(axis=0)}
-    if batch:
-        return result
-    return {"member": bool(member[0]), "worst_k": int(worst_k[0]),
-            "l1_gap": float(l1_gap[0]), "k_max": int(result["k_max"][0])}
+    return {"member": member, "worst_k": worst_k, "l1_gap": l1_gap, "k_max": k_max.max(axis=0)}
 
 
 def corner_degree_events(T, params) -> np.ndarray:

@@ -54,8 +54,7 @@ def singular_value(stack, index: int) -> np.ndarray:
     matrix whose s_index lies below its stated accuracy floor to
     singular_values, so an all-zero matrix gives exactly 0.0; the Lanczos
     kernel sends one below its own floor, or out of steps, to the Gram
-    kernel, or straight to singular_values where the Gram kernel could only
-    pass it on.
+    kernel.
 
     Gram kernel: s_index is the square root of an eigenvalue lambda of the
     smaller Gram matrix G (E^t E or E E^t), from one batched matmul and one
@@ -79,17 +78,12 @@ def singular_value(stack, index: int) -> np.ndarray:
     Et = np.swapaxes(E, 1, 2)
     G = Et @ E if cols <= rows else E @ Et
     lam = np.linalg.eigvalsh(G)[:, k - 1 - index]
-    floor = _gram_floor(rows, cols, np.trace(G, axis1=1, axis2=2))
+    floor = (rows + cols) * np.finfo(np.float64).eps * np.trace(G, axis1=1, axis2=2) / (2.0 * RTOL)
     s = np.sqrt(np.maximum(lam, 0.0))
     low = lam <= floor
     if np.any(low):
         s[low] = singular_values(E[low])[:, index]
     return s
-
-
-def _gram_floor(rows: int, cols: int, trace) -> np.ndarray:
-    """The Gram kernel's floor on lambda, given trace(G) = ||E||_F^2."""
-    return (rows + cols) * np.finfo(np.float64).eps * trace / (2.0 * RTOL)
 
 
 def lanczos_pays(dim: int, per_row: float) -> bool:
@@ -173,9 +167,8 @@ def _lanczos(stack: SparseStack, index: int) -> np.ndarray:
     So sqrt(lambda) is within RTOL. A member at or below the floor, or not
     converged within its ``lanczos_steps`` budget (a tight cluster at the
     top of the spectrum, as in the unions of cycles of d = 2), takes its
-    dense matrix to the Gram kernel, or straight to singular_values where
-    S^2 lies at or below the Gram kernel's floor; no other member forms a
-    dense matrix.
+    dense matrix to the Gram kernel, whose own floor passes it on to
+    singular_values where need be; no other member forms a dense matrix.
     """
     count, rows, cols = stack.shape
     if index >= min(rows, cols):
@@ -211,16 +204,7 @@ def _lanczos(stack: SparseStack, index: int) -> np.ndarray:
     s = np.sqrt(np.maximum(lam, 0.0))
     low = ~ok | (lam <= floor)
     if np.any(low):
-        D = stack.take(low).dense()
-        # Where even the Schur bound on s1^2 is at or below the Gram
-        # kernel's floor, that kernel would only pass the matrix on.
-        svd = schur[low] <= _gram_floor(rows, dim, np.einsum("tij,tij->t", D, D))
-        fallback = np.empty(len(D))
-        if np.any(svd):
-            fallback[svd] = singular_values(D[svd])[:, index]
-        if not np.all(svd):
-            fallback[~svd] = singular_value(D[~svd], index)
-        s[low] = fallback
+        s[low] = singular_value(stack.take(low).dense(), index)
     return s
 
 
@@ -340,41 +324,38 @@ def s2_via_centering(A, d: float) -> float:
     return spectral_norm(E - (d / n) * np.ones((n, n)))
 
 
-def spectral_radius(M):
-    """The largest eigenvalue modulus of a matrix, or of each matrix of a
-    (count, n, n) stack."""
-    radius = np.max(np.abs(np.linalg.eigvals(as_entries(M))), axis=-1)
-    return float(radius) if radius.ndim == 0 else radius
+def spectral_radius(M) -> np.ndarray:
+    """The largest eigenvalue modulus of each matrix of a (count, n, n)
+    stack."""
+    return np.max(np.abs(np.linalg.eigvals(as_entries(M))), axis=-1)
 
 
 def perron_check(M, x, tol: float = 1e-8) -> dict:
-    """Positive-eigenvector check: for nonnegative M, an eigenvector with
-    strictly positive coordinates must carry the spectral radius.
+    """Positive-eigenvector check on each matrix of a (count, n, n) stack M,
+    with x a (count, n) array, one vector per matrix: for nonnegative M, an
+    eigenvector with strictly positive coordinates must carry the spectral
+    radius.
 
     rho is estimated as the median of the componentwise ratios (Mx)_i/x_i,
     robust to one noisy coordinate; the residual test is authoritative.
-
-    M may be a (count, n, n) stack with x a (count, n) array, one vector per
-    matrix; then each value is an array with one entry per matrix, each
-    bit for bit that of its matrix alone.
+    Each value is an array with one entry per matrix, each bit for bit that
+    of its matrix alone.
     """
     E = as_entries(M)
     x = np.asarray(x, dtype=np.float64)
     if np.any(E < 0):
         raise ValueError("matrix must be entrywise nonnegative")
-    if E.ndim not in (2, 3) or x.shape != E.shape[:-1]:
-        raise ValueError("x must be a vector matching the matrix dimension")
+    if E.ndim != 3 or x.shape != E.shape[:-1]:
+        raise ValueError(f"x of shape {x.shape} must be a (count, n) stack of vectors "
+                         f"matching the matrices of shape {E.shape}")
     if np.any(x <= 0):
         raise ValueError("x must have strictly positive coordinates")
-    Mx = (E @ x[..., None])[..., 0]
-    rho = np.median(Mx / x, axis=-1)
-    is_eigen = row_norms(Mx - rho[..., None] * x) <= tol * row_norms(x)
+    Mx = (E @ x[:, :, None])[:, :, 0]
+    rho = np.median(Mx / x, axis=1)
+    is_eigen = row_norms(Mx - rho[:, None] * x) <= tol * row_norms(x)
     # The radius of the eigenvector matrices only, as each alone would be
     # checked: a matrix that fails the residual test is not decomposed.
     radius = np.full(rho.shape, np.nan)
     radius[is_eigen] = spectral_radius(E[is_eigen])
     matches_radius = is_eigen & (np.abs(rho - radius) <= tol * np.maximum(1.0, np.abs(rho)))
-    if E.ndim == 2:
-        return {"rho": float(rho), "is_eigen": bool(is_eigen),
-                "matches_radius": bool(matches_radius)}
     return {"rho": rho, "is_eigen": is_eigen, "matches_radius": matches_radius}

@@ -6,12 +6,12 @@ a four-term upper bound on its fourth moment, and an oracle that computes
 moments, Hoeffding-type tails and anti-concentration probabilities exactly
 by enumerating every k-subset (up to ENUMERATION_CAP of them).
 
-A problem whose a is a (count, m) array is a stack of count problems with
-one m and one k. Every function below takes a stack as well as a single
-problem and gives each problem of it the bits it gets alone: the oracle
-enumerates a whole stack with one gather from the k-subset table, and reads
-any number of moment orders, thresholds or levels from that one
-enumeration.
+A SubsetSumProblem is a stack of count problems with one m and one k: a
+is a (count, m) array, one problem per row, and a single vector is a stack
+of one. Every function below returns one entry (or row) per problem and
+gives each problem the bits it gets alone: the oracle enumerates a whole
+stack with one gather from the k-subset table, and reads any number of
+moment orders, thresholds or levels from that one enumeration.
 """
 
 import functools
@@ -35,19 +35,20 @@ ENUMERATION_CAP = 10**6
 
 @dataclass(frozen=True)
 class SubsetSumProblem:
-    """Reals a (a vector of length m, or a (count, m) stack of such vectors)
-    and the subset size k."""
+    """Reals a, a (count, m) stack of count vectors of length m (a vector is
+    stored as a stack of one), and the subset size k."""
 
     a: np.ndarray
     k: int
 
     def __post_init__(self):
-        a = np.asarray(self.a, dtype=np.float64).copy()
+        a = np.asarray(self.a, dtype=np.float64)
         if a.ndim not in (1, 2) or a.size < 1:
             raise ValueError("a must be a nonempty vector or a stack of them")
+        a = np.atleast_2d(a).copy()
         if not np.all(np.isfinite(a)):
             raise ValueError("a must be finite")
-        m = a.shape[-1]
+        m = a.shape[1]
         if not 1 <= self.k <= m:
             raise ValueError(f"k must be in 1..{m}, got {self.k}")
         if self.k > math.ceil(m / 2):
@@ -58,15 +59,14 @@ class SubsetSumProblem:
 
     @property
     def m(self) -> int:
-        return self.a.shape[-1]
+        return self.a.shape[1]
 
 
 def _per_problem(formula, *columns):
-    """formula applied to each problem's Python floats: a float for one
-    problem, an array for a stack. The closed forms stay in Python floats,
-    whose powers (libm pow) differ from numpy's in the last bit."""
-    values = [formula(*row) for row in zip(*(np.atleast_1d(c).tolist() for c in columns))]
-    return values[0] if np.ndim(columns[0]) == 0 else np.array(values)
+    """formula applied to each problem's Python floats, one entry per
+    problem. The closed forms stay in Python floats, whose powers (libm pow)
+    differ from numpy's in the last bit."""
+    return np.array([formula(*row) for row in zip(*(c.tolist() for c in columns))])
 
 
 def inclusion_probabilities(p: SubsetSumProblem) -> np.ndarray:
@@ -81,8 +81,8 @@ def inclusion_probabilities(p: SubsetSumProblem) -> np.ndarray:
     return t
 
 
-def second_moment_exact(p: SubsetSumProblem) -> float | np.ndarray:
-    """Closed-form E(sum_{i in S} a_i)^2.
+def second_moment_exact(p: SubsetSumProblem) -> np.ndarray:
+    """Closed-form E(sum_{i in S} a_i)^2 of each problem.
 
     Equals t_2 (sum a)^2 + (k/m)(1 - (k-1)/(m-1)) sum a^2; the degenerate
     m = 1 case treats (k-1)/(m-1) as 0.
@@ -90,11 +90,12 @@ def second_moment_exact(p: SubsetSumProblem) -> float | np.ndarray:
     ratio = (p.k - 1) / (p.m - 1) if p.m > 1 else 0.0
     t2 = (p.k / p.m) * ratio
     return _per_problem(lambda s1, s2: t2 * s1**2 + (p.k / p.m) * (1.0 - ratio) * s2,
-                        np.sum(p.a, axis=-1), np.sum(p.a**2, axis=-1))
+                        np.sum(p.a, axis=1), np.sum(p.a**2, axis=1))
 
 
-def fourth_moment_bound(p: SubsetSumProblem) -> float | np.ndarray:
-    """Four-term closed-form upper bound on E(sum_{i in S} a_i)^4."""
+def fourth_moment_bound(p: SubsetSumProblem) -> np.ndarray:
+    """Four-term closed-form upper bound on E(sum_{i in S} a_i)^4 of each
+    problem."""
     k, m = p.k, p.m
     return _per_problem(
         lambda s1, s2: (
@@ -103,7 +104,7 @@ def fourth_moment_bound(p: SubsetSumProblem) -> float | np.ndarray:
             + 7.0 * (k / m) * s2**2
             + 12.0 * (k / m) ** 2 * s2**1.5 * abs(s1)
         ),
-        np.sum(p.a, axis=-1), np.sum(p.a**2, axis=-1),
+        np.sum(p.a, axis=1), np.sum(p.a**2, axis=1),
     )
 
 
@@ -134,8 +135,8 @@ def _combinations(m: int, k: int) -> np.ndarray:
 
 
 def _subset_sums(p: SubsetSumProblem) -> np.ndarray:
-    """The C(m,k) subset sums of each problem: (C,) for one problem, a
-    C-contiguous (count, C) array for a stack."""
+    """The C(m,k) subset sums of each problem, a C-contiguous (count, C)
+    array."""
     count = math.comb(p.m, p.k)
     if count > ENUMERATION_CAP:
         raise ValueError(
@@ -145,18 +146,16 @@ def _subset_sums(p: SubsetSumProblem) -> np.ndarray:
     # Each row is reduced exactly as the 1-D a[list(comb)].sum() was. np.take
     # gathers into a C-contiguous (count, C, k) array; a[:, table] may not,
     # and a row mean along a strided axis is summed in another order.
-    A = p.a.reshape(-1, p.m)
     if count * p.k <= TABLE_ENTRIES:
-        out = np.take(A, _combinations(p.m, p.k), axis=1).sum(axis=-1)
-    else:
-        out = np.empty((len(A), count))
-        combs = itertools.combinations(range(p.m), p.k)
-        rows = max(1, TABLE_ENTRIES // p.k)
-        for start in range(0, count, rows):
-            n = min(rows, count - start)
-            block = _table(itertools.islice(combs, n), n, p.k)
-            out[:, start:start + n] = np.take(A, block, axis=1).sum(axis=-1)
-    return out.reshape(p.a.shape[:-1] + (count,))
+        return np.take(p.a, _combinations(p.m, p.k), axis=1).sum(axis=-1)
+    out = np.empty((len(p.a), count))
+    combs = itertools.combinations(range(p.m), p.k)
+    rows = max(1, TABLE_ENTRIES // p.k)
+    for start in range(0, count, rows):
+        n = min(rows, count - start)
+        block = _table(itertools.islice(combs, n), n, p.k)
+        out[:, start:start + n] = np.take(p.a, block, axis=1).sum(axis=-1)
+    return out
 
 
 def enumerate_exact(p: SubsetSumProblem, statistic: str, param=None):
@@ -168,10 +167,9 @@ def enumerate_exact(p: SubsetSumProblem, statistic: str, param=None):
       "anticonc" (param c): P{|sum_S| >= (c k/m)|sum a|}
 
     param is one value or a sequence of values, all read from one
-    enumeration; for a stack, thresholds and levels may also come as a
-    (count, values) array, one row per problem. The result is a float for
-    one problem and one value, and otherwise an array with one row per
-    problem of a stack and one column per value of a sequence.
+    enumeration; thresholds and levels may also come as a (count, values)
+    array, one row per problem. The result is a (count, values) array, one
+    row per problem and one column per value (one column for one value).
     """
     values = np.asarray(np.nan if param is None else param, dtype=np.float64)
     if statistic == "moment":
@@ -184,24 +182,20 @@ def enumerate_exact(p: SubsetSumProblem, statistic: str, param=None):
         raise ValueError(f"unknown statistic {statistic!r}")
     if not np.all(valid):
         raise ValueError(rule)
-    if values.ndim > (1 if statistic == "moment" else p.a.ndim) or (
+    if values.ndim > (1 if statistic == "moment" else 2) or (
             values.ndim == 2 and len(values) != len(p.a)):
         raise ValueError(f"{statistic} param of shape {values.shape} does not fit "
                          f"a of shape {p.a.shape}")
     sums = _subset_sums(p)
-    columns = np.atleast_1d(values)
+    columns = np.atleast_1d(values)  # one value is one column
     if statistic == "moment":
         # One power per order: sums ** 2 is a square, where an array of
         # orders would go through pow and move the last bit.
-        out = np.stack([np.mean(sums ** int(r), axis=-1) for r in columns], axis=-1)
+        return np.stack([np.mean(sums ** int(r), axis=1) for r in columns], axis=1)
+    sums = sums[:, None, :]  # against one threshold per row of columns[..., None]
+    s1 = np.sum(p.a, axis=1)[:, None, None]
+    if statistic == "tail":
+        hits = np.abs(sums - (p.k / p.m) * s1) >= columns[..., None]
     else:
-        sums = sums[..., None, :]  # against one threshold per row of columns[..., None]
-        s1 = np.sum(p.a, axis=-1)[..., None, None]
-        if statistic == "tail":
-            hits = np.abs(sums - (p.k / p.m) * s1) >= columns[..., None]
-        else:
-            hits = np.abs(sums) >= (columns[..., None] * p.k / p.m) * np.abs(s1)
-        out = np.mean(hits, axis=-1)
-    if not values.ndim:
-        out = out[..., 0]
-    return float(out) if out.ndim == 0 else out
+        hits = np.abs(sums) >= (columns[..., None] * p.k / p.m) * np.abs(s1)
+    return np.mean(hits, axis=2)

@@ -28,7 +28,8 @@ range of rows by a range of columns, cut from that stack with
 and to one row-wise degree test. A block of a base that the Gram kernel
 takes is gathered from B through the drawn permutations instead, which
 beats the scatter on a dense B. A chunk holds at most CHUNK_FLOATS floats
-of kernel working set and at least one trial; chunks run in index order.
+of kernel working set and table entries, and at least one trial; chunks
+run in index order.
 
 The one statistic of the whole sample a comparison reads (s2(M), or the
 row and column l2 maxima) is ``whole``, a function of a SparseStack of
@@ -105,9 +106,9 @@ class TailCurve:
 
 # Stacked floats per chunk of trials (1 MiB, like subset.TABLE_ENTRIES): the
 # working set of the singular-value kernel on each block
-# (``spectra.kernel_floats``), plus, for a whole-sample statistic of a table
-# kind, the larger of the chunk's entry stack (four words per entry) and that
-# kernel's working set on a whole sample.
+# (``spectra.kernel_floats``), plus, for a table kind, the chunk's entry
+# stack (four words per entry), or, for a whole-sample statistic, the larger
+# of that stack and the kernel's working set on a whole sample.
 CHUNK_FLOATS = 2**17
 
 
@@ -159,9 +160,9 @@ def _run_trials(spec: EnsembleSpec, trials: int, blocks, finish, whole=None) -> 
 
         def whole(indices):  # a relabeling keeps the base's value
             return np.repeat(base_value, len(indices))
-    elif whole is not None:
+    elif spec.base is None:  # every chunk of a table kind builds its entry stack
         floats += max(round(4 * spec.n * spec.row_nonzeros),
-                      kernel_floats(spec.n, spec.n, spec.row_nonzeros))
+                      0 if whole is None else kernel_floats(spec.n, spec.n, spec.row_nonzeros))
     size = max(1, CHUNK_FLOATS // max(1, floats))
 
     # The stacks come from a call of their own, so the whole samples they are

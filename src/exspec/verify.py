@@ -6,13 +6,14 @@ set.
 
 The subset, perron and deg suites draw all their cases first, in the order
 the stream gives them, then test the cases that share a shape as one stack
-in one call: one enumeration per (m, k) group of subset-sum problems, one
-power iteration and one ``perron_check`` per matrix size, one exceedance
-test over every membership profile whatever its length, and one corner
-event per corner size. Each case gets the bits it would get alone, so the
-records are those of testing the cases one by one. The scaling suite stays
-case by case, since its 40 cases spread over 25 matrix sizes. A violated
-comparison, which ``scaling_reduction`` raises, is a failed record.
+in one call, as every exact oracle takes a stack: one enumeration per
+(m, k) group of subset-sum problems, one power iteration and one
+``perron_check`` per matrix size, one ``deg_membership`` per profile
+length, and one corner event per corner size. Each case gets the bits it
+would get alone, so the records are those of testing the cases one by one.
+The scaling suite stays case by case, since its 40 cases spread over 25
+matrix sizes. A violated comparison, which ``scaling_reduction`` raises,
+is a failed record.
 """
 
 import math
@@ -216,16 +217,15 @@ def verify_scaling(seed: int = 0) -> list[dict]:
 def verify_deg(seed: int = 0) -> list[dict]:
     rng = stream(seed, 4)
     out = []
-    profiles, params, doubled = [], [], []
+    profiles = defaultdict(list)  # profile length -> [(u, params, doubled params)]
     corners = defaultdict(list)  # corner size -> [(T, T relabeled, params)]
     for _ in range(60):
         m = int(rng.integers(4, 40))
         d = float(rng.uniform(1.0, 10.0))
         u = np.abs(d + rng.normal(0.0, 0.5, size=m))
         delta = float(rng.uniform(0.1, 1.0))
-        profiles.append(u)
-        params.append(degrees.RegularityParams(d=d, delta=delta))
-        doubled.append(degrees.RegularityParams(d=d, delta=delta * 2.5))
+        profiles[m].append((u, degrees.RegularityParams(d=d, delta=delta),
+                            degrees.RegularityParams(d=d, delta=delta * 2.5)))
         k = int(rng.integers(4, 12))
         T = rng.uniform(0.0, 1.0, size=(k, k))
         event = degrees.RegularityParams(d=2 * float(T.sum(axis=0).mean()), delta=delta)
@@ -233,9 +233,13 @@ def verify_deg(seed: int = 0) -> list[dict]:
         corners[k].append((T, T[np.ix_(p, p)], event))
     # Each profile (u, flip(u)) has one multiset and equal l1 mass, and is
     # tested at delta and at 2.5 delta.
-    flipped = [np.flip(u) for u in profiles]
-    member = degrees.deg_membership(profiles * 2, flipped * 2, params + doubled)["member"]
-    mono_ok = not np.any(member[:60] & ~member[60:])
+    mono_ok = True
+    for group in profiles.values():
+        U, params, doubled = zip(*group)
+        U = np.stack(U * 2)
+        member = degrees.deg_membership(U, np.flip(U, axis=1), params + doubled)["member"]
+        if np.any(member[:len(group)] & ~member[len(group):]):
+            mono_ok = False
     # Permutation invariance of the corner event under identical relabeling.
     perm_ok = True
     for pairs in corners.values():

@@ -49,15 +49,15 @@ def _random_problems(count: int, max_m: int, seed: int):
     for _ in range(count):
         m = int(rng.integers(2, max_m + 1))
         k = int(rng.integers(1, (m + 1) // 2 + 1))
-        out.append(SubsetSumProblem(a=rng.normal(0, 2, size=m), k=k))
+        out.append(SubsetSumProblem(a=rng.normal(0, 2, size=(1, m)), k=k))
     return out
 
 
 def test_criterion_01_second_moment_closed_form_exact():
     worst = 0.0
     for p in _random_problems(500, 12, seed=101):
-        exact = enumerate_exact(p, "moment", 2)
-        closed = second_moment_exact(p)
+        exact = enumerate_exact(p, "moment", 2)[0, 0]
+        closed = second_moment_exact(p)[0]
         scale = max(abs(exact), 1e-30)
         worst = max(worst, abs(closed - exact) / scale)
     report("second-moment closed form matches enumeration (500 cases)",
@@ -67,8 +67,8 @@ def test_criterion_01_second_moment_closed_form_exact():
 def test_criterion_02_fourth_moment_bound_sound():
     bad = 0
     for p in _random_problems(500, 12, seed=101):
-        exact = enumerate_exact(p, "moment", 4)
-        if exact > fourth_moment_bound(p) * (1 + 1e-12):
+        exact = enumerate_exact(p, "moment", 4)[0, 0]
+        if exact > fourth_moment_bound(p)[0] * (1 + 1e-12):
             bad += 1
     report("fourth-moment bound dominates enumeration (500 cases)",
            bad == 0, f"{bad} violations")
@@ -84,7 +84,8 @@ def test_criterion_03_exact_tails_under_hoeffding():
         for mult in (0.25, 0.5, 1.0, 2.0):
             t = mult * norm
             total += 1
-            if enumerate_exact(p, "tail", t) > 2 * math.exp(-2 * t * t / (norm * norm)) + 1e-12:
+            exact = enumerate_exact(p, "tail", t)[0, 0]
+            if exact > 2 * math.exp(-2 * t * t / (norm * norm)) + 1e-12:
                 bad += 1
     report("exact tails stay under the sub-Gaussian bound",
            bad == 0, f"{bad}/{total} violations")
@@ -122,13 +123,13 @@ def test_criterion_05_scaling_reduction_and_eigen_checks():
         facts = unit_margin_svd_facts(A)
         u = A.sum(axis=0)
         S = A / np.sqrt(np.outer(A.sum(axis=1), u))
-        pr = perron_check(S.T @ S, np.sqrt(u), tol=1e-6)
+        pr = perron_check((S.T @ S)[None], np.sqrt(u)[None], tol=1e-6)
         ok = (
             rep.lhs <= rep.bound + 1e-8 * max(1.0, d)
             and rep.beta <= 6 * delta + 1e-8
             and abs(facts["top_singular"] - 1.0) <= 1e-8
-            and pr["is_eigen"]
-            and pr["matches_radius"]
+            and pr["is_eigen"][0]
+            and pr["matches_radius"][0]
         )
         if not ok:
             bad += 1

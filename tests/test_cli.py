@@ -737,6 +737,9 @@ def test_manifest_values_go_through_the_flag_types(tmp_path, capsys):
          "error: manifest key 'zero_diagonal': expected true or false, got 'yes'\n"),
         (["tail", "norm"], {"grid": [1, "x"]},
          "error: manifest key 'grid': invalid grid [1, 'x']\n"),
+        # float() reads true as 1.0, but no --grid text is a boolean.
+        (["tail", "norm"], {"grid": [True, 2]},
+         "error: manifest key 'grid': invalid grid [True, 2]\n"),
         (["tail", "norm"], {"base": ["a.csv"]},
          "error: manifest key 'base': invalid value: ['a.csv']\n"),
         (["tail", "norm"], {"comparison": None},

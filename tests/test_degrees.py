@@ -14,11 +14,17 @@ from exspec.degrees import (
 from exspec.rng import stream
 
 
+def _membership(u, v, params) -> dict:
+    """deg_membership of one profile: row 0 of a one-profile stack."""
+    r = deg_membership(u[None], v[None], params)
+    return {key: value[0].item() for key, value in r.items()}
+
+
 def test_flat_profile_is_member_for_any_delta():
     for delta in (1e-6, 0.1, 10.0):
-        r = deg_membership(np.full(12, 4.0), np.full(12, 4.0),
+        r = deg_membership(np.full((1, 12), 4.0), np.full((1, 12), 4.0),
                            RegularityParams(d=4.0, delta=delta))
-        assert r["member"] and r["worst_k"] == 0 and r["l1_gap"] == 0.0
+        assert r["member"][0] and r["worst_k"][0] == 0 and r["l1_gap"][0] == 0.0
 
 
 def test_single_outlier_violates_at_first_small_threshold():
@@ -27,7 +33,7 @@ def test_single_outlier_violates_at_first_small_threshold():
     # exceedance violates there first.
     u = np.full(8, 4.0)
     u[0] = 14.0
-    r = deg_membership(u, u, RegularityParams(d=4.0, delta=1.0))
+    r = _membership(u, u, RegularityParams(d=4.0, delta=1.0))
     assert not r["member"]
     assert r["worst_k"] == 2
 
@@ -36,7 +42,7 @@ def test_l1_mismatch_fails_regardless_of_counts():
     u = np.full(6, 3.0)
     v = u.copy()
     v[0] += 1.0
-    r = deg_membership(u, v, RegularityParams(d=3.0, delta=0.5))
+    r = _membership(u, v, RegularityParams(d=3.0, delta=0.5))
     assert not r["member"]
     assert r["worst_k"] == 0
     assert r["l1_gap"] == pytest.approx(1.0)
@@ -50,8 +56,8 @@ def test_membership_monotone_in_delta():
         u = np.abs(d + rng.normal(0, 1, size=m))
         v = np.flip(u)
         delta = float(rng.uniform(0.05, 1.5))
-        small = deg_membership(u, v, RegularityParams(d=d, delta=delta))
-        large = deg_membership(u, v, RegularityParams(d=d, delta=2 * delta))
+        small = _membership(u, v, RegularityParams(d=d, delta=delta))
+        large = _membership(u, v, RegularityParams(d=d, delta=2 * delta))
         assert large["member"] or not small["member"]
 
 
@@ -131,8 +137,13 @@ def test_profile_and_params_validation():
         RegularityParams(d=0.0, delta=1.0)
     with pytest.raises(ValueError):
         RegularityParams(d=1.0, delta=-1.0)
-    with pytest.raises(ValueError, match="length mismatch"):
-        deg_membership(np.ones(3), np.ones(4), RegularityParams(d=1.0, delta=1.0))
+    # Two (count, m) stacks of one shape, and nothing else.
+    for U, V in ((np.ones((1, 3)), np.ones((1, 4))), (np.ones((2, 3)), np.ones((3, 3))),
+                 (np.ones(3), np.ones(3)), (np.ones((1, 2, 3)), np.ones((1, 2, 3)))):
+        with pytest.raises(ValueError) as exc:
+            deg_membership(U, V, RegularityParams(d=1.0, delta=1.0))
+        assert str(exc.value) == (f"u and v must be (count, m) arrays of one shape, "
+                                  f"got {U.shape} and {V.shape}")
 
 
 def test_ratio_hypothesis():
@@ -176,7 +187,7 @@ def test_row_wise_kernels_match_the_one_vector_definitions():
             expect = ok_u and ok_v and not gap > 1e-8 * m * max(1.0, d)
             worst = 0 if expect or gap > 1e-8 * m * max(1.0, d) else min(
                 k for k in (worst_u, worst_v) if k > 0)
-            assert deg_membership(U[t], V[t], params) == {
+            assert _membership(U[t], V[t], params) == {
                 "member": expect, "worst_k": worst, "l1_gap": gap, "k_max": max(kmax_u, kmax_v)}
 
         # The corner event: target d/2 at the corner's own scale m.

@@ -153,18 +153,18 @@ def test_s2_bounded_by_row_norm_plus_offdiag_norm():
 
 
 def test_perron_flat_matrix():
-    r = perron_check(np.ones((3, 3)), np.ones(3))
-    assert r["rho"] == pytest.approx(3.0)
-    assert r["is_eigen"] and r["matches_radius"]
+    r = perron_check(np.ones((1, 3, 3)), np.ones((1, 3)))
+    assert r["rho"].tolist() == [pytest.approx(3.0)]
+    assert r["is_eigen"][0] and r["matches_radius"][0]
 
 
 def test_perron_doubly_regular_ones_vector():
     rng = stream(25)
     n, d = 12, 3
     A = sum(permutation_matrix(rng.permutation(n)) for _ in range(d))
-    r = perron_check(A, np.ones(n))
-    assert r["rho"] == pytest.approx(float(d))
-    assert r["matches_radius"]
+    r = perron_check(A[None], np.ones((1, n)))
+    assert r["rho"].tolist() == [pytest.approx(float(d))]
+    assert r["matches_radius"][0]
 
 
 def test_perron_power_iteration_oracle():
@@ -174,16 +174,16 @@ def test_perron_power_iteration_oracle():
     for _ in range(5000):
         x = M @ x
         x /= np.linalg.norm(x)
-    r = perron_check(M, x, tol=1e-8)
-    assert r["is_eigen"] and r["matches_radius"]
-    assert r["rho"] == pytest.approx(spectral_radius(M), rel=1e-8)
+    r = perron_check(M[None], x[None], tol=1e-8)
+    assert r["is_eigen"][0] and r["matches_radius"][0]
+    assert r["rho"].tolist() == [pytest.approx(spectral_radius(M[None])[0], rel=1e-8)]
 
 
 def test_perron_input_validation():
     with pytest.raises(ValueError):
-        perron_check(-np.ones((2, 2)), np.ones(2))
+        perron_check(-np.ones((1, 2, 2)), np.ones((1, 2)))
     with pytest.raises(ValueError):
-        perron_check(np.ones((2, 2)), np.array([1.0, 0.0]))
+        perron_check(np.ones((1, 2, 2)), np.array([[1.0, 0.0]]))
 
 
 def test_singular_values_invariant_under_relabeling():
@@ -346,12 +346,11 @@ def test_lanczos_rank_one_and_zero_blocks(monkeypatch):
     got = spectra._lanczos(_sparse(stack), 0)
     assert [f.tobytes() for f in fallbacks] == [stack[[1]].tobytes()] and got[1] == 0.0
     assert np.all(np.abs(got - want[:, 0]) <= RTOL * want[:, 0])
-    # Their s2 lies below the floor: the SVD's values, bit for bit. The zero
-    # block goes to the SVD directly, the rank-one blocks through the Gram
-    # kernel, whose own floor passes them on.
+    # Their s2 lies below the floor: the SVD's values, bit for bit. All three
+    # go to the Gram kernel, whose own floor passes them on in one call.
     fallbacks.clear()
     got = spectra._lanczos(_sparse(stack), 1)
-    assert [f.tobytes() for f in fallbacks] == [stack[[1]].tobytes(), stack[[0, 2]].tobytes()]
+    assert [f.tobytes() for f in fallbacks] == [stack[[0, 1, 2]].tobytes()]
     assert got.tobytes() == want[:, 1].tobytes()
     # A wide block runs on B B^t; its fallback still takes the SVD of B.
     wide = np.outer(x, np.arange(1.0, 10.0))[None]

@@ -1,6 +1,8 @@
 import itertools
 import math
+import runpy
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,36 +24,36 @@ from exspec.verify import _prefix_hits
 
 
 def test_second_moment_two_singletons():
-    p = SubsetSumProblem(a=np.array([1.0, 1.0]), k=1)
-    assert second_moment_exact(p) == pytest.approx(1.0)
+    p = SubsetSumProblem(a=np.array([[1.0, 1.0]]), k=1)
+    assert second_moment_exact(p).tolist() == [pytest.approx(1.0)]
 
 
 def test_second_moment_pairs_of_three():
-    p = SubsetSumProblem(a=np.array([1.0, 2.0, 3.0]), k=2)
-    assert second_moment_exact(p) == pytest.approx(50.0 / 3.0)
-    assert enumerate_exact(p, "moment", 2) == pytest.approx(50.0 / 3.0)
+    p = SubsetSumProblem(a=np.array([[1.0, 2.0, 3.0]]), k=2)
+    assert second_moment_exact(p).tolist() == [pytest.approx(50.0 / 3.0)]
+    assert enumerate_exact(p, "moment", 2).tolist() == [[pytest.approx(50.0 / 3.0)]]
 
 
 def test_second_moment_full_subset():
     with pytest.warns(UserWarning):
-        p = SubsetSumProblem(a=np.array([1.0, -2.0, 4.0]), k=3)
-    assert second_moment_exact(p) == pytest.approx(9.0)
+        p = SubsetSumProblem(a=np.array([[1.0, -2.0, 4.0]]), k=3)
+    assert second_moment_exact(p).tolist() == [pytest.approx(9.0)]
 
 
 def test_second_moment_degenerate_m1():
-    p = SubsetSumProblem(a=np.array([3.0]), k=1)
-    assert second_moment_exact(p) == pytest.approx(9.0)
+    p = SubsetSumProblem(a=np.array([[3.0]]), k=1)
+    assert second_moment_exact(p).tolist() == [pytest.approx(9.0)]
 
 
 def test_fourth_moment_bound_zero_vector():
-    p = SubsetSumProblem(a=np.zeros(5), k=2)
-    assert fourth_moment_bound(p) == 0.0
+    p = SubsetSumProblem(a=np.zeros((1, 5)), k=2)
+    assert fourth_moment_bound(p).tolist() == [0.0]
 
 
 def test_fourth_moment_bound_worked_example():
-    p = SubsetSumProblem(a=np.ones(4), k=2)
-    assert fourth_moment_bound(p) == pytest.approx(216.0)
-    assert enumerate_exact(p, "moment", 4) == pytest.approx(16.0)
+    p = SubsetSumProblem(a=np.ones((1, 4)), k=2)
+    assert fourth_moment_bound(p).tolist() == [pytest.approx(216.0)]
+    assert enumerate_exact(p, "moment", 4).tolist() == [[pytest.approx(16.0)]]
 
 
 @settings(max_examples=100, deadline=None)
@@ -62,14 +64,14 @@ def test_fourth_moment_bound_worked_example():
 def test_closed_forms_match_enumeration(m, seed):
     rng = stream(seed)
     k = int(rng.integers(1, (m + 1) // 2 + 1))
-    p = SubsetSumProblem(a=rng.normal(0, 3, size=m), k=k)
-    exact2 = enumerate_exact(p, "moment", 2)
+    p = SubsetSumProblem(a=rng.normal(0, 3, size=(1, m)), k=k)
+    exact2 = enumerate_exact(p, "moment", 2)[:, 0]
     assert second_moment_exact(p) == pytest.approx(exact2, rel=1e-12, abs=1e-12)
-    assert enumerate_exact(p, "moment", 4) <= fourth_moment_bound(p) * (1 + 1e-12)
+    assert enumerate_exact(p, "moment", 4)[0, 0] <= fourth_moment_bound(p)[0] * (1 + 1e-12)
 
 
 def test_inclusion_probabilities_by_counting():
-    p = SubsetSumProblem(a=np.zeros(9), k=4)
+    p = SubsetSumProblem(a=np.zeros((1, 9)), k=4)
     t = inclusion_probabilities(p)
     total = math.comb(9, 4)
     for u in range(1, 5):
@@ -90,24 +92,24 @@ def test_table_prefix_count_matches_set_count():
 
 
 def test_inclusion_probabilities_vanish_beyond_k():
-    p = SubsetSumProblem(a=np.zeros(6), k=2)
+    p = SubsetSumProblem(a=np.zeros((1, 6)), k=2)
     t = inclusion_probabilities(p)
     assert t[2] == 0.0 and t[3] == 0.0
 
 
 def test_enumerate_tail_at_zero_is_one():
-    p = SubsetSumProblem(a=np.array([1.0, 2.0, -1.0, 0.5]), k=2)
-    assert enumerate_exact(p, "tail", 0.0) == 1.0
+    p = SubsetSumProblem(a=np.array([[1.0, 2.0, -1.0, 0.5]]), k=2)
+    assert enumerate_exact(p, "tail", 0.0).tolist() == [[1.0]]
 
 
 def test_enumerate_anticonc_flat_vector():
-    p = SubsetSumProblem(a=np.ones(10), k=3)
+    p = SubsetSumProblem(a=np.ones((1, 10)), k=3)
     for c in (0.1, 0.5, 1.0):
-        assert enumerate_exact(p, "anticonc", c) == 1.0
+        assert enumerate_exact(p, "anticonc", c).tolist() == [[1.0]]
 
 
 def test_enumeration_cap():
-    p = SubsetSumProblem(a=np.zeros(40), k=20)
+    p = SubsetSumProblem(a=np.zeros((1, 40)), k=20)
     built = _combinations.cache_info().misses
     with pytest.raises(ValueError) as exc:
         enumerate_exact(p, "moment", 2)
@@ -132,10 +134,11 @@ def test_combinations_table_is_lexicographic_and_read_only():
 
 
 def _reference_sums(a, m, k):
-    # The per-subset loop the table replaced; enumeration must match it bit for bit.
-    out = np.empty(math.comb(m, k))
+    # The per-subset loop the table replaced; enumeration must match it bit
+    # for bit. One row, as the oracle gives for a stack of one.
+    out = np.empty((1, math.comb(m, k)))
     for idx, comb in enumerate(itertools.combinations(range(m), k)):
-        out[idx] = a[list(comb)].sum()
+        out[0, idx] = a[list(comb)].sum()
     return out
 
 
@@ -144,22 +147,22 @@ def _reference_sums(a, m, k):
 def test_enumerate_exact_matches_per_subset_loop_bitwise(data):
     m = data.draw(st.integers(min_value=1, max_value=18), label="m")
     k = data.draw(st.integers(min_value=1, max_value=m), label="k")
-    a = np.array(data.draw(st.lists(
+    a = np.array([data.draw(st.lists(
         st.floats(min_value=-1e6, max_value=1e6, allow_nan=False), min_size=m, max_size=m,
-    )))
+    ))])
     t = data.draw(st.floats(min_value=0.0, max_value=1e6), label="t")
     c = data.draw(st.floats(min_value=1e-3, max_value=2.0), label="c")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # k > ceil(m/2) is allowed here
         p = SubsetSumProblem(a=a, k=k)
-    sums = _reference_sums(p.a, m, k)
+    sums = _reference_sums(p.a[0], m, k)
     assert subset._subset_sums(p).tobytes() == sums.tobytes()
     for r in (1, 2, 4):
-        assert enumerate_exact(p, "moment", r) == float(np.mean(sums**r))
+        assert enumerate_exact(p, "moment", r).tolist() == [[float(np.mean(sums**r))]]
     mean = (k / m) * float(np.sum(p.a))
-    assert enumerate_exact(p, "tail", t) == float(np.mean(np.abs(sums - mean) >= t))
+    assert enumerate_exact(p, "tail", t).tolist() == [[float(np.mean(np.abs(sums - mean) >= t))]]
     thr = (c * k / m) * abs(float(np.sum(p.a)))
-    assert enumerate_exact(p, "anticonc", c) == float(np.mean(np.abs(sums) >= thr))
+    assert enumerate_exact(p, "anticonc", c).tolist() == [[float(np.mean(np.abs(sums) >= thr))]]
 
 
 @pytest.mark.parametrize("entries", [subset.TABLE_ENTRIES, 100, 7])
@@ -171,17 +174,17 @@ def test_enumerate_exact_matches_per_subset_loop_at_large_k(entries, monkeypatch
     for m, k in [(16, 8), (17, 12), (18, 9), (18, 17)]:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)
-            p = SubsetSumProblem(a=rng.normal(0, 1e3, size=m), k=k)
-        sums = _reference_sums(p.a, m, k)
+            p = SubsetSumProblem(a=rng.normal(0, 1e3, size=(1, m)), k=k)
+        sums = _reference_sums(p.a[0], m, k)
         assert subset._subset_sums(p).tobytes() == sums.tobytes()
-        assert enumerate_exact(p, "moment", 2) == float(np.mean(sums**2))
+        assert enumerate_exact(p, "moment", 2).tolist() == [[float(np.mean(sums**2))]]
 
 
 def test_hoeffding_exact_tail_under_bound():
     rng = stream(32)
-    p = SubsetSumProblem(a=rng.normal(size=12), k=6)
+    p = SubsetSumProblem(a=rng.normal(size=(1, 12)), k=6)
     norm = float(np.linalg.norm(p.a))
-    exact = enumerate_exact(p, "tail", norm)
+    (exact,), = enumerate_exact(p, "tail", norm)
     assert exact <= 2 * math.exp(-2.0) + 1e-12
 
 
@@ -192,3 +195,27 @@ def test_problem_validation():
         SubsetSumProblem(a=np.array([1.0]), k=2)
     with pytest.raises(ValueError):
         SubsetSumProblem(a=np.array([np.nan]), k=1)
+    for a in (np.float64(1.0), np.ones((2, 2, 3))):  # a 0-d or 3-d a is no stack
+        with pytest.raises(ValueError, match="nonempty vector or a stack"):
+            SubsetSumProblem(a=a, k=1)
+
+
+# The whole stdout of demos/subset_sum_moments.py, whose every number is read
+# from row 0 of a one-problem stack.
+SUBSET_DEMO_STDOUT = """\
+a = [0.08, -0.46, 0.05, 0.69, -1.76, 1.68, -0.46, -0.6, -1.05, 0.93]
+k = 4 of m = 10
+
+second moment: closed form 2.549493, enumeration 2.549493
+fourth moment: enumeration 16.1803 <= bound 285.4457
+
+tail P{|S - ES| >= t} vs 2 exp(-2 t^2 / ||a||_2^2):
+    t = 0.756: exact 0.6524 <= 1.7650
+    t = 1.513: exact 0.3762 <= 1.2131
+    t = 3.026: exact 0.0429 <= 0.2707
+"""
+
+
+def test_the_subset_demo_prints_its_pinned_numbers(capsys):
+    runpy.run_path(str(Path(__file__).parents[1] / "demos" / "subset_sum_moments.py"))
+    assert capsys.readouterr().out == SUBSET_DEMO_STDOUT

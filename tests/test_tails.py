@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -314,7 +315,9 @@ def test_relabeled_corner_gathers_the_sampled_corner(monkeypatch, n):
     from exspec import tails
 
     m, trials = n // 2, 11
-    monkeypatch.setattr(tails, "CHUNK_FLOATS", 3 * m * m)  # four chunks, the last partial
+    # Four chunks of a relabeled base, the last partial; a table kind's entry
+    # stacks make its chunks one trial each.
+    monkeypatch.setattr(tails, "CHUNK_FLOATS", 3 * m * m)
     specs = _relabeled_specs(n, 90) + [
         EnsembleSpec(kind="perm_sum_regular", n=n, d=3, seed=91),
         EnsembleSpec(kind="regular_digraph", n=n, d=2, seed=92),
@@ -372,6 +375,23 @@ def test_a_whole_sample_stack_counts_in_the_chunk_budget(monkeypatch):
     assert got.tolist() == [want[0]] * trials
 
 
+def test_a_table_chunk_counts_its_entry_stack(monkeypatch):
+    # Every chunk of a table kind builds the entry stack of its samples, four
+    # words for each of their n d entries, whole-sample statistic or not. At
+    # n = 256, d = 120 that stack is 7.5 times the corner kernel's working
+    # set; a budget that left it out peaked near 10 MiB.
+    spec = EnsembleSpec("perm_sum_regular", 256, d=120, zero_diagonal=True, seed=0)
+    for run in (lambda: norm_tail_curve(spec, c=0.5, trials=64),
+                lambda: block_bound_curve(spec, trials=64)):
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 2**20, peak / 2**20
+
+
 def test_relabeling_requires_a_base():
     spec = EnsembleSpec(kind="perm_sum_regular", n=8, d=2, seed=1)
     with pytest.raises(ValueError, match="does not relabel"):
@@ -393,8 +413,8 @@ def test_s2_tail_curve_relabeled_base_matches_per_sample_reference():
         T = A[:m, n - m:]
         s2A.append(second_singular(A))
         s2T.append(second_singular(T))
-        members.append(deg_membership(np.abs(T).sum(axis=0), np.abs(T).sum(axis=1),
-                                      half)["member"])
+        members.append(deg_membership(np.abs(T).sum(axis=0)[None], np.abs(T).sum(axis=1)[None],
+                                      half)["member"][0])
     thresholds = np.asarray(L_grid) * params.delta
     p_left, ci_left = _tail_probs(np.array(s2A), thresholds)
     p_right, ci_right = _tail_probs(np.where(members, s2T, -np.inf), c * thresholds)
@@ -453,8 +473,8 @@ def _reference_columns(spec, trials, event, half, delta):
         cols["ev"].append(corner_degree_events(T[None], event)[0])
         cols["s2A"].append(_one(A, 1))
         cols["s2T"].append(_one(T, 1))
-        cols["member"].append(deg_membership(np.abs(T).sum(axis=0), np.abs(T).sum(axis=1),
-                                             half)["member"])
+        cols["member"].append(deg_membership(np.abs(T).sum(axis=0)[None],
+                                             np.abs(T).sum(axis=1)[None], half)["member"][0])
         cols["block"].append(_one(A[:m, m:], 0))
         cols["hyp"].append(max(np.linalg.norm(A, axis=1).max(),
                                np.linalg.norm(A, axis=0).max()) <= delta)
