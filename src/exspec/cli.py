@@ -63,20 +63,6 @@ UNREAD = {
 }
 
 
-def _reject_unread(args, actions: dict, command: str) -> None:
-    """ValueError for the first flag in UNREAD[command] set off its default."""
-    for dest in UNREAD[command]:
-        if getattr(args, dest) != actions[dest].default:
-            raise ValueError(f"{command} takes no --{dest.replace('_', '-')}")
-
-
-def _reject_negative_seed(args) -> None:
-    """ValueError for a negative --seed, from the flag or a manifest, before
-    anything is drawn or written; numpy's own error would not name it."""
-    if args.seed < 0:
-        raise ValueError(f"--seed must be >= 0, got {args.seed}")
-
-
 def _load_matrix(path: str) -> SquareMatrix:
     p = Path(path)
     if p.suffix == ".json":
@@ -185,9 +171,7 @@ def _build_spec(args) -> EnsembleSpec:
     )
 
 
-def cmd_gen(args, actions: dict) -> int:
-    manifest = _apply_manifest(args, actions)
-    _reject_negative_seed(args)
+def cmd_gen(args, manifest: dict) -> int:
     if args.count < 1:
         raise ValueError("count must be >= 1")
     spec = _build_spec(args)
@@ -219,9 +203,7 @@ def _write_or_print(report: dict, out) -> None:
         print(text)
 
 
-def cmd_analyze(args, actions: dict) -> int:
-    manifest = _apply_manifest(args, actions)
-    _reject_unread(args, actions, "analyze")
+def cmd_analyze(args, manifest: dict) -> int:
     if args.delta is not None and args.d is None:
         raise ValueError("analyze --delta requires --d")
     M = _load_matrix(args.matrix)
@@ -255,9 +237,7 @@ def cmd_analyze(args, actions: dict) -> int:
     return EXIT_OK
 
 
-def cmd_verify(args, actions: dict) -> int:
-    manifest = _apply_manifest(args, actions)
-    _reject_negative_seed(args)
+def cmd_verify(args, manifest: dict) -> int:
     records = verify_mod.run_suite(args.suite, seed=args.seed)
     passed = all(r["passed"] for r in records)
     _write_or_print({"manifest": manifest, "records": records, "passed": passed}, args.out)
@@ -272,13 +252,10 @@ def _write_outputs(out: Path, files: dict) -> None:
         (out / name).write_text(text)
 
 
-def cmd_tail(args, actions: dict) -> int:
-    manifest = _apply_manifest(args, actions)
-    _reject_negative_seed(args)
+def cmd_tail(args, manifest: dict) -> int:
     comparison = args.comparison
     if comparison in ("s2", "degree-event") and args.delta is None:
         raise ValueError(f"tail {comparison} requires --delta")
-    _reject_unread(args, actions, f"tail {comparison}")
     out = Path(args.out)
     grid = _grid(args.grid)
     spec = None if comparison == "corner-capture" else _build_spec(args)
@@ -378,7 +355,19 @@ def main(argv=None) -> int:
     if getattr(args, "out", None) is None and args.command in ("gen", "tail"):
         parser.error(f"{args.command} requires --out")
     try:
-        return args.func(args, _command_actions(parser, args.command))
+        actions = _command_actions(parser, args.command)
+        manifest = _apply_manifest(args, actions)
+        command = args.command
+        if command == "tail":
+            command += f" {args.comparison}"
+        for dest in UNREAD.get(command, ()):
+            if getattr(args, dest) != actions[dest].default:
+                raise ValueError(f"{command} takes no --{dest.replace('_', '-')}")
+        # From the flag or a manifest, before anything is drawn or written;
+        # numpy's own error would not name it.
+        if args.seed < 0:
+            raise ValueError(f"--seed must be >= 0, got {args.seed}")
+        return args.func(args, manifest)
     except OSError as e:
         print(f"I/O error: {e}", file=sys.stderr)
         return EXIT_IO

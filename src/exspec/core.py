@@ -20,15 +20,12 @@ A CSV matrix file is read in one pass into one n x n array
 copy. A file in the layout ``csv_text`` writes for a matrix of integers 0
 to 9 (every field ``D.0``, every line ended by ``\\n``; any 0/1 adjacency
 matrix) is read as fixed-width bytes, in blocks of whole lines
-(``_digit_grid``). Any other file has its lines, decoded as ASCII with
-universal newlines, go straight to ``np.loadtxt``. A file loadtxt does not
-take, or whose text is not plain ASCII lines, is read again as a whole by
-the line parser (``_csv_rows_by_line``), so every file parses as that
-parser parses it.
+(``_digit_grid``). Any other file, a pipe included, is streamed once
+through the line parser (``_csv_rows``), which takes what float() takes
+and names the offending file line.
 """
 
 import json
-import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -257,41 +254,6 @@ def matrix_to_csv(M: SquareMatrix) -> str:
     return csv_text(M.entries)
 
 
-def _csv_rows_by_line(text: str) -> np.ndarray:
-    """Reference parser: float() on every field, errors name the file line."""
-    rows = []
-    linenos = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            rows.append([float(tok) for tok in line.split(",")])
-        except ValueError as e:
-            raise ValueError(f"parse error at line {lineno}: {e}") from None
-        linenos.append(lineno)
-    if not rows:
-        raise ValueError("empty matrix file")
-    width = len(rows[0])
-    for lineno, r in zip(linenos, rows):
-        if len(r) != width:
-            raise ValueError(f"parse error at line {lineno}: expected {width} values, got {len(r)}")
-    return np.array(rows)
-
-
-# Line breaks of str.splitlines() that loadtxt reads as plain whitespace.
-_SPLITLINES_ONLY_ASCII = "\x0b\x0c\x1c\x1d\x1e"
-
-
-def _loadtxt_lines(lines):
-    """``lines`` one by one; ValueError at the first that is not ASCII or
-    holds a break that splitlines() sees and loadtxt does not, since on such
-    text the two could split lines differently."""
-    for line in lines:
-        if not line.isascii() or any(c in line for c in _SPLITLINES_ONLY_ASCII):
-            raise ValueError("not plain ASCII lines")
-        yield line
-
-
 # Bytes of one block of the digit reader. With numpy's 32 KiB buffer for the
 # broadcast subtraction, a load at n = 512 peaks within 5% of the array.
 _DIGIT_BLOCK_BYTES = 1 << 15
@@ -309,7 +271,7 @@ def _digit_grid(p: Path):
     is at most 9 exactly when the field is a digit, ``.``, ``0`` and the
     right separator; it is then the value."""
     with p.open("rb") as f:
-        if not f.seekable():  # a pipe: what is read here is lost to the other routes
+        if not f.seekable():  # a pipe: what is read here is lost to the line parser
             return None
         size = f.seek(0, 2)
         f.seek(0)
@@ -335,27 +297,60 @@ def _digit_grid(p: Path):
     return a
 
 
+def _csv_rows(pieces) -> np.ndarray:
+    """The array of a CSV text in pieces (an open file's lines, or the whole
+    text as one), each split by str.splitlines(): blank lines are skipped,
+    every field goes through float(), and errors name the file line. The
+    first field float() rejects comes before the first row of another
+    width, and that before an empty file."""
+    a, rows, lineno, ragged = None, 0, 0, None
+    for piece in pieces:
+        for line in piece.splitlines():
+            lineno += 1
+            if not line.strip():
+                continue
+            try:
+                row = [float(tok) for tok in line.split(",")]
+            except ValueError as e:
+                raise ValueError(f"parse error at line {lineno}: {e}") from None
+            if a is None:
+                a = np.empty((1, len(row)))
+            width = a.shape[1]
+            if len(row) != width:
+                if ragged is None:
+                    ragged = f"parse error at line {lineno}: expected {width} values, got {len(row)}"
+                continue
+            if rows == len(a):  # double, but at first no further than a square
+                a.resize((2 * rows if rows >= width else min(2 * rows, width), width),
+                         refcheck=False)
+            a[rows] = row
+            rows += 1
+    if ragged is not None:
+        raise ValueError(ragged)
+    if a is None:
+        raise ValueError("empty matrix file")
+    a.resize((rows, a.shape[1]), refcheck=False)
+    return a
+
+
 def matrix_from_csv_file(path) -> SquareMatrix:
     """The matrix of a CSV file, read in one pass into one array. A file of
     ``D.0`` fields (D one digit, as ``csv_text`` writes a matrix of integers
     0 to 9) with ``\\n`` line ends is read as fixed-width bytes. Any other
-    file is decoded as ASCII with universal newlines, and its lines go to
-    np.loadtxt. A file that loadtxt rejects or finds no data in, or that is
-    not plain ASCII lines, is read again as a whole by the line parser,
-    which accepts what float() accepts (e.g. ``1_0`` and whitespace-only
-    lines) and names the offending line. Each route gives the values and
-    errors the line parser gives on the same file."""
+    file, or a pipe, is streamed once through the line parser, which takes
+    what float() takes (e.g. ``1_0`` and whitespace-only lines) and names
+    the offending line. A regular file that fails is parsed again whole, so
+    that it names the fault its whole text names first: an undecodable
+    byte, by its position in the file, before any parse error. A pipe
+    cannot be read again, and names its first fault in file order."""
     p = Path(path)
     a = _digit_grid(p)
-    if a is not None:
-        return SquareMatrix._adopt(a)
-    a = np.empty((0, 0))
-    try:
-        with p.open(encoding="ascii") as f, warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
-            a = np.loadtxt(_loadtxt_lines(f), delimiter=",", comments=None, ndmin=2)
-    except ValueError:  # so is the UnicodeDecodeError of a file that is not ASCII
-        pass
-    if not a.size:
-        a = _csv_rows_by_line(p.read_text())
+    if a is None:
+        try:
+            with p.open() as f:
+                a = _csv_rows(f)
+        except ValueError:  # so is the UnicodeDecodeError of undecodable text
+            if not p.is_file():
+                raise
+            a = _csv_rows([p.read_text()])
     return SquareMatrix._adopt(a)

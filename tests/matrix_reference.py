@@ -10,7 +10,10 @@ own rejection loop, so that a fault in the sampler's loop can show, and
 
 ``centered_offdiag`` is the reference definition of the centered matrix
 B = A - (d/n) 11^t (off the diagonal) of a d-regular A, whose norm varies
-from sample to sample where ||A|| does not."""
+from sample to sample where ||A|| does not.
+
+``_csv_rows_by_line`` is the reference CSV line parser: the values and
+errors that ``core.matrix_from_csv_file`` must give on every regular file."""
 
 import numpy as np
 
@@ -97,3 +100,24 @@ def perron_vector(M) -> np.ndarray:
             break
         x = y
     return x
+
+
+def _csv_rows_by_line(text: str) -> np.ndarray:
+    """Reference parser: float() on every field, errors name the file line."""
+    rows = []
+    linenos = []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if not line.strip():
+            continue
+        try:
+            rows.append([float(tok) for tok in line.split(",")])
+        except ValueError as e:
+            raise ValueError(f"parse error at line {lineno}: {e}") from None
+        linenos.append(lineno)
+    if not rows:
+        raise ValueError("empty matrix file")
+    width = len(rows[0])
+    for lineno, r in zip(linenos, rows):
+        if len(r) != width:
+            raise ValueError(f"parse error at line {lineno}: expected {width} values, got {len(r)}")
+    return np.array(rows)

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from matrix_reference import signed_regular
 
+from exspec import core
 from exspec.cli import _load_matrix, main
 from exspec.core import SquareMatrix, matrix_to_csv, matrix_to_json
 from exspec.ensembles import EnsembleSpec, sample
@@ -173,6 +174,41 @@ def test_analyze_reads_csv_and_writes_out(tmp_path, capsys):
     assert code == 0
     rep = json.loads(out.read_text())
     assert rep["s1"] == pytest.approx(2.0)
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+def test_analyze_reads_a_csv_pipe_once(capsys):
+    # As `exspec analyze <(...)` hands it a file the digit reader declines.
+    def piped(data: bytes):
+        r, w = os.pipe()
+        try:
+            os.write(w, data)
+            os.close(w)
+            return run_cli(["analyze", f"/dev/fd/{r}"], capsys)
+        finally:
+            os.close(r)
+
+    code, stdout, err = piped(b"0,1_0\n1,0\n")
+    rep = json.loads(stdout)
+    assert (code, err, rep["u"], rep["v"]) == (0, "", [1.0, 10.0], [10.0, 1.0])
+    ragged = "error: parse error at line 2: expected 2 values, got 3\n"
+    assert piped(b"1,2\n3,4,5\n") == (2, "", ragged)
+
+
+def test_a_long_csv_line_is_not_taken_for_a_square(tmp_path, capsys):
+    # The line parser grows its array with the rows it reads: one line of
+    # 10**5 fields must not ask for the 80 GB of a square of that width.
+    f = tmp_path / "wide.csv"
+    f.write_text(",".join(["1.5"] * 10**5) + "\n")
+    tracemalloc.start()
+    try:
+        result = run_cli(["analyze", str(f)], capsys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    message = "error: expected a square matrix with n >= 1, got shape (1, 100000)\n"
+    assert result == (2, "", message)
+    assert peak <= 32 << 20, peak / 2**20
 
 
 def test_verify_subset_suite_passes(capsys):
@@ -523,6 +559,17 @@ def test_negative_seed_is_rejected_before_anything_is_written(command, tmp_path,
     assert run_cli([*command, "--seed", "0", "--out", "out"], capsys)[0] == 0
 
 
+def test_an_unread_flag_is_named_before_a_negative_seed_or_a_missing_delta(tmp_path, capsys):
+    # Every command checks its flags in one order: the manifest, the flags
+    # it does not read, the seed, then its own requirements.
+    message = "error: tail s2 takes no --matrix\n"
+    for extra in (["--seed", "-1", "--delta", "1.0"], []):
+        out = tmp_path / "out"
+        args = ["tail", "s2", "--matrix", "m.csv", *extra, "--out", str(out)]
+        assert run_cli(args, capsys) == (2, "", message)
+        assert not out.exists()
+
+
 def test_missing_out_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["gen", "--n", "4", "--d", "1"])
@@ -654,7 +701,7 @@ def test_zero_diagonal_on_a_base_kind_is_rejected_before_the_base_is_read(tmp_pa
 def test_loading_a_csv_matrix_peaks_near_one_array(tmp_path):
     n = 512
     text = matrix_to_csv(sample(EnsembleSpec("regular_digraph", n, 4, seed=1), 0))
-    # "\n" line ends take the digit reader, "\r\n" the loadtxt route.
+    # "\n" line ends take the digit reader, "\r\n" the line parser.
     for name, newline in (("base.csv", "\n"), ("base-crlf.csv", "\r\n")):
         f = tmp_path / name
         f.write_bytes(text.replace("\n", newline).encode())
@@ -682,15 +729,15 @@ def test_the_digit_reader_peaks_at_one_array(tmp_path):
     assert peak <= 1.05 * M.entries.nbytes, peak / M.entries.nbytes
 
 
-def test_a_generated_base_loads_without_loadtxt(tmp_path, capsys, monkeypatch):
+def test_a_generated_base_loads_without_the_line_parser(tmp_path, capsys, monkeypatch):
     out = tmp_path / "gen"
     args = ["gen", "--ensemble", "regular_digraph", "--n", "300", "--d", "4", "--seed", "3"]
     assert run_cli(args + ["--out", str(out)], capsys)[0] == 0
 
-    def loadtxt(*args, **kwargs):
-        raise AssertionError("a 0/1 base went to np.loadtxt")
+    def line_parser(pieces):
+        raise AssertionError("a 0/1 base went to the line parser")
 
-    monkeypatch.setattr(np, "loadtxt", loadtxt)
+    monkeypatch.setattr(core, "_csv_rows", line_parser)
     M = _load_matrix(str(out / "sample_0000.csv"))
     expected = sample(EnsembleSpec("regular_digraph", 300, 4, seed=3), 0)
     assert np.array_equal(M.entries, expected.entries)
