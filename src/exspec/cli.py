@@ -11,13 +11,30 @@ defaults, a --manifest file overrides flags, and the effective manifest is
 echoed into the output. Reruns produce byte-identical files.
 
 Exit codes: 0 ok, 1 assertion/suite failure, 2 usage, 3 I/O.
+
+BLAS runs on one thread unless the environment names a thread count:
+every kernel here is a stack of small matrices, where OpenBLAS's second
+thread spins beside the first and shortens nothing. A user who wants more
+threads (for one large dense SVD) sets OPENBLAS_NUM_THREADS or
+OMP_NUM_THREADS as usual.
 """
+
+import os
+import sys
+
+# Before numpy loads, which reads these once. Where numpy is already loaded
+# (a library import, the tests), the count is the caller's and stays so.
+_BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS",
+                          "MKL_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
+if "numpy" not in sys.modules and not any(os.environ.get(v) for v in _BLAS_THREAD_VARIABLES):
+    for _variable in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+                      "VECLIB_MAXIMUM_THREADS"):
+        os.environ[_variable] = "1"
 
 import argparse
 import dataclasses
 import json
 import math
-import sys
 from pathlib import Path
 
 import numpy as np

@@ -26,6 +26,7 @@ and names the offending file line.
 """
 
 import json
+import locale
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -333,6 +334,23 @@ def _csv_rows(pieces) -> np.ndarray:
     return a
 
 
+def _decoded(lines):
+    """Each of a binary file's lines as text, decoded as open() decodes text.
+    A byte that does not decode is named by its position in the file, as
+    when the whole text is decoded at once."""
+    encoding = locale.getpreferredencoding(False)
+    offset = 0
+    for line in lines:
+        try:
+            yield line.decode(encoding)
+        except UnicodeDecodeError as e:
+            start, end = offset + e.start, offset + e.end
+            where = (f"byte 0x{line[e.start]:02x} in position {start}" if end == start + 1
+                     else f"bytes in position {start}-{end - 1}")
+            raise ValueError(f"'{e.encoding}' codec can't decode {where}: {e.reason}") from None
+        offset += len(line)
+
+
 def matrix_from_csv_file(path) -> SquareMatrix:
     """The matrix of a CSV file, read in one pass into one array. A file of
     ``D.0`` fields (D one digit, as ``csv_text`` writes a matrix of integers
@@ -342,14 +360,15 @@ def matrix_from_csv_file(path) -> SquareMatrix:
     the offending line. A regular file that fails is parsed again whole, so
     that it names the fault its whole text names first: an undecodable
     byte, by its position in the file, before any parse error. A pipe
-    cannot be read again, and names its first fault in file order."""
+    cannot be read again, and names its first fault in file order, an
+    undecodable byte by its position in the file too."""
     p = Path(path)
     a = _digit_grid(p)
     if a is None:
         try:
-            with p.open() as f:
-                a = _csv_rows(f)
-        except ValueError:  # so is the UnicodeDecodeError of undecodable text
+            with p.open("rb") as f:
+                a = _csv_rows(_decoded(f))
+        except ValueError:  # a parse error, or a byte that does not decode
             if not p.is_file():
                 raise
             a = _csv_rows([p.read_text()])

@@ -108,7 +108,8 @@ class TailCurve:
 # working set of the singular-value kernel on each block
 # (``spectra.kernel_floats``), plus, for a table kind, the chunk's entry
 # stack (four words per entry), or, for a whole-sample statistic, the larger
-# of that stack and the kernel's working set on a whole sample.
+# of that stack and the kernel's working set on a whole sample. A relabeled
+# base that cuts a block counts the larger of its entry stack and the kernels.
 CHUNK_FLOATS = 2**17
 
 
@@ -155,14 +156,20 @@ def _run_trials(spec: EnsembleSpec, trials: int, blocks, finish, whole=None) -> 
     if trials < 1:
         raise ValueError("trials must be >= 1")
     floats = sum(kernel_floats(*_shape(spec.n, b), _per_row(spec, b)) for b in blocks)
-    if whole is not None and spec.base is not None:
-        base_value = whole(_base_entries(spec))
-
-        def whole(indices):  # a relabeling keeps the base's value
-            return np.repeat(base_value, len(indices))
-    elif spec.base is None:  # every chunk of a table kind builds its entry stack
-        floats += max(round(4 * spec.n * spec.row_nonzeros),
+    entries = round(4 * spec.n * spec.row_nonzeros)  # a sample's entry stack, four words each
+    if spec.base is None:  # every chunk of a table kind builds its entry stack
+        floats += max(entries,
                       0 if whole is None else kernel_floats(spec.n, spec.n, spec.row_nonzeros))
+    else:
+        if whole is not None:
+            base_value = whole(_base_entries(spec))
+
+            def whole(indices):  # a relabeling keeps the base's value
+                return np.repeat(base_value, len(indices))
+        if not all(_gathered(spec, b) for b in blocks):
+            # A cut block comes from the chunk's entry stack, which is freed
+            # before finish runs the kernels: a trial needs the larger.
+            floats = max(floats, entries)
     size = max(1, CHUNK_FLOATS // max(1, floats))
 
     # The stacks come from a call of their own, so the whole samples they are

@@ -226,10 +226,14 @@ def test_criterion_10_manifest_determinism(tmp_path):
         "ensemble": "perm_sum_regular", "n": 24, "d": 3, "zero_diagonal": True,
         "trials": 400, "seed": 42, "c": 0.05,
     }))
+    # At the CLI's default, every BLAS thread variable unset, and at 1 and 2.
+    unset = {k: v for k, v in os.environ.items() if k not in (
+        "OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS",
+        "MKL_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")}
     blobs = []
-    for threads in ("1", "2"):
+    for threads in ("default", "1", "2"):
         out = tmp_path / f"run_t{threads}"
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env = unset if threads == "default" else dict(unset, OPENBLAS_NUM_THREADS=threads)
         proc = subprocess.run(
             [sys.executable, "-m", "exspec.cli", "tail", "norm",
              "--manifest", str(mf), "--out", str(out)],
@@ -251,5 +255,5 @@ def test_criterion_10_manifest_determinism(tmp_path):
         gen_blobs.append(b"".join(
             (out / f"sample_{i:04d}.json").read_bytes() for i in range(3)
         ))
-    ok = blobs[0] == blobs[1] and gen_blobs[0] == gen_blobs[1]
-    report("byte-identical reruns at BLAS thread counts 1 and 2", ok)
+    ok = blobs[0] == blobs[1] == blobs[2] and gen_blobs[0] == gen_blobs[1]
+    report("byte-identical reruns at the default BLAS threads, 1 and 2", ok)

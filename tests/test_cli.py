@@ -176,23 +176,37 @@ def test_analyze_reads_csv_and_writes_out(tmp_path, capsys):
     assert rep["s1"] == pytest.approx(2.0)
 
 
+def _pipe_outcome(data: bytes, capsys):
+    """`exspec analyze` of ``data`` through a pipe, as `exspec analyze <(...)`
+    hands it a file that cannot seek."""
+    r, w = os.pipe()
+    try:
+        os.write(w, data)
+        os.close(w)
+        return run_cli(["analyze", f"/dev/fd/{r}"], capsys)
+    finally:
+        os.close(r)
+
+
 @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
 def test_analyze_reads_a_csv_pipe_once(capsys):
-    # As `exspec analyze <(...)` hands it a file the digit reader declines.
-    def piped(data: bytes):
-        r, w = os.pipe()
-        try:
-            os.write(w, data)
-            os.close(w)
-            return run_cli(["analyze", f"/dev/fd/{r}"], capsys)
-        finally:
-            os.close(r)
-
-    code, stdout, err = piped(b"0,1_0\n1,0\n")
+    code, stdout, err = _pipe_outcome(b"0,1_0\n1,0\n", capsys)
     rep = json.loads(stdout)
     assert (code, err, rep["u"], rep["v"]) == (0, "", [1.0, 10.0], [10.0, 1.0])
     ragged = "error: parse error at line 2: expected 2 values, got 3\n"
-    assert piped(b"1,2\n3,4,5\n") == (2, "", ragged)
+    assert _pipe_outcome(b"1,2\n3,4,5\n", capsys) == (2, "", ragged)
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+def test_a_pipe_names_an_undecodable_byte_by_its_place_in_the_file(tmp_path, capsys):
+    # The line parser decodes a pipe as it streams it, and counts the bytes
+    # so far, so a bad byte is named where the whole file's text names it.
+    f = tmp_path / "m.csv"
+    for data in (b"0,1\n1,0\n\xe9", b"0,1\n1,\xe9\xe9\n", b"0,1\n1,\xf0\x9f\x98\n"):
+        f.write_bytes(data)
+        outcome = run_cli(["analyze", str(f)], capsys)
+        assert outcome[0] == 2 and "can't decode" in outcome[2], outcome
+        assert _pipe_outcome(data, capsys) == outcome
 
 
 def test_a_long_csv_line_is_not_taken_for_a_square(tmp_path, capsys):
@@ -591,11 +605,41 @@ def test_console_entry_point_subprocess(tmp_path):
     assert json.loads(proc.stdout)["passed"] is True
 
 
-def test_threads_env_does_not_change_output(tmp_path):
-    import os
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS",
+                         "MKL_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
 
+
+def blas_env(**values) -> dict:
+    """The environment with no BLAS thread variable but ``values``."""
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARIABLES}
+    return dict(env, **values)
+
+
+def test_the_cli_defaults_to_one_blas_thread():
+    # numpy reads the thread variables once, as it loads. Importing the CLI
+    # first sets one thread, unless a variable names a count already or numpy
+    # is loaded (a library caller's count stays the caller's).
+    probe = ("import os, sys; {first}import exspec.cli; "
+             "print(*(os.environ.get(v) for v in sys.argv[1:]))")
+    cases = [
+        ({}, "", "1 None 1 1 1"),
+        ({"OMP_NUM_THREADS": "3"}, "", "None None 3 None None"),
+        ({"GOTO_NUM_THREADS": "2"}, "", "None 2 None None None"),
+        ({}, "import numpy; ", "None None None None None"),
+    ]
+    for values, first, want in cases:
+        proc = subprocess.run(
+            [sys.executable, "-c", probe.format(first=first), *BLAS_THREAD_VARIABLES],
+            capture_output=True, text=True, env=blas_env(**values),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == want.split(), (values, first)
+
+
+def test_threads_env_does_not_change_output(tmp_path):
     # The BLAS thread count moves eigvalsh's last bits; the output bytes must
-    # not move. The s2 case runs 520x520 and 260x260 kernels, so this is
+    # not move, at the CLI's default (every thread variable unset) and at 1
+    # and 2 threads. The s2 case runs 520x520 and 260x260 kernels, so this is
     # checked on large matrices too.
     base = tmp_path / "base.csv"
     base.write_text(matrix_to_csv(sample(EnsembleSpec("perm_sum_regular", 520, 4, seed=3), 0)))
@@ -607,8 +651,8 @@ def test_threads_env_does_not_change_output(tmp_path):
     }
     for name, args in commands.items():
         outs = []
-        for threads in ("1", "2"):
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        for threads in ("default", "1", "2"):
+            env = blas_env() if threads == "default" else blas_env(OPENBLAS_NUM_THREADS=threads)
             out = tmp_path / f"{name}-t{threads}"
             proc = subprocess.run(
                 [sys.executable, "-m", "exspec.cli", *args, "--out", str(out)],
@@ -616,7 +660,7 @@ def test_threads_env_does_not_change_output(tmp_path):
             )
             assert proc.returncode == 0, proc.stderr
             outs.append((out / "curve.csv").read_bytes() + (out / "curve.json").read_bytes())
-        assert outs[0] == outs[1], name
+        assert outs[0] == outs[1] == outs[2], name
 
 
 def test_tail_s2_without_delta_is_usage_error(tmp_path, capsys):

@@ -418,6 +418,58 @@ def test_lanczos_at_n_2048_matches_the_dense_svd():
     assert abs(got - want) <= RTOL * want
 
 
+def _relabeled_circulant(n, shifts, rng):
+    """The (1, d, n) table of sum_j S^{a_j}, the d cyclic shifts by
+    ``shifts``, relabeled by a uniform p: Q[j, p[i]] = p[(i + a_j) mod n]."""
+    p = rng.permutation(n)
+    Q = np.empty((len(shifts), n), dtype=np.int64)
+    for j, a in enumerate(shifts):
+        Q[j, p] = p[(np.arange(n) + a) % n]
+    return Q[None]
+
+
+def _circulant_s2(n, shifts):
+    """s2 of sum_j S^{a_j}: a circulant is normal, so its singular values are
+    the moduli |sum_j w^(k a_j)| of its DFT, w = exp(2 pi i / n); s1 = d at
+    k = 0, and s2 is the largest over k != 0 (repeated, at k and -k)."""
+    k = np.arange(1, n)[:, None]
+    return np.abs(np.exp(2j * np.pi * (k * np.asarray(shifts) % n) / n).sum(axis=1)).max()
+
+
+@pytest.mark.parametrize("n", [640, 2048])
+def test_lanczos_on_relabeled_circulants_matches_the_dft(monkeypatch, n):
+    # An exact s2 at sizes where only Lanczos runs: relabeling a circulant
+    # changes no singular value. Random shifts converge within the budget.
+    assert lanczos_pays(n, 4.0)
+    handed_back = []
+    real = spectra.singular_value
+    monkeypatch.setattr(spectra, "singular_value",
+                        lambda stack, index: handed_back.append(index) or real(stack, index))
+    rng = stream(60, n)
+    for _ in range(3):
+        shifts = rng.choice(np.arange(1, n), size=4, replace=False)
+        want = _circulant_s2(n, shifts)
+        got = real(table_entries(_relabeled_circulant(n, shifts, rng)), 1)[0]
+        assert abs(got - want) <= RTOL * want, (shifts, got, want)
+    assert handed_back == []
+
+
+def test_lanczos_hands_a_clustered_circulant_to_the_gram_kernel(monkeypatch):
+    # Shifts 1, 2, 2, 3 put s2^2 and the next eigenvalues of G within 1e-4
+    # of each other (relative): Lanczos runs out of its 176 steps at n = 640,
+    # and the Gram kernel gives the exact value within RTOL.
+    n, shifts = 640, [1, 2, 2, 3]
+    S = table_entries(_relabeled_circulant(n, shifts, stream(61)))
+    handed_back = []
+    real = spectra.singular_value
+    monkeypatch.setattr(spectra, "singular_value",
+                        lambda stack, index: handed_back.append(type(stack)) or real(stack, index))
+    want = _circulant_s2(n, shifts)
+    got = real(S, 1)[0]
+    assert handed_back == [np.ndarray]
+    assert abs(got - want) <= RTOL * want, (got, want)
+
+
 def test_lanczos_stops_at_its_budget_on_a_top_cluster(monkeypatch):
     # d = 2: a union of cycles, whose deflated top eigenvalues crowd within
     # O(1/L^2) of s2^2. This sample needs 272 steps, past the 176 that

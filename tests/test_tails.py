@@ -392,6 +392,36 @@ def test_a_table_chunk_counts_its_entry_stack(monkeypatch):
         assert peak <= 2 * 2**20, peak / 2**20
 
 
+def test_a_relabeled_base_chunk_counts_its_entry_stack():
+    # A base whose corners Lanczos takes cuts them from the chunk's entry
+    # stack, four words for each entry of the base, freed before the kernel
+    # runs: a trial counts the larger of the two. A 4-regular 640-node base
+    # (the benchmark's) counts its kernel, 31,360 floats against a stack of
+    # 10,240; a 20-regular one its stack, 51,200, and so two trials a chunk,
+    # where a budget that left the stack out took four and peaked near 2 MiB.
+    n = 640
+    chunks = []
+
+    def finish(T):
+        chunks.append(T.shape[0])
+        return (np.zeros(T.shape[0]),)
+
+    for d, sizes in ((4, [4, 4]), (20, [2, 2, 2, 2])):
+        base = sample(EnsembleSpec("perm_sum_regular", n, d=d, zero_diagonal=True, seed=1), 0)
+        spec = EnsembleSpec.permuted(base, seed=2)
+        chunks.clear()
+        _run_trials(spec, 8, [_corner(n)], finish)
+        assert chunks == sizes, d
+    base.nonzeros  # found once per matrix, not in the budget
+    tracemalloc.start()
+    try:
+        norm_tail_curve(spec, c=0.5, trials=8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * 2**20, peak / 2**20
+
+
 def test_relabeling_requires_a_base():
     spec = EnsembleSpec(kind="perm_sum_regular", n=8, d=2, seed=1)
     with pytest.raises(ValueError, match="does not relabel"):
