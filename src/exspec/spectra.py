@@ -97,12 +97,13 @@ def lanczos_pays(dim: int, per_row: float) -> bool:
     - s2 of a whole sample: Lanczos takes 0.5-0.9 of the Gram time at
       dim = 384, 0.2-0.4 at 640 and 768 up to 16 nonzeros per row (640,
       d = 4: 5.8 ms against 31); at 256 it is 0.6-1.4;
-    - s2 of a corner (two runs): 0.6-1.1 at dim = 320 (0.5-0.7 for four
-      corners in lockstep), 0.8-1.7 at 256;
+    - s2 of a corner, one run where certified (measured at one BLAS
+      thread): 0.4-1.0 at dim = 320 (0.3-0.6 for four corners in
+      lockstep), 0.6-1.4 at 256 (0.5-1.0);
     - s1 of a corner: below 0.5 from dim = 288 on.
     Past dim / 16 nonzeros per row the products of the ~100 steps cost
-    what the O(dim^3) eigvalsh saves (s2 of a 320 corner at 16 per row:
-    1.07; a 320 whole sample at 32 per row: 1.17).
+    what the O(dim^3) eigvalsh saves (a 320 whole sample at 32 per row:
+    1.17; s2 of a 320 corner at 16 per row, the limit itself: 0.6-1.0).
     """
     return dim >= 320 and per_row * 16 <= dim
 
@@ -115,11 +116,13 @@ def lanczos_steps(dim: int) -> int:
     samples with the convergence test switched off, the crossover is 93
     steps at dim = 320, 109 at 384, 124 at 448, 151 at 512, 178 at 640,
     206 at 768 and 240 at 896 (177 at 640 for four members in lockstep).
-    A run of k steps costs about k^2 (its reorthogonalisation against the
-    k vectors so far, and its Ritz checks), so the runs of one member share
-    the budget by squares: k_1^2 + k_2^2 + ... <= lanczos_steps(dim)^2. A
-    member that has not converged by then goes to the Gram kernel, so it
-    costs at most about twice what the Gram kernel alone would.
+    A certified s2 (``_lanczos``) takes one run within the budget. A run
+    of k steps costs about k^2 (its reorthogonalisation against the k
+    vectors so far, and its Ritz checks), so a member that deflates shares
+    the budget among its runs by squares: k_1^2 + k_2^2 + ... <=
+    lanczos_steps(dim)^2. A member that has not converged by then goes to
+    the Gram kernel, so it costs at most about twice what the Gram kernel
+    alone would.
     """
     return dim // 4 + 16
 
@@ -132,33 +135,59 @@ def kernel_floats(rows: int, cols: int, per_row: float) -> int:
     return k * (lanczos_steps(k) + 2) if lanczos_pays(k, per_row) else rows * cols
 
 
-# The start vector's generator: a fixed seed, so that the kernel draws from
+# The start vectors' generator: a fixed seed, so that the kernel draws from
 # no trial stream and two calls agree bit for bit.
 _START_SEED = 20161
 _CHECK = 16  # Lanczos steps between two convergence checks
+_SPREAD = 32  # products with G by which the certificate spreads reachability
+
+
+def _start(dim: int, level: int) -> np.ndarray:
+    """The start vector of a run at deflation ``level``: one fixed vector
+    for level 0, and one of its own for each later level."""
+    seed = _START_SEED if level == 0 else [_START_SEED, level]
+    return np.random.default_rng(seed).standard_normal(dim)
 
 
 def _lanczos(stack: SparseStack, index: int) -> np.ndarray:
     """s_index of each member of a sparse stack, without forming a dense
-    matrix: the square root of the top eigenvalue of the smaller Gram
-    operator G (B^t B or B B^t) on the complement of its top ``index``
-    eigenvectors, by Lanczos with full reorthogonalisation (Golub & Van
-    Loan, ch. 10; Parlett, The Symmetric Eigenvalue Problem).
+    matrix: the square root of eigenvalue index + 1 of the smaller Gram
+    operator G (B^t B or B B^t), by Lanczos with full reorthogonalisation
+    (Golub & Van Loan, ch. 10; Parlett, The Symmetric Eigenvalue Problem).
 
-    Those eigenvectors are deflated one at a time. The first is exactly
-    1/sqrt(dim) when B is nonnegative and its row sums are all equal, and
-    so are its column sums (the centering identity: G 1 = r c 1 and ||B||^2
-    <= r c); otherwise it, and every later one, is the top Ritz vector of
-    the run before. Each run starts afresh on the complement, so a
-    repeated singular value (s1 = s2) is found again.
+    s2 of a nonnegative member whose row or column sums are not all equal
+    takes one run, under a certificate. When its top Ritz vector converges,
+    the vector's entries above its error bound rho / g (g the gap to the
+    second Ritz value) must lie in one connected component of the graph of
+    G, a nonnegative matrix (``_one_component``). A top eigenvalue shared by two
+    components would give a Ritz vector on both, from a start with a
+    component along each; within one component it is simple
+    (Perron-Frobenius, for an irreducible nonnegative matrix). So the run,
+    which sees one direction of a repeated eigenvalue only, misses no second
+    copy of s1, and goes on until its second Ritz pair converges too:
+    interlacing gives theta_2 <= lambda_2, and the residual puts an
+    eigenvalue within rho_2 of theta_2.
 
-    Each run starts from one fixed vector and stops when its residual
-    rho = beta_k |y_k| is at most RTOL/2 of the top Ritz value theta: then
-    an eigenvalue of G lies within rho of theta (the top one, unless the
-    start vector is orthogonal to its eigenvector). A deflated vector at
-    residual rho moves the next eigenvalue by at most min(g, rho^2 / g), g
-    the gap between the two, which is below RTOL/2 relative whenever that
-    eigenvalue is above RTOL/2 of the top one, as it is above the floor.
+    Every other member deflates its top ``index`` eigenvectors one at a
+    time. The first is exactly 1/sqrt(dim) when B is nonnegative and its
+    row sums are all equal, and so are its column sums (the centering
+    identity: G 1 = r c 1 and ||B||^2 <= r c); otherwise it, and every later
+    one, is the top Ritz vector of the run before (for s2 of a member that
+    fails the certificate, that of the certificate's run). A run after a
+    Ritz-vector deflation starts from a fixed vector of its own level
+    (``_start``): the Ritz vector is the first start's projection on a
+    repeated eigenvalue's eigenspace, so that start, deflated, has nothing
+    left in it, and a run from it would miss the second copy. The first
+    run, and a regular member's run after its exact deflation, start from
+    the vector of level 0.
+
+    Each run stops when its residual rho = beta_k |y_k| is at most RTOL/2
+    of the Ritz value theta: then an eigenvalue of G lies within rho of
+    theta (the one sought, unless the start vector is orthogonal to its
+    eigenvector). A deflated vector at residual rho moves the next
+    eigenvalue by at most min(g, rho^2 / g), g the gap between the two,
+    which is below RTOL/2 relative whenever that eigenvalue is above RTOL/2
+    of the top one, as it is above the floor.
     Rounding: B x and B^t y are sums of at most c_r and c_c terms (the
     largest row and column counts), and Ritz values on an orthonormal basis
     of length-dim vectors carry about dim eps ||G||, with ||G|| <= S^2, the
@@ -182,25 +211,31 @@ def _lanczos(stack: SparseStack, index: int) -> np.ndarray:
     floor = (dim + c_r.max(axis=1) + c_c.max(axis=1)) * eps * schur / RTOL
     nonnegative = np.bincount(S.member[S.value < 0], minlength=count) == 0
     regular = nonnegative & (u == u[:, :1]).all(axis=1) & (v == v[:, :1]).all(axis=1)
+    # The members whose s2 may come from one run, under the certificate.
+    single = nonnegative & ~regular if index == 1 else np.zeros(count, dtype=bool)
 
-    start = np.random.default_rng(_START_SEED).standard_normal(dim)
     budget = lanczos_steps(dim) ** 2
     spent = np.zeros(count, dtype=np.int64)  # squared steps of the runs so far
     lam = np.zeros(count)
     vectors = np.zeros((count, index + 1, dim))
     ok = np.ones(count, dtype=bool)
+    found = np.zeros(count, dtype=bool)  # lam is already s_index^2
     for level in range(index + 1):
-        run = ok.copy()
+        run = ok & ~found
         if level == 0:
             lam[regular] = u[regular, 0] * v[regular, 0]
             vectors[regular, 0] = 1.0 / np.sqrt(dim)
             run &= ~regular
-        if np.any(run):
-            part = S if run.all() else S.take(run)
-            steps = min(dim - level, math.isqrt(budget - int(spent[run].max())))
-            lam[run], vectors[run, level], ok[run], taken = _top_eigenpair(
-                _gram(part), vectors[run, :level], start, steps)
-            spent[run] += taken * taken
+        if not np.any(run):
+            continue
+        part = S if run.all() else S.take(run)
+        # A run after a Ritz-vector deflation starts from its level's vector.
+        fresh = (level > 0) & ~((level == 1) & regular[run])
+        starts = np.where(fresh[:, None], _start(dim, level), _start(dim, 0))
+        limit = np.array([min(dim - level, math.isqrt(budget - int(x))) for x in spent[run]])
+        lam[run], vectors[run, level], ok[run], taken, found[run] = _top_eigenpair(
+            _gram(part), vectors[run, :level], starts, limit, single[run] & (level == 0))
+        spent[run] += taken * taken
     s = np.sqrt(np.maximum(lam, 0.0))
     low = ~ok | (lam <= floor)
     if np.any(low):
@@ -231,12 +266,17 @@ def _orthonormalise(x: np.ndarray, basis: np.ndarray) -> np.ndarray:
     return x / np.where(norm > 0.0, norm, 1.0)
 
 
-def _top_eigenpair(gram, locked: np.ndarray, start: np.ndarray, steps: int):
+def _top_eigenpair(gram, locked: np.ndarray, start: np.ndarray, limit: np.ndarray,
+                   second: np.ndarray):
     """Top eigenvalue and eigenvector of G on the complement of the rows of
-    ``locked`` (count, L, dim), for each member, by at most ``steps`` steps
-    of Lanczos from ``start`` with full reorthogonalisation; whether each
-    member converged, and the steps taken."""
+    ``locked`` (count, L, dim), for each member, by at most ``limit`` steps
+    of Lanczos from its row of ``start`` with full reorthogonalisation; a
+    member marked in ``second`` whose top Ritz vector passes ``_one_component``
+    when it converges gets its second eigenvalue instead. Returns the values,
+    the top vectors, whether each member converged, the steps each took and
+    whether each value is a second eigenvalue."""
     count, L, dim = locked.shape
+    steps = int(limit.max())
     # Room for every step: pages no step writes are never touched, so the
     # memory in use follows the steps taken.
     V = np.empty((count, L + steps + 1, dim))
@@ -246,41 +286,82 @@ def _top_eigenpair(gram, locked: np.ndarray, start: np.ndarray, steps: int):
     beta = np.empty((count, steps))
     lam = np.zeros(count)
     vector = np.zeros((count, dim))
-    done = np.zeros(count, dtype=bool)
-    taken = 0
+    taken = limit.copy()
+    done = np.zeros(count, dtype=bool)  # converged
+    ended = np.zeros(count, dtype=bool)  # converged or out of steps
+    second = second.copy()  # still after the second eigenvalue
+    certified = np.zeros(count, dtype=bool)
+    last = set(limit.tolist())
     for j in range(steps):
-        taken = j + 1
-        k = L + taken  # basis vectors so far, the locked ones first
+        k = L + j + 1  # basis vectors so far, the locked ones first
         basis = V[:, :k]
+        across = basis.swapaxes(1, 2)
         w = gram(V[:, k - 1])
         h = np.matmul(basis, w[:, :, None])
         alpha[:, j] = h[:, k - 1, 0]
-        w -= np.matmul(basis.swapaxes(1, 2), h)[:, :, 0]
+        w -= np.matmul(across, h)[:, :, 0]
         # Twice, which is enough to keep the basis orthonormal.
-        w -= np.matmul(basis.swapaxes(1, 2), np.matmul(basis, w[:, :, None]))[:, :, 0]
+        w -= np.matmul(across, np.matmul(basis, w[:, :, None]))[:, :, 0]
         b = np.sqrt(np.einsum("ij,ij->i", w, w))
         beta[:, j] = b
-        if (j + 1) % _CHECK == 0 or j == steps - 1:
-            todo = ~done
-            T = np.zeros((int(np.count_nonzero(todo)), j + 1, j + 1))
+        every = (j + 1) % _CHECK == 0
+        if every or j + 1 in last:
+            idx = np.flatnonzero(~ended & (every | (limit == j + 1)))
+            T = np.zeros((idx.size, j + 1, j + 1))
             i = np.arange(j + 1)
-            T[:, i, i] = alpha[todo, :j + 1]
-            T[:, i[1:], i[:-1]] = T[:, i[:-1], i[1:]] = beta[todo, :j]
+            T[:, i, i] = alpha[idx, :j + 1]
+            T[:, i[1:], i[:-1]] = T[:, i[:-1], i[1:]] = beta[idx, :j]
             theta, Y = np.linalg.eigh(T)
-            y = Y[:, :, -1]
-            rho = b[todo] * np.abs(y[:, -1])
-            new = rho <= (RTOL / 2.0) * np.maximum(theta[:, -1], 0.0)
-            idx = np.flatnonzero(todo)[new]
-            lam[idx] = theta[new, -1]
-            for t, y_t in zip(idx, y[new]):  # the Ritz vectors, without a copy of V
+            rho = b[idx, None] * np.abs(Y[:, -1, :])  # the residual of each Ritz pair
+            conv = rho <= (RTOL / 2.0) * np.maximum(theta, 0.0)
+            # The second Ritz pair, or none after one step.
+            theta2 = theta[:, -2] if j > 0 else np.zeros(idx.size)
+            conv2 = conv[:, -2] if j > 0 else np.zeros(idx.size, dtype=bool)
+            top = conv[:, -1] & ~certified[idx]
+            for t, y_t in zip(idx[top], Y[top, :, -1]):  # the Ritz vectors, without a copy of V
                 vector[t] = y_t @ V[t, L:k]
-            done[idx] = True
-            if done.all():
+            ask = top & second[idx]
+            if np.any(ask):
+                # The top Ritz vector's error bound; none without a gap.
+                gap = theta[ask, -1] - theta2[ask]
+                tol = np.full(gap.shape, np.inf)
+                np.divide(rho[ask, -1], gap, out=tol, where=gap > 0.0)
+                passed = _one_component(gram, idx[ask], vector, tol)
+                certified[idx[ask][passed]] = True
+                second[idx[ask][~passed]] = False
+            first = top & ~second[idx]
+            then = certified[idx] & conv2
+            lam[idx[first]] = theta[first, -1]
+            lam[idx[then]] = theta2[then]
+            finished = idx[first | then]
+            done[finished] = ended[finished] = True
+            taken[finished] = j + 1
+            ended[idx[limit[idx] == j + 1]] = True
+            if ended.all():
                 break
         # After a breakdown (b = 0, an invariant subspace) w is 0 and stays 0.
         np.divide(w, np.maximum(b, np.finfo(np.float64).tiny)[:, None], out=V[:, k])
-    vector[done] = _orthonormalise(vector[done], locked[done])
-    return lam, vector, done, taken
+    ritz = done & ~certified
+    vector[ritz] = _orthonormalise(vector[ritz], locked[ritz])
+    return lam, vector, done, taken, certified & done
+
+
+def _one_component(gram, members: np.ndarray, vector: np.ndarray, tol: np.ndarray):
+    """Whether the entries of each listed member's vector above its ``tol``
+    all lie in one connected component of the graph of G (i ~ j where G_ij
+    > 0), for a nonnegative B: reachability from the largest entry, spread
+    by at most _SPREAD products with G."""
+    x = np.abs(vector[members])
+    big = x > tol[:, None]
+    reach = np.zeros_like(vector)
+    reach[members, np.argmax(x, axis=1)] = 1.0
+    missing = big & (reach[members] == 0.0)
+    for _ in range(_SPREAD):
+        if not missing.any():
+            break
+        reach = (reach + gram(reach) > 0.0).astype(np.float64)
+        missing = big & (reach[members] == 0.0)
+    return big.any(axis=1) & ~missing.any(axis=1)
 
 
 # The tail engine takes its per-trial singular values from singular_value:

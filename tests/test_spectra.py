@@ -8,7 +8,7 @@ from matrix_reference import centered_offdiag, permutation_matrix, relabel, sign
 
 from exspec import spectra
 from exspec.core import SparseStack, SquareMatrix
-from exspec.ensembles import EnsembleSpec, sample, table_entries
+from exspec.ensembles import EnsembleSpec, relabeled_entries, relabeling, sample, table_entries
 from exspec.rng import stream
 from exspec.spectra import (
     RTOL,
@@ -440,6 +440,8 @@ def _circulant_s2(n, shifts):
 def test_lanczos_on_relabeled_circulants_matches_the_dft(monkeypatch, n):
     # An exact s2 at sizes where only Lanczos runs: relabeling a circulant
     # changes no singular value. Random shifts converge within the budget.
+    # s2 is repeated (at k and -k), so s3 = s2: the run for s3 follows the
+    # deflation of a Ritz vector, and only a fresh start sees the second copy.
     assert lanczos_pays(n, 4.0)
     handed_back = []
     real = spectra.singular_value
@@ -449,8 +451,10 @@ def test_lanczos_on_relabeled_circulants_matches_the_dft(monkeypatch, n):
     for _ in range(3):
         shifts = rng.choice(np.arange(1, n), size=4, replace=False)
         want = _circulant_s2(n, shifts)
-        got = real(table_entries(_relabeled_circulant(n, shifts, rng)), 1)[0]
-        assert abs(got - want) <= RTOL * want, (shifts, got, want)
+        S = table_entries(_relabeled_circulant(n, shifts, rng))
+        for index in (1, 2):
+            got = real(S, index)[0]
+            assert abs(got - want) <= RTOL * want, (shifts, index, got, want)
     assert handed_back == []
 
 
@@ -499,6 +503,103 @@ def test_lanczos_stops_at_its_budget_on_a_top_cluster(monkeypatch):
         lanczos.append(t1 - t0)
         gram.append(time.perf_counter() - t1)
     assert min(lanczos) < 3.0 * min(gram), (min(lanczos), min(gram))
+
+
+def _corner_of_sample(n, d, seed, index):
+    """The top-right n/2 corner of a zero-diagonal perm_sum_regular sample,
+    as a dense array."""
+    A = sample(EnsembleSpec("perm_sum_regular", n, d=d, zero_diagonal=True, seed=seed), index).entries
+    return A[:n // 2, n // 2:]
+
+
+def _doubled(C):
+    """blockdiag(C, C): every singular value of C twice."""
+    Z = np.zeros_like(C)
+    return np.block([[C, Z], [Z, C]])
+
+
+@pytest.mark.parametrize("n, d, seed, index, doubled", [
+    (400, 4, 1, 0, True), (400, 4, 2, 0, True), (400, 4, 4, 0, True), (400, 4, 5, 0, True),
+    (640, 2, 106, 3, False), (640, 2, 109, 2, False)])
+def test_lanczos_s2_of_a_repeated_s1(n, d, seed, index, doubled):
+    # s1 = s2 on two components of G: a corner C doubled as blockdiag(C, C),
+    # and d = 2 corners whose largest components (as bipartite graphs) are
+    # two paths of 9 vertices, s = 2 cos(pi/10) = 1.90211 (the next is a
+    # path of 8, 2 cos(pi/9) = 1.87939). The top Ritz vector lies on both
+    # components, so it fails the certificate, and the run after its
+    # deflation starts afresh and finds the second copy.
+    C = _corner_of_sample(n, d, seed, index)
+    E = _doubled(C) if doubled else C
+    assert lanczos_pays(len(E), np.count_nonzero(E) / len(E))
+    want = np.linalg.svd(E, compute_uv=False)[1]
+    got = singular_value(_sparse(E[None]), 1)[0]
+    assert abs(got - want) <= RTOL * want, (got, want)
+
+
+def test_the_certificate_asks_for_one_component_of_g():
+    # G of blockdiag(ones(2, 2), ones(2, 2)) has the components {0, 1} and
+    # {2, 3}; G of a bidiagonal B is a path, reached one vertex per product.
+    gram = spectra._gram(_sparse(np.kron(np.eye(2), np.ones((2, 2)))[None]))
+    one = lambda x, tol: spectra._one_component(gram, np.array([0]), np.array([x]),
+                                                np.array([tol])).tolist()
+    assert one([0.7, 0.7, 0.0, 0.0], 1e-9) == [True]
+    assert one([0.5, 0.5, 0.5, 0.5], 1e-9) == [False]
+    assert one([0.7, 0.7, 1e-12, 0.0], 1e-9) == [True]  # below tol: noise
+    assert one([0.7, 0.7, 0.0, 0.0], np.inf) == [False]  # nothing above tol
+    n = spectra._SPREAD + 2
+    path = spectra._gram(_sparse((np.eye(n) + np.eye(n, k=1))[None]))
+    for far, connected in ((n - 2, True), (n - 1, False)):
+        x = np.zeros((1, n))
+        x[0, 0], x[0, far] = 1.0, 0.5
+        assert spectra._one_component(path, np.array([0]), x, np.array([1e-9])).tolist() == [connected]
+
+
+def _counted_runs(monkeypatch):
+    """Record, for each Lanczos run, which of its members it found s2 for."""
+    runs = []
+    real = spectra._top_eigenpair
+
+    def counted(*args):
+        out = real(*args)
+        runs.append(out[-1])
+        return out
+
+    monkeypatch.setattr(spectra, "_top_eigenpair", counted)
+    return runs
+
+
+def test_lanczos_takes_one_run_for_s2_of_certified_corners(monkeypatch):
+    # A chunk of four corners of a relabeled 640-node 4-regular base, as the
+    # engine cuts them: each top Ritz vector lies on one component of G, so
+    # s2 comes from the same run, and no deflated run follows.
+    base = sample(EnsembleSpec("regular_digraph", 640, d=4, seed=62), 0)
+    spec = EnsembleSpec.permuted(base, seed=63)
+    rows = np.array([relabeling(spec, t)[0] for t in range(4)])
+    S = relabeled_entries(base.nonzeros, rows, rows).block(slice(0, 320), slice(320, 640))
+    runs = _counted_runs(monkeypatch)
+    got = singular_value(S, 1)
+    assert [r.tolist() for r in runs] == [[True] * 4]
+    want = singular_values(S.dense())[:, 1]
+    assert np.all(np.abs(got - want) <= RTOL * want), (got, want)
+
+
+def test_lanczos_member_values_do_not_depend_on_the_mixed_stack(monkeypatch):
+    # One 400 x 400 stack of a certified corner, a doubled corner that fails
+    # the certificate and a regular sample (exact deflation, no certificate):
+    # three routes, each member bit for bit its value alone.
+    corner = _corner_of_sample(800, 4, 64, 0)
+    doubled = _doubled(_corner_of_sample(400, 4, 1, 0))
+    regular = sample(EnsembleSpec("perm_sum_regular", 400, d=4, zero_diagonal=True, seed=65), 0).entries
+    stack = np.array([corner, doubled, regular])
+    runs = _counted_runs(monkeypatch)
+    got = spectra._lanczos(_sparse(stack), 1)
+    # The first run certifies the corner only; the doubled corner and the
+    # regular sample take the deflated run.
+    assert [r.tolist() for r in runs] == [[True, False], [False, False]]
+    for t in range(3):
+        assert spectra._lanczos(_sparse(stack[t:t + 1]), 1).tobytes() == got[t:t + 1].tobytes()
+    want = singular_values(stack)[:, 1]
+    assert np.all(np.abs(got - want) <= RTOL * want), (got, want)
 
 
 def test_lanczos_pays_only_on_large_sparse_blocks():
