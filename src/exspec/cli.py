@@ -247,7 +247,10 @@ def cmd_analyze(args, manifest: dict) -> int:
                 report["s2_via_centering_error"] = str(e)
             if np.all(u > 0) and np.all(v > 0):
                 try:
-                    report["scaling"] = dataclasses.asdict(scaling_reduction(M, args.d, delta))
+                    # The report's s2 and s2_via_centering are the bits that
+                    # scaling's s2 and lhs would take again by the same SVDs.
+                    report["scaling"] = dataclasses.asdict(scaling_reduction(
+                        M, args.d, delta, s2=report["s2"], lhs=report.get("s2_via_centering")))
                 except (ValueError, RuntimeError, FloatingPointError) as e:
                     report["scaling_error"] = str(e)
     _write_or_print(report, args.out)

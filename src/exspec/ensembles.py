@@ -19,26 +19,32 @@ Kinds:
 
 The facts about each kind live here, so the engine in ``tails`` names none:
 ``EnsembleSpec.zero_diagonal_samples``, ``EnsembleSpec.row_nonzeros``,
-``EnsembleSpec.norm`` (||M||, one value for every sample), and a base
-kind's sample as its row and column permutations (``relabeling``). A
-sample of a doubly regular kind is its (d, n) permutation table Q
-(``sample(spec, index, table=True)``): A = sum_j P(q_j), that is
-A[i, Q[j, i]] += 1 for every j and i. ``table_entries`` gives a stack of
-tables as a ``core.SparseStack`` of the pairs (i, Q[j, i]), and
-``relabeled_entries`` gives relabeled bases from the base's nonzero
-entries: whole n x n samples, whose blocks the caller cuts with
+``EnsembleSpec.norm`` (||M||, one value for every sample),
+``EnsembleSpec.draw_words`` (what a draw holds), and a base kind's samples
+as their row and column permutations (``relabelings``). The samples of a
+doubly regular kind are their (d, n) permutation tables Q
+(``sample_tables(spec, indices)``, one (count, d, n) array): A = sum_j
+P(q_j), that is A[i, Q[j, i]] += 1 for every j and i. ``table_entries``
+gives a stack of tables as a ``core.SparseStack`` of the pairs (i, Q[j,
+i]), and ``relabeled_entries`` gives relabeled bases from the base's
+nonzero entries: whole n x n samples, whose blocks the caller cuts with
 ``SparseStack.block``. ``dense()`` scatters a stack with one ``bincount``.
+``sample`` gives one sample as a SquareMatrix.
 
-Every sample of index i draws from its own generator ``stream(spec.seed,
-i)``. perm_sum_regular draws its candidate permutations in batches with one
-``Generator.permuted`` call, whose rows are bit for bit those of successive
-``Generator.permutation`` calls; it keeps the first d derangements (all d
-rows without zero diagonal), so its tables equal those of drawing one
-permutation at a time. Nothing draws from that generator afterwards, so the
-candidates a batch draws beyond the last one kept change nothing.
+Every sample of index i draws from its own generator, in the state of
+``rng.stream(spec.seed, i)``; a chunk of indices takes those states from
+one ``rng.streams`` call. perm_sum_regular draws a first batch of candidate
+permutations per trial with one in-place ``Generator.permuted`` call on its
+rows of one int64 buffer for the chunk; the rows are bit for bit those of
+successive ``Generator.permutation`` calls. One derangement filter for the
+chunk keeps each trial's first d derangements (all d rows without zero
+diagonal), so its tables equal those of drawing one permutation at a time.
+Nothing draws from a trial's generator afterwards, so the candidates a batch
+draws beyond the last one kept change nothing; a trial whose first batch is
+short is drawn again, batch after batch, by ``_derangements``.
 regular_digraph draws its relabeling from the generator after its last
 candidate, so it draws candidates one at a time, through the same
-``_candidates``.
+``_candidates``, trial after trial.
 """
 
 import math
@@ -47,7 +53,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import SparseStack, SquareMatrix, matrix_to_dict
-from .rng import stream
+from .rng import streams
 from .spectra import spectral_norm
 
 __all__ = [
@@ -55,7 +61,8 @@ __all__ = [
     "KINDS",
     "BASE_KINDS",
     "sample",
-    "relabeling",
+    "sample_tables",
+    "relabelings",
     "table_entries",
     "relabeled_entries",
 ]
@@ -100,6 +107,15 @@ class EnsembleSpec:
         return self.d if self.base is None else self.base.nonzeros[0].size / self.n
 
     @property
+    def draw_words(self) -> int:
+        """int64 words a sample holds at once while ``sample_tables`` draws
+        it: a zero-diagonal perm_sum_regular sample's first batch of
+        candidate rows, its table otherwise (none for a base kind)."""
+        if self.kind == "perm_sum_regular" and self.zero_diagonal:
+            return _first_batch(self.d) * self.n
+        return self.d * self.n
+
+    @property
     def zero_diagonal_samples(self) -> bool:
         """Whether every sample has zero diagonal (a joint relabeling keeps B's)."""
         if self.base is None:
@@ -134,26 +150,55 @@ class EnsembleSpec:
 def _candidates(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
     """``count`` uniform permutations of range(n) as rows, in one call: bit
     for bit the rows of ``count`` successive ``rng.permutation(n)`` calls."""
-    return rng.permuted(np.broadcast_to(np.arange(n), (count, n)), axis=1)
+    rows = np.empty((count, n), dtype=np.int64)
+    rows[:] = np.arange(n)
+    return rng.permuted(rows, axis=1, out=rows)
 
 
-def _perm_sum_table(n: int, d: int, zero_diagonal: bool, rng: np.random.Generator):
-    if not zero_diagonal:
-        return _candidates(n, d, rng)
+def _first_batch(d: int) -> int:
+    """Candidates a zero-diagonal table draws first. A uniform permutation
+    is a derangement with probability ~1/e, so d of them take d*e
+    candidates on average, with variance d*e*(e-1); a batch of the mean plus
+    one standard deviation rarely falls short."""
+    return math.ceil(d * math.e + math.sqrt(d * math.e * (math.e - 1.0)))
+
+
+def _derangements(n: int, d: int, rng: np.random.Generator) -> np.ndarray:
+    """The first d derangements that ``rng`` draws, as rows, drawn batch
+    after batch."""
     idx = np.arange(n)
     kept = []
-    need = d
-    while need:
-        # A uniform permutation is a derangement with probability ~1/e, so
-        # `need` of them take need*e candidates on average, with variance
-        # need*e*(e-1); a batch of the mean plus one standard deviation
-        # rarely falls short.
-        count = math.ceil(need * math.e + math.sqrt(need * math.e * (math.e - 1.0)))
-        batch = _candidates(n, count, rng)
-        batch = batch[(batch != idx).all(axis=1)][:need]
+    while d:
+        batch = _candidates(n, _first_batch(d), rng)
+        batch = batch[(batch != idx).all(axis=1)][:d]
         kept.append(batch)
-        need -= len(batch)
-    return kept[0] if len(kept) == 1 else np.concatenate(kept)
+        d -= len(batch)
+    return np.concatenate(kept)
+
+
+def _perm_sum_tables(spec: EnsembleSpec, indices) -> np.ndarray:
+    """The tables of ``indices`` from one first batch of candidates each,
+    permuted in place in one int64 buffer (``permuted`` is slower on
+    narrower ints), and one derangement filter for the whole chunk. A trial
+    whose first batch is short is drawn again by ``_derangements``: its
+    kept rows are the first d derangements its stream draws, whatever the
+    batches."""
+    n, d = spec.n, spec.d
+    count = _first_batch(d) if spec.zero_diagonal else d
+    rows = np.empty((len(indices), count, n), dtype=np.int64)
+    rows[:] = np.arange(n)
+    for trial, rng in zip(rows, streams(spec.seed, indices)):
+        rng.permuted(trial, axis=1, out=trial)
+    if not spec.zero_diagonal:
+        return rows
+    deranged = (rows != np.arange(n)).all(axis=2)
+    # The first d derangements of each trial, in their order (a stable sort).
+    first = np.argsort(~deranged, axis=1, kind="stable")[:, :d]
+    tables = np.take_along_axis(rows, first[:, :, None], axis=1)
+    short = np.flatnonzero(deranged.sum(axis=1) < d)
+    for t, rng in zip(short, streams(spec.seed, [indices[t] for t in short])):
+        tables[t] = _derangements(n, d, rng)
+    return tables
 
 
 def _regular_digraph_table(n: int, d: int, rng: np.random.Generator) -> np.ndarray:
@@ -214,42 +259,46 @@ def relabeled_entries(triples, rows: np.ndarray, cols: np.ndarray) -> SparseStac
                        np.tile(value, count))
 
 
-def relabeling(spec: EnsembleSpec, index: int) -> tuple[np.ndarray, np.ndarray]:
-    """Row and column permutations of sample ``index`` of a base-relabeling
-    kind: ``sample(spec, index).entries == spec.base.entries[np.ix_(rows, cols)]``.
+def relabelings(spec: EnsembleSpec, indices) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column permutations of samples ``indices`` of a
+    base-relabeling kind, as (count, n) arrays: sample ``indices[t]`` is
+    ``spec.base.entries[np.ix_(rows[t], cols[t])]``.
 
     Both are drawn from ``stream(spec.seed, index)``, the row permutation
-    first; ``permuted_base`` relabels rows and columns alike.
+    first; ``permuted_base`` relabels rows and columns alike (``cols is rows``).
     """
     if spec.base is None:
         raise ValueError(f"{spec.kind} does not relabel a base matrix")
-    rng = stream(spec.seed, index)
-    rows = rng.permutation(spec.n)
-    if spec.kind == "permuted_base":
-        return rows, rows
-    return rows, rng.permutation(spec.n)
+    rows = np.empty((len(indices), spec.n), dtype=np.int64)
+    cols = rows if spec.kind == "permuted_base" else np.empty_like(rows)
+    for t, rng in enumerate(streams(spec.seed, indices)):
+        rows[t] = rng.permutation(spec.n)
+        if cols is not rows:
+            cols[t] = rng.permutation(spec.n)
+    return rows, cols
 
 
-def sample(spec: EnsembleSpec, index: int, *, table: bool = False):
-    """Draw sample ``index`` of the ensemble; pure in (spec.seed, index).
-
-    With ``table``, a doubly regular kind returns the sample as its (d, n)
-    permutation table Q instead of a SquareMatrix: the matrix is the sum of
-    the permutation matrices of the rows, A[i, Q[j, i]] += 1.
-    """
+def sample_tables(spec: EnsembleSpec, indices) -> np.ndarray:
+    """The (d, n) permutation tables Q of samples ``indices`` of a doubly
+    regular kind, as one (count, d, n) int64 array; sample ``indices[t]`` is
+    A = sum_j P(Q[t, j]), that is A[i, Q[t, j, i]] += 1. Pure in (spec.seed,
+    index): each table is the one its own ``stream(spec.seed, index)`` draws."""
     if spec.base is not None:
-        if table:
-            raise ValueError(f"{spec.kind} is not a sum of permutation matrices")
-        rows, cols = relabeling(spec, index)
+        raise ValueError(f"{spec.kind} is not a sum of permutation matrices")
+    if spec.kind == "perm_sum_regular":
+        return _perm_sum_tables(spec, indices)
+    tables = np.empty((len(indices), spec.d, spec.n), dtype=np.int64)
+    for t, rng in enumerate(streams(spec.seed, indices)):
+        tables[t] = _regular_digraph_table(spec.n, spec.d, rng)
+    return tables
+
+
+def sample(spec: EnsembleSpec, index: int) -> SquareMatrix:
+    """Draw sample ``index`` of the ensemble; pure in (spec.seed, index)."""
+    if spec.base is not None:
+        (rows,), (cols,) = relabelings(spec, [index])
         # A simultaneous relabeling keeps the diagonal on the diagonal.
         zero_diagonal = spec.kind == "permuted_base" and spec.base.zero_diagonal
         return SquareMatrix(spec.base.entries[np.ix_(rows, cols)], zero_diagonal=zero_diagonal)
-    rng = stream(spec.seed, index)
-    if spec.kind == "perm_sum_regular":
-        Q = _perm_sum_table(spec.n, spec.d, spec.zero_diagonal, rng)
-    else:
-        Q = _regular_digraph_table(spec.n, spec.d, rng)
-    if table:
-        return Q
-    A = table_entries(Q[None]).dense()[0]
+    A = table_entries(sample_tables(spec, [index])).dense()[0]
     return SquareMatrix(A, zero_diagonal=spec.zero_diagonal_samples)

@@ -93,13 +93,18 @@ def unit_margin_svd_facts(A) -> dict:
     }
 
 
-def scaling_reduction(A, d: float, delta: float) -> ScalingReport:
+def scaling_reduction(A, d: float, delta: float, *, s2: float | None = None,
+                      lhs: float | None = None) -> ScalingReport:
     """Full report for the margin-scaling comparison.
 
     When the margin hypotheses hold (sup deviation <= d/3, l2 deviation
     <= delta*sqrt(m) for both u and v), the conclusion and the remainder
     bound beta <= 6*delta are asserted; hypothesis failures only disable
     the assertion, all quantities are still reported.
+
+    A caller that has already taken ``s2`` (``second_singular(A)``) or
+    ``lhs`` (``spectral_norm(A - (d/m) 11^t)``, the SVD that
+    ``s2_via_centering`` takes) hands it in, and its SVD is not repeated.
     """
     if not (d > 0 and delta > 0):
         raise ValueError("d and delta must be positive")
@@ -123,8 +128,10 @@ def scaling_reduction(A, d: float, delta: float) -> ScalingReport:
     )
 
     beta = rank_two_norm(v / l1u, u, -(d / m) * ones, ones)
-    lhs = spectral_norm(E - (d / m) * np.ones((m, m)))
-    s2 = second_singular(E)
+    if lhs is None:
+        lhs = spectral_norm(E - (d / m) * np.ones((m, m)))
+    if s2 is None:
+        s2 = second_singular(E)
     bound = 2.0 * s2 + 6.0 * delta
     if not math.isfinite(bound):
         raise FloatingPointError(f"bound 2*s2 + 6*delta overflows float64 (delta={delta!r})")

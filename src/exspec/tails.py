@@ -49,7 +49,7 @@ import numpy as np
 
 from .core import SparseStack, SquareMatrix, csv_text, json_ready, max_l2
 from .degrees import HYPOTHESIS_C, RegularityParams, corner_degree_events
-from .ensembles import EnsembleSpec, relabeled_entries, relabeling, sample, table_entries
+from .ensembles import EnsembleSpec, relabeled_entries, relabelings, sample_tables, table_entries
 from .spectra import RTOL, kernel_floats, lanczos_pays, singular_value
 
 __all__ = [
@@ -106,10 +106,12 @@ class TailCurve:
 
 # Stacked floats per chunk of trials (1 MiB, like subset.TABLE_ENTRIES): the
 # working set of the singular-value kernel on each block
-# (``spectra.kernel_floats``), plus, for a table kind, the chunk's entry
-# stack (four words per entry), or, for a whole-sample statistic, the larger
-# of that stack and the kernel's working set on a whole sample. A relabeled
-# base that cuts a block counts the larger of its entry stack and the kernels.
+# (``spectra.kernel_floats``), plus, for a table kind, the largest of the
+# chunk's entry stack (four words per entry), the candidate rows its tables
+# are drawn from (``EnsembleSpec.draw_words``, freed before the stack is
+# built) and, for a whole-sample statistic, the kernel's working set on a
+# whole sample. A relabeled base that cuts a block counts the larger of its
+# entry stack and the kernels.
 CHUNK_FLOATS = 2**17
 
 
@@ -157,8 +159,8 @@ def _run_trials(spec: EnsembleSpec, trials: int, blocks, finish, whole=None) -> 
         raise ValueError("trials must be >= 1")
     floats = sum(kernel_floats(*_shape(spec.n, b), _per_row(spec, b)) for b in blocks)
     entries = round(4 * spec.n * spec.row_nonzeros)  # a sample's entry stack, four words each
-    if spec.base is None:  # every chunk of a table kind builds its entry stack
-        floats += max(entries,
+    if spec.base is None:  # a table kind's chunk draws its tables, then builds its entry stack
+        floats += max(entries, spec.draw_words,
                       0 if whole is None else kernel_floats(spec.n, spec.n, spec.row_nonzeros))
     else:
         if whole is not None:
@@ -184,11 +186,11 @@ def _chunk_stacks(spec: EnsembleSpec, indices: range, blocks, whole) -> list:
     whole samples, then the values of ``whole`` if given; a block of a base
     that the Gram kernel takes is gathered from the base instead."""
     if spec.base is None:
-        samples = table_entries(np.array([sample(spec, i, table=True) for i in indices]))
+        samples = table_entries(sample_tables(spec, indices))
         values = [] if whole is None else [whole(samples)]  # before any block is cut
         return [samples.block(*b) for b in blocks] + values
     # Sample t is base[np.ix_(rows[t], cols[t])].
-    rows, cols = map(np.array, zip(*[relabeling(spec, i) for i in indices]))
+    rows, cols = relabelings(spec, indices)
     gathered = [_gathered(spec, b) for b in blocks]
     samples = None if all(gathered) else relabeled_entries(spec.base.nonzeros, rows, cols)
     stacks = [spec.base.entries[rows[:, b[0], None], cols[:, None, b[1]]] if g else

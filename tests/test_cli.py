@@ -176,6 +176,31 @@ def test_analyze_reads_csv_and_writes_out(tmp_path, capsys):
     assert rep["s1"] == pytest.approx(2.0)
 
 
+def test_analyze_takes_one_svd_of_the_matrix_and_one_of_its_centering(tmp_path, capsys,
+                                                                       monkeypatch):
+    # The scaling report's s2 and lhs are the report's s2 and s2_via_centering,
+    # the same bits as scaling_reduction takes by its own SVDs.
+    from exspec.scaling import scaling_reduction
+
+    n = 12
+    A = sample(EnsembleSpec("perm_sum_regular", n, 3, seed=5), 0)
+    f = tmp_path / "m.csv"
+    f.write_text(matrix_to_csv(A))
+    shapes = []
+    real = np.linalg.svd
+
+    def svd(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", svd)
+    code, stdout, _ = run_cli(["analyze", str(f), "--d", "3", "--delta", "1.0"], capsys)
+    assert code == 0 and shapes.count((n, n)) == 2
+    monkeypatch.setattr(np.linalg, "svd", real)
+    alone = scaling_reduction(A, 3.0, 1.0)
+    assert json.loads(stdout)["scaling"] == json.loads(json.dumps(vars(alone)))
+
+
 def _pipe_outcome(data: bytes, capsys):
     """`exspec analyze` of ``data`` through a pipe, as `exspec analyze <(...)`
     hands it a file that cannot seek."""

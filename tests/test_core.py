@@ -27,7 +27,7 @@ from exspec.core import (
     matrix_to_json,
     max_l2,
 )
-from exspec.ensembles import EnsembleSpec, relabeled_entries, relabeling, sample
+from exspec.ensembles import EnsembleSpec, relabeled_entries, relabelings, sample
 from exspec.rng import stream
 from exspec.tails import _corner
 
@@ -79,7 +79,7 @@ def test_zero_diagonal_preserved_by_relabeling():
     out = sample(spec, 0)
     assert out.zero_diagonal
     assert np.all(np.diag(out.entries) == 0.0)
-    assert np.all(np.diag(_relabeled(spec.base, relabeling(spec, 0)[0])) == 0.0)
+    assert np.all(np.diag(_relabeled(spec.base, relabelings(spec, [0])[0][0])) == 0.0)
 
 
 def test_corner_n4_index_arithmetic():
@@ -154,7 +154,7 @@ def test_corner_of_relabeled_index_identity():
     n = 9
     m = n // 2
     spec = EnsembleSpec("permuted_base", n, seed=15, base=SquareMatrix(rng.normal(size=(n, n))))
-    p = relabeling(spec, 0)[0]
+    p = relabelings(spec, [0])[0][0]
     T = sample(spec, 0).entries[_corner(n)]
     assert np.array_equal(T, corner(relabel(spec.base, p)))
     for _ in range(20):

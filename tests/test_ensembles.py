@@ -8,10 +8,7 @@ from matrix_reference import derangement
 
 from exspec import ensembles
 from exspec.core import SquareMatrix, abs_sums, matrix_from_json
-from exspec.ensembles import (
-    EnsembleSpec,
-    sample,
-)
+from exspec.ensembles import EnsembleSpec, sample, sample_tables, table_entries
 from exspec.rng import stream
 
 
@@ -78,7 +75,7 @@ def test_derangement_has_no_fixed_points():
         n = int(rng.integers(2, 30))
         for spec in (EnsembleSpec("perm_sum_regular", n, min(3, n - 1), True, seed=63),
                      EnsembleSpec("regular_digraph", n, max(1, min(3, n // 3)), seed=63)):
-            Q = sample(spec, i, table=True)
+            Q = sample_tables(spec, [i])[0]
             assert not np.any(Q == np.arange(n)), (spec.kind, n)
 
 
@@ -140,24 +137,23 @@ def test_spec_json_roundtrip():
 # --- permutation tables against the one-permutation-at-a-time loops ----------
 
 def _reference_perm_sum(n, d, zero_diagonal, rng):
-    """Dense sum of d permutation matrices, one candidate per draw."""
-    A = np.zeros((n, n))
-    idx = np.arange(n)
-    for _ in range(d):
-        p = derangement(n, rng) if zero_diagonal else rng.permutation(n)
-        A[idx, p] += 1.0
-    return A
+    """The table of d permutations, one candidate per draw."""
+    return np.array([derangement(n, rng) if zero_diagonal else rng.permutation(n)
+                     for _ in range(d)])
 
 
 def _reference_regular_digraph(n, d, rng, cap=1000):
-    """Dense d edge-disjoint derangements by rejection, then a relabeling."""
+    """d edge-disjoint derangements by rejection, then a relabeling s, which
+    turns row p into s^-1 p s."""
     A = np.zeros((n, n))
     idx = np.arange(n)
+    rows = []
     for _ in range(d):
         for _ in range(cap):
             p = derangement(n, rng)
             if not A[idx, p].any():
                 A[idx, p] = 1.0
+                rows.append(p)
                 break
         else:
             raise ValueError(
@@ -165,28 +161,37 @@ def _reference_regular_digraph(n, d, rng, cap=1000):
                 f"{cap} attempts each; increase the n/d gap"
             )
     s = rng.permutation(n)
-    return A[np.ix_(s, s)]
+    return np.array([np.argsort(s)[p[s]] for p in rows])
 
 
-def _reference_sample(spec, index):
+def _reference_table(spec, index):
     rng = stream(spec.seed, index)
     if spec.kind == "perm_sum_regular":
         return _reference_perm_sum(spec.n, spec.d, spec.zero_diagonal, rng)
     return _reference_regular_digraph(spec.n, spec.d, rng)
 
 
+def _reference_dense(table):
+    """Sum of the permutation matrices of the rows: A[i, q[i]] += 1."""
+    n = table.shape[1]
+    A = np.zeros((n, n))
+    for q in table:
+        A[np.arange(n), q] += 1.0
+    return A
+
+
 def _check_against_reference(spec, index):
     try:
-        want = _reference_sample(spec, index)
+        want = _reference_table(spec, index)
     except ValueError as e:
         with pytest.raises(ValueError, match=str(e)):
             sample(spec, index)
         return
     A = sample(spec, index)
-    assert A.entries.tobytes() == want.tobytes()
-    table = sample(spec, index, table=True)
-    assert table.shape == (spec.d, spec.n)
-    assert np.array_equal(np.sort(table, axis=1), np.broadcast_to(np.arange(spec.n), table.shape))
+    assert A.entries.tobytes() == _reference_dense(want).tobytes()
+    table = sample_tables(spec, [index])
+    assert table.shape == (1, spec.d, spec.n) and table.dtype == np.int64
+    assert table[0].tobytes() == want.tobytes()
     assert A.zero_diagonal == (spec.zero_diagonal or spec.kind == "regular_digraph")
 
 
@@ -199,26 +204,47 @@ def test_tables_densify_to_the_reference_samples(kind, n, d, zero_diagonal, seed
     _check_against_reference(EnsembleSpec(kind, n, d, zero_diagonal, seed), index)
 
 
+@pytest.mark.parametrize("kind, n, d, zero_diagonal", [
+    ("perm_sum_regular", 64, 4, True), ("perm_sum_regular", 64, 4, False),
+    ("perm_sum_regular", 9, 8, True), ("perm_sum_regular", 9, 8, False),
+    ("regular_digraph", 64, 4, False), ("regular_digraph", 3, 2, True)])
+def test_chunks_of_tables_are_the_reference_tables(kind, n, d, zero_diagonal):
+    # 65 indices span a chunk boundary of the benchmark's 64-trial chunks;
+    # a chunk's tables do not depend on where the chunk starts or ends.
+    spec = EnsembleSpec(kind, n, d, zero_diagonal, seed=76)
+    want = np.array([_reference_table(spec, i) for i in range(65)])
+    tables = sample_tables(spec, range(65))
+    assert tables.dtype == np.int64 and tables.tobytes() == want.tobytes()
+    parts = [sample_tables(spec, range(0, 64)), sample_tables(spec, [64]),
+             sample_tables(spec, range(65, 65))]
+    assert np.concatenate(parts).tobytes() == want.tobytes()
+    assert sample_tables(spec, [63, 1, 64]).tobytes() == want[[63, 1, 64]].tobytes()
+
+
 @pytest.mark.parametrize("n, d", [(2, 1), (3, 2), (4, 3), (5, 4), (7, 6)])
 def test_short_first_batches_continue_on_the_same_generator(monkeypatch, n, d):
-    # With d close to n the first batch often holds fewer than d derangements.
+    # With d close to n the first batch often holds fewer than d
+    # derangements. Such a trial, and only such a trial, draws its table
+    # again through _derangements, whose later batches continue its stream.
+    spec = EnsembleSpec("perm_sum_regular", n, d, True, 74)
+    count = ensembles._first_batch(d)
+    first = [ensembles._candidates(n, count, stream(74, i)) for i in range(40)]
+    short = sum((batch != np.arange(n)).all(axis=1).sum() < d for batch in first)
     calls = []
-    real = ensembles._candidates
-    monkeypatch.setattr(ensembles, "_candidates",
-                        lambda n, count, rng: calls.append(count) or real(n, count, rng))
-    short = 0
-    for index in range(40):
-        calls.clear()
-        _check_against_reference(EnsembleSpec("perm_sum_regular", n, d, True, 74), index)
-        short += len(calls) > 2  # the matrix and the table both draw
-    assert short > 0
+    real = ensembles._derangements
+    monkeypatch.setattr(ensembles, "_derangements",
+                        lambda *args: calls.append(args) or real(*args))
+    tables = sample_tables(spec, range(40))
+    assert short > 0 and len(calls) == short
+    want = np.array([_reference_table(spec, i) for i in range(40)])
+    assert tables.tobytes() == want.tobytes()
 
 
 def test_base_kinds_have_no_table():
     base = SquareMatrix(np.eye(4))
     for kind in ("permuted_base", "separately_exchangeable"):
         with pytest.raises(ValueError, match="not a sum of permutation matrices"):
-            sample(EnsembleSpec(kind, 4, base=base), 0, table=True)
+            sample_tables(EnsembleSpec(kind, 4, base=base), [0])
 
 
 def test_regular_digraph_rejection_cap_matches_the_reference():
@@ -231,13 +257,13 @@ def test_regular_digraph_rejection_cap_matches_the_reference():
 def test_table_block_gathers_from_the_dense_samples(kind, n, d, trials, seed, data):
     d = min(d, n - 1 if kind == "perm_sum_regular" else max(1, n // 3))
     spec = EnsembleSpec(kind, n, d, zero_diagonal=False, seed=seed)
-    tables = np.array([sample(spec, i, table=True) for i in range(trials)])
+    tables = sample_tables(spec, range(trials))
     # Ranges of 0..n indices, empty ones (start == stop) included.
     bounds = st.lists(st.integers(0, n), min_size=2, max_size=2).map(sorted)
     r0, r1 = data.draw(bounds)
     c0, c1 = data.draw(bounds)
     rows, cols = slice(r0, r1), slice(c0, c1)
-    blocks = ensembles.table_entries(tables).block(rows, cols).dense()
+    blocks = table_entries(tables).block(rows, cols).dense()
     assert blocks.shape == (trials, r1 - r0, c1 - c0) and blocks.dtype == np.float64
     for t in range(trials):
         A = sample(spec, t).entries

@@ -8,7 +8,8 @@ from matrix_reference import centered_offdiag, permutation_matrix, relabel, sign
 
 from exspec import spectra
 from exspec.core import SparseStack, SquareMatrix
-from exspec.ensembles import EnsembleSpec, relabeled_entries, relabeling, sample, table_entries
+from exspec.ensembles import (EnsembleSpec, relabeled_entries, relabelings, sample, sample_tables,
+                               table_entries)
 from exspec.rng import stream
 from exspec.spectra import (
     RTOL,
@@ -395,7 +396,7 @@ def test_lanczos_on_sparse_integer_blocks(count, rows, cols, density, seed):
 
 def test_lanczos_is_reproducible_and_draws_from_no_stream():
     spec = EnsembleSpec("perm_sum_regular", 400, d=4, zero_diagonal=True, seed=56)
-    tables = np.array([sample(spec, i, table=True) for i in range(3)])
+    tables = sample_tables(spec, range(3))
     state = np.random.get_state()[1].copy()
     S = table_entries(tables).block(slice(0, 200), slice(200, 400))
     first = spectra._lanczos(S, 1)
@@ -405,13 +406,13 @@ def test_lanczos_is_reproducible_and_draws_from_no_stream():
         one = table_entries(tables[t:t + 1]).block(slice(0, 200), slice(200, 400))
         assert spectra._lanczos(one, 1).tobytes() == first[t:t + 1].tobytes()
     assert np.array_equal(np.random.get_state()[1], state)
-    again = np.array([sample(spec, i, table=True) for i in range(3)])
+    again = sample_tables(spec, range(3))
     assert again.tobytes() == tables.tobytes()
 
 
 def test_lanczos_at_n_2048_matches_the_dense_svd():
     spec = EnsembleSpec("perm_sum_regular", 2048, d=4, zero_diagonal=True, seed=57)
-    Q = sample(spec, 0, table=True)[None]
+    Q = sample_tables(spec, [0])
     A = sample(spec, 0).entries
     want = np.linalg.svd(A, compute_uv=False)[1]
     got = singular_value(table_entries(Q), 1)[0]
@@ -479,7 +480,7 @@ def test_lanczos_stops_at_its_budget_on_a_top_cluster(monkeypatch):
     # O(1/L^2) of s2^2. This sample needs 272 steps, past the 176 that
     # dim = 640 affords; the member then takes the Gram kernel's value.
     spec = EnsembleSpec("perm_sum_regular", 640, d=2, zero_diagonal=True, seed=7)
-    S = table_entries(sample(spec, 0, table=True)[None])
+    S = table_entries(sample_tables(spec, [0]))
     dense = S.dense()
     steps = []
     real_gram = spectra._gram
@@ -574,7 +575,7 @@ def test_lanczos_takes_one_run_for_s2_of_certified_corners(monkeypatch):
     # s2 comes from the same run, and no deflated run follows.
     base = sample(EnsembleSpec("regular_digraph", 640, d=4, seed=62), 0)
     spec = EnsembleSpec.permuted(base, seed=63)
-    rows = np.array([relabeling(spec, t)[0] for t in range(4)])
+    rows, _ = relabelings(spec, range(4))
     S = relabeled_entries(base.nonzeros, rows, rows).block(slice(0, 320), slice(320, 640))
     runs = _counted_runs(monkeypatch)
     got = singular_value(S, 1)
@@ -621,7 +622,7 @@ def test_singular_value_picks_its_kernel_from_the_sparse_stack(monkeypatch):
     for n, pays in ((64, (False, False)), (318, (False, False)), (320, (True, False)),
                     (640, (True, True))):
         spec = EnsembleSpec("perm_sum_regular", n, d=4, zero_diagonal=True, seed=58)
-        S = table_entries(np.array([sample(spec, i, table=True) for i in range(2)]))
+        S = table_entries(sample_tables(spec, range(2)))
         m = n // 2
         for stack, lanczos_runs in zip((S, S.block(slice(0, m), slice(n - m, n))), pays):
             for index in (0, 1):
@@ -636,7 +637,7 @@ def test_singular_value_picks_its_kernel_from_the_sparse_stack(monkeypatch):
     # Twelve copies of one 640-node sample at the same positions: 48 entries
     # per row, past 640 / 16, so the Gram kernel takes their scatter.
     spec = EnsembleSpec("perm_sum_regular", 640, d=4, zero_diagonal=True, seed=59)
-    Q = np.concatenate([sample(spec, 0, table=True)] * 12)[None]
+    Q = np.concatenate([sample_tables(spec, [0])[0]] * 12)[None]
     S = table_entries(Q)
     lanczos.clear()
     assert singular_value(S, 1).tobytes() == singular_value(S.dense(), 1).tobytes()

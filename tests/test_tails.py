@@ -10,7 +10,7 @@ from matrix_reference import max_l2_reference, quadrants, relabel
 
 from exspec.core import SquareMatrix
 from exspec.degrees import RegularityParams, corner_degree_events, deg_membership
-from exspec.ensembles import EnsembleSpec, relabeling, sample
+from exspec.ensembles import EnsembleSpec, relabelings, sample, sample_tables
 from exspec.rng import stream
 from exspec.spectra import RTOL, kernel_floats, second_singular, singular_value, spectral_norm
 from exspec.tails import (
@@ -392,6 +392,27 @@ def test_a_table_chunk_counts_its_entry_stack(monkeypatch):
         assert peak <= 2 * 2**20, peak / 2**20
 
 
+def test_a_table_chunk_counts_its_candidate_rows(monkeypatch):
+    # At d = 1 a zero-diagonal table is drawn from a first batch of five
+    # candidate rows, more words than its entry stack of four per entry.
+    from exspec import tails
+
+    n, trials = 16, 5
+    spec = EnsembleSpec("perm_sum_regular", n, d=1, zero_diagonal=True, seed=313)
+    assert spec.draw_words == 5 * n > 4 * n
+    chunks = []
+
+    def finish():
+        chunks.append(1)
+        return (np.zeros(1),)
+
+    for cap, count in ((2 * 5 * n, 3), (2 * 5 * n - 1, trials)):
+        monkeypatch.setattr(tails, "CHUNK_FLOATS", cap)
+        chunks.clear()
+        _run_trials(spec, trials, [], finish)
+        assert len(chunks) == count, cap
+
+
 def test_a_relabeled_base_chunk_counts_its_entry_stack():
     # A base whose corners Lanczos takes cuts them from the chunk's entry
     # stack, four words for each entry of the base, freed before the kernel
@@ -425,7 +446,7 @@ def test_a_relabeled_base_chunk_counts_its_entry_stack():
 def test_relabeling_requires_a_base():
     spec = EnsembleSpec(kind="perm_sum_regular", n=8, d=2, seed=1)
     with pytest.raises(ValueError, match="does not relabel"):
-        relabeling(spec, 0)
+        relabelings(spec, [0])
 
 
 def test_s2_tail_curve_relabeled_base_matches_per_sample_reference():
@@ -708,9 +729,7 @@ def test_relabeled_entries_are_the_gathered_blocks():
     base = SquareMatrix(E)
     for kind in ("permuted_base", "separately_exchangeable"):
         spec = EnsembleSpec(kind=kind, n=n, seed=305, base=base)
-        pairs = [relabeling(spec, i) for i in range(6)]
-        rows = np.array([r for r, _ in pairs])
-        cols = rows if kind == "permuted_base" else np.array([c for _, c in pairs])
+        rows, cols = relabelings(spec, range(6))
         for r, c in ((slice(0, 5), slice(6, 11)), (slice(0, 5), slice(5, 11)),
                      (slice(None), slice(None)), (slice(3, 3), slice(0, 4))):
             got = relabeled_entries(base.nonzeros, rows, cols).block(r, c).dense()
@@ -728,7 +747,7 @@ def test_table_l2_maxima_are_those_of_the_dense_samples(kind, d, zero_diagonal):
     for n in (2 if kind == "perm_sum_regular" and not zero_diagonal else 6, 9, 30):
         d_n = min(d, n - 1) if kind == "perm_sum_regular" else min(d, n // 3)
         spec = EnsembleSpec(kind=kind, n=n, d=d_n, zero_diagonal=zero_diagonal, seed=306 + n)
-        tables = np.array([sample(spec, i, table=True) for i in range(40)])
+        tables = sample_tables(spec, range(40))
         want = max_l2_reference(np.array([sample(spec, i).entries for i in range(40)]))
         assert max_l2(table_entries(tables)).tobytes() == want.tobytes()
     # Repeated entries (A[i, c] = 2 or more) occur without the zero diagonal.
