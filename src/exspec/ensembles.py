@@ -43,8 +43,8 @@ Nothing draws from a trial's generator afterwards, so the candidates a batch
 draws beyond the last one kept change nothing; a trial whose first batch is
 short is drawn again, batch after batch, by ``_derangements``.
 regular_digraph draws its relabeling from the generator after its last
-candidate, so it draws candidates one at a time, through the same
-``_candidates``, trial after trial.
+candidate, so it draws candidates one at a time, with
+``Generator.permutation``, trial after trial.
 """
 
 import math
@@ -204,24 +204,26 @@ def _perm_sum_tables(spec: EnsembleSpec, indices) -> np.ndarray:
 def _regular_digraph_table(n: int, d: int, rng: np.random.Generator) -> np.ndarray:
     # Place derangements one at a time, redrawing any that reuses an edge.
     # Rejecting the whole d-tuple at once has acceptance ~ e^{-d(d-1)/2},
-    # hopeless already at moderate d; per-derangement rejection costs ~ e^{d}
-    # draws for the last one and the final uniform relabeling restores joint
-    # exchangeability either way.
+    # hopeless already at moderate d; per-derangement rejection costs ~ e^{j}
+    # draws for the j-th one, and the final uniform relabeling restores
+    # joint exchangeability either way.
     P = np.empty((d, n), dtype=np.int64)
     idx = np.arange(n)
     for j in range(d):
-        for _ in range(_REJECTION_CAP):
-            p = _candidates(n, 1, rng)[0]
+        # Twenty times the expected draws while j is small against n.
+        cap = max(_REJECTION_CAP, math.ceil(20 * math.exp(j)))
+        for _ in range(cap):
+            p = rng.permutation(n)
             while (p == idx).any():  # a derangement by rejection, acceptance ~ 1/e
-                p = _candidates(n, 1, rng)[0]
+                p = rng.permutation(n)
             if not (P[:j] == p).any():  # edge (i, p[i]) is new for every i
                 P[j] = p
                 break
         else:
             # A parameter problem (d too close to n), hence ValueError.
             raise ValueError(
-                f"could not place {d} disjoint derangements on n={n} in "
-                f"{_REJECTION_CAP} attempts each; increase the n/d gap"
+                f"could not place {d} disjoint derangements on n={n}: derangement "
+                f"{j + 1} found no room in {cap} attempts; increase the n/d gap"
             )
     # Relabeling A by s, A[np.ix_(s, s)], turns each p_j into s^-1 . p_j . s.
     s = rng.permutation(n)
@@ -244,7 +246,7 @@ def relabeled_entries(triples, rows: np.ndarray, cols: np.ndarray) -> SparseStac
     """base[np.ix_(rows[t], cols[t])] for each t, by its entries.
 
     ``triples`` (i, j, value) are the nonzero entries of the base, and
-    ``rows``/``cols`` are (count, n) relabelings, as ``relabeling`` draws
+    ``rows``/``cols`` are (count, n) relabelings, as ``relabelings`` draws
     them. Base entry (i, j) lands at (rows[t]^-1(i), cols[t]^-1(j)); the
     entries of each t come in the order of ``triples``.
     """

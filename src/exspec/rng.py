@@ -7,22 +7,19 @@ bit-for-bit and does not depend on the order in which trials are drawn.
 ``stream(seed, index)`` is numpy's own ``SeedSequence(seed,
 spawn_key=(index,))`` seeding a PCG64 ``Generator`` (NEP 19); it is the
 reference, and it serves ``verify``, the demos and the tests. ``streams``
-gives the same generator states for a whole chunk of indices at once: the
-seed's words are hashed into the SeedSequence pool once, with Python ints,
-and only each index's spawn words are mixed in, as uint32 arrays over the
-chunk. Each state is then set on one reused ``Generator``. A handful of
-indices is seeded by ``stream``, which is faster there.
+gives the same generator states for a whole list of indices at once. The
+seed's pool is numpy's, ``SeedSequence(seed).pool``; what numpy cannot do
+for many indices in one call is mirrored over uint32 arrays: mixing each
+index's spawn words into that pool, ``generate_state``'s eight hashes and
+PCG64's seeding. Each state is then set on one reused ``Generator``.
 """
-
-import itertools
 
 import numpy as np
 
 __all__ = ["stream", "streams"]
 
-# numpy's SeedSequence (bit_generator.pyx): a pool of four uint32 words, the
-# hash constants of mix_entropy (A) and generate_state (B), and the mixer.
-_POOL_SIZE = 4
+# numpy's SeedSequence (bit_generator.pyx): the hash constants of
+# mix_entropy (A) and generate_state (B), and the mixer.
 _MASK32 = 0xFFFFFFFF
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
@@ -38,106 +35,58 @@ def stream(seed: int, *index: int) -> np.random.Generator:
     return np.random.default_rng(ss)
 
 
-def _words(value: int) -> list:
-    """A nonnegative int as SeedSequence reads it: uint32 words, least
-    significant first, and [0] for 0."""
-    if value < 0:
-        raise ValueError("expected non-negative integer")
-    words = [value & _MASK32]
-    while value := value >> 32:
-        words.append(value & _MASK32)
-    return words
-
-
 def _mix(x, y):
-    """SeedSequence's mix of two uint32 words, ints or arrays alike."""
-    result = ((_MIX_L * x & _MASK32) - (_MIX_R * y & _MASK32)) & _MASK32
+    """SeedSequence's mix of two uint32 arrays, which wrap mod 2**32."""
+    result = _MIX_L * x - _MIX_R * y
     return result ^ result >> 16
 
 
-def _seed_pool(seed: int):
-    """SeedSequence.mix_entropy of the seed's words, padded to the pool as
-    they are when a spawn key follows: the pool, and the hash constant that
-    the spawn key's words go on from."""
-    entropy = _words(seed)
-    entropy += [0] * (_POOL_SIZE - len(entropy))
-    const = _INIT_A
-
-    def hashmix(value):
-        nonlocal const
-        value ^= const
-        const = const * _MULT_A & _MASK32
-        value = value * const & _MASK32
-        return value ^ value >> 16
-
-    pool = [hashmix(word) for word in entropy[:_POOL_SIZE]]
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[_POOL_SIZE:]:
-        for dst in range(_POOL_SIZE):
-            pool[dst] = _mix(pool[dst], hashmix(word))
-    return pool, const
-
-
-def _hash_steps(const: int, mult: int, count: int):
-    """``count`` successive hashmix steps from ``const``: the constants each
-    step xors with and multiplies by, as (count, 1) uint32 columns."""
-    consts = [const]
-    for _ in range(count):
-        consts.append(consts[-1] * mult & _MASK32)
-    return (np.array(consts[:-1], dtype=np.uint32)[:, None],
-            np.array(consts[1:], dtype=np.uint32)[:, None])
-
-
-def _hash(values, steps):
-    """hashmix of uint32 ``values`` at each of ``steps``, one row per step."""
-    xors, mults = steps
-    values = (values ^ xors) * mults
+def _hash(values, const: int, mult: int, count: int):
+    """hashmix of uint32 ``values`` at ``count`` successive steps from the
+    hash constant ``const``, one row per step."""
+    steps = np.array([const] + [mult] * count, dtype=np.uint32)
+    consts = np.cumprod(steps, dtype=np.uint32)[:, None]
+    values = (values ^ consts[:-1]) * consts[1:]
     return values ^ values >> 16
 
 
-# generate_state(4, np.uint64) hashes eight pool words, cycling through the pool.
-_STATE_STEPS = _hash_steps(_INIT_B, _MULT_B, 2 * _POOL_SIZE)
-# Fewer indices than this take numpy's own seeding, index by index: the
-# mirror's fixed cost (about 60 us: the seed's pool, a Generator, some 25
-# ufunc calls) is that of four to six SeedSequence and default_rng calls
-# (12-15 us each), and it adds 4-5 us an index against their 12-15 (2 cores).
-_MIRROR_MIN = 8
+def _word_count(value: int) -> int:
+    """The uint32 words SeedSequence reads from a nonnegative int; 0 is one."""
+    return max(1, -(-value.bit_length() // 32))
 
 
 def streams(seed: int, indices):
     """For each of ``indices`` in turn, a Generator in the state of
     ``stream(seed, index)``: the same draws, bit for bit.
 
-    From ``_MIRROR_MIN`` indices on, one Generator is reused: each is valid
-    until the next is taken, so draw from it before advancing. A negative
-    seed or index raises ValueError, as SeedSequence does.
+    One Generator is reused: each is valid until the next is taken, so draw
+    from it before advancing. A negative seed or index raises ValueError, as
+    SeedSequence does, before any Generator is given.
     """
-    if len(indices) < _MIRROR_MIN:
-        for index in indices:
-            yield stream(seed, index)
-        return
-    pool, const = _seed_pool(int(seed))
-    rng = np.random.Generator(np.random.PCG64(0))
+    seed, indices = int(seed), [int(i) for i in indices]
+    if any(i < 0 for i in indices):
+        raise ValueError("expected non-negative integer")
+    seed_sequence = np.random.SeedSequence(seed)
+    pool = seed_sequence.pool[:, None]
+    # mix_entropy pads the seed to the four pool words when a spawn key
+    # follows: 16 hashes for those, 4 for each further word of the seed, and
+    # then 4 for each spawn word, which an index with fewer words skips.
+    done = 16 + 4 * max(0, _word_count(seed) - 4)
+    words = np.array([_word_count(i) for i in indices])
+    for k in range(_word_count(max(indices, default=0))):
+        word = np.array([i >> 32 * k & _MASK32 for i in indices], dtype=np.uint32)
+        const = _INIT_A * pow(_MULT_A, done + 4 * k, 1 << 32) & _MASK32
+        pool = np.where(words > k, _mix(pool, _hash(word, const, _MULT_A, 4)), pool)
+    # generate_state(4, np.uint64) hashes eight pool words, cycling through the pool.
+    hashed = _hash(np.concatenate((pool, pool)), _INIT_B, _MULT_B, 8).astype(np.uint64)
+    rng = np.random.Generator(np.random.PCG64(seed_sequence))
     bit_generator = rng.bit_generator
-    # Indices with as many spawn words mix alike, so each run of them is mixed at once.
-    for _, run in itertools.groupby((_words(int(i)) for i in indices), key=len):
-        spawn = np.array(list(run), dtype=np.uint32).T
-        # Each spawn word mixes into the four pool words at four successive steps.
-        steps = _hash_steps(const, _MULT_A, _POOL_SIZE * len(spawn))
-        mixed = np.array(pool, dtype=np.uint32)[:, None]
-        for k, word in enumerate(spawn):
-            at = slice(_POOL_SIZE * k, _POOL_SIZE * (k + 1))
-            mixed = _mix(mixed, _hash(word, (steps[0][at], steps[1][at])))
-        words = _hash(np.tile(mixed, (2, 1)), _STATE_STEPS).astype(np.uint64)
-        # pcg64_set_seed: the four uint64 words (little-endian pairs) are the
-        # 128-bit seed and increment, and the LCG steps twice.
-        seed_hi, seed_lo, inc_hi, inc_lo = (words[0::2] | words[1::2] << np.uint64(32)).tolist()
-        for s_hi, s_lo, i_hi, i_lo in zip(seed_hi, seed_lo, inc_hi, inc_lo):
-            inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
-            state = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128
-            bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                                   "has_uint32": 0, "uinteger": 0}
-            yield rng
+    # pcg64_set_seed: the four uint64 words (little-endian pairs) are the
+    # 128-bit seed and increment, and the LCG steps twice.
+    seed_hi, seed_lo, inc_hi, inc_lo = (hashed[0::2] | hashed[1::2] << np.uint64(32)).tolist()
+    for s_hi, s_lo, i_hi, i_lo in zip(seed_hi, seed_lo, inc_hi, inc_lo):
+        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
+        state = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128
+        bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                               "has_uint32": 0, "uinteger": 0}
+        yield rng

@@ -149,7 +149,7 @@ def verify_perron(seed: int = 0) -> list[dict]:
 
     # Doubly regular: the all-ones vector carries eigenvalue d = radius.
     spec = ensembles.EnsembleSpec(kind="perm_sum_regular", n=20, d=4, seed=seed)
-    A = np.stack([ensembles.sample(spec, i).entries for i in range(10)])
+    A = ensembles.table_entries(ensembles.sample_tables(spec, range(10))).dense()
     r = perron_check(A, np.ones((10, 20)), tol=1e-8)
     reg_ok = np.all(r["is_eigen"] & r["matches_radius"] & (np.abs(r["rho"] - 4.0) < 1e-8))
     out.append(_rec("doubly_regular_ones_vector", reg_ok))

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -142,13 +143,15 @@ def _reference_perm_sum(n, d, zero_diagonal, rng):
                      for _ in range(d)])
 
 
-def _reference_regular_digraph(n, d, rng, cap=1000):
-    """d edge-disjoint derangements by rejection, then a relabeling s, which
-    turns row p into s^-1 p s."""
+def _reference_regular_digraph(n, d, rng):
+    """d edge-disjoint derangements by rejection, the j-th (from 0) given up
+    after max(1000, ceil(20 e^j)) tries, then a relabeling s, which turns row
+    p into s^-1 p s."""
     A = np.zeros((n, n))
     idx = np.arange(n)
     rows = []
-    for _ in range(d):
+    for j in range(d):
+        cap = max(1000, math.ceil(20 * math.exp(j)))
         for _ in range(cap):
             p = derangement(n, rng)
             if not A[idx, p].any():
@@ -157,8 +160,8 @@ def _reference_regular_digraph(n, d, rng, cap=1000):
                 break
         else:
             raise ValueError(
-                f"could not place {d} disjoint derangements on n={n} in "
-                f"{cap} attempts each; increase the n/d gap"
+                f"could not place {d} disjoint derangements on n={n}: derangement "
+                f"{j + 1} found no room in {cap} attempts; increase the n/d gap"
             )
     s = rng.permutation(n)
     return np.array([np.argsort(s)[p[s]] for p in rows])
@@ -199,8 +202,9 @@ def _check_against_reference(spec, index):
 @given(st.sampled_from(["perm_sum_regular", "regular_digraph"]), st.integers(2, 40),
        st.integers(1, 39), st.booleans(), st.integers(0, 10**6), st.integers(0, 50))
 def test_tables_densify_to_the_reference_samples(kind, n, d, zero_diagonal, seed, index):
-    # regular_digraph keeps d small enough that the reference loop stays fast.
-    d = min(d, n - 1 if kind == "perm_sum_regular" else max(1, n // 3))
+    # regular_digraph keeps d small enough that the reference loop stays
+    # fast: the j-th derangement takes about e^j tries.
+    d = min(d, n - 1 if kind == "perm_sum_regular" else max(1, min(n // 3, 6)))
     _check_against_reference(EnsembleSpec(kind, n, d, zero_diagonal, seed), index)
 
 
@@ -249,6 +253,17 @@ def test_base_kinds_have_no_table():
 
 def test_regular_digraph_rejection_cap_matches_the_reference():
     _check_against_reference(EnsembleSpec("regular_digraph", 10, 8, seed=75), 0)
+
+
+def test_regular_digraph_draws_at_moderate_d():
+    # Samples 0-2 of seed 11 each need more than 1000 tries for one of their
+    # eight derangements, and fewer than twenty times the e^j expected.
+    spec = EnsembleSpec("regular_digraph", 40, 8, seed=11)
+    tables = sample_tables(spec, range(3))
+    assert tables.tobytes() == np.array([_reference_table(spec, i) for i in range(3)]).tobytes()
+    A = table_entries(tables).dense()
+    assert set(np.unique(A)) == {0.0, 1.0} and not A.diagonal(axis1=1, axis2=2).any()
+    assert (A.sum(axis=1) == 8).all() and (A.sum(axis=2) == 8).all()
 
 
 @settings(max_examples=100, deadline=None)

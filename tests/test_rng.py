@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from exspec.rng import _MIRROR_MIN, stream, streams
+from exspec.rng import stream, streams
 
 # Spawn keys of one word (the largest), two, and three.
 EDGE_INDICES = [0, 2**32 - 1, 2**32, 2**64 + 3]
@@ -13,9 +13,8 @@ SEEDS = st.integers(0, 140).flatmap(lambda bits: st.integers(0, 2**bits))
 
 @settings(max_examples=300, deadline=None)
 @given(SEEDS, st.lists(st.one_of(st.sampled_from(EDGE_INDICES), st.integers(0, 2**70)),
-                       min_size=_MIRROR_MIN, max_size=3 * _MIRROR_MIN))
+                       max_size=24))
 def test_streams_are_the_reference_streams(seed, indices):
-    # Lists of _MIRROR_MIN indices or more take the vectorised seeding.
     for index, rng in zip(indices, streams(seed, indices), strict=True):
         want = stream(seed, index)
         assert rng.bit_generator.state == want.bit_generator.state
@@ -26,15 +25,26 @@ def test_streams_are_the_reference_streams(seed, indices):
 @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64, 2**96 - 1, 2**96, 2**128, 2**140])
 def test_streams_at_the_word_boundaries(seed):
     indices = EDGE_INDICES + [5] + EDGE_INDICES[::-1]
-    assert len(indices) >= _MIRROR_MIN
     got = [rng.bit_generator.state for rng in streams(seed, indices)]
     assert got == [stream(seed, i).bit_generator.state for i in indices]
 
 
+def test_an_empty_list_yields_nothing():
+    assert list(streams(3, [])) == []
+
+
 def test_a_negative_seed_or_index_is_rejected_as_seedsequence_does():
-    for seed, index in ((-1, 0), (3, -1)):
+    for seed, indices in ((-1, [0]), (3, [-1]), (3, [0, 1, -1])):
         with pytest.raises(ValueError, match="expected non-negative integer"):
-            np.random.SeedSequence(seed, spawn_key=(index,))
-        for count in (1, _MIRROR_MIN):
-            with pytest.raises(ValueError, match="expected non-negative integer"):
-                list(streams(seed, [index] * count))
+            np.random.SeedSequence(seed, spawn_key=(min(indices),))
+        # The first next() raises, before any Generator is given.
+        with pytest.raises(ValueError, match="expected non-negative integer"):
+            next(streams(seed, indices))
+
+
+def test_interleaved_calls_share_no_generator():
+    a, b = [0, 1, 2**40], [7, 2**33, 3]
+    for (i, x), (j, y) in zip(zip(a, streams(5, a)), zip(b, streams(6, b)), strict=True):
+        assert x is not y
+        assert x.bit_generator.state == stream(5, i).bit_generator.state
+        assert y.bit_generator.state == stream(6, j).bit_generator.state
