@@ -43,8 +43,9 @@ Nothing draws from a trial's generator afterwards, so the candidates a batch
 draws beyond the last one kept change nothing; a trial whose first batch is
 short is drawn again, batch after batch, by ``_derangements``.
 regular_digraph draws its relabeling from the generator after its last
-candidate, so it draws candidates one at a time, with
-``Generator.permutation``, trial after trial.
+candidate, so it draws its candidates in batches of ``_candidates`` but
+replays the generator, from its state before the batch, up to the candidate
+it keeps, trial after trial.
 """
 
 import math
@@ -71,6 +72,9 @@ KINDS = ("permuted_base", "separately_exchangeable", "perm_sum_regular", "regula
 _REGULAR_KINDS = ("perm_sum_regular", "regular_digraph")
 BASE_KINDS = ("permuted_base", "separately_exchangeable")
 _REJECTION_CAP = 1000
+_CAP_GROWTH_END = 7
+_FIRST_CANDIDATES = 16
+_BATCH_ENTRIES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -205,26 +209,37 @@ def _regular_digraph_table(n: int, d: int, rng: np.random.Generator) -> np.ndarr
     # Place derangements one at a time, redrawing any that reuses an edge.
     # Rejecting the whole d-tuple at once has acceptance ~ e^{-d(d-1)/2},
     # hopeless already at moderate d; per-derangement rejection costs ~ e^{j}
-    # draws for the j-th one, and the final uniform relabeling restores
-    # joint exchangeability either way.
+    # tries for the j-th one, and the final uniform relabeling restores
+    # joint exchangeability either way. A try is a derangement drawn.
     P = np.empty((d, n), dtype=np.int64)
     idx = np.arange(n)
+    taken = np.eye(n, dtype=bool)  # the diagonal and every placed edge (i, p[i])
     for j in range(d):
-        # Twenty times the expected draws while j is small against n.
-        cap = max(_REJECTION_CAP, math.ceil(20 * math.exp(j)))
-        for _ in range(cap):
-            p = rng.permutation(n)
-            while (p == idx).any():  # a derangement by rejection, acceptance ~ 1/e
-                p = rng.permutation(n)
-            if not (P[:j] == p).any():  # edge (i, p[i]) is new for every i
-                P[j] = p
+        # Twenty times the e^j expected tries, held at j = 7 so that a d
+        # without room gives up after a bounded number of tries.
+        cap = max(_REJECTION_CAP, math.ceil(20 * math.exp(min(j, _CAP_GROWTH_END))))
+        tries, count = 0, _FIRST_CANDIDATES
+        while True:
+            state = rng.bit_generator.state
+            batch = _candidates(n, count, rng)
+            # The tries made up to each row, and the rows that take no edge
+            # (each a derangement, since the diagonal counts as taken).
+            tried = tries + np.cumsum((batch != idx).all(axis=1))
+            fits = np.flatnonzero(~taken[idx, batch].any(axis=1))
+            if fits.size and tried[fits[0]] <= cap:
+                # Replay up to the row kept: later draws start right after it.
+                rng.bit_generator.state = state
+                P[j] = _candidates(n, fits[0] + 1, rng)[-1]
+                taken[idx, P[j]] = True
                 break
-        else:
-            # A parameter problem (d too close to n), hence ValueError.
-            raise ValueError(
-                f"could not place {d} disjoint derangements on n={n}: derangement "
-                f"{j + 1} found no room in {cap} attempts; increase the n/d gap"
-            )
+            tries = tried[-1]
+            if fits.size or tries >= cap:
+                # A parameter problem (d too close to n), hence ValueError.
+                raise ValueError(
+                    f"could not place {d} disjoint derangements on n={n}: derangement "
+                    f"{j + 1} found no room in {cap} attempts; increase the n/d gap"
+                )
+            count = min(2 * count, max(_FIRST_CANDIDATES, _BATCH_ENTRIES // n))
     # Relabeling A by s, A[np.ix_(s, s)], turns each p_j into s^-1 . p_j . s.
     s = rng.permutation(n)
     inverse = np.empty_like(s)

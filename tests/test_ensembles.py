@@ -145,13 +145,13 @@ def _reference_perm_sum(n, d, zero_diagonal, rng):
 
 def _reference_regular_digraph(n, d, rng):
     """d edge-disjoint derangements by rejection, the j-th (from 0) given up
-    after max(1000, ceil(20 e^j)) tries, then a relabeling s, which turns row
-    p into s^-1 p s."""
+    after max(1000, ceil(20 e^min(j, 7))) tries, then a relabeling s, which
+    turns row p into s^-1 p s."""
     A = np.zeros((n, n))
     idx = np.arange(n)
     rows = []
     for j in range(d):
-        cap = max(1000, math.ceil(20 * math.exp(j)))
+        cap = max(1000, math.ceil(20 * math.exp(min(j, 7))))
         for _ in range(cap):
             p = derangement(n, rng)
             if not A[idx, p].any():
@@ -204,7 +204,7 @@ def _check_against_reference(spec, index):
 def test_tables_densify_to_the_reference_samples(kind, n, d, zero_diagonal, seed, index):
     # regular_digraph keeps d small enough that the reference loop stays
     # fast: the j-th derangement takes about e^j tries.
-    d = min(d, n - 1 if kind == "perm_sum_regular" else max(1, min(n // 3, 6)))
+    d = min(d, n - 1 if kind == "perm_sum_regular" else max(1, n // 3))
     _check_against_reference(EnsembleSpec(kind, n, d, zero_diagonal, seed), index)
 
 
@@ -253,6 +253,16 @@ def test_base_kinds_have_no_table():
 
 def test_regular_digraph_rejection_cap_matches_the_reference():
     _check_against_reference(EnsembleSpec("regular_digraph", 10, 8, seed=75), 0)
+
+
+def test_regular_digraph_without_room_gives_up_at_a_fixed_cap():
+    # On n = 100 a derangement misses j placed ones with probability about
+    # (1 - j/99)^100, under 1e-6 from j = 13; past j = 7 every derangement
+    # has the same cap, however large d is.
+    spec = EnsembleSpec("regular_digraph", 100, 60, seed=11)
+    with pytest.raises(ValueError, match=r"derangement \d+ found no room in 21933 attempts"):
+        sample_tables(spec, [0])
+    _check_against_reference(spec, 0)
 
 
 def test_regular_digraph_draws_at_moderate_d():
