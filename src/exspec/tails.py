@@ -40,7 +40,15 @@ B for a relabeled base, since a relabeling keeps it. ||M|| is
 Each comparison sorts each of its two per-trial columns once and counts
 the exceedances of every threshold and every grid constant at once. A
 statistic within RTOL |tau| below a threshold tau reaches it, so a count
-does not depend on the last bits of the kernel.
+does not depend on the last bits of the kernel: a statistic is read only
+through the floors tau - RTOL |tau| it reaches (``_floors``). The norm
+comparisons (``norm_tail_curve``, ``block_bound_curve``) compute the floors
+of their right column before the trials and hand them to
+``singular_value``, which may then give s1 of a nonnegative block as any
+value in the same cell (a certified Perron bracket's lower end, at most the
+exact value); ``corner_capture_fraction`` returns its corner norms and
+hands no floors. A trial outside the corner-degree event reaches no
+threshold, and its corner never reaches the kernel.
 """
 
 from dataclasses import dataclass
@@ -144,20 +152,23 @@ def _base_entries(spec: EnsembleSpec) -> SparseStack:
     return SparseStack((1, spec.n, spec.n), np.zeros_like(i), i, j, value)
 
 
-def _run_trials(spec: EnsembleSpec, trials: int, blocks, finish, whole=None) -> list:
+def _run_trials(spec: EnsembleSpec, trials: int, blocks, finish, whole=None,
+                floors: bool = False) -> list:
     """Per-trial columns of a Monte Carlo estimator, computed chunk by chunk.
 
     Trial i is sample i of ``spec``. Each (row slice, column slice) in
     ``blocks`` gives the stack of that block of the chunk's samples: a
     SparseStack, or a dense array gathered from a base. ``whole``, if
     given, maps a SparseStack of whole samples to one value per sample, and
-    a relabeling must keep it: a base's value is every sample's.
-    ``finish(*stacks[, values])`` turns them into a tuple of per-trial
-    arrays, which are concatenated in trial order.
+    a relabeling must keep it: a base's value is every sample's. ``floors``
+    says that finish takes s1 of the blocks against floors, so the kernel
+    may hold the Perron bracket's arrays. ``finish(*stacks[, values])``
+    turns them into a tuple of per-trial arrays, which are concatenated in
+    trial order.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    floats = sum(kernel_floats(*_shape(spec.n, b), _per_row(spec, b)) for b in blocks)
+    floats = sum(kernel_floats(*_shape(spec.n, b), _per_row(spec, b), floors) for b in blocks)
     entries = round(4 * spec.n * spec.row_nonzeros)  # a sample's entry stack, four words each
     if spec.base is None:  # a table kind's chunk draws its tables, then builds its entry stack
         floats += max(entries, spec.draw_words,
@@ -198,6 +209,18 @@ def _chunk_stacks(spec: EnsembleSpec, indices: range, blocks, whole) -> list:
     return stacks if whole is None else stacks + [whole(indices)]
 
 
+def _where_met(met: np.ndarray, T, statistic) -> np.ndarray:
+    """``statistic`` of the blocks T (a SparseStack or a dense stack) where
+    ``met`` holds, and -inf where it fails: a trial outside the event reaches
+    no threshold, and its block is never handed to the kernel."""
+    values = np.full(len(met), -np.inf)
+    if met.all():
+        values[:] = statistic(T)
+    elif met.any():
+        values[met] = statistic(T.take(met) if isinstance(T, SparseStack) else T[met])
+    return values
+
+
 def _norms(spec: EnsembleSpec, trials: int, thresholds):
     """||M|| of each trial, and the thresholds, by default ||M|| itself: it is
     one value for every sample (``EnsembleSpec.norm``), and so every decile."""
@@ -211,15 +234,23 @@ C_GRID = np.round(np.arange(0.01, 1.001, 0.01), 2)
 C_GRID.setflags(write=False)
 
 
-def _tail_probs(stat: np.ndarray, thresholds: np.ndarray):
-    """P{stat >= tau} and its Wilson half-width, for thresholds of any shape.
+def _floors(thresholds: np.ndarray) -> np.ndarray:
+    """The value a statistic must reach to count as reaching each threshold
+    tau: tau - RTOL |tau|, so that a tie (an integer corner at an integer
+    threshold) does not hang on the last bits of a singular value."""
+    return thresholds - RTOL * np.abs(thresholds)
 
-    A statistic within RTOL |tau| below tau counts as reaching tau, so that a
-    tie (an integer corner at an integer threshold) does not hang on the last
-    bits of a singular value."""
+
+def _constants(c: float) -> np.ndarray:
+    """The constants of a comparison at c, as a column: c, then C_GRID."""
+    return np.concatenate([[c], C_GRID])[:, None]
+
+
+def _tail_probs(stat: np.ndarray, thresholds: np.ndarray):
+    """P{stat >= tau} and its Wilson half-width, for thresholds of any shape;
+    stat reaches tau from its floor (``_floors``) up."""
     trials = stat.size
-    floors = thresholds - RTOL * np.abs(thresholds)
-    hits = trials - np.searchsorted(np.sort(stat), floors, side="left")
+    hits = trials - np.searchsorted(np.sort(stat), _floors(thresholds), side="left")
     return hits / trials, wilson_halfwidth(hits, trials)
 
 
@@ -232,7 +263,7 @@ def _compare(left: np.ndarray, right: np.ndarray, thresholds: np.ndarray, c: flo
     """
     p_left, ci_left = _tail_probs(left, thresholds)
     # Row 0 compares at c, row k at the k-th grid constant.
-    cs = np.concatenate([[c], C_GRID])[:, None]
+    cs = _constants(c)
     p_right, ci_right = _tail_probs(right, cs * thresholds)
     holds = p_left <= p_right / cs + ci_left + ci_right / cs
     best_c = max([0.0] + cs[1:, 0][holds[1:].all(axis=1)].tolist())
@@ -286,15 +317,16 @@ def norm_tail_curve(
     _check_c(c)
     if not spec.zero_diagonal_samples:
         raise ValueError("the tail comparison assumes zero-diagonal samples")
-    n = spec.n
+    m_norms, thresholds = _norms(spec, trials, thresholds)
+    # The corner norms are read only through the floors of c tau.
+    floors = _floors(_constants(c) * thresholds)
 
     def finish(T):
         met = np.ones(len(T), dtype=bool) if event is None else corner_degree_events(T, event)
-        return singular_value(T, 0), met
+        return _where_met(met, T, lambda B: singular_value(B, 0, floors)), met
 
-    t_norms, events = _run_trials(spec, trials, [_corner(n)], finish)
-    m_norms, thresholds = _norms(spec, trials, thresholds)
-    columns, best_c = _compare(m_norms, np.where(events, t_norms, -np.inf), thresholds, c)
+    t_norms, events = _run_trials(spec, trials, [_corner(spec.n)], finish, floors=True)
+    columns, best_c = _compare(m_norms, t_norms, thresholds, c)
     return TailCurve(
         thresholds=thresholds, **columns, trials=trials, seed=spec.seed, c=c,
         meta={
@@ -314,13 +346,14 @@ def block_bound_curve(spec: EnsembleSpec, trials: int, thresholds=None) -> TailC
     """
     if spec.n < 2:
         raise ValueError("block decomposition requires n >= 2")
-    m = spec.n // 2
-    (b_norms,) = _run_trials(spec, trials, [(slice(0, m), slice(m, spec.n))],
-                             lambda B: (singular_value(B, 0),))
+    m, c = spec.n // 2, 0.25  # the norm comparison at c = 1/4
     m_norms, thresholds = _norms(spec, trials, thresholds)
-    # The norm comparison at c = 1/4; the bound names its constant, so no best_c.
-    columns, _ = _compare(m_norms, b_norms, thresholds, 0.25)
-    return TailCurve(thresholds=thresholds, **columns, trials=trials, seed=spec.seed, c=0.25,
+    floors = _floors(_constants(c) * thresholds)
+    (b_norms,) = _run_trials(spec, trials, [(slice(0, m), slice(m, spec.n))],
+                             lambda B: (singular_value(B, 0, floors),), floors=True)
+    # The bound names its constant, so no best_c.
+    columns, _ = _compare(m_norms, b_norms, thresholds, c)
+    return TailCurve(thresholds=thresholds, **columns, trials=trials, seed=spec.seed, c=c,
                      meta={"comparison": "four_block_triangle"})
 
 
@@ -368,11 +401,12 @@ def s2_tail_curve(
     n = spec.n
 
     def finish(T, s2A):
-        return s2A, singular_value(T, 1), corner_degree_events(T, params)
+        members = corner_degree_events(T, params)
+        return s2A, _where_met(members, T, lambda B: singular_value(B, 1)), members
 
     s2A, s2T, members = _run_trials(spec, trials, [_corner(n)], finish,
                                     whole=lambda A: singular_value(A, 1))
-    columns, best_c = _compare(s2A, np.where(members, s2T, -np.inf), thresholds, c)
+    columns, best_c = _compare(s2A, s2T, thresholds, c)
     return TailCurve(
         thresholds=thresholds, **columns, trials=trials, seed=spec.seed, c=c,
         meta={

@@ -650,3 +650,101 @@ def test_kernel_floats_is_the_working_set_of_the_chosen_kernel():
     assert kernel_floats(320, 320, 2.0) == 320 * (lanczos_steps(320) + 2)  # Lanczos basis
     assert kernel_floats(640, 641, 4.0) == 640 * (lanczos_steps(640) + 2)
     assert kernel_floats(640, 640, 64.0) == 640 * 640
+    # s1 against floors adds the Perron bracket's G, and its square up to 32.
+    assert kernel_floats(32, 32, 2.0, floors=True) == 32 * 32 + 2 * 32 * 32
+    assert kernel_floats(20, 21, 2.0, floors=True) == 20 * 21 + 2 * 20 * 20
+    assert kernel_floats(64, 65, 2.0, floors=True) == 64 * 65 + 64 * 64
+    assert kernel_floats(320, 320, 2.0, floors=True) == 320 * (lanczos_steps(320) + 2)
+
+
+# --- s1 against floors: the certified Perron bracket ------------------------
+
+def _cells(values, floors):
+    """The number of floors each value reaches (value >= floor): its cell."""
+    return np.searchsorted(np.sort(np.ravel(floors)), values, side="right")
+
+
+@st.composite
+def _nonnegative_member(draw, rows, cols):
+    """A nonnegative rows x cols matrix (rows, cols >= 2) of one of the
+    shapes that test the bracket: all zero, sparse with zero rows and
+    columns, two equal components (a repeated top), two components whose
+    tops differ by a factor 1 + 2^-j (power steps converge slowly), two
+    different components, or k times a partial permutation (s1 = k, an
+    integer)."""
+    shape = draw(st.sampled_from(["zero", "sparse", "twins", "near twins", "components",
+                                  "permutation"]))
+
+    def block(h, w):
+        cells = st.sampled_from([0.0, 0.0, 0.0, 1.0, 1.0, 2.0, 0.5, 3.0])
+        return np.array(draw(st.lists(cells, min_size=h * w, max_size=h * w))).reshape(h, w)
+
+    E = np.zeros((rows, cols))
+    h, w = rows // 2, cols // 2
+    if shape == "sparse":
+        E[:] = block(rows, cols)
+    elif shape in ("twins", "near twins"):
+        E[:h, :w] = E[h:2 * h, w:2 * w] = block(h, w)
+        if shape == "near twins":
+            E[h:2 * h, w:2 * w] *= 1.0 + 2.0 ** -draw(st.integers(2, 12))
+    elif shape == "components":
+        E[:h, :w] = block(h, w)
+        E[h:, w:] = block(rows - h, cols - w)
+    elif shape == "permutation":
+        r = min(rows, cols)
+        E[np.arange(r), draw(st.permutations(range(r)))] = draw(st.integers(1, 4))
+    return E
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), st.integers(2, 9), st.integers(2, 9), st.integers(1, 5))
+def test_bracket_values_lie_in_the_cell_of_the_exact_value(data, rows, cols, count):
+    from exspec.tails import C_GRID, _floors
+
+    stack = np.array([data.draw(_nonnegative_member(rows, cols)) for _ in range(count)])
+    want = singular_value(stack, 0)
+    # Thresholds at the integers (where a permutation's s1 lies exactly), at
+    # a member's own exact s1, and anywhere, each times every grid constant.
+    member = data.draw(st.integers(0, count - 1))
+    extra = data.draw(st.lists(st.floats(0.0, 8.0), max_size=3))
+    thresholds = np.array([1.0, 2.0, 3.0, 4.0, want[member], *extra])
+    floors = _floors(np.concatenate([[1.0], C_GRID])[:, None] * thresholds)
+    got = singular_value(stack, 0, floors)
+    assert np.all(got <= want), (got, want)
+    assert np.array_equal(_cells(got, floors), _cells(want, floors)), (got, want)
+
+
+def test_floors_leave_every_other_route_bit_for_bit(monkeypatch):
+    from exspec.tails import C_GRID, _floors
+
+    bracketed = []  # the stacks that reach the bracket
+    real = spectra._perron_bracket
+    monkeypatch.setattr(spectra, "_perron_bracket",
+                        lambda E, floors: bracketed.append(len(E)) or real(E, floors))
+    floors = _floors(C_GRID * 4.0)
+    signed = stream(72).normal(size=(6, 7, 5))
+    nonnegative = np.abs(signed)
+    # floors=None is the Gram kernel as it stands: one matmul, one eigvalsh.
+    G = np.swapaxes(nonnegative, 1, 2) @ nonnegative
+    assert (singular_value(nonnegative, 0).tobytes()
+            == np.sqrt(np.linalg.eigvalsh(G)[:, -1]).tobytes())
+    # Signed members, alone and among nonnegative ones, are checked one by one.
+    exact = singular_value(signed, 0)
+    assert singular_value(signed, 0, floors).tobytes() == exact.tobytes()
+    mixed = singular_value(np.concatenate([signed, nonnegative]), 0, floors)
+    assert mixed[:6].tobytes() == exact.tobytes()
+    assert np.array_equal(_cells(mixed[6:], floors),
+                          _cells(singular_value(nonnegative, 0), floors))
+    assert bracketed == [6, 12]
+    # Index 1 and later, and the Lanczos kernel's members, never reach it.
+    bracketed.clear()
+    for index in (1, 2):
+        assert (singular_value(nonnegative, index, floors).tobytes()
+                == singular_value(nonnegative, index).tobytes())
+    spec = EnsembleSpec("perm_sum_regular", 640, d=4, zero_diagonal=True, seed=73)
+    corners = table_entries(sample_tables(spec, range(2))).block(slice(0, 320), slice(320, 640))
+    assert lanczos_pays(320, corners.value.size / (2 * 320))
+    assert (singular_value(corners, 0, floors).tobytes()
+            == singular_value(corners, 0).tobytes())
+    assert bracketed == []
+

@@ -17,7 +17,9 @@ from exspec.tails import (
     C_GRID,
     TailCurve,
     _compare,
+    _constants,
     _corner,
+    _floors,
     _run_trials,
     _tail_probs,
     block_bound_curve,
@@ -513,6 +515,19 @@ def _one(E, index):
     return singular_value(E[None], index)[0]
 
 
+def _assert_corner_norms(got, want, floors, exact):
+    """The corner or block norms the engine hands to _tail_probs: the exact
+    kernel's bytes where it runs; where the Perron bracket decides, a value
+    at most the exact one in its cell of the floors."""
+    if exact:
+        assert got.tobytes() == want.tobytes()
+    else:
+        floors = np.sort(np.ravel(floors))
+        assert np.all(got <= want)
+        assert np.array_equal(np.searchsorted(floors, got, "right"),
+                              np.searchsorted(floors, want, "right"))
+
+
 def _reference_columns(spec, trials, event, half, delta):
     """Per-trial statistics from whole samples, one trial at a time."""
     n, m = spec.n, spec.n // 2
@@ -575,6 +590,10 @@ def test_engine_matches_per_trial_reference(monkeypatch, cap):
         assert ref["member"].tobytes() == ref["ev"].tobytes()
         ev_stat = np.where(ref["ev"], ref["t"], -np.inf)
         m_norm = float(spec.d) if spec.base is None else spectral_norm(spec.base)
+        # The bases are signed and take the exact kernel; the table kinds'
+        # nonnegative corners and blocks may take the bracket.
+        exact = spec.base is not None
+        assert exact == bool(np.any(sample(spec, 0).entries < 0))
 
         if spec.kind != "separately_exchangeable":  # only zero-diagonal samples
             thresholds = np.quantile(ref["t"], [0.2, 0.5, 0.8])
@@ -583,7 +602,8 @@ def test_engine_matches_per_trial_reference(monkeypatch, cap):
                 curve = norm_tail_curve(spec, c=1.0, trials=trials,
                                         thresholds=thresholds, event=ev)
                 assert stats[0].tobytes() == np.full(trials, m_norm).tobytes()
-                assert stats[1].tobytes() == right.tobytes()
+                _assert_corner_norms(stats[1], right, _floors(_constants(1.0) * thresholds),
+                                     exact)
                 p_right, ci_right = real_tail_probs(right, thresholds)
                 assert curve.p_right.tobytes() == p_right.tobytes()
                 assert curve.ci_right.tobytes() == ci_right.tobytes()
@@ -591,7 +611,8 @@ def test_engine_matches_per_trial_reference(monkeypatch, cap):
         stats.clear()
         curve = block_bound_curve(spec, trials=trials,
                                   thresholds=4.0 * np.quantile(ref["block"], [0.2, 0.5, 0.8]))
-        assert stats[1].tobytes() == ref["block"].tobytes()
+        _assert_corner_norms(stats[1], ref["block"],
+                             _floors(_constants(0.25) * curve.thresholds), exact)
         p_right, ci_right = real_tail_probs(ref["block"], curve.thresholds / 4.0)
         assert curve.p_right.tobytes() == p_right.tobytes()
         assert curve.ci_right.tobytes() == ci_right.tobytes()
@@ -753,3 +774,42 @@ def test_table_l2_maxima_are_those_of_the_dense_samples(kind, d, zero_diagonal):
     # Repeated entries (A[i, c] = 2 or more) occur without the zero diagonal.
     if not zero_diagonal:
         assert np.any(want > np.sqrt(d_n))
+
+
+# --- which corners reach the kernel, and how ---------------------------------
+
+def test_the_bracket_decides_the_corners_of_the_readme_command(monkeypatch):
+    # The README example at 500 trials: every corner in the event reaches
+    # the kernel, none outside it, and at most 5% of those go on from the
+    # Perron bracket to the exact Gram kernel, so the speedup stays.
+    from exspec import spectra
+
+    decided = []
+    real = spectra._perron_bracket
+
+    def spy(E, floors):
+        lo, certain = real(E, floors)
+        decided.append(certain)
+        return lo, certain
+
+    monkeypatch.setattr(spectra, "_perron_bracket", spy)
+    spec = EnsembleSpec("perm_sum_regular", 64, d=4, zero_diagonal=True, seed=1)
+    curve = norm_tail_curve(spec, c=0.01, trials=500, event=RegularityParams(d=4.0, delta=2.0))
+    decided = np.concatenate(decided)
+    assert decided.size == round(curve.meta["event_fraction"] * 500) > 0
+    assert np.count_nonzero(~decided) <= 0.05 * decided.size
+
+
+def test_corners_outside_the_event_never_reach_the_kernel(monkeypatch):
+    # README's comparison with no evidence: no corner meets the event, so
+    # the only singular values taken are the whole samples' s2.
+    from exspec import tails
+
+    shapes = []
+    real = tails.singular_value
+    monkeypatch.setattr(tails, "singular_value",
+                        lambda stack, *args: shapes.append(stack.shape) or real(stack, *args))
+    spec = EnsembleSpec("perm_sum_regular", 256, d=8, zero_diagonal=True, seed=5)
+    curve = s2_tail_curve(spec, RegularityParams(d=8.0, delta=1.0), [2, 4], trials=4)
+    assert curve.meta["member_fraction"] == 0.0
+    assert shapes and all(shape[1:] == (256, 256) for shape in shapes)
