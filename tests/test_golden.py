@@ -31,7 +31,7 @@ TAIL = {
     "norm-permuted-base": ["norm", "--ensemble", "permuted_base", "--n", "10",
                            "--base", "b10.csv", "--c", "0.5", "--grid", "54,56,58",
                            "--trials", "150", "--seed", "23"],
-    # Both cut the corner tail: p_right runs from 0.7 to 0.1 and from 0.99
+    # Both cut the corner tail: p_right runs from 0.7 to 0.05 and from 1.0
     # to 0.007. At c tau = 2.0 two member corners of the s2 case have s2
     # exactly 2, so the case also pins how a threshold tie is counted.
     "s2-permuted-base": ["s2", "--ensemble", "permuted_base", "--n", "32", "--base", "r32.csv",
@@ -118,49 +118,49 @@ GOLDEN = {
         "curve.json": "e2c9f426b619bfcfca39cd3f9e903cc7c40cfbaafca73d549a7c2603480e86dc",
     },
     "corner-capture": {
-        "curve.csv": "4854ab764ea278b70c38cd7673fde568b41990ac3bbac9092da67bf3425fba19",
-        "curve.json": "ec2f69fdace57cc5ce827417f01e7075bd0a4c734433ba6e286038f112cf3074",
+        "curve.csv": "f538e0aa45c37a5c1b3d2e1c6305845390cccda3b7da956c5842227f5b742759",
+        "curve.json": "f92e690e96130f8c49a18e1da8ad41c242e9da7c75e82b981de6e8833c984352",
     },
     "degree-event": {
-        "curve.json": "0957f76eb321462a249440ea04203982326e9ba75c7154676303e50cd07ffc3b",
+        "curve.json": "5a522d2ebf23781a9e33eee7861d3239673c082d2d72e8509d6e926e0cd4f6ec",
     },
     "gen-digraph": {
         "manifest.json": "0bc4cb357a69442461902e2b71e2ad37eb95240731e3648652b93e5354ec5cb4",
-        "sample_0000.json": "6dd1383cc5b89be13512d7a2cbe0b49287c5a599b6b7b41d638465cd4823baca",
+        "sample_0000.json": "affdf61a872c0b6429c919d592a6f3fe791c118616576cc12626becc5fa975dd",
         "sample_0000.provenance.json": "3a9eef8f76fa5f5314f0ce4f9128e2c3b2d278af116fbfd160ec10f6c7c14761",
-        "sample_0001.json": "fcd75b5c354cdc1840bb68597cb1641836f0a2b984e6c472e74b5b7784a9cc4d",
+        "sample_0001.json": "a71457282345ce974c7510e706dab9b9a3569b8d171b42ef5befa5590f6ec73a",
         "sample_0001.provenance.json": "3b780c01dd06493435ca4709d58cf479eaf20abf7cba07388bacec141d46312e",
-        "sample_0002.json": "86cb4d56b4caea6ca2dd7711ac411963e3d70a3ffe7a06678353f4f7fe1c0428",
+        "sample_0002.json": "a4e99b866757c9500651bafa1bb8860d00850a8c82bbf643f01383b18280da3d",
         "sample_0002.provenance.json": "8721adcc1f70f43a92e005b5b62acaba3f7553f835d9bbea7f8823febd659317",
     },
     "gen-perm-sum": {
         "manifest.json": "337d90a6d4551ba4dcb3092e70bbc4f467f81a9aec6e062486d8ff14dedd023f",
-        "sample_0000.csv": "600a2bb49632fe2e290fb0c5b97554d470255662747b9e8a901f162741514292",
+        "sample_0000.csv": "a34baac59522c1321c90ce442335f63eda150983cb42ef6a9df0f5c26bd3c561",
         "sample_0000.provenance.json": "c5c63f87e4b89f2717aa135e948a40ebfcebf7511248abb72272eaed31558a87",
-        "sample_0001.csv": "55bb0c8054f7d781e3caf4b4013c02388f62f6f1f786ca14801f6ed6b35945cb",
+        "sample_0001.csv": "5ab5ab9d747e9fbd1fbc64481d7f24ebc33232df5f61b4d54983b6b0c98b83fb",
         "sample_0001.provenance.json": "4fcdf0b082ccd5005280a270e09d65506b7d2f216118111e11bb1d7de202ec90",
-        "sample_0002.csv": "2f7642f668e0be71bd6d2f3c852f05313f4f50a847a8acec8ca4de79b4afcdcf",
+        "sample_0002.csv": "157680403b39f223d150502f67be4c57b2e79440eba511c51ef3fd39d7fde0cd",
         "sample_0002.provenance.json": "3c800d6fb8daa23ff03964b2b1f68407f6473f05c803ee0af7557c4a5742eaad",
     },
     "gen-permuted-base": {
         "manifest.json": "c117a2df8e221a1bf108094b784da7858a745aa08a8e2c16e9f8ced9aaf3bff3",
-        "sample_0000.json": "89074f88699d625cfcf99cbede8a94a99be6ed546c13e7bd719523cf1e347d4a",
+        "sample_0000.json": "5205b21d98de8700240b3a1d3265858df9c573be06c49d226e0fef427a176c09",
         "sample_0000.provenance.json": "e011608ee33a34a27d8ff7f37a10919673e8715a2ec5a7aace1e7dac50a2bda2",
-        "sample_0001.json": "e083b6c2e3807072bce3fb8d1f6b6961fece6d95be0b2bef180c3453a5b86193",
+        "sample_0001.json": "d0dcbe5d3563be7bd319d12602ce9044b14d935082aa5b4c847299b25fe2420f",
         "sample_0001.provenance.json": "206bb5f82a3dfb80c407498c8fe75ea9068798b2c936291b53c5235300ac5c8e",
     },
     "gen-perm-sum-diagonal": {
         "manifest.json": "5166c8e85f722c57446ef3314fd4da012b0348ee1e48f3df94c45301d0a477d3",
-        "sample_0000.csv": "c25db06860cd3f104820077727b631cb49d7a890e0af34a6db1ac4ee504bc522",
+        "sample_0000.csv": "3bcb0ce24bac8b7235594fdc5ca4cbf49f8c8c7a77d834e0df8cbbd3fb10d39c",
         "sample_0000.provenance.json": "41a585966b4fc90ab349aac1801b891a0908e3c1c24b7ec8ae0a43c6756eb61a",
-        "sample_0001.csv": "3e9243697aff789031572bf5e37671d615227e99bbfc66ac7eca8194187cff81",
+        "sample_0001.csv": "160b500cc2a212c1fcb292de7aa72691bbd518830d7fc99cc3964e9e05e9c82d",
         "sample_0001.provenance.json": "b3f8455e6425a4c66c800c23f661f249edd2c3d1876ef9ff2cae2e0734244658",
     },
     "gen-separately-exchangeable": {
         "manifest.json": "9dfdd5e8f01cda2aa9805616981e1b9a5d4d5d3ae52e306ad72d0bbb7c30e3fd",
-        "sample_0000.json": "b8d0b25504ca7f97985051701c350a74b434e27643013274ffacd93f6cf1698f",
+        "sample_0000.json": "968b759ac5db31126e99fa13eccc299dadae0e805ce42a7cee953aad18fbd519",
         "sample_0000.provenance.json": "e8a69a39a1ad81e83648f663ad39e5dcf764a6e2288b97ef641d3ce1c329386a",
-        "sample_0001.json": "66aeb8c8db3bcf806f0c929ee379df71751fa7096d7b7da6c6ad047eb5805700",
+        "sample_0001.json": "569097298984668b36e80c589634bd11213b67e53b3e14765fc84341f986db76",
         "sample_0001.provenance.json": "57a58242ce1d9e2d5fe1cedc05c83b876639a9333678ae4a84845d16ade04834",
     },
     "norm-digraph": {
@@ -172,32 +172,32 @@ GOLDEN = {
         "curve.json": "bb15860459d8ecbe394ddef28ac041ae7e0ed2b892d9b94e7adebe077adfc3c2",
     },
     "norm-perm-sum-grid": {
-        "curve.csv": "62a9f5ac3f458204dce46adde70c44110c6bfa1b605f418de366d60f9d21adfc",
-        "curve.json": "b2bbbe8d0f2c2acf56f0ca7c82ba90c6a95ea1e921699498869fd1956d8fc304",
+        "curve.csv": "f3e81e366933d5fcc04ddd36df94556067e00682ec812fa0e584e5395892da00",
+        "curve.json": "8a7c57d8f395c8fb95c7d87ca21695199b5a3d636af42d6042ce4b9c46ffaaee",
     },
     "norm-permuted-base": {
-        "curve.csv": "33257b13b1651f5853097d3adf688b20859d8e1f63ae1431b2096e946f3a7e0d",
-        "curve.json": "57f6d1b8f0572c42df6ebce3362bff036ce1cf5a13a5041b3ea5abc21395d759",
+        "curve.csv": "8526be64f1f2d41d98758712820434b334d4f9e18800f7eea103d28122a3c689",
+        "curve.json": "9b13d251440d065c3fee7418431775290d3fe5e2ec93839a366ee65863c0e573",
     },
     "verify-all-0": {
-        "report.json": "457cb8a799c2fe7c54a569e2a7a2d5b25f7a3cf6efd96f4fa569694b7fc22623",
+        "report.json": "a5126f906e3c4edff82f683dd7dfd97223f4e37cc0fbd7f5b8e2702f5b8054a2",
     },
     "verify-all-1": {
-        "report.json": "36a72ba46aaa685b16b527ac941bd60fca53ed8d444845b469f5851f1ae8fda9",
+        "report.json": "2190fdac33fc013d81f5a44bba76b96ded033655d97f24e200917f41ccf85516",
     },
     "verify-all-2": {
-        "report.json": "1058f764be25b79a0e6bef390584efa08ee77d1c5bd0bd55e24396aadcaeccf0",
+        "report.json": "66be8a87d33167a5d5f907410bb63ece2aaeb98af59cd00cebd79f3d20d21d72",
     },
     "verify-all-3": {
-        "report.json": "5d7a71a0173655e24a1b0b6a9521b7e6cfc988285bff397effb61d2a04aaf943",
+        "report.json": "bdbc1df2b131c9c8911fc57a79da86e4930fee66bae9df1f0f51b6ab915585ba",
     },
     "s2-per-sample": {
-        "curve.csv": "6eafadd29036912b19e4bbb126b6a37e4c66a5c54b48049e1b0b7bdfa11a80e5",
-        "curve.json": "6a3ad0202acc5d712f0390458c3c3ffc96cfd1cd8f6debbd1854a9ca9e2d15ab",
+        "curve.csv": "276ac1607b1d6eec1adb7e6a05121420fea2c4268b834d50a521c04cec3c1da0",
+        "curve.json": "664b8a156e5b0bb5f6c26f27b405fecbbc69b84f46e9f392a18da23db9874764",
     },
     "s2-permuted-base": {
-        "curve.csv": "e931d15db1f5199a980f4256cc1935c7800edd1c7f1eaa7c9a51f76257fdf7ae",
-        "curve.json": "6477a42e6328c59452c407d39f5decebec48125460a7cecb3a097de43e80a0df",
+        "curve.csv": "d346bc690a5b5ad28d4a2f24e400f3784b4754ddb4484de7d1653d914947e396",
+        "curve.json": "c1bc5387c9a4a458aa67fbcc15b9af92db278a3f2fa49e1b898a889ee857d5a1",
     },
 }
 

@@ -203,16 +203,16 @@ def test_problem_validation():
 # The whole stdout of demos/subset_sum_moments.py, whose every number is read
 # from row 0 of a one-problem stack.
 SUBSET_DEMO_STDOUT = """\
-a = [0.08, -0.46, 0.05, 0.69, -1.76, 1.68, -0.46, -0.6, -1.05, 0.93]
+a = [-0.83, 0.1, 1.58, -0.35, -0.5, -0.94, 0.55, 0.43, 1.51, -1.59]
 k = 4 of m = 10
 
-second moment: closed form 2.549493, enumeration 2.549493
-fourth moment: enumeration 16.1803 <= bound 285.4457
+second moment: closed form 2.599413, enumeration 2.599413
+fourth moment: enumeration 17.2250 <= bound 268.3543
 
 tail P{|S - ES| >= t} vs 2 exp(-2 t^2 / ||a||_2^2):
-    t = 0.756: exact 0.6524 <= 1.7650
-    t = 1.513: exact 0.3762 <= 1.2131
-    t = 3.026: exact 0.0429 <= 0.2707
+    t = 0.781: exact 0.6238 <= 1.7650
+    t = 1.561: exact 0.3619 <= 1.2131
+    t = 3.122: exact 0.0524 <= 0.2707
 """
 
 

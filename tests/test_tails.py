@@ -457,7 +457,7 @@ def test_s2_tail_curve_relabeled_base_matches_per_sample_reference():
     spec = EnsembleSpec(kind="permuted_base", n=n, seed=93, base=base)
     params = RegularityParams(d=3.0, delta=1.0)
     half = RegularityParams(d=1.5, delta=1.0)
-    # s2(base) = 2.76; the corner's s2 spans 1.62-2.37 over these trials.
+    # s2(base) = 2.79; the corner's s2 spans 1.73-2.41 over these trials.
     L_grid = [1.5, 1.8, 2.0, 2.2, 2.5, 3.0]
     c, trials = 1.0, 120
     s2A, s2T, members = [], [], []
@@ -552,8 +552,10 @@ def _engine_specs(n):
     the reference test, the corner event is mixed and the l2 hypothesis
     (max row or column l2 norm <= delta) holds. The l2 maxima are one value
     for a relabeled base and for a 0/1 digraph (sqrt 3); those of
-    perm_sum_regular at n = 9, d = 3 are sqrt 3, sqrt 5 or 3, so delta = 2
-    makes its hypothesis column mixed too."""
+    perm_sum_regular at n = 9, d = 3 are sqrt 3, sqrt 5 or 3, so delta = 2.5
+    makes its hypothesis column mixed too: it fails where all three
+    derangements share an edge. Over 23 trials that column is mixed at about
+    97% of seeds (at delta = 2, where any shared edge fails it, about half)."""
     E = stream(200 + n).normal(size=(n, n))
     np.fill_diagonal(E, 0.0)
     base = SquareMatrix(E, zero_diagonal=True)
@@ -562,7 +564,7 @@ def _engine_specs(n):
         (EnsembleSpec(kind="separately_exchangeable", n=n, seed=202,
                       base=SquareMatrix(stream(203).normal(size=(n, n)))), 14.0, 5.0),
         (EnsembleSpec(kind="perm_sum_regular", n=n, d=3, zero_diagonal=True, seed=204),
-         8.0, 2.0),
+         8.0, 2.5),
         (EnsembleSpec(kind="regular_digraph", n=n, d=3, seed=205), 8.0, 2.0),
     ]
 
