@@ -17,6 +17,14 @@ every kernel here is a stack of small matrices, where OpenBLAS's second
 thread spins beside the first and shortens nothing. A user who wants more
 threads (for one large dense SVD) sets OPENBLAS_NUM_THREADS or
 OMP_NUM_THREADS as usual.
+
+The command keeps the heap it has touched. Each chunk of trials allocates
+and frees about 1 MiB of arrays, and glibc by default returns the freed
+top of its heap to the OS, so the next chunk page-faults the same memory
+in again. So ``main`` raises glibc's mmap threshold to 32 MiB and its trim
+threshold to 64 MiB, unless the environment sets MALLOC_TRIM_THRESHOLD_,
+MALLOC_MMAP_THRESHOLD_ or GLIBC_TUNABLES; with another C library it sets
+nothing. A library import keeps its own allocator settings.
 """
 
 import os
@@ -32,6 +40,7 @@ if "numpy" not in sys.modules and not any(os.environ.get(v) for v in _BLAS_THREA
         os.environ[_variable] = "1"
 
 import argparse
+import ctypes  # numpy loads it anyway
 import dataclasses
 import json
 import math
@@ -78,6 +87,38 @@ UNREAD = {
     "tail degree-event": ("c", "grid", "matrix"),
     "tail corner-capture": ("ensemble", "n", "d", "zero_diagonal", "base", "delta", "c", "grid"),
 }
+
+
+# glibc's own ceiling for its dynamic mmap threshold on 64-bit, and twice
+# that for the trim threshold, as glibc's dynamic rule sets it. Setting them
+# also stops glibc from adjusting them. (M_TRIM_THRESHOLD and
+# M_MMAP_THRESHOLD of <malloc.h>.)
+_HEAP_THRESHOLDS = ((-3, 32 << 20), (-1, 64 << 20))
+_MALLOC_VARIABLES = ("MALLOC_TRIM_THRESHOLD_", "MALLOC_MMAP_THRESHOLD_", "GLIBC_TUNABLES")
+
+
+def _libc():
+    """The process's C library through ctypes if it is glibc, else None."""
+    try:
+        if not os.confstr("CS_GNU_LIBC_VERSION"):
+            return None
+    except (AttributeError, ValueError, OSError):  # no confstr, or not glibc
+        return None
+    return ctypes.CDLL(None)
+
+
+def _keep_heap() -> None:
+    """Set the command's heap thresholds (module docstring); a user's
+    malloc variables, or a C library without ``mallopt``, leave it as is."""
+    if any(v in os.environ for v in _MALLOC_VARIABLES):
+        return
+    mallopt = getattr(_libc(), "mallopt", None)
+    if mallopt is None:
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    for param, value in _HEAP_THRESHOLDS:
+        mallopt(param, value)
 
 
 def _load_matrix(path: str) -> SquareMatrix:
@@ -370,6 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    _keep_heap()
     parser = build_parser()
     args = parser.parse_args(argv)
     if getattr(args, "out", None) is None and args.command in ("gen", "tail"):

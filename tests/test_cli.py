@@ -2,11 +2,13 @@ import contextlib
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from matrix_reference import signed_regular
 
-from exspec import core
+from exspec import cli, core
 from exspec.cli import _load_matrix, main
 from exspec.core import SquareMatrix, matrix_to_csv, matrix_to_json
 from exspec.ensembles import EnsembleSpec, sample
@@ -688,6 +690,75 @@ def test_threads_env_does_not_change_output(tmp_path):
         assert outs[0] == outs[1] == outs[2], name
 
 
+MALLOC_VARIABLES = ("MALLOC_TRIM_THRESHOLD_", "MALLOC_MMAP_THRESHOLD_", "GLIBC_TUNABLES")
+README_TAIL_NORM = ["tail", "norm", "--ensemble", "perm_sum_regular", "--n", "64", "--d", "4",
+                    "--zero-diagonal", "--delta", "2.0", "--seed", "1", "--c", "0.01"]
+
+
+@pytest.mark.skipif(cli._libc() is None, reason="the heap thresholds are glibc's")
+def test_a_long_tail_run_does_not_fault_its_chunks_in_again(tmp_path):
+    # Each 32-trial chunk of the README example frees about 1 MiB of arrays.
+    # Where glibc trims that back to the OS, the next chunk faults it in
+    # again (about 19,500 more faults over 100 chunks than over one); the
+    # command's heap thresholds keep it, so 100 chunks fault about as much
+    # as one.
+    env = {k: v for k, v in os.environ.items() if k not in MALLOC_VARIABLES}
+    faults = []
+    for trials in (32, 3200):
+        before = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
+        proc = subprocess.run(
+            [sys.executable, "-m", "exspec.cli", *README_TAIL_NORM, "--trials", str(trials),
+             "--out", str(tmp_path / str(trials))],
+            capture_output=True, text=True, env=env,
+        )
+        faults.append(resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - before)
+        assert proc.returncode == 0, proc.stderr
+    assert faults[1] - faults[0] <= 1000, faults
+
+
+class RecordedMallopt:
+    """A stand-in for libc's mallopt that records its calls."""
+
+    def __init__(self):
+        self.calls = []
+
+    def __call__(self, param, value):
+        self.calls.append((param, value))
+        return 1
+
+
+def test_the_heap_policy_defers_to_the_environment_and_to_other_c_libraries(
+        tmp_path, capsys, monkeypatch):
+    for variable in MALLOC_VARIABLES:
+        monkeypatch.delenv(variable, raising=False)
+    args = ["tail", "norm", "--n", "16", "--d", "2", "--zero-diagonal", "--trials", "100",
+            "--seed", "13"]
+
+    def written(name):
+        assert run_cli(args + ["--out", str(tmp_path / name)], capsys)[0] == 0
+        return [(tmp_path / name / f).read_bytes() for f in ("curve.json", "curve.csv")]
+
+    def unknown(name):  # as os.confstr answers a name the platform lacks
+        raise ValueError(f"unrecognized configuration name {name!r}")
+
+    for confstr in (lambda name: None, unknown):  # a C library that is not glibc
+        with monkeypatch.context() as m:
+            m.setattr(os, "confstr", confstr)
+            assert cli._libc() is None
+    mallopt = RecordedMallopt()
+    monkeypatch.setattr(cli, "_libc", lambda: SimpleNamespace(mallopt=mallopt))
+    kept = written("kept")
+    assert mallopt.calls == [(-3, 32 << 20), (-1, 64 << 20)]  # M_MMAP_, M_TRIM_THRESHOLD
+    mallopt.calls.clear()
+    with monkeypatch.context() as m:
+        m.setenv("MALLOC_TRIM_THRESHOLD_", "131072")
+        assert written("deferred") == kept
+    assert mallopt.calls == []
+    for libc in (SimpleNamespace(), None):  # no mallopt symbol, or not glibc
+        monkeypatch.setattr(cli, "_libc", lambda: libc)
+        assert written("no-mallopt") == kept
+
+
 def test_tail_s2_without_delta_is_usage_error(tmp_path, capsys):
     code, _, err = run_cli(
         ["tail", "s2", "--n", "8", "--d", "2", "--trials", "2", "--out", str(tmp_path / "o")],
@@ -907,8 +978,6 @@ print(json.dumps({"codes": codes, "scipy": sorted(m for m in sys.modules if "sci
 
 
 def test_each_main_builds_the_parser_once(tmp_path, capsys, monkeypatch):
-    from exspec import cli
-
     builds = []
     real = cli.build_parser
     monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or real())
